@@ -19,6 +19,15 @@ Every estimator here has a ``*_from_ratios`` twin operating on raw per-step
 ratio sequences, used for environments (such as the glucose simulator) whose
 observed state is continuous and therefore carries ratios directly instead
 of finite policy tables.
+
+Monte Carlo studies evaluate every window on each of many replications.
+For them, ``_estimate_windows`` computes all windows on an (R, T) batch of
+rewards and ratios in one pass, each row its own unit: window products are
+built incrementally from the previous window, the lag window is evaluated
+once per call and each lag's cross products are summed across all rows at
+once, and the normal quantile is computed once. It performs the same
+floating-point operations in the same order as
+``estimate_with_ci_from_ratios`` on one row, which stays as its reference.
 """
 
 from __future__ import annotations
@@ -344,6 +353,76 @@ def estimate_with_ci(
     """
     ratios, rewards = _as_ratio_lists(trajectories, target, behavior)
     return estimate_with_ci_from_ratios(ratios, rewards, config)
+
+
+def _estimate_windows(
+    Y: np.ndarray,
+    RHO: np.ndarray,
+    ks: Sequence[int],
+    alpha: float,
+    bandwidth: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate and interval for every window in ``ks`` on every row of
+    (R, T) rewards ``Y`` and per-step ratios ``RHO``.
+
+    Each row is its own unit: entry [i, j] is what
+    ``estimate_with_ci_from_ratios([RHO[i]], [Y[i]],
+    EstimatorConfig(ks[j], alpha, bandwidth))`` reports. Returns an
+    (R, K, 3) array of (value, ci_lo, ci_hi) and the (R, K) mask of
+    variance estimates clamped to zero.
+    """
+    R, T = Y.shape
+    ks = [int(k) for k in ks]
+    if not ks or min(ks) < -1:
+        raise ConfigurationError("need a nonempty set of windows k >= -1")
+    k_max = max(ks)
+    if k_max >= 0 and T < k_max + 2:
+        raise ConfigurationError(
+            f"trajectory length {T} too short for window k={k_max} (need T >= k+2)"
+        )
+    out = np.empty((R, len(ks), 3))
+    clamped = np.zeros((R, len(ks)), dtype=bool)
+    z = float(norm.ppf(1.0 - alpha / 2.0))
+    lag_cap = min(int(math.floor(bandwidth)), T - 1)
+    psi = parzen_kernel(np.arange(1, lag_cap + 1) / bandwidth)
+
+    def fill(k: int, terms: np.ndarray) -> None:
+        n = terms.shape[1]
+        value = terms.mean(axis=1)
+        yt = terms - value[:, None]
+        acc = np.vecdot(yt, yt)
+        for j in range(1, min(lag_cap, n - 1) + 1):
+            if psi[j - 1] != 0.0:
+                acc += 2.0 * psi[j - 1] * np.vecdot(yt[:, :-j], yt[:, j:])
+        variance = acc / n
+        neg = variance < 0.0
+        variance[neg] = 0.0
+        half = z * np.sqrt(variance / n)
+        cols = [c for c, kc in enumerate(ks) if kc == k]
+        out[:, cols] = np.stack([value, value - half, value + half], axis=1)[:, None]
+        clamped[:, cols] = neg[:, None]
+
+    if -1 in ks:
+        fill(-1, Y)
+    # Same per-row switch to log space as window_weights; a row that crosses
+    # the threshold at k stays past it for every larger k.
+    positive = RHO > 0.0
+    max_log = np.abs(np.log(np.where(positive, RHO, 1.0))).max(axis=1)
+    W = RHO
+    for k in range(k_max + 1):
+        # Multiplying in window_weights' order keeps products identical.
+        # Rows past the threshold are recomputed below; their direct
+        # products may overflow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if k > 0:
+                W = W[:, : T - k] * RHO[:, k:]
+            if k not in ks:
+                continue
+            terms = W * Y[:, k:]
+        for i in np.flatnonzero((k + 1) * max_log > _LOG_SPACE_THRESHOLD):
+            terms[i] = window_weights(RHO[i], k) * Y[i, k:]
+        fill(k, terms)
+    return out, clamped
 
 
 def select_window_from_intervals(

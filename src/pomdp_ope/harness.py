@@ -24,8 +24,7 @@ from .errors import ConfigurationError, OverlapViolationError
 from .estimators import (
     BandwidthRule,
     DEFAULT_BANDWIDTH_RULE,
-    EstimatorConfig,
-    estimate_with_ci_from_ratios,
+    _estimate_windows,
     select_window_from_intervals,
 )
 from .instances.glucose import (
@@ -215,6 +214,8 @@ class SweepCell:
     mean_estimate: float
     ci_coverage: float
     n_replications: int
+    # Variance estimates clamped to zero across the cell's replications.
+    n_clamped: int = 0
 
 
 @dataclass(frozen=True)
@@ -257,6 +258,35 @@ def _auto_chunk(T: int, burn_in: int) -> int:
     return max(16, int(2_000_000 // max(T + burn_in, 1)))
 
 
+def _evaluate_windows(
+    env, spec: SweepSpec, ti: int, ks: Sequence[int], workers: int, chunk_size: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every window in ks on every replication of horizon index ti.
+
+    Returns the (R, K, 3) array of (value, ci_lo, ci_hi) and the (R, K)
+    mask of clamped variance estimates; chunks of replications are
+    simulated and estimated independently, each writing its own rows.
+    """
+    T = spec.T_values[ti]
+    R = spec.replications
+    out = np.empty((R, len(ks), 3))
+    clamped = np.empty((R, len(ks)), dtype=bool)
+    bandwidth = spec.bandwidth.bandwidth(T)
+    seeds = [derive_seed(spec.master_seed, ti, r) for r in range(R)]
+
+    def job_for(start: int, stop: int):
+        def job():
+            Y, RHO = env.rewards_and_ratios(T, spec.burn_in, seeds[start:stop])
+            out[start:stop], clamped[start:stop] = _estimate_windows(
+                Y, RHO, ks, spec.alpha, bandwidth
+            )
+        return job
+
+    chunk = chunk_size if chunk_size else _auto_chunk(T, spec.burn_in)
+    _run_chunks([job_for(s, e) for s, e in _chunk_ranges(R, chunk)], workers)
+    return out, clamped
+
+
 def run_sweep(
     spec: SweepSpec, workers: int | None = None, chunk_size: int | None = None
 ) -> SweepResult:
@@ -265,9 +295,10 @@ def run_sweep(
     For each horizon index ti and replication r, simulates one behavior
     trajectory from stream hash(master_seed, ti, r) and evaluates every
     window length on it together with its confidence interval. Aggregates
-    MSE, bias, variance, mean estimate, and CI coverage against the
-    environment's value oracle. Results do not depend on workers or
-    chunk_size (those only trade memory for parallelism).
+    MSE, bias, variance, mean estimate, CI coverage and the count of
+    clamped variance estimates against the environment's value oracle.
+    Results do not depend on workers or chunk_size (those only trade
+    memory for parallelism).
     """
     env = make_environment(spec.environment)
     oracle, provenance = env.oracle()
@@ -275,29 +306,9 @@ def run_sweep(
     ks = spec.k_values
     cells: list[SweepCell] = []
     for ti, T in enumerate(spec.T_values):
-        R = spec.replications
-        est = np.empty((R, len(ks)))
-        cover = np.empty((R, len(ks)), dtype=bool)
-        bandwidth = spec.bandwidth.bandwidth(T)
-        seeds = [derive_seed(spec.master_seed, ti, r) for r in range(R)]
-
-        def job_for(start: int, stop: int, T=T, seeds=seeds, est=est, cover=cover, bandwidth=bandwidth):
-            def job():
-                Y, RHO = env.rewards_and_ratios(T, spec.burn_in, seeds[start:stop])
-                for i in range(stop - start):
-                    for ki, k in enumerate(ks):
-                        rep = estimate_with_ci_from_ratios(
-                            [RHO[i]],
-                            [Y[i]],
-                            EstimatorConfig(k=k, alpha=spec.alpha, bandwidth=bandwidth),
-                        )
-                        est[start + i, ki] = rep.value
-                        cover[start + i, ki] = rep.ci_lo <= oracle <= rep.ci_hi
-            return job
-
-        chunk = chunk_size if chunk_size else _auto_chunk(T, spec.burn_in)
-        jobs = [job_for(s, e) for s, e in _chunk_ranges(R, chunk)]
-        _run_chunks(jobs, workers)
+        out, clamped = _evaluate_windows(env, spec, ti, ks, workers, chunk_size)
+        est = out[:, :, 0]
+        cover = (out[:, :, 1] <= oracle) & (oracle <= out[:, :, 2])
         for ki, k in enumerate(ks):
             col = est[:, ki]
             mean_est = float(col.mean())
@@ -312,7 +323,8 @@ def run_sweep(
                     variance=variance,
                     mean_estimate=mean_est,
                     ci_coverage=float(cover[:, ki].mean()),
-                    n_replications=R,
+                    n_replications=spec.replications,
+                    n_clamped=int(clamped[:, ki].sum()),
                 )
             )
     return SweepResult(
@@ -332,6 +344,8 @@ class LepskiRow:
     selection_freq: dict[int, float]
     mse_by_k: dict[int, float]
     mse_selected: float
+    # Variance estimates clamped to zero, over all replications and candidates.
+    n_clamped: int = 0
 
 
 @dataclass(frozen=True)
@@ -367,30 +381,12 @@ def run_lepski_study(
     rows: list[LepskiRow] = []
     for ti, T in enumerate(spec.T_values):
         R = spec.replications
-        est = np.empty((R, len(candidates)))
-        sel = np.empty(R, dtype=np.int64)
-        bandwidth = spec.bandwidth.bandwidth(T)
-        seeds = [derive_seed(spec.master_seed, ti, r) for r in range(R)]
-
-        def job_for(start: int, stop: int, T=T, seeds=seeds, est=est, sel=sel, bandwidth=bandwidth):
-            def job():
-                Y, RHO = env.rewards_and_ratios(T, spec.burn_in, seeds[start:stop])
-                for i in range(stop - start):
-                    intervals = []
-                    for ki, k in enumerate(candidates):
-                        rep = estimate_with_ci_from_ratios(
-                            [RHO[i]],
-                            [Y[i]],
-                            EstimatorConfig(k=k, alpha=spec.alpha, bandwidth=bandwidth),
-                        )
-                        est[start + i, ki] = rep.value
-                        intervals.append((rep.ci_lo, rep.ci_hi))
-                    sel[start + i] = select_window_from_intervals(candidates, intervals)
-            return job
-
-        chunk = chunk_size if chunk_size else _auto_chunk(T, spec.burn_in)
-        jobs = [job_for(s, e) for s, e in _chunk_ranges(R, chunk)]
-        _run_chunks(jobs, workers)
+        out, clamped = _evaluate_windows(env, spec, ti, candidates, workers, chunk_size)
+        est = out[:, :, 0]
+        sel = np.array(
+            [select_window_from_intervals(candidates, iv.tolist()) for iv in out[:, :, 1:]],
+            dtype=np.int64,
+        )
         sel_idx = np.searchsorted(np.asarray(candidates), sel)
         sel_est = est[np.arange(R), sel_idx]
         rows.append(
@@ -404,6 +400,7 @@ def run_lepski_study(
                     for ki, k in enumerate(candidates)
                 },
                 mse_selected=float(((sel_est - oracle) ** 2).mean()),
+                n_clamped=int(clamped.sum()),
             )
         )
     return LepskiStudyResult(

@@ -1,0 +1,100 @@
+"""The batched all-windows engine against the per-unit estimator path."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from pomdp_ope import ConfigurationError, EstimatorConfig, estimate_with_ci_from_ratios
+from pomdp_ope import estimators as est_mod
+from pomdp_ope.estimators import _LOG_SPACE_THRESHOLD, _estimate_windows
+
+ALPHA = 0.1
+
+
+def _assert_matches_per_unit(Y, RHO, ks, bandwidth):
+    out, clamped = _estimate_windows(Y, RHO, ks, ALPHA, bandwidth)
+    assert out.shape == (Y.shape[0], len(ks), 3)
+    assert clamped.shape == (Y.shape[0], len(ks))
+    for i in range(Y.shape[0]):
+        for j, k in enumerate(ks):
+            rep = estimate_with_ci_from_ratios(
+                [RHO[i]], [Y[i]], EstimatorConfig(k=k, alpha=ALPHA, bandwidth=bandwidth)
+            )
+            # The point estimate multiplies and sums in the same order on
+            # both paths, so it matches exactly (a row taking the other
+            # product path would differ in the last digits). The interval
+            # also carries the variance's dot products, which are left to
+            # the BLAS build.
+            assert out[i, j, 0] == rep.value
+            np.testing.assert_allclose(
+                out[i, j], [rep.value, rep.ci_lo, rep.ci_hi], rtol=1e-12, atol=1e-14
+            )
+            assert clamped[i, j] == ("hac_clamped" in rep.flags)
+
+
+@pytest.mark.parametrize("R", [1, 2, 7])
+# Below one lag, non-integer, integer (the last lag weight is exactly 0),
+# and at least T (every lag up to T-1 used).
+@pytest.mark.parametrize("bandwidth", [0.6, 2.7, 3.0, 45.0])
+@pytest.mark.parametrize("ks", [(-1, 0, 1, 2, 5), (4, 0, -1, 2, 4)])
+def test_engine_matches_per_unit_path(R, bandwidth, ks):
+    rng = np.random.default_rng(1000 * R + int(10 * bandwidth))
+    T = 30
+    Y = rng.normal(1.0, 0.5, size=(R, T))
+    RHO = rng.choice([0.0, 0.5, 1.0, 2.0], size=(R, T))
+    _assert_matches_per_unit(Y, RHO, ks, bandwidth)
+
+
+def test_engine_mixes_log_space_and_direct_rows_at_one_window():
+    rng = np.random.default_rng(5)
+    T = 60
+    Y = rng.normal(size=(2, T))
+    RHO = np.stack([rng.uniform(0.5, 2.0, size=T), np.exp(rng.normal(0.0, 2.0, size=T))])
+    RHO[0, ::7] = 0.0
+    RHO[1, 5] = np.exp(9.0)  # row 1 crosses the threshold between k=2 and k=3
+    k = 3
+    row_max = [np.abs(np.log(r[r > 0])).max() for r in RHO]
+    assert (k + 1) * row_max[0] <= _LOG_SPACE_THRESHOLD < (k + 1) * row_max[1]
+    assert k * row_max[1] <= _LOG_SPACE_THRESHOLD
+    _assert_matches_per_unit(Y, RHO, (-1, 0, 1, 2, k), bandwidth=4.2)
+
+
+def test_engine_log_space_rows_survive_overflowing_direct_products():
+    # Every window of 4 or 8 steps has product 1, but the direct partial
+    # products of the second row overflow to inf or underflow to 0.
+    rng = np.random.default_rng(8)
+    T = 64
+    Y = rng.normal(size=(2, T))
+    big = np.exp(360.0)
+    RHO = np.stack(
+        [rng.uniform(0.5, 2.0, size=T), np.tile([big, big, 1 / big, 1 / big], T // 4)]
+    )
+    _assert_matches_per_unit(Y, RHO, (3, 7), bandwidth=4.0)
+    out, _ = _estimate_windows(Y, RHO, (3, 7), ALPHA, 4.0)
+    assert np.isfinite(out).all()
+
+
+def test_engine_clamps_negative_variance(monkeypatch):
+    # Same fake lag window as the per-unit clamp test, vectorized.
+    monkeypatch.setattr(est_mod, "parzen_kernel", lambda x: np.where(x > 0, -10.0, 1.0))
+    y = np.array([[1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0]])
+    rho = np.ones_like(y)
+    out, clamped = _estimate_windows(y, rho, [0], ALPHA, 1.5)
+    assert clamped[0, 0]
+    value, lo, hi = out[0, 0]
+    assert lo == value == hi
+    rep = estimate_with_ci_from_ratios(
+        [rho[0]], [y[0]], EstimatorConfig(k=0, alpha=ALPHA, bandwidth=1.5)
+    )
+    assert rep.variance == 0.0
+    assert rep.flags == ("hac_clamped",)
+    assert (rep.value, rep.ci_lo, rep.ci_hi) == (value, lo, hi)
+
+
+def test_engine_rejects_short_series_and_negative_windows():
+    Y = np.zeros((2, 5))
+    with pytest.raises(ConfigurationError):
+        _estimate_windows(Y, np.ones((2, 5)), [4], ALPHA, 2.0)
+    with pytest.raises(ConfigurationError):
+        _estimate_windows(Y, np.ones((2, 5)), [-2], ALPHA, 2.0)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,12 @@ from pomdp_ope import (
     sweep_result_to_csv,
     sweep_result_to_json,
 )
-from pomdp_ope.harness import FiniteEnvironment, GlucoseEnvironment, parse_hard_spec
+from pomdp_ope.harness import (
+    FiniteEnvironment,
+    GlucoseEnvironment,
+    lepski_study_to_json,
+    parse_hard_spec,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +160,37 @@ def test_sweep_deterministic_across_workers_and_chunks(tmp_path):
         sweep_result_to_csv(result, path)
         files.append(path.read_bytes())
     assert files[0] == files[1] == files[2]
+
+
+def test_chunk_size_one_matches_auto_chunking(tmp_path):
+    # One replication per chunk gives the estimator engine single-row
+    # batches, where its row reductions act on (1, T) arrays.
+    spec = _small_spec(replications=9)
+    files = []
+    for i, chunk in enumerate((None, 1)):
+        path = tmp_path / f"sweep_{i}.csv"
+        sweep_result_to_csv(run_sweep(spec, chunk_size=chunk), path)
+        files.append(path.read_bytes())
+    assert files[0] == files[1]
+    docs = [
+        json.dumps(lepski_study_to_json(run_lepski_study(spec, [-1, 0, 1, 2], chunk_size=chunk)))
+        for chunk in (None, 1)
+    ]
+    assert docs[0] == docs[1]
+
+
+def test_clamped_variances_are_counted(monkeypatch):
+    import pomdp_ope.estimators as est_mod
+
+    spec = _small_spec(replications=8, T_values=(60,))
+    assert all(c.n_clamped == 0 for c in run_sweep(spec).cells)
+    # A lag window weighting every lag by -10 drives most variances negative.
+    monkeypatch.setattr(est_mod, "parzen_kernel", lambda x: np.where(x > 0, -10.0, 1.0))
+    cells = run_sweep(spec).cells
+    assert all(0 <= c.n_clamped <= 8 for c in cells)
+    assert sum(c.n_clamped for c in cells) > 0
+    row = run_lepski_study(spec, [-1, 0, 1, 2]).row(60)
+    assert row.n_clamped == sum(c.n_clamped for c in cells)
 
 
 def test_sweep_csv_header_and_json_echo(tmp_path):
