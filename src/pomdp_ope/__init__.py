@@ -6,7 +6,7 @@ estimates the long-run value of a different target policy by partial-history
 importance weighting, quantifies uncertainty with a kernel-weighted long-run
 variance estimator, selects the history window adaptively by interval
 intersection, and reproduces the associated Monte Carlo error studies with
-fully seeded, worker-count-independent sweeps.
+fully seeded sweeps whose results are independent of chunking.
 """
 
 from .core import (

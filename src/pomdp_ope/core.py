@@ -29,6 +29,38 @@ from .rng import make_rng
 
 ROW_SUM_TOL = 1e-12
 
+# Simulated steps per chunk, shared by every batch simulator and the
+# harness; bounds the per-chunk random draws to tens of MB whatever T is.
+CHUNK_STEPS = 2_000_000
+
+
+def chunk_ranges(
+    n: int, steps_per_row: int, chunk: int | None = None
+) -> list[tuple[int, int]]:
+    """Split n rows of steps_per_row simulated steps each into (start, stop)
+    ranges of ``chunk`` rows, by default as many as fit in CHUNK_STEPS.
+
+    Every row drives its own random stream, so results never depend on where
+    the chunks break.
+    """
+    if chunk is None:
+        chunk = max(1, CHUNK_STEPS // max(steps_per_row, 1))
+    elif chunk < 1:
+        raise ConfigurationError(f"chunk size must be >= 1, got {chunk}")
+    return [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
+
+
+def _check_finite(name: str, values) -> None:
+    """Raise ConfigurationError naming the first non-finite entry of values."""
+    arr = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        where = idx[0] if len(idx) == 1 else idx
+        raise ConfigurationError(
+            f"{name} must be finite, got {arr[idx]} at index {where}"
+        )
+
 
 @dataclass(frozen=True)
 class Gaussian:
@@ -85,6 +117,7 @@ class PomdpModel:
             raise ConfigurationError("num_actions must be >= 2")
         s = self.num_states
         trans = np.asarray(self.transition, dtype=float)
+        _check_finite("transition", trans)
         if trans.shape != (self.num_actions, s, s):
             raise ConfigurationError(
                 f"transition shape {trans.shape} != {(self.num_actions, s, s)}"
@@ -107,6 +140,8 @@ class PomdpModel:
         for i, row in enumerate(reward):
             for a, spec in enumerate(row):
                 means[i, a], sds[i, a] = _reward_mean_sd(spec)
+        _check_finite("reward mean", means)
+        _check_finite("reward sd", sds)
         trans.setflags(write=False)
         means.setflags(write=False)
         sds.setflags(write=False)
@@ -141,6 +176,7 @@ class Policy:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 2:
             raise ConfigurationError(f"policy probs must be 2-D, got shape {p.shape}")
+        _check_finite("policy probs", p)
         if (p < 0).any() or (p > 1 + ROW_SUM_TOL).any():
             raise ConfigurationError("policy probabilities must lie in [0, 1]")
         if np.abs(p.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
@@ -176,6 +212,7 @@ class Trajectory:
         n = len(y)
         if n < 1 or not (len(x) == len(h) == len(w) == n):
             raise ConfigurationError("trajectory sequences must share a length T >= 1")
+        _check_finite("trajectory rewards y", y)
         for arr in (x, h, w, y):
             arr.setflags(write=False)
         object.__setattr__(self, "x", x)
@@ -336,11 +373,8 @@ def simulate_batch(
     if burn_in < 0:
         raise ConfigurationError("burn_in must be >= 0")
     out: list[Trajectory] = []
-    total = T + burn_in
-    # Chunk so uniforms + normals stay within ~100 MB regardless of T.
-    chunk = max(1, int(4_000_000 // max(total, 1)))
-    for start in range(0, len(seeds), chunk):
-        out.extend(_simulate_chunk(model, behavior, T, burn_in, seeds[start : start + chunk]))
+    for start, stop in chunk_ranges(len(seeds), T + burn_in):
+        out.extend(_simulate_chunk(model, behavior, T, burn_in, seeds[start:stop]))
     return out
 
 

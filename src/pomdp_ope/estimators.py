@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import norm
 
-from .core import Policy, Trajectory
+from .core import Policy, Trajectory, _check_finite
 from .errors import ConfigurationError, OverlapViolationError
 
 # Switch window products to log space once the worst-case product magnitude
@@ -133,6 +133,32 @@ class LepskiResult:
         }
 
 
+def _policy_ratios(
+    x: np.ndarray,
+    w: np.ndarray,
+    target: Policy,
+    behavior: Policy,
+    env: str | None = None,
+) -> np.ndarray:
+    """Ratios pi_w(x) / e_w(x) for covariate/action arrays of any shape with
+    time on the last axis.
+
+    Raises OverlapViolationError at the first violation in row-major order.
+    """
+    pi = target.probs[x, w]
+    e = behavior.probs[x, w]
+    bad = (e == 0.0) & (pi > 0.0)
+    if bad.any():
+        idx = tuple(np.argwhere(bad)[0])
+        raise OverlapViolationError(
+            t=int(idx[-1]) + 1, x=int(x[idx]), a=int(w[idx]), env=env
+        )
+    out = np.zeros_like(pi)
+    ok = e > 0.0
+    out[ok] = pi[ok] / e[ok]
+    return out
+
+
 def importance_ratios(traj: Trajectory, target: Policy, behavior: Policy) -> np.ndarray:
     """Per-step ratio pi_{W_t}(X_t) / e_{W_t}(X_t) along a trajectory.
 
@@ -141,16 +167,7 @@ def importance_ratios(traj: Trajectory, target: Policy, behavior: Policy) -> np.
     positive probability. Steps where the target probability is zero yield a
     zero ratio (the window weight vanishes).
     """
-    pi = target.probs[traj.x, traj.w]
-    e = behavior.probs[traj.x, traj.w]
-    bad = (e == 0.0) & (pi > 0.0)
-    if bad.any():
-        t = int(np.flatnonzero(bad)[0])
-        raise OverlapViolationError(t=t + 1, x=int(traj.x[t]), a=int(traj.w[t]))
-    out = np.zeros(traj.T)
-    ok = e > 0.0
-    out[ok] = pi[ok] / e[ok]
-    return out
+    return _policy_ratios(traj.x, traj.w, target, behavior)
 
 
 def window_weights(ratios: np.ndarray, k: int) -> np.ndarray:
@@ -186,8 +203,11 @@ def weighted_terms(ratios: np.ndarray, rewards: np.ndarray, k: int) -> np.ndarra
     """The summands of the estimator: window weight times reward.
 
     k = -1 returns the rewards unchanged (sample-mean baseline, all T terms).
+    Non-finite ratios or rewards raise ConfigurationError.
     """
     y = np.asarray(rewards, dtype=float)
+    _check_finite("ratios", ratios)
+    _check_finite("rewards", y)
     if k == -1:
         return y.copy()
     if y.size < k + 2:

@@ -4,27 +4,27 @@ Replications are independent work items: replication r of horizon index ti
 draws its trajectory from the stream hash(master_seed, ti, r), every window
 length is evaluated on that same trajectory (a paired design), and results
 are gathered into preallocated per-replication arrays before aggregation.
-Output is therefore bit-identical for a given spec no matter how many
-worker threads run it (cap with the OPE_THREADS environment variable or the
-``workers`` argument).
+Replications run in one serial loop over chunks sized by ``chunk_ranges``
+(or ``chunk_size``); each chunk is simulated into (rewards, ratios) arrays
+and evaluated by the batched estimator engine. Output is therefore
+bit-identical for a given spec whatever the chunk size.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
 
-from .core import Policy, PomdpModel, policy_value_exact, simulate_batch
-from .errors import ConfigurationError, OverlapViolationError
+from .core import Policy, PomdpModel, chunk_ranges, policy_value_exact, simulate_batch
+from .errors import ConfigurationError
 from .estimators import (
     BandwidthRule,
     DEFAULT_BANDWIDTH_RULE,
     _estimate_windows,
+    _policy_ratios,
     select_window_from_intervals,
 )
 from .instances.glucose import (
@@ -61,18 +61,7 @@ class FiniteEnvironment:
         X = np.stack([tr.x for tr in trajs])
         W = np.stack([tr.w for tr in trajs])
         Y = np.stack([tr.y for tr in trajs])
-        pi = self.target.probs[X, W]
-        e = self.behavior.probs[X, W]
-        bad = (e == 0.0) & (pi > 0.0)
-        if bad.any():
-            r, t = np.argwhere(bad)[0]
-            raise OverlapViolationError(
-                t=int(t) + 1, x=int(X[r, t]), a=int(W[r, t]), env=self.name
-            )
-        rho = np.zeros_like(pi)
-        ok = e > 0.0
-        rho[ok] = pi[ok] / e[ok]
-        return Y, rho
+        return Y, _policy_ratios(X, W, self.target, self.behavior, env=self.name)
 
     def oracle(self) -> tuple[float, dict]:
         return policy_value_exact(self.model, self.target), {"kind": "exact", "tol": 1e-12}
@@ -232,40 +221,14 @@ class SweepResult:
         raise KeyError((k, T))
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        workers = int(os.environ.get("OPE_THREADS", "1"))
-    return max(1, workers)
-
-
-def _chunk_ranges(n: int, chunk: int) -> list[tuple[int, int]]:
-    return [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
-
-
-def _run_chunks(jobs, workers: int) -> None:
-    """Execute side-effecting jobs (each writes a disjoint slice)."""
-    if workers <= 1:
-        for job in jobs:
-            job()
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for fut in [pool.submit(job) for job in jobs]:
-                fut.result()
-
-
-def _auto_chunk(T: int, burn_in: int) -> int:
-    # Keep per-chunk simulation buffers around tens of MB.
-    return max(16, int(2_000_000 // max(T + burn_in, 1)))
-
-
 def _evaluate_windows(
-    env, spec: SweepSpec, ti: int, ks: Sequence[int], workers: int, chunk_size: int | None
+    env, spec: SweepSpec, ti: int, ks: Sequence[int], chunk_size: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every window in ks on every replication of horizon index ti.
 
     Returns the (R, K, 3) array of (value, ci_lo, ci_hi) and the (R, K)
     mask of clamped variance estimates; chunks of replications are
-    simulated and estimated independently, each writing its own rows.
+    simulated and estimated in turn, each writing its own rows.
     """
     T = spec.T_values[ti]
     R = spec.replications
@@ -273,17 +236,11 @@ def _evaluate_windows(
     clamped = np.empty((R, len(ks)), dtype=bool)
     bandwidth = spec.bandwidth.bandwidth(T)
     seeds = [derive_seed(spec.master_seed, ti, r) for r in range(R)]
-
-    def job_for(start: int, stop: int):
-        def job():
-            Y, RHO = env.rewards_and_ratios(T, spec.burn_in, seeds[start:stop])
-            out[start:stop], clamped[start:stop] = _estimate_windows(
-                Y, RHO, ks, spec.alpha, bandwidth
-            )
-        return job
-
-    chunk = chunk_size if chunk_size else _auto_chunk(T, spec.burn_in)
-    _run_chunks([job_for(s, e) for s, e in _chunk_ranges(R, chunk)], workers)
+    for start, stop in chunk_ranges(R, T + spec.burn_in, chunk_size):
+        Y, RHO = env.rewards_and_ratios(T, spec.burn_in, seeds[start:stop])
+        out[start:stop], clamped[start:stop] = _estimate_windows(
+            Y, RHO, ks, spec.alpha, bandwidth
+        )
     return out, clamped
 
 
@@ -297,16 +254,16 @@ def run_sweep(
     window length on it together with its confidence interval. Aggregates
     MSE, bias, variance, mean estimate, CI coverage and the count of
     clamped variance estimates against the environment's value oracle.
-    Results do not depend on workers or chunk_size (those only trade
-    memory for parallelism).
+    Results do not depend on chunk_size (replications per chunk, >= 1;
+    None fits each chunk to the shared step budget of ``chunk_ranges``).
+    ``workers`` is accepted and ignored: replications always run serially.
     """
     env = make_environment(spec.environment)
     oracle, provenance = env.oracle()
-    workers = _resolve_workers(workers)
     ks = spec.k_values
     cells: list[SweepCell] = []
     for ti, T in enumerate(spec.T_values):
-        out, clamped = _evaluate_windows(env, spec, ti, ks, workers, chunk_size)
+        out, clamped = _evaluate_windows(env, spec, ti, ks, chunk_size)
         est = out[:, :, 0]
         cover = (out[:, :, 1] <= oracle) & (oracle <= out[:, :, 2])
         for ki, k in enumerate(ks):
@@ -371,17 +328,16 @@ def run_lepski_study(
 ) -> LepskiStudyResult:
     """Adaptive-window study: how often each candidate gets selected per
     horizon, and the MSE of the selected estimator next to every fixed
-    window."""
+    window. ``chunk_size`` and ``workers`` behave as in ``run_sweep``."""
     candidates = tuple(int(k) for k in candidates)
     if list(candidates) != sorted(candidates):
         raise ConfigurationError("candidates must be sorted ascending")
     env = make_environment(spec.environment)
     oracle, provenance = env.oracle()
-    workers = _resolve_workers(workers)
     rows: list[LepskiRow] = []
     for ti, T in enumerate(spec.T_values):
         R = spec.replications
-        out, clamped = _evaluate_windows(env, spec, ti, candidates, workers, chunk_size)
+        out, clamped = _evaluate_windows(env, spec, ti, candidates, chunk_size)
         est = out[:, :, 0]
         sel = np.array(
             [select_window_from_intervals(candidates, iv.tolist()) for iv in out[:, :, 1:]],

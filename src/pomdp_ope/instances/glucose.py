@@ -26,6 +26,7 @@ from typing import IO, Sequence, Union
 
 import numpy as np
 
+from ..core import chunk_ranges
 from ..errors import ConfigurationError
 from ..rng import derive_seed, make_rng
 
@@ -63,7 +64,8 @@ DEFAULT_ORACLE_SEED = 202406
 @dataclass(frozen=True)
 class GlucoseState:
     """Lagged inputs the recursion needs: last glucose reading, two hours of
-    dietary intake, activity counts, and insulin indicators."""
+    dietary intake, activity counts, and insulin indicators. Fields are
+    floats for one patient or equal-shape arrays for a batch."""
 
     gl_prev: float = GLUCOSE_REST
     di_lag1: float = 0.0
@@ -101,11 +103,16 @@ class GlucoseTrajectory:
 
     def importance_ratios(self) -> np.ndarray:
         """Per-hour target/behavior probability ratio of the realized action."""
-        return (self.insulin == self.target_action).astype(float) / self.behavior_prob
+        return _ratios(self.insulin, self.target_action, self.behavior_prob)
 
 
-def glucose_mean_update(state: GlucoseState) -> float:
-    """Noise-free part of the glucose recursion."""
+def _ratios(insulin, target_action, behavior_prob) -> np.ndarray:
+    """1{insulin == target_action} / behavior_prob, elementwise."""
+    return (insulin == target_action).astype(float) / behavior_prob
+
+
+def glucose_mean_update(state: GlucoseState):
+    """Noise-free part of the glucose recursion, elementwise over the state."""
     return (
         GL_INTERCEPT
         + GL_CARRY * state.gl_prev
@@ -118,22 +125,21 @@ def glucose_mean_update(state: GlucoseState) -> float:
     )
 
 
-def utility_from_glucose(gl: float) -> int:
-    """Four-level utility: -3 below 70, -2 above 150, -1 on the borderline
-    bands (70, 80] and (120, 150], 0 on the normal band (80, 120]."""
-    if gl <= 70.0:
-        return -3
-    if gl > 150.0:
-        return -2
-    if gl <= 80.0 or gl > 120.0:
-        return -1
-    return 0
+def utility_from_glucose(gl):
+    """Four-level utility, elementwise: -3 at or below 70, -2 above 150, -1
+    on the borderline bands (70, 80] and (120, 150], 0 on the normal band
+    (80, 120]."""
+    return np.where(
+        gl <= 70.0,
+        -3.0,
+        np.where(gl > 150.0, -2.0, np.where((gl <= 80.0) | (gl > 120.0), -1.0, 0.0)),
+    )
 
 
-def target_rule(gl: float, ex_now: float, ex_prev: float) -> int:
-    """Evaluation policy: inject iff glucose >= 110 and the two most recent
-    activity counts total <= 100."""
-    return int(gl >= TARGET_GLUCOSE_MIN and ex_now + ex_prev <= TARGET_ACTIVITY_MAX)
+def target_rule(gl, ex_now, ex_prev):
+    """Evaluation policy, elementwise: inject iff glucose >= 110 and the two
+    most recent activity counts total <= 100."""
+    return (gl >= TARGET_GLUCOSE_MIN) & (ex_now + ex_prev <= TARGET_ACTIVITY_MAX)
 
 
 def _truncated_normal(rng: np.random.Generator, mean: float, sd: float, size: int) -> np.ndarray:
@@ -187,43 +193,24 @@ def _simulate_arrays(
     di_all = np.stack([d["di"] for d in draws])
     u_insulin = np.stack([d["u_insulin"] for d in draws])
 
-    gl_prev = np.full(n, GLUCOSE_REST)
-    di1 = np.zeros(n)
-    di2 = np.zeros(n)
-    ex1 = np.zeros(n)
-    ex2 = np.zeros(n)
-    in1 = np.zeros(n)
-    in2 = np.zeros(n)
+    zeros = np.zeros(n)
+    state = GlucoseState(
+        np.full(n, GLUCOSE_REST), zeros, zeros, zeros, zeros, zeros, zeros
+    )
     out = {
         name: np.empty((n, T))
         for name in ("gl", "ex", "di", "insulin", "y", "behavior_prob", "target_action")
     }
     for t in range(total):
-        gl = (
-            GL_INTERCEPT
-            + GL_CARRY * gl_prev
-            + GL_DIET * di1
-            + GL_DIET * di2
-            + GL_ACTIVITY * ex1
-            + GL_ACTIVITY * ex2
-            + GL_INSULIN_LAG1 * in1
-            + GL_INSULIN_LAG2 * in2
-            + noise[:, t]
-        )
+        gl = glucose_mean_update(state) + noise[:, t]
         ex = ex_all[:, t]
         di = di_all[:, t]
-        wants_insulin = (
-            (gl >= TARGET_GLUCOSE_MIN) & (ex + ex1 <= TARGET_ACTIVITY_MAX)
-        ).astype(float)
+        wants_insulin = target_rule(gl, ex, state.ex_lag1).astype(float)
         if policy_kind == "behavior":
             insulin = (u_insulin[:, t] < INSULIN_PROB).astype(float)
         else:
             insulin = wants_insulin
-        y = np.where(
-            gl <= 70.0,
-            -3.0,
-            np.where(gl > 150.0, -2.0, np.where((gl <= 80.0) | (gl > 120.0), -1.0, 0.0)),
-        )
+        y = utility_from_glucose(gl)
         if t >= burn_in:
             j = t - burn_in
             out["gl"][:, j] = gl
@@ -235,10 +222,9 @@ def _simulate_arrays(
                 insulin == 1.0, INSULIN_PROB, 1.0 - INSULIN_PROB
             )
             out["target_action"][:, j] = wants_insulin
-        di2, di1 = di1, di
-        ex2, ex1 = ex1, ex
-        in2, in1 = in1, insulin
-        gl_prev = gl
+        state = GlucoseState(
+            gl, di, state.di_lag1, ex, state.ex_lag1, insulin, state.in_lag1
+        )
     return out
 
 
@@ -265,20 +251,18 @@ def glucose_simulate(
 
 
 def glucose_rewards_and_ratios(
-    T: int, burn_in: int, seeds: Sequence[int], chunk: int = 2000
+    T: int, burn_in: int, seeds: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Behavior-policy batch: rewards and per-hour importance ratios,
-    shape (len(seeds), T) each. Chunked to bound memory."""
+    shape (len(seeds), T) each. Chunked by ``chunk_ranges`` to bound memory."""
     ys = np.empty((len(seeds), T))
     rhos = np.empty((len(seeds), T))
-    for start in range(0, len(seeds), chunk):
-        part = seeds[start : start + chunk]
-        arrays = _simulate_arrays(T, burn_in, "behavior", part)
-        sl = slice(start, start + len(part))
-        ys[sl] = arrays["y"]
-        rhos[sl] = (arrays["insulin"] == arrays["target_action"]).astype(float) / arrays[
-            "behavior_prob"
-        ]
+    for start, stop in chunk_ranges(len(seeds), T + burn_in):
+        arrays = _simulate_arrays(T, burn_in, "behavior", seeds[start:stop])
+        ys[start:stop] = arrays["y"]
+        rhos[start:stop] = _ratios(
+            arrays["insulin"], arrays["target_action"], arrays["behavior_prob"]
+        )
     return ys, rhos
 
 
@@ -290,21 +274,21 @@ def target_value_oracle(
     hours: int = DEFAULT_ORACLE_HOURS,
     burn_in: int = DEFAULT_BURN_IN,
     seed: int = DEFAULT_ORACLE_SEED,
-    chunk: int = 2000,
 ) -> tuple[float, dict]:
     """Monte Carlo long-run value of the evaluation policy.
 
     Averages the utility over `runs` independent target-policy trajectories
     of `hours` hours each (after burn-in). Cached per parameter tuple; the
     provenance dict records everything needed to reproduce the number.
+    Utilities are small integers, so each chunk's sum is exact and the mean
+    does not depend on where chunks break.
     """
     key = (runs, hours, burn_in, seed)
     if key not in _oracle_cache:
         total = 0.0
         count = 0
-        for start in range(0, runs, chunk):
-            n = min(chunk, runs - start)
-            seeds = [derive_seed(seed, start + r) for r in range(n)]
+        for start, stop in chunk_ranges(runs, hours + burn_in):
+            seeds = [derive_seed(seed, r) for r in range(start, stop)]
             arrays = _simulate_arrays(hours, burn_in, "target", seeds)
             total += float(arrays["y"].sum())
             count += arrays["y"].size

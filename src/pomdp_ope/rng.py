@@ -2,8 +2,8 @@
 
 Every stochastic routine in this package is seeded with a 64-bit integer.
 Experiment drivers derive one independent stream per (replication, unit)
-from a single master seed, so results do not depend on scheduling order or
-worker count.
+from a single master seed, so results are independent of chunking and
+scheduling order.
 """
 
 from __future__ import annotations

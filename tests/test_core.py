@@ -65,6 +65,36 @@ def test_trajectory_requires_aligned_lengths():
         Trajectory(x=[0, 1], h=[0], w=[0, 1], y=[0.0, 1.0], seed=0, burn_in=0)
 
 
+def test_policy_rejects_non_finite_probs():
+    # A NaN row sum compares false against the tolerance, so only an
+    # explicit finiteness check catches this.
+    with pytest.raises(ConfigurationError, match=r"policy probs .*index \(0, 0\)"):
+        Policy(probs=np.array([[np.nan, 1.0], [0.5, 0.5]]))
+
+
+def test_model_rejects_non_finite_transition():
+    trans = np.stack([CONTROL_KERNEL, TREAT_KERNEL]).copy()
+    trans[1, 2, 3] = np.nan
+    reward = tuple(tuple(PointMass(0.0) for _ in range(2)) for _ in range(4))
+    with pytest.raises(ConfigurationError, match=r"transition .*index \(1, 2, 3\)"):
+        PomdpModel(num_x=2, num_h=2, num_actions=2, transition=trans, reward=reward)
+
+
+def test_model_rejects_non_finite_reward_law():
+    trans = np.stack([CONTROL_KERNEL, TREAT_KERNEL])
+    cases = ((Gaussian(np.inf, 1.0), "reward mean"), (Gaussian(0.0, np.nan), "reward sd"))
+    for bad, field in cases:
+        reward = [[PointMass(0.0)] * 2 for _ in range(4)]
+        reward[3][1] = bad
+        with pytest.raises(ConfigurationError, match=rf"{field} .*index \(3, 1\)"):
+            PomdpModel(num_x=2, num_h=2, num_actions=2, transition=trans, reward=reward)
+
+
+def test_trajectory_rejects_non_finite_rewards():
+    with pytest.raises(ConfigurationError, match=r"trajectory rewards y .*index 1"):
+        Trajectory(x=[0, 1], h=[0, 0], w=[0, 1], y=[0.0, np.nan], seed=0, burn_in=0)
+
+
 # ---------------------------------------------------------------------------
 # policy_transition_matrix
 

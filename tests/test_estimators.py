@@ -21,6 +21,7 @@ from pomdp_ope import (
     estimate_with_ci,
     estimate_with_ci_from_ratios,
     hac_variance_from_ratios,
+    importance_ratios,
     lepski_select,
     mixing_overlap_report,
     parzen_kernel,
@@ -143,6 +144,38 @@ def test_overlap_violation_names_step_and_pair(toy):
     assert err.value.t == first_treated + 1
     assert err.value.a == 1
     assert err.value.x == traj.x[first_treated]
+
+
+def test_batch_ratios_flag_first_violation_in_row_major_order(toy):
+    model, behavior, target = toy
+    trajs = simulate_batch(model, behavior, T=30, burn_in=5, seeds=[1, 2, 3])
+    X = np.stack([tr.x for tr in trajs])
+    W = np.stack([tr.w for tr in trajs])
+    rho = est_mod._policy_ratios(X, W, target, behavior)
+    for i, tr in enumerate(trajs):
+        np.testing.assert_array_equal(rho[i], importance_ratios(tr, target, behavior))
+    no_treat = Policy(probs=np.array([[1.0, 0.0], [1.0, 0.0]]))
+    with pytest.raises(OverlapViolationError) as err:
+        est_mod._policy_ratios(X, W, target, no_treat, env="toy")
+    r, t = np.argwhere(W == 1)[0]
+    assert (err.value.t, err.value.x, err.value.a) == (t + 1, X[r, t], 1)
+    assert err.value.env == "toy"
+
+
+def test_from_ratios_entry_points_reject_non_finite_input():
+    rho = np.ones(20)
+    y = np.zeros(20)
+    bad_y = y.copy()
+    bad_y[4] = np.inf
+    bad_rho = rho.copy()
+    bad_rho[7] = np.nan
+    config = EstimatorConfig(k=1)
+    with pytest.raises(ConfigurationError, match="rewards .*index 4"):
+        estimate_with_ci_from_ratios([rho], [bad_y], config)
+    with pytest.raises(ConfigurationError, match="ratios .*index 7"):
+        phiw_estimate_from_ratios([bad_rho], [y], 1)
+    with pytest.raises(ConfigurationError, match="ratios .*index 7"):
+        hac_variance_from_ratios([bad_rho], [y], -1, 3.0)
 
 
 @settings(deadline=None, max_examples=25)

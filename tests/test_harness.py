@@ -16,6 +16,7 @@ from pomdp_ope import (
     mixing_overlap_report,
     run_lepski_study,
     run_sweep,
+    simulate_batch,
     sweep_result_to_csv,
     sweep_result_to_json,
 )
@@ -162,6 +163,13 @@ def test_sweep_deterministic_across_workers_and_chunks(tmp_path):
     assert files[0] == files[1] == files[2]
 
 
+def test_sweep_rejects_non_positive_chunk_size():
+    # A negative size would yield no chunks and leave the outputs unwritten.
+    for chunk in (0, -2):
+        with pytest.raises(ConfigurationError, match="chunk size"):
+            run_sweep(_small_spec(), chunk_size=chunk)
+
+
 def test_chunk_size_one_matches_auto_chunking(tmp_path):
     # One replication per chunk gives the estimator engine single-row
     # batches, where its row reductions act on (1, T) arrays.
@@ -236,18 +244,37 @@ def test_environment_names_overlap_violation(monkeypatch):
     assert err.value.a == 1
 
 
+def test_chunk_boundaries_do_not_change_simulators(monkeypatch, toy):
+    # A tiny step budget splits every call below into chunks of 3 rows with a
+    # short last chunk; results must equal the one-chunk runs exactly.
+    from pomdp_ope import core
+    from pomdp_ope.instances import glucose
+
+    model, behavior, _ = toy
+    seeds = list(range(10))
+
+    def run_all():
+        monkeypatch.setattr(glucose, "_oracle_cache", {})
+        trajs = simulate_batch(model, behavior, 40, 10, seeds)
+        ys, rhos = glucose.glucose_rewards_and_ratios(30, 10, seeds)
+        value, _ = glucose.target_value_oracle(runs=10, hours=30, burn_in=10, seed=7)
+        return trajs, ys, rhos, value
+
+    one = run_all()
+    monkeypatch.setattr(core, "CHUNK_STEPS", 150)
+    assert core.chunk_ranges(10, 50) == [(0, 3), (3, 6), (6, 9), (9, 10)]
+    assert core.chunk_ranges(10, 40) == [(0, 3), (3, 6), (6, 9), (9, 10)]
+    many = run_all()
+    for a, b in zip(one[0], many[0]):
+        for name in ("x", "h", "w", "y"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    np.testing.assert_array_equal(one[1], many[1])
+    np.testing.assert_array_equal(one[2], many[2])
+    assert one[3] == many[3]
+
+
 # ---------------------------------------------------------------------------
 # Window-selection study
-
-
-def test_worker_cap_from_environment(monkeypatch):
-    from pomdp_ope.harness import _resolve_workers
-
-    monkeypatch.setenv("OPE_THREADS", "6")
-    assert _resolve_workers(None) == 6
-    assert _resolve_workers(2) == 2
-    monkeypatch.delenv("OPE_THREADS")
-    assert _resolve_workers(None) == 1
 
 
 def test_lepski_study_single_candidate_always_selected():
