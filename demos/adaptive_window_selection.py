@@ -12,17 +12,28 @@
 # %%
 import numpy as np
 
-from pomdp_ope import SweepSpec, lepski_select, run_lepski_study, simulate
+from pomdp_ope import (
+    SweepSpec,
+    importance_ratios,
+    lepski_select,
+    run_lepski_study,
+    simulate,
+)
 from pomdp_ope.instances import toy_model
 
 model, behavior, target = toy_model()
 
 # %% [markdown]
 # ## One trajectory, one selection
+#
+# The estimators read two streams per trajectory: the per-step ratios
+# target(action | covariate) / behavior(action | covariate) of the realized
+# actions, and the rewards.
 
 # %%
 traj = simulate(model, behavior, T=10_000, burn_in=100, seed=7)
-selection = lepski_select([traj], target, behavior, candidates=list(range(-1, 8)))
+ratios = importance_ratios(traj, target, behavior)
+selection = lepski_select([ratios], [traj.y], candidates=list(range(-1, 8)))
 print(f"selected k = {selection.selected_k}")
 for rep in selection.reports:
     print(f"  k={rep.k:>2}: estimate {rep.value:+.4f}  CI [{rep.ci_lo:+.4f}, {rep.ci_hi:+.4f}]")

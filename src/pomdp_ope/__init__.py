@@ -32,15 +32,11 @@ from .estimators import (
     LepskiResult,
     corollary_window,
     estimate_with_ci,
-    estimate_with_ci_from_ratios,
     hac_variance,
-    hac_variance_from_ratios,
     importance_ratios,
     lepski_select,
-    lepski_select_from_ratios,
     parzen_kernel,
     phiw_estimate,
-    phiw_estimate_from_ratios,
     select_window_from_intervals,
     weighted_terms,
     window_weights,
@@ -83,19 +79,15 @@ __all__ = [
     "derive_seed",
     "dobrushin_coefficient",
     "estimate_with_ci",
-    "estimate_with_ci_from_ratios",
     "fit_rate",
     "hac_variance",
-    "hac_variance_from_ratios",
     "importance_ratios",
     "lepski_select",
-    "lepski_select_from_ratios",
     "make_environment",
     "make_rng",
     "mixing_overlap_report",
     "parzen_kernel",
     "phiw_estimate",
-    "phiw_estimate_from_ratios",
     "policy_transition_matrix",
     "policy_value_exact",
     "run_lepski_study",

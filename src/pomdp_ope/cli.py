@@ -23,16 +23,15 @@ from .estimators import (
     BandwidthRule,
     EstimatorConfig,
     corollary_window,
-    estimate_with_ci_from_ratios,
-    importance_ratios,
-    lepski_select_from_ratios,
+    estimate_with_ci,
+    lepski_select,
 )
 from .harness import (
     FiniteEnvironment,
     GlucoseEnvironment,
     SweepSpec,
+    hard_params,
     make_environment,
-    parse_hard_spec,
     run_sweep,
     sweep_result_to_csv,
     sweep_result_to_json,
@@ -42,7 +41,7 @@ from .instances.glucose import (
     glucose_trajectory_to_csv,
     target_value_oracle,
 )
-from .instances.hard import check_conditions, hard_instance_pair, params_from_mixing_time
+from .instances.hard import check_conditions, hard_instance_pair
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,7 +67,7 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _load_finite_environment(args) -> FiniteEnvironment:
+def _load_environment(args):
     """Environment from --env or from --model/--target/--behavior files."""
     if args.model:
         model = serialization.load_model(args.model)
@@ -79,7 +78,11 @@ def _load_finite_environment(args) -> FiniteEnvironment:
         return FiniteEnvironment(args.model, model, behavior, target)
     if not args.env:
         raise ConfigurationError("specify --env or --model/--behavior/--target")
-    env = make_environment(args.env)
+    return make_environment(args.env)
+
+
+def _load_finite_environment(args) -> FiniteEnvironment:
+    env = _load_environment(args)
     if isinstance(env, GlucoseEnvironment):
         raise ConfigurationError(
             f"subcommand {args.command!r} needs a finite environment here; "
@@ -162,52 +165,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _burn_in(args, default: int) -> int:
-    return default if args.burn_in is None else args.burn_in
+def _burn_in(args) -> int:
+    if args.burn_in is not None:
+        return args.burn_in
+    return 50 if args.env == "glucose" else 100
 
 
 def _cmd_simulate(args) -> int:
     buf = io.StringIO()
     if args.env == "glucose":
         traj = glucose_simulate(
-            T=args.T, burn_in=_burn_in(args, 50), policy_kind="behavior", seed=args.seed
+            T=args.T, burn_in=_burn_in(args), policy_kind="behavior", seed=args.seed
         )
         glucose_trajectory_to_csv(traj, buf)
     else:
         env = _load_finite_environment(args)
-        traj = simulate(env.model, env.behavior, args.T, _burn_in(args, 100), args.seed)
+        traj = simulate(env.model, env.behavior, args.T, _burn_in(args), args.seed)
         serialization.trajectory_to_csv(traj, buf)
     _emit(buf.getvalue(), args.out)
     return EXIT_OK
 
 
-def _ratios_and_rewards(args) -> tuple:
-    """One behavior-policy trajectory's importance ratios and rewards."""
-    if args.env == "glucose":
-        traj = glucose_simulate(
-            T=args.T, burn_in=_burn_in(args, 50), policy_kind="behavior", seed=args.seed
-        )
-        return traj.importance_ratios(), traj.y
-    env = _load_finite_environment(args)
-    traj = simulate(env.model, env.behavior, args.T, _burn_in(args, 100), args.seed)
-    return importance_ratios(traj, env.target, env.behavior), traj.y
-
-
 def _cmd_estimate(args) -> int:
-    ratios, rewards = _ratios_and_rewards(args)
+    env = _load_environment(args)
+    rewards, ratios = env.rewards_and_ratios(args.T, _burn_in(args), [args.seed])
     config = EstimatorConfig(
         k=args.k, alpha=args.alpha, bandwidth=float(args.T) ** args.bandwidth_exp
     )
-    report = estimate_with_ci_from_ratios([ratios], [rewards], config)
+    report = estimate_with_ci(ratios, rewards, config)
     _emit(_json_text(report.to_dict()), args.out)
     return EXIT_OK
 
 
 def _cmd_lepski(args) -> int:
-    ratios, rewards = _ratios_and_rewards(args)
-    result = lepski_select_from_ratios(
-        [ratios],
-        [rewards],
+    env = _load_environment(args)
+    rewards, ratios = env.rewards_and_ratios(args.T, _burn_in(args), [args.seed])
+    result = lepski_select(
+        ratios,
+        rewards,
         sorted(args.k_set),
         alpha=args.alpha,
         bandwidth_rule=BandwidthRule("power", args.bandwidth_exp),
@@ -224,7 +219,7 @@ def _cmd_sweep(args) -> int:
         k_values=tuple(args.k_set),
         T_values=tuple(args.T_set),
         replications=args.replications,
-        burn_in=_burn_in(args, 50 if args.env == "glucose" else 100),
+        burn_in=_burn_in(args),
         master_seed=args.seed,
         bandwidth=BandwidthRule("power", args.bandwidth_exp),
         alpha=args.alpha,
@@ -242,24 +237,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_instance(args) -> int:
     if args.env == "glucose":
-        traj = glucose_simulate(
-            T=args.T, burn_in=_burn_in(args, 50), policy_kind="behavior", seed=args.seed
-        )
-        buf = io.StringIO()
-        glucose_trajectory_to_csv(traj, buf)
-        _emit(buf.getvalue(), args.out)
-        return EXIT_OK
+        return _cmd_simulate(args)
     if args.hard or (args.env and args.env.startswith("hard:")):
-        spec_text = args.hard if args.hard else args.env[len("hard:") :]
-        kv = parse_hard_spec(spec_text)
-        params = params_from_mixing_time(
-            Q=int(kv["Q"]),
-            t0=kv["t0"],
-            zeta=kv["zeta"],
-            M1=kv["M1"],
-            M2=kv["M2"],
-            Delta=kv.get("Delta", kv["M1"] / 2.0),
-        )
+        params = hard_params(args.hard if args.hard else args.env[len("hard:") :])
         if args.check:
             report = check_conditions(params)
             _emit("\n".join(report.lines()) + "\n", args.out)

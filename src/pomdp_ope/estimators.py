@@ -15,10 +15,12 @@ exponentially growing weight variance; the Lepski scan below picks k from
 data by intersecting the Gaussian confidence intervals of successive
 windows.
 
-Every estimator here has a ``*_from_ratios`` twin operating on raw per-step
-ratio sequences, used for environments (such as the glucose simulator) whose
-observed state is continuous and therefore carries ratios directly instead
-of finite policy tables.
+Every estimator takes the same two streams: per-step ratios and rewards,
+one 1-D array of each per unit (a 2-D array counts as one row per unit).
+Adapters produce them: ``importance_ratios(traj, target, behavior)`` with
+``traj.y`` for a finite trajectory, ``GlucoseTrajectory.importance_ratios()``
+with its ``y`` for a glucose run, and the environments'
+``rewards_and_ratios`` for seeded batches.
 
 Monte Carlo studies evaluate every window on each of many replications.
 For them, ``_estimate_windows`` computes all windows on an (R, T) batch of
@@ -26,8 +28,8 @@ rewards and ratios in one pass, each row its own unit: window products are
 built incrementally from the previous window, the lag window is evaluated
 once per call and each lag's cross products are summed across all rows at
 once, and the normal quantile is computed once. It performs the same
-floating-point operations in the same order as
-``estimate_with_ci_from_ratios`` on one row, which stays as its reference.
+floating-point operations in the same order as ``estimate_with_ci`` on
+one row, which stays as its reference.
 """
 
 from __future__ import annotations
@@ -162,6 +164,9 @@ def _policy_ratios(
 def importance_ratios(traj: Trajectory, target: Policy, behavior: Policy) -> np.ndarray:
     """Per-step ratio pi_{W_t}(X_t) / e_{W_t}(X_t) along a trajectory.
 
+    The finite-trajectory adapter: with ``traj.y`` it gives the unit of
+    ratios and rewards that the estimators take.
+
     Raises OverlapViolationError naming (t, x, a) if the behavior policy has
     zero probability on a realized action to which the target assigns
     positive probability. Steps where the target probability is zero yield a
@@ -217,37 +222,46 @@ def weighted_terms(ratios: np.ndarray, rewards: np.ndarray, k: int) -> np.ndarra
     return window_weights(ratios, k) * y[k:]
 
 
-def _as_ratio_lists(
-    trajectories: Sequence[Trajectory], target: Policy, behavior: Policy
+def _units(
+    ratios: Sequence[np.ndarray], rewards: Sequence[np.ndarray]
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    if not trajectories:
-        raise ConfigurationError("need at least one trajectory")
-    ratios = [importance_ratios(traj, target, behavior) for traj in trajectories]
-    rewards = [traj.y for traj in trajectories]
-    return ratios, rewards
+    """Ratio and reward arrays per unit, checked to pair up.
+
+    Raises ConfigurationError for no units, unequal unit counts, or a unit
+    whose ratios and rewards are not 1-D arrays of one length.
+    """
+    rhos = [np.asarray(rho, dtype=float) for rho in ratios]
+    ys = [np.asarray(y, dtype=float) for y in rewards]
+    if len(rhos) != len(ys):
+        raise ConfigurationError(f"got {len(rhos)} ratio units but {len(ys)} reward units")
+    if not rhos:
+        raise ConfigurationError("need at least one unit of ratios and rewards")
+    for i, (rho, y) in enumerate(zip(rhos, ys)):
+        if rho.ndim != 1 or rho.shape != y.shape:
+            raise ConfigurationError(
+                f"unit {i}: ratios of shape {rho.shape} and rewards of shape "
+                f"{y.shape} must be 1-D arrays of one length"
+            )
+    return rhos, ys
 
 
-def phiw_estimate_from_ratios(
+def _unit_terms(
     ratios: Sequence[np.ndarray], rewards: Sequence[np.ndarray], k: int
-) -> float:
-    """Partial-history importance-weighted estimate from raw ratio sequences."""
-    if len(ratios) != len(rewards) or not ratios:
-        raise ConfigurationError("ratios and rewards must be nonempty and aligned")
-    per_unit = [weighted_terms(rho, y, k).mean() for rho, y in zip(ratios, rewards)]
-    return float(np.mean(per_unit))
+) -> list[np.ndarray]:
+    return [weighted_terms(rho, y, k) for rho, y in zip(*_units(ratios, rewards))]
 
 
 def phiw_estimate(
-    trajectories: Sequence[Trajectory], target: Policy, behavior: Policy, k: int
+    ratios: Sequence[np.ndarray], rewards: Sequence[np.ndarray], k: int
 ) -> float:
     """Partial-history importance-weighted estimate of the target policy value.
 
     For k >= 0, each reward is weighted by the product of the k+1 most recent
-    action-probability ratios; k = -1 is the plain mean of all rewards.
-    Requires every trajectory to have T >= k+2 so the time sum is nonempty.
+    per-step ratios; k = -1 is the plain mean of all rewards. Requires every
+    unit to have T >= k+2 so the time sum is nonempty.
     """
-    ratios, rewards = _as_ratio_lists(trajectories, target, behavior)
-    return phiw_estimate_from_ratios(ratios, rewards, k)
+    per_unit = [terms.mean() for terms in _unit_terms(ratios, rewards, k)]
+    return float(np.mean(per_unit))
 
 
 def parzen_kernel(x):
@@ -294,30 +308,9 @@ def _hac_from_terms(
     return value, False
 
 
-def hac_variance_from_ratios(
+def hac_variance(
     ratios: Sequence[np.ndarray],
     rewards: Sequence[np.ndarray],
-    k: int,
-    bandwidth: float,
-) -> float:
-    if bandwidth <= 0:
-        raise ConfigurationError("bandwidth must be > 0")
-    terms = [weighted_terms(rho, y, k) for rho, y in zip(ratios, rewards)]
-    value, clamped = _hac_from_terms(terms, bandwidth)
-    if clamped:
-        warnings.warn(
-            "HAC variance came out negative (numerical issue; the lag window "
-            "is positive semidefinite) and was clamped to 0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return value
-
-
-def hac_variance(
-    trajectories: Sequence[Trajectory],
-    target: Policy,
-    behavior: Policy,
     k: int,
     bandwidth: float,
 ) -> float:
@@ -329,19 +322,32 @@ def hac_variance(
     (possible only through floating-point cancellation) is clamped to zero
     with a warning.
     """
-    ratios, rewards = _as_ratio_lists(trajectories, target, behavior)
-    return hac_variance_from_ratios(ratios, rewards, k, bandwidth)
+    if bandwidth <= 0:
+        raise ConfigurationError("bandwidth must be > 0")
+    value, clamped = _hac_from_terms(_unit_terms(ratios, rewards, k), bandwidth)
+    if clamped:
+        warnings.warn(
+            "HAC variance came out negative (numerical issue; the lag window "
+            "is positive semidefinite) and was clamped to 0",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return value
 
 
-def estimate_with_ci_from_ratios(
+def estimate_with_ci(
     ratios: Sequence[np.ndarray],
     rewards: Sequence[np.ndarray],
     config: EstimatorConfig,
 ) -> EstimateReport:
-    if len(ratios) != len(rewards) or not ratios:
-        raise ConfigurationError("ratios and rewards must be nonempty and aligned")
+    """Point estimate, HAC variance, and Gaussian confidence interval.
+
+    The variance estimates the limit of n(T-k) * Var(V_hat), so the interval
+    half-width is z_{1-alpha/2} * sqrt(variance / (n (T-k))). k = -1 reuses
+    the same machinery with unit weights.
+    """
     k = config.k
-    terms = [weighted_terms(rho, y, k) for rho, y in zip(ratios, rewards)]
+    terms = _unit_terms(ratios, rewards, k)
     t_used = min(t.size for t in terms)
     value = float(np.mean([t.mean() for t in terms]))
     variance, clamped = _hac_from_terms(terms, config.bandwidth)
@@ -359,22 +365,6 @@ def estimate_with_ci_from_ratios(
     )
 
 
-def estimate_with_ci(
-    trajectories: Sequence[Trajectory],
-    target: Policy,
-    behavior: Policy,
-    config: EstimatorConfig,
-) -> EstimateReport:
-    """Point estimate, HAC variance, and Gaussian confidence interval.
-
-    The variance estimates the limit of n(T-k) * Var(V_hat), so the interval
-    half-width is z_{1-alpha/2} * sqrt(variance / (n (T-k))). k = -1 reuses
-    the same machinery with unit weights.
-    """
-    ratios, rewards = _as_ratio_lists(trajectories, target, behavior)
-    return estimate_with_ci_from_ratios(ratios, rewards, config)
-
-
 def _estimate_windows(
     Y: np.ndarray,
     RHO: np.ndarray,
@@ -386,8 +376,8 @@ def _estimate_windows(
     (R, T) rewards ``Y`` and per-step ratios ``RHO``.
 
     Each row is its own unit: entry [i, j] is what
-    ``estimate_with_ci_from_ratios([RHO[i]], [Y[i]],
-    EstimatorConfig(ks[j], alpha, bandwidth))`` reports. Returns an
+    ``estimate_with_ci([RHO[i]], [Y[i]], EstimatorConfig(ks[j], alpha,
+    bandwidth))`` reports. Returns an
     (R, K, 3) array of (value, ci_lo, ci_hi) and the (R, K) mask of
     variance estimates clamped to zero.
     """
@@ -469,31 +459,9 @@ def select_window_from_intervals(
     return cands[0]
 
 
-def lepski_select_from_ratios(
+def lepski_select(
     ratios: Sequence[np.ndarray],
     rewards: Sequence[np.ndarray],
-    candidates: Sequence[int],
-    alpha: float = 0.05,
-    bandwidth_rule: BandwidthRule = DEFAULT_BANDWIDTH_RULE,
-) -> LepskiResult:
-    T = min(y.size for y in rewards)
-    bandwidth = bandwidth_rule.bandwidth(T)
-    reports = tuple(
-        estimate_with_ci_from_ratios(
-            ratios, rewards, EstimatorConfig(k=k, alpha=alpha, bandwidth=bandwidth)
-        )
-        for k in candidates
-    )
-    selected = select_window_from_intervals(
-        list(candidates), [(rep.ci_lo, rep.ci_hi) for rep in reports]
-    )
-    return LepskiResult(selected_k=selected, reports=reports)
-
-
-def lepski_select(
-    trajectories: Sequence[Trajectory],
-    target: Policy,
-    behavior: Policy,
     candidates: Sequence[int],
     alpha: float = 0.05,
     bandwidth_rule: BandwidthRule = DEFAULT_BANDWIDTH_RULE,
@@ -503,12 +471,21 @@ def lepski_select(
     Builds a confidence interval for every candidate window (ascending order
     required; -1 and 0 are allowed) and scans from the largest window down,
     returning the smallest window whose interval still meets the intersection
-    of all larger ones. Deterministic given the reports.
+    of all larger ones. The bandwidth follows the shortest unit's length.
+    Deterministic given the reports.
     """
-    ratios, rewards = _as_ratio_lists(trajectories, target, behavior)
-    return lepski_select_from_ratios(
-        ratios, rewards, candidates, alpha=alpha, bandwidth_rule=bandwidth_rule
+    rhos, ys = _units(ratios, rewards)
+    bandwidth = bandwidth_rule.bandwidth(min(y.size for y in ys))
+    reports = tuple(
+        estimate_with_ci(
+            rhos, ys, EstimatorConfig(k=k, alpha=alpha, bandwidth=bandwidth)
+        )
+        for k in candidates
     )
+    selected = select_window_from_intervals(
+        list(candidates), [(rep.ci_lo, rep.ci_hi) for rep in reports]
+    )
+    return LepskiResult(selected_k=selected, reports=reports)
 
 
 def corollary_window(n: int, T: int, t0: float, zeta: float, C0: float = 1.0) -> int:

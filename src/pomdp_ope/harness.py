@@ -34,7 +34,7 @@ from .instances.glucose import (
     glucose_rewards_and_ratios,
     target_value_oracle,
 )
-from .instances.hard import hard_instance_pair, params_from_mixing_time
+from .instances.hard import HardInstanceParams, hard_instance_pair, params_from_mixing_time
 from .instances.toy import toy_model
 from .rng import derive_seed
 
@@ -120,6 +120,20 @@ def parse_hard_spec(text: str) -> dict[str, float]:
     return out
 
 
+def hard_params(text: str) -> HardInstanceParams:
+    """Hard-instance parameters from a 'Q=..,t0=..,zeta=..,M1=..,M2=..' spec;
+    Delta defaults to M1 / 2."""
+    kv = parse_hard_spec(text)
+    return params_from_mixing_time(
+        Q=int(kv["Q"]),
+        t0=kv["t0"],
+        zeta=kv["zeta"],
+        M1=kv["M1"],
+        M2=kv["M2"],
+        Delta=kv.get("Delta", kv["M1"] / 2.0),
+    )
+
+
 def make_environment(env_id: str, **glucose_overrides):
     """Build a named environment: 'toy', 'glucose', or 'hard:<params>'.
 
@@ -132,15 +146,7 @@ def make_environment(env_id: str, **glucose_overrides):
     if env_id == "glucose":
         return GlucoseEnvironment(**glucose_overrides)
     if env_id.startswith("hard:"):
-        kv = parse_hard_spec(env_id[len("hard:") :])
-        params = params_from_mixing_time(
-            Q=int(kv["Q"]),
-            t0=kv["t0"],
-            zeta=kv["zeta"],
-            M1=kv["M1"],
-            M2=kv["M2"],
-            Delta=kv.get("Delta", kv["M1"] / 2.0),
-        )
+        params = hard_params(env_id[len("hard:") :])
         hi, _lo, behavior, target = hard_instance_pair(params)
         return FiniteEnvironment(env_id, hi, behavior, target)
     raise ConfigurationError(f"unknown environment {env_id!r}")

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pomdp_ope import Gaussian, PointMass, Policy, PomdpModel
+from pomdp_ope import Gaussian, PointMass, Policy, PomdpModel, importance_ratios
 from pomdp_ope.instances import toy_model
 
 
@@ -11,6 +11,12 @@ from pomdp_ope.instances import toy_model
 def toy():
     """(model, behavior, target) of the benchmark environment."""
     return toy_model()
+
+
+def streams(trajectories, target: Policy, behavior: Policy):
+    """(ratios, rewards) of finite trajectories, one unit per trajectory."""
+    ratios = [importance_ratios(traj, target, behavior) for traj in trajectories]
+    return ratios, [traj.y for traj in trajectories]
 
 
 def random_model(

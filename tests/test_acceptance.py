@@ -24,11 +24,9 @@ from pomdp_ope import (
     SweepSpec,
     Trajectory,
     derive_seed,
-    estimate_with_ci_from_ratios,
-    hac_variance_from_ratios,
+    hac_variance,
     make_environment,
     phiw_estimate,
-    phiw_estimate_from_ratios,
     policy_transition_matrix,
     policy_value_exact,
     run_lepski_study,
@@ -46,7 +44,7 @@ from pomdp_ope.instances import (
     top_state_occupancy,
     toy_model,
 )
-from conftest import random_model, interior_policy
+from conftest import random_model, interior_policy, streams
 
 
 def u_shaped(values, rel_tol=0.05):
@@ -143,7 +141,7 @@ def test_criterion_02_unbiasedness_enumeration():
             seed=0,
             burn_in=0,
         )
-        expectation += prob * phiw_estimate([traj], target, behavior, k)
+        expectation += prob * phiw_estimate(*streams([traj], target, behavior), k)
     oracle = pushforward_value(
         model.transition, behavior.probs, target.probs,
         model.reward_mean, model.x_of_state, k,
@@ -173,7 +171,7 @@ def test_criterion_03_identity_collapse():
         policy = interior_policy(rng, num_x=model.num_x, num_actions=model.num_actions)
         traj = simulate(model, policy, T=40, burn_in=5, seed=int(rng.integers(2**62)))
         for k in (0, 1, 2, 5):
-            got = phiw_estimate([traj], policy, policy, k)
+            got = phiw_estimate(*streams([traj], policy, policy), k)
             expected = traj.y[k:].mean()
             worst = max(worst, abs(got - expected))
             assert got == expected
@@ -265,9 +263,9 @@ def test_criterion_06_hac_variance_consistency():
         seeds = [derive_seed(606001, r) for r in range(start_idx, min(start_idx + chunk, n_var))]
         Y, RHO = env.rewards_and_ratios(T, 100, seeds)
         for i, r in enumerate(range(start_idx, min(start_idx + chunk, n_var))):
-            estimates[r] = phiw_estimate_from_ratios([RHO[i]], [Y[i]], k)
+            estimates[r] = phiw_estimate([RHO[i]], [Y[i]], k)
             if r < n_hac:
-                hac_values[r] = hac_variance_from_ratios([RHO[i]], [Y[i]], k, bandwidth)
+                hac_values[r] = hac_variance([RHO[i]], [Y[i]], k, bandwidth)
     mc_scaled = (T - k) * estimates.var()
     hac_mean = hac_values.mean()
     rel_gap = abs(hac_mean - mc_scaled) / mc_scaled

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from pomdp_ope import ConfigurationError, EstimatorConfig, estimate_with_ci_from_ratios
+from pomdp_ope import ConfigurationError, EstimatorConfig, estimate_with_ci
 from pomdp_ope import estimators as est_mod
 from pomdp_ope.estimators import _LOG_SPACE_THRESHOLD, _estimate_windows
 
@@ -18,7 +21,7 @@ def _assert_matches_per_unit(Y, RHO, ks, bandwidth):
     assert clamped.shape == (Y.shape[0], len(ks))
     for i in range(Y.shape[0]):
         for j, k in enumerate(ks):
-            rep = estimate_with_ci_from_ratios(
+            rep = estimate_with_ci(
                 [RHO[i]], [Y[i]], EstimatorConfig(k=k, alpha=ALPHA, bandwidth=bandwidth)
             )
             # The point estimate multiplies and sums in the same order on
@@ -43,6 +46,27 @@ def test_engine_matches_per_unit_path(R, bandwidth, ks):
     T = 30
     Y = rng.normal(1.0, 0.5, size=(R, T))
     RHO = rng.choice([0.0, 0.5, 1.0, 2.0], size=(R, T))
+    _assert_matches_per_unit(Y, RHO, ks, bandwidth)
+
+
+# Zero ratios annihilate windows; exp(9) sends a row to log space from k=3.
+RATIO_VALUES = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0, float(np.exp(9.0))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_engine_matches_per_unit_path_property(data):
+    R = data.draw(st.integers(1, 4), label="R")
+    T = data.draw(st.integers(2, 160), label="T")
+    # Any window set, -1 and duplicates allowed, in any order.
+    ks = data.draw(
+        st.lists(st.integers(-1, min(T - 2, 8)), min_size=1, max_size=6), label="ks"
+    )
+    bandwidth = data.draw(st.floats(0.3, 2.0 * T), label="bandwidth")
+    Y = data.draw(arrays(np.float64, (R, T), elements=st.floats(-10.0, 10.0)), label="Y")
+    RHO = data.draw(
+        arrays(np.float64, (R, T), elements=st.sampled_from(RATIO_VALUES)), label="RHO"
+    )
     _assert_matches_per_unit(Y, RHO, ks, bandwidth)
 
 
@@ -84,7 +108,7 @@ def test_engine_clamps_negative_variance(monkeypatch):
     assert clamped[0, 0]
     value, lo, hi = out[0, 0]
     assert lo == value == hi
-    rep = estimate_with_ci_from_ratios(
+    rep = estimate_with_ci(
         [rho[0]], [y[0]], EstimatorConfig(k=0, alpha=ALPHA, bandwidth=1.5)
     )
     assert rep.variance == 0.0

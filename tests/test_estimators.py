@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import interior_policy, random_model, random_policy
+from conftest import interior_policy, random_model, random_policy, streams
 from oracles import naive_hac, naive_phiw, pushforward_value, iter_paths_with_probability
 
 from pomdp_ope import (
@@ -19,14 +19,12 @@ from pomdp_ope import (
     Trajectory,
     corollary_window,
     estimate_with_ci,
-    estimate_with_ci_from_ratios,
-    hac_variance_from_ratios,
+    hac_variance,
     importance_ratios,
     lepski_select,
     mixing_overlap_report,
     parzen_kernel,
     phiw_estimate,
-    phiw_estimate_from_ratios,
     select_window_from_intervals,
     simulate,
     simulate_batch,
@@ -71,13 +69,13 @@ def test_identity_policies_collapse_to_reward_mean(toy):
     model, behavior, _ = toy
     traj = simulate(model, behavior, T=80, burn_in=20, seed=3)
     for k in (0, 1, 2, 5):
-        assert phiw_estimate([traj], behavior, behavior, k) == traj.y[k:].mean()
+        assert phiw_estimate(*streams([traj], behavior, behavior), k) == traj.y[k:].mean()
 
 
 def test_k_minus_one_is_plain_mean(toy):
     model, behavior, target = toy
     traj = simulate(model, behavior, T=97, burn_in=10, seed=4)
-    assert phiw_estimate([traj], target, behavior, -1) == traj.y.mean()
+    assert phiw_estimate(*streams([traj], target, behavior), -1) == traj.y.mean()
 
 
 def test_matches_naive_loop_implementation(toy):
@@ -85,7 +83,7 @@ def test_matches_naive_loop_implementation(toy):
     traj = simulate(model, behavior, T=60, burn_in=10, seed=5)
     for k in (-1, 0, 1, 3):
         expected = naive_phiw(traj.x, traj.w, traj.y, target.probs, behavior.probs, k)
-        assert phiw_estimate([traj], target, behavior, k) == pytest.approx(
+        assert phiw_estimate(*streams([traj], target, behavior), k) == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -93,8 +91,8 @@ def test_matches_naive_loop_implementation(toy):
 def test_multi_trajectory_average(toy):
     model, behavior, target = toy
     trajs = simulate_batch(model, behavior, T=40, burn_in=10, seeds=[1, 2, 3])
-    singles = [phiw_estimate([t], target, behavior, 2) for t in trajs]
-    assert phiw_estimate(trajs, target, behavior, 2) == pytest.approx(
+    singles = [phiw_estimate(*streams([t], target, behavior), 2) for t in trajs]
+    assert phiw_estimate(*streams(trajs, target, behavior), 2) == pytest.approx(
         np.mean(singles), rel=1e-14
     )
 
@@ -131,7 +129,7 @@ def test_too_short_trajectory_raises(toy):
     model, behavior, target = toy
     traj = simulate(model, behavior, T=4, burn_in=0, seed=8)
     with pytest.raises(ConfigurationError):
-        phiw_estimate([traj], target, behavior, 3)  # needs T >= k + 2
+        phiw_estimate(*streams([traj], target, behavior), 3)  # needs T >= k + 2
 
 
 def test_overlap_violation_names_step_and_pair(toy):
@@ -139,7 +137,7 @@ def test_overlap_violation_names_step_and_pair(toy):
     traj = simulate(model, behavior, T=50, burn_in=10, seed=9)
     no_treat = Policy(probs=np.array([[1.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(OverlapViolationError) as err:
-        phiw_estimate([traj], target, no_treat, 1)
+        phiw_estimate(*streams([traj], target, no_treat), 1)
     first_treated = int(np.flatnonzero(traj.w == 1)[0])
     assert err.value.t == first_treated + 1
     assert err.value.a == 1
@@ -162,7 +160,7 @@ def test_batch_ratios_flag_first_violation_in_row_major_order(toy):
     assert err.value.env == "toy"
 
 
-def test_from_ratios_entry_points_reject_non_finite_input():
+def test_estimators_reject_non_finite_input():
     rho = np.ones(20)
     y = np.zeros(20)
     bad_y = y.copy()
@@ -171,11 +169,47 @@ def test_from_ratios_entry_points_reject_non_finite_input():
     bad_rho[7] = np.nan
     config = EstimatorConfig(k=1)
     with pytest.raises(ConfigurationError, match="rewards .*index 4"):
-        estimate_with_ci_from_ratios([rho], [bad_y], config)
+        estimate_with_ci([rho], [bad_y], config)
     with pytest.raises(ConfigurationError, match="ratios .*index 7"):
-        phiw_estimate_from_ratios([bad_rho], [y], 1)
+        phiw_estimate([bad_rho], [y], 1)
     with pytest.raises(ConfigurationError, match="ratios .*index 7"):
-        hac_variance_from_ratios([bad_rho], [y], -1, 3.0)
+        hac_variance([bad_rho], [y], -1, 3.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rho, y: phiw_estimate(rho, y, 1),
+        lambda rho, y: hac_variance(rho, y, -1, 3.0),
+        lambda rho, y: estimate_with_ci(rho, y, EstimatorConfig(k=1)),
+        lambda rho, y: lepski_select(rho, y, [0, 1]),
+    ],
+    ids=["phiw_estimate", "hac_variance", "estimate_with_ci", "lepski_select"],
+)
+@pytest.mark.parametrize(
+    "ratios, rewards, match",
+    [
+        ([], [], "at least one unit"),
+        ([np.ones(5)], [np.ones(5), np.ones(5)], "1 ratio units but 2 reward units"),
+        ([np.ones(5), np.ones(5)], [np.ones(5), np.ones(7)], r"unit 1: .*\(5,\).*\(7,\)"),
+        ([np.ones(5)], [np.ones(3)], r"unit 0: .*\(5,\).*\(3,\)"),
+        (np.ones(5), np.ones(5), r"unit 0: .*shape \(\)"),
+    ],
+    ids=["empty", "unit-counts", "ragged-unit-1", "ragged-unit-0", "flat-arrays"],
+)
+def test_estimators_reject_empty_and_ragged_units(call, ratios, rewards, match):
+    with pytest.raises(ConfigurationError, match=match):
+        call(ratios, rewards)
+
+
+def test_estimators_take_a_2d_array_as_one_row_per_unit(toy):
+    model, behavior, target = toy
+    trajs = simulate_batch(model, behavior, T=60, burn_in=10, seeds=[4, 5, 6])
+    ratios, rewards = streams(trajs, target, behavior)
+    config = EstimatorConfig(k=2, bandwidth=3.0)
+    assert estimate_with_ci(np.stack(ratios), np.stack(rewards), config) == (
+        estimate_with_ci(ratios, rewards, config)
+    )
 
 
 @settings(deadline=None, max_examples=25)
@@ -221,7 +255,7 @@ def test_estimator_expectation_matches_pushforward(seed, k):
             seed=0,
             burn_in=0,
         )
-        expectation += prob * phiw_estimate([traj], target, behavior, k)
+        expectation += prob * phiw_estimate(*streams([traj], target, behavior), k)
     oracle = pushforward_value(
         model.transition,
         behavior.probs,
@@ -264,14 +298,14 @@ def test_hac_zero_for_constant_terms():
     # 1.25 is exactly representable, so the centered terms are exactly zero.
     rho = np.ones(50)
     y = np.full(50, 1.25)
-    assert hac_variance_from_ratios([rho], [y], 0, bandwidth=5.0) == 0.0
+    assert hac_variance([rho], [y], 0, bandwidth=5.0) == 0.0
 
 
 def test_hac_small_bandwidth_keeps_only_lag_zero():
     rng = np.random.default_rng(13)
     y = rng.normal(size=300)
     rho = np.ones(300)
-    got = hac_variance_from_ratios([rho], [y], 0, bandwidth=1.0)
+    got = hac_variance([rho], [y], 0, bandwidth=1.0)
     centered = y - y.mean()
     assert got == pytest.approx(float(centered @ centered) / 300, rel=1e-12)
 
@@ -281,7 +315,7 @@ def test_hac_matches_double_sum_oracle():
     y = rng.normal(size=120)
     rho = np.exp(rng.normal(0, 0.2, size=120))
     for bandwidth in (1.5, 4.0, 9.7):
-        got = hac_variance_from_ratios([rho], [y], 1, bandwidth=bandwidth)
+        got = hac_variance([rho], [y], 1, bandwidth=bandwidth)
         terms = weighted_terms(rho, y, 1)
         expected = naive_hac(terms, bandwidth, parzen_kernel)
         assert got == pytest.approx(expected, rel=1e-10)
@@ -291,9 +325,9 @@ def test_hac_shift_invariant_and_scale_quadratic(toy):
     model, behavior, target = toy
     traj = simulate(model, behavior, T=300, burn_in=50, seed=15)
     ratios = [target.probs[traj.x, traj.w] / behavior.probs[traj.x, traj.w]]
-    base = hac_variance_from_ratios(ratios, [traj.y], -1, bandwidth=6.0)
-    shifted = hac_variance_from_ratios(ratios, [traj.y + 11.0], -1, bandwidth=6.0)
-    scaled = hac_variance_from_ratios(ratios, [3.0 * traj.y], -1, bandwidth=6.0)
+    base = hac_variance(ratios, [traj.y], -1, bandwidth=6.0)
+    shifted = hac_variance(ratios, [traj.y + 11.0], -1, bandwidth=6.0)
+    scaled = hac_variance(ratios, [3.0 * traj.y], -1, bandwidth=6.0)
     assert shifted == pytest.approx(base, rel=1e-9)
     assert scaled == pytest.approx(9.0 * base, rel=1e-12)
 
@@ -305,7 +339,7 @@ def test_hac_iid_matches_population_variance():
     sd = 0.8
     y = rng.normal(1.0, sd, size=10_000)
     rho = np.ones_like(y)
-    got = hac_variance_from_ratios([rho], [y], 0, bandwidth=10_000 ** (1 / 3))
+    got = hac_variance([rho], [y], 0, bandwidth=10_000 ** (1 / 3))
     assert got == pytest.approx(sd**2, rel=0.10)
 
 
@@ -315,7 +349,7 @@ def test_hac_negative_output_clamped(monkeypatch):
     monkeypatch.setattr(est_mod, "parzen_kernel", lambda x: -10.0 if x > 0 else 1.0)
     y = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
     with pytest.warns(RuntimeWarning):
-        got = hac_variance_from_ratios([np.ones(8)], [y], 0, bandwidth=1.5)
+        got = hac_variance([np.ones(8)], [y], 0, bandwidth=1.5)
     assert got == 0.0
 
 
@@ -326,7 +360,7 @@ def test_hac_negative_output_clamped(monkeypatch):
 def test_degenerate_interval_when_variance_zero():
     rho = np.ones(40)
     y = np.full(40, 1.25)
-    rep = estimate_with_ci_from_ratios([rho], [y], EstimatorConfig(k=0, bandwidth=3.0))
+    rep = estimate_with_ci([rho], [y], EstimatorConfig(k=0, bandwidth=3.0))
     assert rep.variance == 0.0
     assert rep.ci_lo == rep.value == rep.ci_hi == 1.25
 
@@ -335,7 +369,7 @@ def test_interval_uses_normal_quantile():
     rng = np.random.default_rng(17)
     y = rng.normal(size=500)
     rho = np.ones(500)
-    rep = estimate_with_ci_from_ratios(
+    rep = estimate_with_ci(
         [rho], [y], EstimatorConfig(k=0, alpha=0.05, bandwidth=1.0)
     )
     half = rep.ci_hi - rep.value
@@ -348,12 +382,11 @@ def test_interval_uses_normal_quantile():
 def test_t_used_counts_summands(toy):
     model, behavior, target = toy
     traj = simulate(model, behavior, T=50, burn_in=10, seed=18)
-    rep = estimate_with_ci([traj], target, behavior, EstimatorConfig(k=3, bandwidth=4.0))
+    ratios, rewards = streams([traj], target, behavior)
+    rep = estimate_with_ci(ratios, rewards, EstimatorConfig(k=3, bandwidth=4.0))
     assert rep.t_used == 47
     assert rep.n_units == 1
-    rep_mean = estimate_with_ci(
-        [traj], target, behavior, EstimatorConfig(k=-1, bandwidth=4.0)
-    )
+    rep_mean = estimate_with_ci(ratios, rewards, EstimatorConfig(k=-1, bandwidth=4.0))
     assert rep_mean.t_used == 50
 
 
@@ -367,7 +400,7 @@ def test_ci_width_halves_when_T_quadruples(toy):
         config = EstimatorConfig(k=1, bandwidth=float(T) ** (1 / 3))
         ws = [
             (lambda rep: rep.ci_hi - rep.ci_lo)(
-                estimate_with_ci([traj], target, behavior, config)
+                estimate_with_ci(*streams([traj], target, behavior), config)
             )
             for traj in trajs
         ]
@@ -413,7 +446,7 @@ def test_selection_depends_only_on_interval_order():
 def test_lepski_single_candidate(toy):
     model, behavior, target = toy
     traj = simulate(model, behavior, T=120, burn_in=20, seed=20)
-    result = lepski_select([traj], target, behavior, [2])
+    result = lepski_select(*streams([traj], target, behavior), [2])
     assert result.selected_k == 2
     assert len(result.reports) == 1
 
@@ -421,8 +454,8 @@ def test_lepski_single_candidate(toy):
 def test_lepski_deterministic(toy):
     model, behavior, target = toy
     traj = simulate(model, behavior, T=400, burn_in=50, seed=21)
-    r1 = lepski_select([traj], target, behavior, list(range(-1, 6)))
-    r2 = lepski_select([traj], target, behavior, list(range(-1, 6)))
+    r1 = lepski_select(*streams([traj], target, behavior), list(range(-1, 6)))
+    r2 = lepski_select(*streams([traj], target, behavior), list(range(-1, 6)))
     assert r1.selected_k == r2.selected_k
     assert [rep.value for rep in r1.reports] == [rep.value for rep in r2.reports]
 
@@ -431,7 +464,7 @@ def test_lepski_requires_sorted_candidates(toy):
     model, behavior, target = toy
     traj = simulate(model, behavior, T=100, burn_in=10, seed=22)
     with pytest.raises(ConfigurationError):
-        lepski_select([traj], target, behavior, [3, 1, 2])
+        lepski_select(*streams([traj], target, behavior), [3, 1, 2])
 
 
 # ---------------------------------------------------------------------------

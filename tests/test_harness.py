@@ -319,7 +319,7 @@ def test_fit_rate_rejects_bad_inputs():
 def test_fit_rate_toy_with_calibrated_window():
     # Error-vs-horizon slope with the calibrated window: negative and bounded
     # away from zero. The fitted value itself is recorded, not pinned.
-    from pomdp_ope import derive_seed, phiw_estimate_from_ratios
+    from pomdp_ope import derive_seed, phiw_estimate
     from pomdp_ope.instances import toy_model
 
     model, behavior, target = toy_model()
@@ -334,7 +334,7 @@ def test_fit_rate_toy_with_calibrated_window():
         seeds = [derive_seed(4242, ti, r) for r in range(reps)]
         Y, RHO = env.rewards_and_ratios(T, 100, seeds)
         est = np.array(
-            [phiw_estimate_from_ratios([RHO[i]], [Y[i]], k) for i in range(reps)]
+            [phiw_estimate([RHO[i]], [Y[i]], k) for i in range(reps)]
         )
         rmse = float(np.sqrt(((est - env.oracle()[0]) ** 2).mean()))
         points.append((T, rmse))
