@@ -15,6 +15,14 @@ Chain oracles provided here:
 - ``mixing_overlap_report``: Dobrushin one-step contraction coefficient of
   the target kernel (a computable certificate of geometric mixing) together
   with the log overlap constant max ln(pi_a(x) / e_a(x)).
+
+Trajectories come from ``simulate_batch``, which is table-driven. Each
+seed's random stream is drawn up front. Whole-array comparisons against the
+cumulative policy and transition rows then build two tables over every
+(seed, step): the action drawn if the covariate is x, and the next state
+reached from state s. The only sequential loop follows the state through the
+next-state table, one gather per step; covariates, hidden states, actions and
+rewards are derived from the state path in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -29,8 +37,9 @@ from .rng import make_rng
 
 ROW_SUM_TOL = 1e-12
 
-# Simulated steps per chunk, shared by every batch simulator and the
-# harness; bounds the per-chunk random draws to tens of MB whatever T is.
+# Work per chunk, shared by every batch simulator and the harness: simulated
+# steps, or for ``simulate_batch`` table cells (steps x states). Bounds the
+# per-chunk draws and tables to tens of MB whatever T is.
 CHUNK_STEPS = 2_000_000
 
 
@@ -50,16 +59,20 @@ def chunk_ranges(
     return [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
 
 
-def _check_finite(name: str, values) -> None:
-    """Raise ConfigurationError naming the first non-finite entry of values."""
-    arr = np.asarray(values, dtype=float)
-    bad = ~np.isfinite(arr)
+def _raise_at_first(name: str, arr: np.ndarray, bad: np.ndarray, requirement: str) -> None:
+    """Raise ConfigurationError naming the first entry of arr flagged in bad."""
     if bad.any():
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         where = idx[0] if len(idx) == 1 else idx
         raise ConfigurationError(
-            f"{name} must be finite, got {arr[idx]} at index {where}"
+            f"{name} must be {requirement}, got {arr[idx]} at index {where}"
         )
+
+
+def _check_finite(name: str, values) -> None:
+    """Raise ConfigurationError naming the first non-finite entry of values."""
+    arr = np.asarray(values, dtype=float)
+    _raise_at_first(name, arr, ~np.isfinite(arr), "finite")
 
 
 @dataclass(frozen=True)
@@ -358,14 +371,18 @@ def simulate_batch(
     burn_in: int,
     seeds: Sequence[int],
 ) -> list[Trajectory]:
-    """Simulate one trajectory per seed, vectorizing the time loop across
-    seeds.
+    """Simulate one trajectory per seed.
 
     Each seed drives its own random stream with a fixed consumption order
     (initial state, then per-step action/transition uniforms, then reward
     normals), so the result for a given seed does not depend on which other
-    seeds share the batch. Equivalent to, and tested against, a loop of
-    single-seed ``simulate`` calls.
+    seeds share the batch. A chunk of seeds is simulated from two tables
+    built with whole-array operations: the action each covariate would draw
+    and the next state each state would reach, at every (seed, step). Only
+    following the state through the next-state table runs step by step.
+    Chunks are sized by table cells, (T + burn_in) * num_states per seed.
+    Equivalent to, and tested against, a loop of single-seed ``simulate``
+    calls and a plain per-step reference loop.
     """
     _check_dimensions(model, behavior)
     if T < 1:
@@ -373,9 +390,39 @@ def simulate_batch(
     if burn_in < 0:
         raise ConfigurationError("burn_in must be >= 0")
     out: list[Trajectory] = []
-    for start, stop in chunk_ranges(len(seeds), T + burn_in):
+    for start, stop in chunk_ranges(len(seeds), (T + burn_in) * model.num_states):
         out.extend(_simulate_chunk(model, behavior, T, burn_in, seeds[start:stop]))
     return out
+
+
+def _thresholds(probs: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis of probability rows, with every
+    entry from the row's last positive column on raised to 1.0.
+
+    A draw u in [0, 1) picks index #{j : cum[j] <= u}. Entries >= 1.0 never
+    count, so raising the tail changes nothing unless rounding left the row
+    total below 1, where the count could run past the last index; then the
+    last positive column takes the leftover mass instead.
+    """
+    cum = np.cumsum(probs, axis=-1)
+    k = probs.shape[-1]
+    last = k - 1 - np.argmax(probs[..., ::-1] > 0, axis=-1)
+    cum[np.arange(k) >= last[..., None]] = 1.0
+    return cum
+
+
+def _add_count_at_or_below(
+    out: np.ndarray, thresholds: np.ndarray, u: np.ndarray, where: np.ndarray | None = None
+) -> None:
+    """out += #{j : thresholds[j] <= u} elementwise over u (only where
+    ``where`` is set, if given), for one row of ``_thresholds``. Each distinct
+    value below 1.0 is compared once and weighted by how often it repeats."""
+    values, repeats = np.unique(thresholds[thresholds < 1.0], return_counts=True)
+    for value, repeat in zip(values, repeats):
+        hit = u >= value
+        if where is not None:
+            hit &= where
+        out += hit if repeat == 1 else hit * out.dtype.type(repeat)
 
 
 def _simulate_chunk(
@@ -396,25 +443,62 @@ def _simulate_chunk(
         state[r] = rng.integers(0, num_s)
         uu[r] = rng.random((total, 2))
         zz[r] = rng.standard_normal(total)
+    # The tables are built in (step, seed) layout, so each step's block is
+    # contiguous for the loop below. Each stage's inputs are dropped once it
+    # is done, which keeps peak memory near that of a per-step loop.
+    u_act = np.ascontiguousarray(uu[:, :, 0].T)
+    u_move = np.ascontiguousarray(uu[:, : total - 1, 1].T)
+    del uu
 
-    cum_pol = np.cumsum(behavior.probs, axis=1)
-    cum_trans = np.cumsum(model.transition, axis=2)
+    # act[x, t, r]: the action drawn at step t of seed r if the covariate is x.
+    cum_pol = _thresholds(behavior.probs)
+    act = np.zeros((model.num_x, total, n), dtype=np.min_scalar_type(model.num_actions - 1))
+    for x in range(model.num_x):
+        _add_count_at_or_below(act[x], cum_pol[x], u_act)
+    del u_act
+
+    # nxt[t, s, r]: where state s moves at step t of seed r, stored as the flat
+    # index s' * n + r into the (state, seed) block of step t + 1. The last
+    # step's move is never used.
+    cum_trans = _thresholds(model.transition)
     x_of_state = model.x_of_state
-    xs = np.empty((n, T), dtype=np.int64)
-    hs = np.empty((n, T), dtype=np.int64)
-    ws = np.empty((n, T), dtype=np.int64)
-    ys = np.empty((n, T))
-    for t in range(total):
-        x = x_of_state[state]
-        w = (uu[:, t, 0, None] >= cum_pol[x]).sum(axis=1)
-        y = model.reward_mean[state, w] + model.reward_sd[state, w] * zz[:, t]
-        if t >= burn_in:
-            j = t - burn_in
-            xs[:, j] = x
-            hs[:, j] = state % model.num_h
-            ws[:, j] = w
-            ys[:, j] = y
-        state = (uu[:, t, 1, None] >= cum_trans[w, state]).sum(axis=1)
+    index_dtype = np.min_scalar_type(num_s * n)  # holds n itself too
+    nxt = np.empty((total - 1, num_s, n), dtype=index_dtype)
+    count = np.empty(u_move.shape, dtype=index_dtype)
+    for s in range(num_s):
+        chosen = act[x_of_state[s], : total - 1]
+        count[...] = 0
+        for a in range(model.num_actions):
+            _add_count_at_or_below(count, cum_trans[a, s], u_move, where=chosen == a)
+        nxt[:, s] = count
+    nxt *= index_dtype.type(n)
+    nxt += np.arange(n, dtype=index_dtype)
+    del u_move, count
+
+    # Follow the state: one gather per step. Every index is in range by
+    # construction (``_thresholds`` keeps each count below num_states), and
+    # "clip" skips the buffered bounds check of the default mode.
+    path = np.empty((total, n), dtype=index_dtype)
+    path[0] = state * n + np.arange(n)
+    for block, cur, new in zip(nxt.reshape(total - 1, num_s * n), path, path[1:]):
+        block.take(cur, out=new, mode="clip")
+    del nxt
+
+    # Derive the recorded columns from the state path, one seed per row.
+    states = np.empty((n, T), dtype=np.intp)
+    np.floor_divide(path[burn_in:].T, n, out=states)
+    xs = x_of_state.take(states)
+    hs = (np.arange(num_s) % model.num_h).take(states)
+    ws = np.take_along_axis(act[:, burn_in:].transpose(0, 2, 1), xs[None], axis=0)[0]
+    ws = ws.astype(np.int64)
+    cell = states  # flat (state, action) index into the reward tables
+    cell *= model.num_actions
+    cell += ws
+    # mean[s, w] + sd[s, w] * z, evaluated in place.
+    ys = model.reward_sd.take(cell)
+    ys *= zz[:, burn_in:]
+    del zz
+    np.add(model.reward_mean.take(cell), ys, out=ys)
     return [
         Trajectory(x=xs[r], h=hs[r], w=ws[r], y=ys[r], seed=int(seeds[r]), burn_in=burn_in)
         for r in range(n)

@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import norm
 
-from .core import Policy, Trajectory, _check_finite
+from .core import Policy, Trajectory, _check_finite, _raise_at_first
 from .errors import ConfigurationError, OverlapViolationError
 
 # Switch window products to log space once the worst-case product magnitude
@@ -175,14 +175,22 @@ def importance_ratios(traj: Trajectory, target: Policy, behavior: Policy) -> np.
     return _policy_ratios(traj.x, traj.w, target, behavior)
 
 
+def _check_ratios(rho: np.ndarray) -> None:
+    """Raise ConfigurationError naming the first non-finite or negative ratio."""
+    _check_finite("ratios", rho)
+    _raise_at_first("ratios", rho, rho < 0.0, ">= 0")
+
+
 def window_weights(ratios: np.ndarray, k: int) -> np.ndarray:
     """Products of k+1 consecutive ratios; entry j covers steps j..j+k.
 
     Large windows (where the worst-case log magnitude exceeds a safe bound)
     are accumulated in log space, with zero ratios tracked separately so a
-    single zero still annihilates its window.
+    single zero still annihilates its window. Ratios must be finite and
+    >= 0, or ConfigurationError names the first bad index.
     """
     rho = np.asarray(ratios, dtype=float)
+    _check_ratios(rho)
     if k < 0:
         raise ConfigurationError("window_weights requires k >= 0")
     n = rho.size - k
@@ -208,10 +216,16 @@ def weighted_terms(ratios: np.ndarray, rewards: np.ndarray, k: int) -> np.ndarra
     """The summands of the estimator: window weight times reward.
 
     k = -1 returns the rewards unchanged (sample-mean baseline, all T terms).
-    Non-finite ratios or rewards raise ConfigurationError.
+    Ratios and rewards of different lengths, non-finite values, or negative
+    ratios raise ConfigurationError.
     """
+    rho = np.asarray(ratios, dtype=float)
     y = np.asarray(rewards, dtype=float)
-    _check_finite("ratios", ratios)
+    if rho.shape != y.shape:
+        raise ConfigurationError(
+            f"ratios (length {rho.size}) and rewards (length {y.size}) must have one length"
+        )
+    _check_ratios(rho)
     _check_finite("rewards", y)
     if k == -1:
         return y.copy()
@@ -219,7 +233,7 @@ def weighted_terms(ratios: np.ndarray, rewards: np.ndarray, k: int) -> np.ndarra
         raise ConfigurationError(
             f"trajectory length {y.size} too short for window k={k} (need T >= k+2)"
         )
-    return window_weights(ratios, k) * y[k:]
+    return window_weights(rho, k) * y[k:]
 
 
 def _units(

@@ -1,9 +1,10 @@
 """Independent reference implementations used as test oracles.
 
-Nothing here calls into the estimator or chain-analysis code under test:
-stationary distributions come from a linear solve instead of power
-iteration, estimator expectations come from exhaustive path enumeration,
-and the naive estimator is written with plain Python loops.
+Nothing here calls into the estimator, simulation or chain-analysis code
+under test: stationary distributions come from a linear solve instead of
+power iteration, estimator expectations come from exhaustive path
+enumeration, and the naive estimator and the reference simulator are written
+with plain Python loops.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from pomdp_ope.rng import make_rng
 
 
 def stationary_by_linear_solve(kernel: np.ndarray) -> np.ndarray:
@@ -119,3 +122,44 @@ def naive_hac(terms: np.ndarray, bandwidth: float, kernel) -> float:
         for u in range(n):
             acc += kernel((t - u) / bandwidth) * yt[t] * yt[u]
     return acc / n
+
+
+def simulate_reference(model, behavior, T: int, burn_in: int, seeds) -> list[tuple]:
+    """(x, h, w, y) arrays per seed, one step at a time for one seed at a time.
+
+    Each seed's stream is consumed in a fixed order: the initial state, then
+    an (action, transition) uniform pair per step, then a reward normal per
+    step. At each step the action is the number of cumulative behavior
+    probabilities at or below the first uniform, the reward is mean + sd * z
+    for the (state, action) pair, and the next state is the number of
+    cumulative transition probabilities at or below the second uniform.
+    """
+    cum_pol = [np.cumsum(row).tolist() for row in behavior.probs]
+    cum_trans = [[np.cumsum(row).tolist() for row in per_action] for per_action in model.transition]
+    mean = model.reward_mean.tolist()
+    sd = model.reward_sd.tolist()
+    out = []
+    for seed in seeds:
+        rng = make_rng(seed)
+        state = int(rng.integers(0, model.num_x * model.num_h))
+        uu = rng.random((T + burn_in, 2)).tolist()
+        zz = rng.standard_normal(T + burn_in).tolist()
+        xs, hs, ws, ys = [], [], [], []
+        for t, ((u_act, u_move), z) in enumerate(zip(uu, zz)):
+            x, h = divmod(state, model.num_h)
+            w = sum(1 for c in cum_pol[x] if c <= u_act)
+            if t >= burn_in:
+                xs.append(x)
+                hs.append(h)
+                ws.append(w)
+                ys.append(mean[state][w] + sd[state][w] * z)
+            state = sum(1 for c in cum_trans[w][state] if c <= u_move)
+        out.append(
+            (
+                np.array(xs, dtype=np.int64),
+                np.array(hs, dtype=np.int64),
+                np.array(ws, dtype=np.int64),
+                np.array(ys, dtype=np.float64),
+            )
+        )
+    return out

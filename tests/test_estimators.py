@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import interior_policy, random_model, random_policy, streams
 from oracles import naive_hac, naive_phiw, pushforward_value, iter_paths_with_probability
@@ -113,6 +114,40 @@ def test_window_weights_log_space_agrees_with_direct():
     assert ((direct == 0) == (logged == 0)).all()
 
 
+def _window_weights_with_threshold(rho, k, threshold):
+    saved = est_mod._LOG_SPACE_THRESHOLD
+    try:
+        est_mod._LOG_SPACE_THRESHOLD = threshold
+        return window_weights(rho, k)
+    finally:
+        est_mod._LOG_SPACE_THRESHOLD = saved
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_window_products_agree_near_log_space_threshold(data):
+    k = data.draw(st.integers(0, 8), label="k")
+    T = data.draw(st.integers(k + 1, k + 40), label="T")
+    logs = data.draw(arrays(np.float64, T, elements=st.floats(-1.0, 1.0)), label="logs")
+    logs[data.draw(st.integers(0, T - 1), label="peak")] = data.draw(
+        st.sampled_from([-1.0, 1.0]), label="sign"
+    )
+    zeros = data.draw(arrays(np.bool_, T, elements=st.booleans()), label="zeros")
+    # Scale so the worst-case window log magnitude (k+1) * max|log rho| lands
+    # within one unit of the switch to log space, on either side.
+    reach = data.draw(st.floats(-1.0, 1.0), label="reach")
+    logs *= (est_mod._LOG_SPACE_THRESHOLD + reach) / (k + 1)
+    rho = np.where(zeros, 0.0, np.exp(logs))
+    direct = _window_weights_with_threshold(rho, k, np.inf)
+    logged = _window_weights_with_threshold(rho, k, -1.0)
+    np.testing.assert_allclose(logged, direct, rtol=1e-12, atol=0.0)
+    assert ((direct == 0.0) == (logged == 0.0)).all()
+    positive = rho > 0.0
+    max_log = float(np.abs(np.log(rho[positive])).max()) if positive.any() else 0.0
+    chosen = direct if (k + 1) * max_log <= est_mod._LOG_SPACE_THRESHOLD else logged
+    np.testing.assert_array_equal(window_weights(rho, k), chosen)
+
+
 def test_window_weights_survive_transient_overflow():
     # Window products here are all exp(+-350) or 1, representable in a double,
     # but left-to-right partial products pass through exp(700); the log-space
@@ -174,6 +209,30 @@ def test_estimators_reject_non_finite_input():
         phiw_estimate([bad_rho], [y], 1)
     with pytest.raises(ConfigurationError, match="ratios .*index 7"):
         hac_variance([bad_rho], [y], -1, 3.0)
+
+
+def test_weighted_terms_rejects_unequal_lengths_for_the_sample_mean():
+    with pytest.raises(ConfigurationError, match=r"length 5\).*length 3\)"):
+        weighted_terms(np.ones(5), np.ones(3), -1)
+
+
+def test_weighted_terms_rejects_unequal_lengths_for_a_window():
+    with pytest.raises(ConfigurationError, match=r"length 5\).*length 7\)"):
+        weighted_terms(np.ones(5), np.ones(7), 1)
+
+
+# The first series takes the direct product path, the second the log-space
+# path (|log 1e9| * 2 > threshold); both once gave a silent answer.
+@pytest.mark.parametrize("rho", [[2.0, -1.0, 2.0, 2.0], [1e9, -1.0, 2.0, 2.0, 1e-9]])
+def test_negative_ratios_rejected_by_index(rho):
+    match = r"ratios must be >= 0, got -1.0 at index 1"
+    with pytest.raises(ConfigurationError, match=match):
+        window_weights(rho, 1)
+    for k in (-1, 1):
+        with pytest.raises(ConfigurationError, match=match):
+            weighted_terms(rho, np.ones(len(rho)), k)
+    with pytest.raises(ConfigurationError, match=match):
+        phiw_estimate([np.array(rho)], [np.ones(len(rho))], 1)
 
 
 @pytest.mark.parametrize(
