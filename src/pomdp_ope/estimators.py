@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .core import Policy, Trajectory, _check_finite, _raise_at_first
 from .errors import ConfigurationError, OverlapViolationError
@@ -365,7 +365,7 @@ def estimate_with_ci(
     t_used = min(t.size for t in terms)
     value = float(np.mean([t.mean() for t in terms]))
     variance, clamped = _hac_from_terms(terms, config.bandwidth)
-    z = float(norm.ppf(1.0 - config.alpha / 2.0))
+    z = float(ndtri(1.0 - config.alpha / 2.0))
     half = z * math.sqrt(variance / (len(terms) * t_used))
     return EstimateReport(
         value=value,
@@ -406,7 +406,7 @@ def _estimate_windows(
         )
     out = np.empty((R, len(ks), 3))
     clamped = np.zeros((R, len(ks)), dtype=bool)
-    z = float(norm.ppf(1.0 - alpha / 2.0))
+    z = float(ndtri(1.0 - alpha / 2.0))
     lag_cap = min(int(math.floor(bandwidth)), T - 1)
     psi = parzen_kernel(np.arange(1, lag_cap + 1) / bandwidth)
 
@@ -455,7 +455,8 @@ def select_window_from_intervals(
     """Backward scan over candidate windows: keep intersecting confidence
     intervals from the largest candidate down; when the running intersection
     first becomes empty at candidate k, return the next candidate above k.
-    If the intersection never empties, return the smallest candidate."""
+    If the intersection never empties, return the smallest candidate. A NaN
+    endpoint raises ConfigurationError naming its candidate."""
     cands = list(candidates)
     if not cands:
         raise ConfigurationError("candidate set must be nonempty")
@@ -463,6 +464,11 @@ def select_window_from_intervals(
         raise ConfigurationError("candidates must be sorted ascending")
     if len(intervals) != len(cands):
         raise ConfigurationError("need one interval per candidate")
+    for c, (c_lo, c_hi) in zip(cands, intervals):
+        if math.isnan(c_lo) or math.isnan(c_hi):
+            raise ConfigurationError(
+                f"interval for candidate {c} must not be NaN, got ({c_lo}, {c_hi})"
+            )
     lo, hi = -np.inf, np.inf
     for idx in range(len(cands) - 1, -1, -1):
         c_lo, c_hi = intervals[idx]

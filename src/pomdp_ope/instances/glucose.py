@@ -17,6 +17,15 @@ would have taken, which is all the downstream importance-weighting needs.
 
 Glucose starts at the noise-free resting level 100 with empty lag history,
 and a burn-in period (default 50 hours) is discarded before recording.
+
+A batch of seeds is simulated time-major. Each seed's own stream is drawn
+once, straight into that seed's row of preallocated blocks; the blocks are
+then transposed to ``(hours, seeds)`` so that the hour loop reads and writes
+contiguous rows, and only glucose and the two insulin decisions are stored.
+Rewards, logging probabilities and ratios are computed from those arrays
+afterwards, and the Monte Carlo oracle turns only glucose into utilities.
+The behavior policy's uniform u_insulin is the last draw of a stream and is
+drawn only for behavior runs, so target runs see the same values either way.
 """
 
 from __future__ import annotations
@@ -153,79 +162,112 @@ def _truncated_normal(rng: np.random.Generator, mean: float, sd: float, size: in
     return out
 
 
-def _draw_exogenous(rng: np.random.Generator, total: int) -> dict[str, np.ndarray]:
-    """All randomness one trajectory consumes, drawn in a fixed order."""
-    noise = rng.normal(0.0, GLUCOSE_NOISE_SD, size=total)
-    u_activity = rng.random(total)
-    mild = _truncated_normal(rng, MILD_ACTIVITY_MEAN, MILD_ACTIVITY_SD, total)
-    moderate = _truncated_normal(
-        rng, MODERATE_ACTIVITY_MEAN, MODERATE_ACTIVITY_SD, total
-    ) + _truncated_normal(rng, MILD_ACTIVITY_MEAN, MILD_ACTIVITY_SD, total)
-    u_diet = rng.random(total)
-    diet = _truncated_normal(rng, DIET_MEAN, DIET_SD, total)
-    u_insulin = rng.random(total)
-    ex = np.where(
-        u_activity < MILD_ACTIVITY_PROB,
+def _draw_exogenous(seeds: Sequence[int], total: int, with_insulin: bool):
+    """All randomness the trajectories of ``seeds`` consume: ``(noise, ex,
+    di, insulin)``, each ``(len(seeds), total)`` with one row per seed.
+    ``insulin`` is the behavior policy's injection decision, drawn only when
+    ``with_insulin`` (otherwise None).
+
+    Each seed's own stream fills its row of every block with raw standard
+    normals and uniforms; ``mean + sd * z`` is then applied to whole blocks,
+    which is what ``Generator.normal`` computes per value. A seed with a
+    negative truncated draw is drawn again from the start with
+    ``_truncated_normal``, whose redraws come right after the block they
+    replace in the stream.
+    """
+    # One seed's stream in the order it is consumed, one block of ``total``
+    # values per law: (mean, sd, left-truncated at zero) for a normal, None
+    # for a uniform on [0, 1). Noise, u_activity, mild, moderate, moderate's
+    # mild part, u_diet, diet, then u_insulin.
+    mild = (MILD_ACTIVITY_MEAN, MILD_ACTIVITY_SD, True)
+    laws = [
+        (0.0, GLUCOSE_NOISE_SD, False),
+        None,
         mild,
-        np.where(u_activity < MILD_ACTIVITY_PROB + MODERATE_ACTIVITY_PROB, moderate, 0.0),
-    )
-    di = np.where(u_diet < DIET_PROB, diet, 0.0)
-    return {"noise": noise, "ex": ex, "di": di, "u_insulin": u_insulin}
+        (MODERATE_ACTIVITY_MEAN, MODERATE_ACTIVITY_SD, True),
+        mild,
+        None,
+        (DIET_MEAN, DIET_SD, True),
+    ] + ([None] if with_insulin else [])
+    blocks = [np.empty((len(seeds), total)) for _ in laws]
+    for i, seed in enumerate(seeds):
+        rng = make_rng(seed)
+        for law, block in zip(laws, blocks):
+            if law is None:
+                rng.random(out=block[i])
+            else:
+                rng.standard_normal(out=block[i])
+    bad = np.zeros(len(seeds), dtype=bool)
+    for law, block in zip(laws, blocks):
+        if law is not None:
+            mean, sd, truncated = law
+            block *= sd
+            block += mean
+            if truncated:
+                bad |= (block < 0.0).any(axis=1)
+    for i in np.flatnonzero(bad):
+        rng = make_rng(seeds[i])
+        for law, block in zip(laws, blocks):
+            if law is None:
+                rng.random(out=block[i])
+            elif law[2]:
+                block[i] = _truncated_normal(rng, law[0], law[1], total)
+            else:
+                block[i] = rng.normal(law[0], law[1], total)
+    noise, u_activity, ex, moderate, moderate_mild, u_diet, di = blocks[:7]
+    # ex starts as the mild draws and di as the diet draws; both are then
+    # overwritten in place where the hour's event differs.
+    moderate += moderate_mild
+    np.copyto(ex, moderate, where=u_activity >= MILD_ACTIVITY_PROB)
+    np.copyto(ex, 0.0, where=u_activity >= MILD_ACTIVITY_PROB + MODERATE_ACTIVITY_PROB)
+    np.copyto(di, 0.0, where=u_diet >= DIET_PROB)
+    insulin = blocks[7] < INSULIN_PROB if with_insulin else None
+    return noise, ex, di, insulin
 
 
-def _simulate_arrays(
-    T: int, burn_in: int, policy_kind: str, seeds: Sequence[int]
-) -> dict[str, np.ndarray]:
+def _simulate_arrays(T: int, burn_in: int, policy_kind: str, seeds: Sequence[int]):
     """Batch engine: one trajectory per seed, time loop vectorized across
     seeds. Per-seed streams keep every trajectory independent of which other
-    seeds share the batch."""
+    seeds share the batch.
+
+    Returns ``(gl, ex, di, insulin, wants)`` for the T recorded hours, each
+    time-major with shape ``(T, len(seeds))``: glucose, activity, diet, the
+    insulin decision taken and the evaluation rule's decision (both bool).
+    The draws are transposed to time-major once, so each hour reads and
+    writes contiguous rows. Only behavior runs draw u_insulin; target runs
+    inject exactly when the rule says so.
+    """
     if T < 1:
         raise ConfigurationError("T must be >= 1")
     if burn_in < 0:
         raise ConfigurationError("burn_in must be >= 0")
     if policy_kind not in ("behavior", "target"):
         raise ConfigurationError(f"policy_kind must be behavior|target, got {policy_kind!r}")
-    n = len(seeds)
-    total = T + burn_in
-    draws = [_draw_exogenous(make_rng(s), total) for s in seeds]
-    noise = np.stack([d["noise"] for d in draws])
-    ex_all = np.stack([d["ex"] for d in draws])
-    di_all = np.stack([d["di"] for d in draws])
-    u_insulin = np.stack([d["u_insulin"] for d in draws])
-
+    behavior = policy_kind == "behavior"
+    noise, ex, di, insulin = _draw_exogenous(seeds, T + burn_in, behavior)
+    # Transposed one at a time, so each seed-major block is freed before
+    # the next copy is made.
+    noise = np.ascontiguousarray(noise.T)
+    ex = np.ascontiguousarray(ex.T)
+    di = np.ascontiguousarray(di.T)
+    total, n = noise.shape
+    gl = np.empty((total, n))
+    wants = np.empty((total, n), dtype=bool)
+    insulin = np.ascontiguousarray(insulin.T) if behavior else wants
     zeros = np.zeros(n)
-    state = GlucoseState(
-        np.full(n, GLUCOSE_REST), zeros, zeros, zeros, zeros, zeros, zeros
-    )
-    out = {
-        name: np.empty((n, T))
-        for name in ("gl", "ex", "di", "insulin", "y", "behavior_prob", "target_action")
-    }
+    state = GlucoseState(np.full(n, GLUCOSE_REST), zeros, zeros, zeros, zeros, zeros, zeros)
     for t in range(total):
-        gl = glucose_mean_update(state) + noise[:, t]
-        ex = ex_all[:, t]
-        di = di_all[:, t]
-        wants_insulin = target_rule(gl, ex, state.ex_lag1).astype(float)
-        if policy_kind == "behavior":
-            insulin = (u_insulin[:, t] < INSULIN_PROB).astype(float)
-        else:
-            insulin = wants_insulin
-        y = utility_from_glucose(gl)
-        if t >= burn_in:
-            j = t - burn_in
-            out["gl"][:, j] = gl
-            out["ex"][:, j] = ex
-            out["di"][:, j] = di
-            out["insulin"][:, j] = insulin
-            out["y"][:, j] = y
-            out["behavior_prob"][:, j] = np.where(
-                insulin == 1.0, INSULIN_PROB, 1.0 - INSULIN_PROB
-            )
-            out["target_action"][:, j] = wants_insulin
+        np.add(glucose_mean_update(state), noise[t], out=gl[t])
+        wants[t] = target_rule(gl[t], ex[t], state.ex_lag1)
         state = GlucoseState(
-            gl, di, state.di_lag1, ex, state.ex_lag1, insulin, state.in_lag1
+            gl[t], di[t], state.di_lag1, ex[t], state.ex_lag1, insulin[t], state.in_lag1
         )
-    return out
+    return gl[burn_in:], ex[burn_in:], di[burn_in:], insulin[burn_in:], wants[burn_in:]
+
+
+def _behavior_prob(insulin: np.ndarray) -> np.ndarray:
+    """Logging-policy probability of each realized insulin decision."""
+    return np.where(insulin, INSULIN_PROB, 1.0 - INSULIN_PROB)
 
 
 def glucose_simulate(
@@ -236,14 +278,15 @@ def glucose_simulate(
 ) -> GlucoseTrajectory:
     """Simulate one patient for burn_in + T hours, recording the last T."""
     arrays = _simulate_arrays(T, burn_in, policy_kind, [seed])
+    gl, ex, di, insulin, wants = (a[:, 0] for a in arrays)
     return GlucoseTrajectory(
-        gl=arrays["gl"][0],
-        ex=arrays["ex"][0],
-        di=arrays["di"][0],
-        insulin=arrays["insulin"][0].astype(np.int64),
-        y=arrays["y"][0],
-        behavior_prob=arrays["behavior_prob"][0],
-        target_action=arrays["target_action"][0].astype(np.int64),
+        gl=gl,
+        ex=ex,
+        di=di,
+        insulin=insulin.astype(np.int64),
+        y=utility_from_glucose(gl),
+        behavior_prob=_behavior_prob(insulin),
+        target_action=wants.astype(np.int64),
         policy_kind=policy_kind,
         seed=int(seed),
         burn_in=burn_in,
@@ -258,11 +301,9 @@ def glucose_rewards_and_ratios(
     ys = np.empty((len(seeds), T))
     rhos = np.empty((len(seeds), T))
     for start, stop in chunk_ranges(len(seeds), T + burn_in):
-        arrays = _simulate_arrays(T, burn_in, "behavior", seeds[start:stop])
-        ys[start:stop] = arrays["y"]
-        rhos[start:stop] = _ratios(
-            arrays["insulin"], arrays["target_action"], arrays["behavior_prob"]
-        )
+        gl, _, _, insulin, wants = _simulate_arrays(T, burn_in, "behavior", seeds[start:stop])
+        ys[start:stop] = utility_from_glucose(gl).T
+        rhos[start:stop] = _ratios(insulin, wants, _behavior_prob(insulin)).T
     return ys, rhos
 
 
@@ -283,15 +324,17 @@ def target_value_oracle(
     Utilities are small integers, so each chunk's sum is exact and the mean
     does not depend on where chunks break.
     """
+    if runs < 1:
+        raise ConfigurationError(f"runs must be >= 1, got {runs}")
     key = (runs, hours, burn_in, seed)
     if key not in _oracle_cache:
         total = 0.0
         count = 0
         for start, stop in chunk_ranges(runs, hours + burn_in):
             seeds = [derive_seed(seed, r) for r in range(start, stop)]
-            arrays = _simulate_arrays(hours, burn_in, "target", seeds)
-            total += float(arrays["y"].sum())
-            count += arrays["y"].size
+            gl = _simulate_arrays(hours, burn_in, "target", seeds)[0]
+            total += float(utility_from_glucose(gl).sum())
+            count += gl.size
         provenance = {
             "kind": "monte-carlo",
             "runs": runs,

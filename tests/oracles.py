@@ -3,8 +3,8 @@
 Nothing here calls into the estimator, simulation or chain-analysis code
 under test: stationary distributions come from a linear solve instead of
 power iteration, estimator expectations come from exhaustive path
-enumeration, and the naive estimator and the reference simulator are written
-with plain Python loops.
+enumeration, and the naive estimator and the reference simulators are
+written with plain Python loops.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import itertools
 
 import numpy as np
 
+from pomdp_ope.instances import glucose
 from pomdp_ope.rng import make_rng
 
 
@@ -163,3 +164,102 @@ def simulate_reference(model, behavior, T: int, burn_in: int, seeds) -> list[tup
             )
         )
     return out
+
+
+def _glucose_draws(rng, total: int) -> dict:
+    """One glucose trajectory's randomness, in the simulator's stream order:
+    noise, u_activity, mild, moderate, moderate's mild part, u_diet, diet,
+    u_insulin. Each truncated normal redraws its negative values right after
+    its own draw. Laws are read from the glucose module at call time."""
+    g = glucose
+
+    def truncated(mean, sd):
+        out = rng.normal(mean, sd, size=total)
+        bad = out < 0.0
+        while bad.any():
+            out[bad] = rng.normal(mean, sd, size=int(bad.sum()))
+            bad = out < 0.0
+        return out
+
+    noise = rng.normal(0.0, g.GLUCOSE_NOISE_SD, size=total)
+    u_activity = rng.random(total)
+    mild = truncated(g.MILD_ACTIVITY_MEAN, g.MILD_ACTIVITY_SD)
+    moderate = truncated(g.MODERATE_ACTIVITY_MEAN, g.MODERATE_ACTIVITY_SD) + truncated(
+        g.MILD_ACTIVITY_MEAN, g.MILD_ACTIVITY_SD
+    )
+    u_diet = rng.random(total)
+    diet = truncated(g.DIET_MEAN, g.DIET_SD)
+    u_insulin = rng.random(total)
+    return {
+        name: arr.tolist()
+        for name, arr in (
+            ("noise", noise),
+            ("u_activity", u_activity),
+            ("mild", mild),
+            ("moderate", moderate),
+            ("u_diet", u_diet),
+            ("diet", diet),
+            ("u_insulin", u_insulin),
+        )
+    }
+
+
+def glucose_reference(T: int, burn_in: int, policy_kind: str, seed: int) -> dict:
+    """One glucose trajectory, one hour at a time in plain Python floats.
+
+    Returns the recorded hours as arrays named like ``GlucoseTrajectory``'s
+    fields: gl, ex, di, y, behavior_prob (float64) and insulin,
+    target_action (int64). The glucose mean is summed left to right:
+    intercept, carryover, the two diet lags, the two activity lags, the two
+    insulin lags, then the noise.
+    """
+    g = glucose
+    d = _glucose_draws(make_rng(seed), T + burn_in)
+    gl_prev, di1, di2, ex1, ex2, in1, in2 = g.GLUCOSE_REST, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
+    rec = {name: [] for name in ("gl", "ex", "di", "insulin", "y", "behavior_prob", "target_action")}
+    for t in range(T + burn_in):
+        u = d["u_activity"][t]
+        if u < g.MILD_ACTIVITY_PROB:
+            ex = d["mild"][t]
+        elif u < g.MILD_ACTIVITY_PROB + g.MODERATE_ACTIVITY_PROB:
+            ex = d["moderate"][t]
+        else:
+            ex = 0.0
+        di = d["diet"][t] if d["u_diet"][t] < g.DIET_PROB else 0.0
+        gl = (
+            g.GL_INTERCEPT
+            + g.GL_CARRY * gl_prev
+            + g.GL_DIET * di1
+            + g.GL_DIET * di2
+            + g.GL_ACTIVITY * ex1
+            + g.GL_ACTIVITY * ex2
+            + g.GL_INSULIN_LAG1 * in1
+            + g.GL_INSULIN_LAG2 * in2
+            + d["noise"][t]
+        )
+        wants = gl >= g.TARGET_GLUCOSE_MIN and ex + ex1 <= g.TARGET_ACTIVITY_MAX
+        insulin = d["u_insulin"][t] < g.INSULIN_PROB if policy_kind == "behavior" else wants
+        if gl <= 70.0:
+            y = -3.0
+        elif gl > 150.0:
+            y = -2.0
+        elif gl <= 80.0 or gl > 120.0:
+            y = -1.0
+        else:
+            y = 0.0
+        if t >= burn_in:
+            for name, value in (
+                ("gl", gl),
+                ("ex", ex),
+                ("di", di),
+                ("insulin", int(insulin)),
+                ("y", y),
+                ("behavior_prob", g.INSULIN_PROB if insulin else 1.0 - g.INSULIN_PROB),
+                ("target_action", int(wants)),
+            ):
+                rec[name].append(value)
+        gl_prev, di1, di2, ex1, ex2, in1, in2 = gl, di, di1, ex, ex1, float(insulin), in1
+    return {
+        name: np.array(values, dtype=np.int64 if name in ("insulin", "target_action") else np.float64)
+        for name, values in rec.items()
+    }

@@ -186,6 +186,15 @@ def test_unknown_environment_exits_2(capsys):
     assert "nosuch" in err
 
 
+def test_glucose_oracle_without_runs_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "oracle", "--env", "glucose", "--oracle-runs", "0", "--oracle-hours", "10"
+    )
+    assert code == 2
+    assert out == ""
+    assert "runs" in err
+
+
 def test_malformed_json_exits_2_with_position(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"num_x": 1,,}')

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -502,6 +507,36 @@ def test_selection_depends_only_on_interval_order():
     assert (a, b) == (0, 7)
 
 
+def test_nan_interval_raises_naming_candidate():
+    intervals = [(0.0, 1.0), (np.nan, np.nan), (5.0, 6.0)]
+    with pytest.raises(ConfigurationError, match="candidate 1"):
+        select_window_from_intervals([0, 1, 2], intervals)
+
+
+def _meet(intervals) -> bool:
+    """Whether the closed intervals share a point."""
+    return max(lo for lo, _ in intervals) <= min(hi for _, hi in intervals)
+
+
+@given(
+    st.lists(st.tuples(st.integers(-20, 20), st.integers(0, 10)), min_size=1, max_size=8),
+    st.integers(-1, 5),
+    st.integers(-1000, 1000),
+)
+def test_selection_scan_invariants(spans, first, shift):
+    # Integer endpoints keep every shift exact, so the comparisons the scan
+    # makes cannot change by rounding.
+    intervals = [(float(c - r), float(c + r)) for c, r in spans]
+    cands = list(range(first, first + len(intervals)))
+    s = cands.index(select_window_from_intervals(cands, intervals))
+    # The selected interval meets all larger windows' intervals at once ...
+    assert _meet(intervals[s:])
+    # ... and no smaller window's does.
+    assert not any(_meet(intervals[j:]) for j in range(s))
+    shifted = [(lo + shift, hi + shift) for lo, hi in intervals]
+    assert select_window_from_intervals(cands, shifted) == cands[s]
+
+
 def test_lepski_single_candidate(toy):
     model, behavior, target = toy
     traj = simulate(model, behavior, T=120, burn_in=20, seed=20)
@@ -554,3 +589,18 @@ def test_bandwidth_rule():
     assert BandwidthRule("fixed", 7.0).bandwidth(12345) == 7.0
     with pytest.raises(ConfigurationError):
         BandwidthRule("cubic", 1.0)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a second to import; the quantile comes from
+    # scipy.special.ndtri, so starting the package must not load it.
+    import pomdp_ope
+
+    src = str(Path(pomdp_ope.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    code = "import sys, pomdp_ope; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

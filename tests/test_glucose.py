@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import hashlib
 import io
 
 import numpy as np
 import pytest
+from oracles import glucose_reference
 
+from pomdp_ope import core
+from pomdp_ope.errors import ConfigurationError
+from pomdp_ope.instances import glucose
 from pomdp_ope.instances.glucose import (
     GLUCOSE_REST,
     GlucoseState,
@@ -16,6 +21,9 @@ from pomdp_ope.instances.glucose import (
     target_value_oracle,
     utility_from_glucose,
 )
+from pomdp_ope.rng import derive_seed, make_rng
+
+FIELDS = ("gl", "ex", "di", "insulin", "y", "behavior_prob", "target_action")
 
 
 def test_utility_thresholds():
@@ -125,3 +133,102 @@ def test_csv_round_trip_columns():
     first = lines[1].split(",")
     assert first[0] == "1"
     assert float(first[1]) == pytest.approx(traj.gl[0])
+
+
+def assert_same(got, want):
+    """Equal values and equal dtypes."""
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+def reference_rewards_and_ratios(T, burn_in, seeds):
+    refs = [glucose_reference(T, burn_in, "behavior", s) for s in seeds]
+    ys = np.array([r["y"] for r in refs])
+    rhos = np.array(
+        [(r["insulin"] == r["target_action"]).astype(float) / r["behavior_prob"] for r in refs]
+    )
+    return ys, rhos
+
+
+def reference_oracle(runs, hours, burn_in, seed):
+    total = sum(
+        glucose_reference(hours, burn_in, "target", derive_seed(seed, r))["y"].sum()
+        for r in range(runs)
+    )
+    return float(total) / (runs * hours)
+
+
+@pytest.mark.parametrize("policy_kind", ["behavior", "target"])
+@pytest.mark.parametrize("T, burn_in, seed", [(1, 0, 3), (5, 2, 12), (300, 50, 7), (200, 0, 8)])
+def test_simulate_matches_reference(policy_kind, T, burn_in, seed):
+    traj = glucose_simulate(T=T, burn_in=burn_in, policy_kind=policy_kind, seed=seed)
+    ref = glucose_reference(T, burn_in, policy_kind, seed)
+    for name in FIELDS:
+        assert_same(getattr(traj, name), ref[name])
+
+
+def test_rewards_and_ratios_match_reference_across_chunks(monkeypatch):
+    T, burn_in, seeds = 40, 10, list(range(20, 37))
+    want_y, want_rho = reference_rewards_and_ratios(T, burn_in, seeds)
+    for chunk_rows in (None, 5, 1):
+        if chunk_rows is not None:
+            monkeypatch.setattr(core, "CHUNK_STEPS", chunk_rows * (T + burn_in))
+        ys, rhos = glucose_rewards_and_ratios(T, burn_in, seeds)
+        assert_same(ys, want_y)
+        assert_same(rhos, want_rho)
+
+
+def test_oracle_matches_reference_across_chunks(monkeypatch):
+    monkeypatch.setattr(glucose, "_oracle_cache", {})
+    want = reference_oracle(runs=7, hours=30, burn_in=5, seed=41)
+    value, _ = target_value_oracle(runs=7, hours=30, burn_in=5, seed=41)
+    assert value == want
+    monkeypatch.setattr(glucose, "_oracle_cache", {})
+    monkeypatch.setattr(core, "CHUNK_STEPS", 3 * 35)
+    value, _ = target_value_oracle(runs=7, hours=30, burn_in=5, seed=41)
+    assert value == want
+
+
+def test_forced_rejection_matches_reference(monkeypatch):
+    # Means near zero make most truncated draws negative, so every seed
+    # takes the redraw path, whose redraws sit between the blocks in the
+    # stream.
+    monkeypatch.setattr(glucose, "MILD_ACTIVITY_MEAN", 1.0)
+    monkeypatch.setattr(glucose, "DIET_MEAN", 0.5)
+    monkeypatch.setattr(glucose, "_oracle_cache", {})
+    for policy_kind in ("behavior", "target"):
+        traj = glucose_simulate(T=60, burn_in=5, policy_kind=policy_kind, seed=13)
+        ref = glucose_reference(60, 5, policy_kind, 13)
+        for name in FIELDS:
+            assert_same(getattr(traj, name), ref[name])
+    # The first mild block of seed 13 (after 65 noise normals and 65
+    # uniforms) does hold negative draws.
+    rng = make_rng(13)
+    rng.standard_normal(65)
+    rng.random(65)
+    assert (rng.normal(1.0, glucose.MILD_ACTIVITY_SD, 65) < 0.0).any()
+    want_y, want_rho = reference_rewards_and_ratios(30, 5, [1, 2, 3])
+    ys, rhos = glucose_rewards_and_ratios(30, 5, [1, 2, 3])
+    assert_same(ys, want_y)
+    assert_same(rhos, want_rho)
+    assert target_value_oracle(runs=3, hours=30, burn_in=5, seed=2)[0] == reference_oracle(
+        3, 30, 5, 2
+    )
+
+
+def test_outputs_pinned():
+    # Any change to the draw order or the glucose arithmetic shows here.
+    ys, rhos = glucose_rewards_and_ratios(T=200, burn_in=50, seeds=list(range(64)))
+    assert hashlib.sha256(ys.tobytes() + rhos.tobytes()).hexdigest() == (
+        "97828f55f851cee3f17e9807337ab98c300876ba9e8c8e938b3872b652fb445d"
+    )
+    value, _ = target_value_oracle(runs=50, hours=200, seed=123)
+    assert hashlib.sha256(np.float64(value).tobytes()).hexdigest() == (
+        "61859100903e6d0c391e24184d730465813a4f5894e0215fa4bdfecb51bf5e35"
+    )
+
+
+@pytest.mark.parametrize("runs", [0, -3])
+def test_oracle_without_runs_raises(runs):
+    with pytest.raises(ConfigurationError, match="runs"):
+        target_value_oracle(runs=runs, hours=10)
