@@ -190,18 +190,16 @@ def _glucose_draws(rng, total: int) -> dict:
     u_diet = rng.random(total)
     diet = truncated(g.DIET_MEAN, g.DIET_SD)
     u_insulin = rng.random(total)
-    return {
-        name: arr.tolist()
-        for name, arr in (
-            ("noise", noise),
-            ("u_activity", u_activity),
-            ("mild", mild),
-            ("moderate", moderate),
-            ("u_diet", u_diet),
-            ("diet", diet),
-            ("u_insulin", u_insulin),
-        )
+    draws = {
+        "noise": noise,
+        "u_activity": u_activity,
+        "mild": mild,
+        "moderate": moderate,
+        "u_diet": u_diet,
+        "diet": diet,
+        "u_insulin": u_insulin,
     }
+    return {name: arr.tolist() for name, arr in draws.items()}
 
 
 def glucose_reference(T: int, burn_in: int, policy_kind: str, seed: int) -> dict:
@@ -216,7 +214,8 @@ def glucose_reference(T: int, burn_in: int, policy_kind: str, seed: int) -> dict
     g = glucose
     d = _glucose_draws(make_rng(seed), T + burn_in)
     gl_prev, di1, di2, ex1, ex2, in1, in2 = g.GLUCOSE_REST, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
-    rec = {name: [] for name in ("gl", "ex", "di", "insulin", "y", "behavior_prob", "target_action")}
+    names = ("gl", "ex", "di", "insulin", "y", "behavior_prob", "target_action")
+    rec = {name: [] for name in names}
     for t in range(T + burn_in):
         u = d["u_activity"][t]
         if u < g.MILD_ACTIVITY_PROB:
@@ -259,7 +258,8 @@ def glucose_reference(T: int, burn_in: int, policy_kind: str, seed: int) -> dict
             ):
                 rec[name].append(value)
         gl_prev, di1, di2, ex1, ex2, in1, in2 = gl, di, di1, ex, ex1, float(insulin), in1
+    ints = ("insulin", "target_action")
     return {
-        name: np.array(values, dtype=np.int64 if name in ("insulin", "target_action") else np.float64)
+        name: np.array(values, dtype=np.int64 if name in ints else np.float64)
         for name, values in rec.items()
     }
