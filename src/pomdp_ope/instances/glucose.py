@@ -168,60 +168,29 @@ def _draw_exogenous(seeds: Sequence[int], total: int, with_insulin: bool):
     ``insulin`` is the behavior policy's injection decision, drawn only when
     ``with_insulin`` (otherwise None).
 
-    Each seed's own stream fills its row of every block with raw standard
-    normals and uniforms; ``mean + sd * z`` is then applied to whole blocks,
-    which is what ``Generator.normal`` computes per value. A seed with a
-    negative truncated draw is drawn again from the start with
-    ``_truncated_normal``, whose redraws come right after the block they
-    replace in the stream.
+    Each seed's own stream is drawn in a fixed order (noise, u_activity,
+    mild, moderate, moderate's mild part, u_diet, diet, then u_insulin)
+    straight into that seed's row of each block.
     """
-    # One seed's stream in the order it is consumed, one block of ``total``
-    # values per law: (mean, sd, left-truncated at zero) for a normal, None
-    # for a uniform on [0, 1). Noise, u_activity, mild, moderate, moderate's
-    # mild part, u_diet, diet, then u_insulin.
-    mild = (MILD_ACTIVITY_MEAN, MILD_ACTIVITY_SD, True)
-    laws = [
-        (0.0, GLUCOSE_NOISE_SD, False),
-        None,
-        mild,
-        (MODERATE_ACTIVITY_MEAN, MODERATE_ACTIVITY_SD, True),
-        mild,
-        None,
-        (DIET_MEAN, DIET_SD, True),
-    ] + ([None] if with_insulin else [])
-    blocks = [np.empty((len(seeds), total)) for _ in laws]
+    n = len(seeds)
+    noise, u_activity, ex, moderate, u_diet, di = (np.empty((n, total)) for _ in range(6))
+    insulin = np.empty((n, total), dtype=bool) if with_insulin else None
     for i, seed in enumerate(seeds):
         rng = make_rng(seed)
-        for law, block in zip(laws, blocks):
-            if law is None:
-                rng.random(out=block[i])
-            else:
-                rng.standard_normal(out=block[i])
-    bad = np.zeros(len(seeds), dtype=bool)
-    for law, block in zip(laws, blocks):
-        if law is not None:
-            mean, sd, truncated = law
-            block *= sd
-            block += mean
-            if truncated:
-                bad |= (block < 0.0).any(axis=1)
-    for i in np.flatnonzero(bad):
-        rng = make_rng(seeds[i])
-        for law, block in zip(laws, blocks):
-            if law is None:
-                rng.random(out=block[i])
-            elif law[2]:
-                block[i] = _truncated_normal(rng, law[0], law[1], total)
-            else:
-                block[i] = rng.normal(law[0], law[1], total)
-    noise, u_activity, ex, moderate, moderate_mild, u_diet, di = blocks[:7]
+        noise[i] = rng.normal(0.0, GLUCOSE_NOISE_SD, total)
+        rng.random(out=u_activity[i])
+        ex[i] = _truncated_normal(rng, MILD_ACTIVITY_MEAN, MILD_ACTIVITY_SD, total)
+        moderate[i] = _truncated_normal(rng, MODERATE_ACTIVITY_MEAN, MODERATE_ACTIVITY_SD, total)
+        moderate[i] += _truncated_normal(rng, MILD_ACTIVITY_MEAN, MILD_ACTIVITY_SD, total)
+        rng.random(out=u_diet[i])
+        di[i] = _truncated_normal(rng, DIET_MEAN, DIET_SD, total)
+        if with_insulin:
+            np.less(rng.random(total), INSULIN_PROB, out=insulin[i])
     # ex starts as the mild draws and di as the diet draws; both are then
     # overwritten in place where the hour's event differs.
-    moderate += moderate_mild
     np.copyto(ex, moderate, where=u_activity >= MILD_ACTIVITY_PROB)
     np.copyto(ex, 0.0, where=u_activity >= MILD_ACTIVITY_PROB + MODERATE_ACTIVITY_PROB)
     np.copyto(di, 0.0, where=u_diet >= DIET_PROB)
-    insulin = blocks[7] < INSULIN_PROB if with_insulin else None
     return noise, ex, di, insulin
 
 
@@ -326,6 +295,8 @@ def target_value_oracle(
     """
     if runs < 1:
         raise ConfigurationError(f"runs must be >= 1, got {runs}")
+    if hours < 1:
+        raise ConfigurationError(f"hours must be >= 1, got {hours}")
     key = (runs, hours, burn_in, seed)
     if key not in _oracle_cache:
         total = 0.0

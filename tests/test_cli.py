@@ -186,13 +186,14 @@ def test_unknown_environment_exits_2(capsys):
     assert "nosuch" in err
 
 
-def test_glucose_oracle_without_runs_exits_2(capsys):
+@pytest.mark.parametrize("runs, hours, name", [("0", "10", "runs"), ("5", "0", "hours")])
+def test_glucose_oracle_without_runs_exits_2(capsys, runs, hours, name):
     code, out, err = run_cli(
-        capsys, "oracle", "--env", "glucose", "--oracle-runs", "0", "--oracle-hours", "10"
+        capsys, "oracle", "--env", "glucose", "--oracle-runs", runs, "--oracle-hours", hours
     )
     assert code == 2
     assert out == ""
-    assert "runs" in err
+    assert name in err
 
 
 def test_malformed_json_exits_2_with_position(tmp_path, capsys):

@@ -190,9 +190,9 @@ def test_oracle_matches_reference_across_chunks(monkeypatch):
 
 
 def test_forced_rejection_matches_reference(monkeypatch):
-    # Means near zero make most truncated draws negative, so every seed
-    # takes the redraw path, whose redraws sit between the blocks in the
-    # stream.
+    # Means near zero make many truncated draws negative, so
+    # _truncated_normal redraws, and the redraws sit between the blocks in
+    # the stream.
     monkeypatch.setattr(glucose, "MILD_ACTIVITY_MEAN", 1.0)
     monkeypatch.setattr(glucose, "DIET_MEAN", 0.5)
     monkeypatch.setattr(glucose, "_oracle_cache", {})
@@ -228,7 +228,9 @@ def test_outputs_pinned():
     )
 
 
-@pytest.mark.parametrize("runs", [0, -3])
-def test_oracle_without_runs_raises(runs):
-    with pytest.raises(ConfigurationError, match="runs"):
-        target_value_oracle(runs=runs, hours=10)
+@pytest.mark.parametrize(
+    "runs, hours, name", [(0, 10, "runs"), (-3, 10, "runs"), (5, 0, "hours"), (5, -1, "hours")]
+)
+def test_oracle_without_runs_raises(runs, hours, name):
+    with pytest.raises(ConfigurationError, match=name):
+        target_value_oracle(runs=runs, hours=hours)
