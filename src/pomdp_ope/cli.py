@@ -9,7 +9,6 @@ violation, 4 mixing failure.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from pathlib import Path
@@ -57,14 +56,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    serialization.write_text(text, out or sys.stdout)
 
 
 def _load_environment(args):
@@ -172,17 +164,16 @@ def _burn_in(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    buf = io.StringIO()
+    out = args.out or sys.stdout
     if args.env == "glucose":
         traj = glucose_simulate(
             T=args.T, burn_in=_burn_in(args), policy_kind="behavior", seed=args.seed
         )
-        glucose_trajectory_to_csv(traj, buf)
+        glucose_trajectory_to_csv(traj, out)
     else:
         env = _load_finite_environment(args)
         traj = simulate(env.model, env.behavior, args.T, _burn_in(args), args.seed)
-        serialization.trajectory_to_csv(traj, buf)
-    _emit(buf.getvalue(), args.out)
+        serialization.trajectory_to_csv(traj, out)
     return EXIT_OK
 
 
@@ -193,7 +184,7 @@ def _cmd_estimate(args) -> int:
         k=args.k, alpha=args.alpha, bandwidth=float(args.T) ** args.bandwidth_exp
     )
     report = estimate_with_ci(ratios, rewards, config)
-    _emit(_json_text(report.to_dict()), args.out)
+    _emit(serialization.json_text(report.to_dict()), args.out)
     return EXIT_OK
 
 
@@ -207,7 +198,7 @@ def _cmd_lepski(args) -> int:
         alpha=args.alpha,
         bandwidth_rule=BandwidthRule("power", args.bandwidth_exp),
     )
-    _emit(_json_text(result.to_dict()), args.out)
+    _emit(serialization.json_text(result.to_dict()), args.out)
     return EXIT_OK
 
 
@@ -227,11 +218,11 @@ def _cmd_sweep(args) -> int:
     result = run_sweep(spec)
     if args.out:
         sweep_result_to_csv(result, args.out)
-        Path(args.out).with_suffix(".json").write_text(
-            _json_text(sweep_result_to_json(result))
+        serialization.dump_json(
+            sweep_result_to_json(result), Path(args.out).with_suffix(".json")
         )
     else:
-        _emit(_json_text(sweep_result_to_json(result)), None)
+        _emit(serialization.json_text(sweep_result_to_json(result)), None)
     return EXIT_OK
 
 
@@ -251,7 +242,7 @@ def _cmd_instance(args) -> int:
             "behavior": serialization.policy_to_dict(behavior),
             "target": serialization.policy_to_dict(target),
         }
-        _emit(_json_text(doc), args.out)
+        _emit(serialization.json_text(doc), args.out)
         return EXIT_OK
     env = _load_finite_environment(args)
     doc = {
@@ -259,7 +250,7 @@ def _cmd_instance(args) -> int:
         "behavior": serialization.policy_to_dict(env.behavior),
         "target": serialization.policy_to_dict(env.target),
     }
-    _emit(_json_text(doc), args.out)
+    _emit(serialization.json_text(doc), args.out)
     return EXIT_OK
 
 
@@ -273,7 +264,7 @@ def _cmd_oracle(args) -> int:
         if args.oracle_hours is not None:
             kwargs["hours"] = args.oracle_hours
         value, provenance = target_value_oracle(**kwargs)
-        _emit(_json_text({"value": value, "provenance": provenance}), args.out)
+        _emit(serialization.json_text({"value": value, "provenance": provenance}), args.out)
         return EXIT_OK
     env = _load_finite_environment(args)
     policy = env.target if args.policy == "target" else env.behavior
@@ -297,7 +288,7 @@ def _cmd_oracle(args) -> int:
         doc["calibrated_k"] = corollary_window(
             n=1, T=args.T, t0=t0, zeta=target_rep.overlap_zeta, C0=args.C0
         )
-    _emit(_json_text(doc), args.out)
+    _emit(serialization.json_text(doc), args.out)
     return EXIT_OK
 
 

@@ -16,13 +16,16 @@ Chain oracles provided here:
   the target kernel (a computable certificate of geometric mixing) together
   with the log overlap constant max ln(pi_a(x) / e_a(x)).
 
-Trajectories come from ``simulate_batch``, which is table-driven. Each
-seed's random stream is drawn up front. Whole-array comparisons against the
-cumulative policy and transition rows then build two tables over every
-(seed, step): the action drawn if the covariate is x, and the next state
-reached from state s. The only sequential loop follows the state through the
-next-state table, one gather per step; covariates, hidden states, actions and
-rewards are derived from the state path in one vectorized pass.
+Trajectories are simulated by ``_simulate_arrays``, which is table-driven
+and returns (seeds, T) arrays of covariates, hidden states, actions and
+rewards; ``simulate_batch`` wraps each row in a ``Trajectory``, and the
+harness reads the arrays directly. Each seed's random stream is drawn up
+front. Whole-array comparisons against the cumulative policy and transition
+rows then build two tables over every (seed, step): the action drawn if the
+covariate is x, and the next state reached from state s. The only
+sequential loop follows the state through the next-state table, one gather
+per step; covariates, hidden states, actions and rewards are derived from
+the state path in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .rng import make_rng
 ROW_SUM_TOL = 1e-12
 
 # Work per chunk, shared by every batch simulator and the harness: simulated
-# steps, or for ``simulate_batch`` table cells (steps x states). Bounds the
+# steps, or for ``_simulate_arrays`` table cells (steps x states). Bounds the
 # per-chunk draws and tables to tens of MB whatever T is.
 CHUNK_STEPS = 2_000_000
 
@@ -371,28 +374,53 @@ def simulate_batch(
     burn_in: int,
     seeds: Sequence[int],
 ) -> list[Trajectory]:
-    """Simulate one trajectory per seed.
+    """Simulate one trajectory per seed: the rows of ``_simulate_arrays``,
+    each wrapped in a ``Trajectory``.
 
     Each seed drives its own random stream with a fixed consumption order
     (initial state, then per-step action/transition uniforms, then reward
     normals), so the result for a given seed does not depend on which other
-    seeds share the batch. A chunk of seeds is simulated from two tables
-    built with whole-array operations: the action each covariate would draw
-    and the next state each state would reach, at every (seed, step). Only
-    following the state through the next-state table runs step by step.
-    Chunks are sized by table cells, (T + burn_in) * num_states per seed.
-    Equivalent to, and tested against, a loop of single-seed ``simulate``
-    calls and a plain per-step reference loop.
+    seeds share the batch. Equivalent to, and tested against, a loop of
+    single-seed ``simulate`` calls and a plain per-step reference loop.
+    """
+    x, h, w, y = _simulate_arrays(model, behavior, T, burn_in, seeds)
+    return [
+        Trajectory(x=x[r], h=h[r], w=w[r], y=y[r], seed=int(sd), burn_in=burn_in)
+        for r, sd in enumerate(seeds)
+    ]
+
+
+def _simulate_arrays(
+    model: PomdpModel,
+    behavior: Policy,
+    T: int,
+    burn_in: int,
+    seeds: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Covariates, hidden states, actions (int64) and rewards (float64) of
+    one trajectory per seed, each as a (len(seeds), T) array.
+
+    A chunk of seeds is simulated from two tables built with whole-array
+    operations: the action each covariate would draw and the next state each
+    state would reach, at every (seed, step). Only following the state
+    through the next-state table runs step by step. Chunks are sized by
+    table cells, (T + burn_in) * num_states per seed, and each writes its own
+    rows of the outputs.
     """
     _check_dimensions(model, behavior)
     if T < 1:
         raise ConfigurationError("T must be >= 1")
     if burn_in < 0:
         raise ConfigurationError("burn_in must be >= 0")
-    out: list[Trajectory] = []
-    for start, stop in chunk_ranges(len(seeds), (T + burn_in) * model.num_states):
-        out.extend(_simulate_chunk(model, behavior, T, burn_in, seeds[start:stop]))
-    return out
+    n = len(seeds)
+    x, h, w = (np.empty((n, T), dtype=np.int64) for _ in range(3))
+    y = np.empty((n, T))
+    for start, stop in chunk_ranges(n, (T + burn_in) * model.num_states):
+        rows = slice(start, stop)
+        x[rows], h[rows], w[rows], y[rows] = _simulate_chunk(
+            model, behavior, T, burn_in, seeds[start:stop]
+        )
+    return x, h, w, y
 
 
 def _thresholds(probs: np.ndarray) -> np.ndarray:
@@ -431,7 +459,7 @@ def _simulate_chunk(
     T: int,
     burn_in: int,
     seeds: Sequence[int],
-) -> list[Trajectory]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     n = len(seeds)
     total = T + burn_in
     num_s = model.num_states
@@ -490,7 +518,6 @@ def _simulate_chunk(
     xs = x_of_state.take(states)
     hs = (np.arange(num_s) % model.num_h).take(states)
     ws = np.take_along_axis(act[:, burn_in:].transpose(0, 2, 1), xs[None], axis=0)[0]
-    ws = ws.astype(np.int64)
     cell = states  # flat (state, action) index into the reward tables
     cell *= model.num_actions
     cell += ws
@@ -499,7 +526,4 @@ def _simulate_chunk(
     ys *= zz[:, burn_in:]
     del zz
     np.add(model.reward_mean.take(cell), ys, out=ys)
-    return [
-        Trajectory(x=xs[r], h=hs[r], w=ws[r], y=ys[r], seed=int(seeds[r]), burn_in=burn_in)
-        for r in range(n)
-    ]
+    return xs, hs, ws, ys

@@ -143,22 +143,22 @@ def _policy_ratios(
     env: str | None = None,
 ) -> np.ndarray:
     """Ratios pi_w(x) / e_w(x) for covariate/action arrays of any shape with
-    time on the last axis.
+    time on the last axis, gathered from one (num_x, num_actions) table.
 
     Raises OverlapViolationError at the first violation in row-major order.
     """
-    pi = target.probs[x, w]
-    e = behavior.probs[x, w]
+    pi = target.probs
+    e = behavior.probs
     bad = (e == 0.0) & (pi > 0.0)
-    if bad.any():
-        idx = tuple(np.argwhere(bad)[0])
+    if bad.any() and bad[x, w].any():
+        idx = tuple(np.argwhere(bad[x, w])[0])
         raise OverlapViolationError(
             t=int(idx[-1]) + 1, x=int(x[idx]), a=int(w[idx]), env=env
         )
-    out = np.zeros_like(pi)
+    table = np.zeros_like(pi)
     ok = e > 0.0
-    out[ok] = pi[ok] / e[ok]
-    return out
+    table[ok] = pi[ok] / e[ok]
+    return table[x, w]
 
 
 def importance_ratios(traj: Trajectory, target: Policy, behavior: Policy) -> np.ndarray:

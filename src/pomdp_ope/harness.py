@@ -6,8 +6,10 @@ length is evaluated on that same trajectory (a paired design), and results
 are gathered into preallocated per-replication arrays before aggregation.
 Replications run in one serial loop over chunks sized by ``chunk_ranges``
 (or ``chunk_size``); each chunk is simulated into (rewards, ratios) arrays
-and evaluated by the batched estimator engine. Output is therefore
-bit-identical for a given spec whatever the chunk size.
+and evaluated by the batched estimator engine. Finite environments read
+the array simulator ``core._simulate_arrays`` directly and gather ratios
+from one policy-ratio table, so no ``Trajectory`` is built on the way.
+Output is bit-identical for a given spec whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import Policy, PomdpModel, chunk_ranges, policy_value_exact, simulate_batch
+from .core import Policy, PomdpModel, _simulate_arrays, chunk_ranges, policy_value_exact
 from .errors import ConfigurationError
 from .estimators import (
     BandwidthRule,
@@ -27,13 +29,7 @@ from .estimators import (
     _policy_ratios,
     select_window_from_intervals,
 )
-from .instances.glucose import (
-    DEFAULT_ORACLE_HOURS,
-    DEFAULT_ORACLE_RUNS,
-    DEFAULT_ORACLE_SEED,
-    glucose_rewards_and_ratios,
-    target_value_oracle,
-)
+from .instances.glucose import glucose_rewards_and_ratios, target_value_oracle
 from .instances.hard import HardInstanceParams, hard_instance_pair, params_from_mixing_time
 from .instances.toy import toy_model
 from .rng import derive_seed
@@ -57,11 +53,8 @@ class FiniteEnvironment:
     def rewards_and_ratios(
         self, T: int, burn_in: int, seeds: Sequence[int]
     ) -> tuple[np.ndarray, np.ndarray]:
-        trajs = simulate_batch(self.model, self.behavior, T, burn_in, seeds)
-        X = np.stack([tr.x for tr in trajs])
-        W = np.stack([tr.w for tr in trajs])
-        Y = np.stack([tr.y for tr in trajs])
-        return Y, _policy_ratios(X, W, self.target, self.behavior, env=self.name)
+        x, _, w, y = _simulate_arrays(self.model, self.behavior, T, burn_in, seeds)
+        return y, _policy_ratios(x, w, self.target, self.behavior, env=self.name)
 
     def oracle(self) -> tuple[float, dict]:
         return policy_value_exact(self.model, self.target), {"kind": "exact", "tol": 1e-12}
@@ -70,18 +63,7 @@ class FiniteEnvironment:
 class GlucoseEnvironment:
     """Blood-glucose simulator with a cached Monte Carlo value oracle."""
 
-    def __init__(
-        self,
-        oracle_runs: int = DEFAULT_ORACLE_RUNS,
-        oracle_hours: int = DEFAULT_ORACLE_HOURS,
-        oracle_seed: int = DEFAULT_ORACLE_SEED,
-        oracle_burn_in: int = 50,
-    ):
-        self.name = "glucose"
-        self.oracle_runs = oracle_runs
-        self.oracle_hours = oracle_hours
-        self.oracle_seed = oracle_seed
-        self.oracle_burn_in = oracle_burn_in
+    name = "glucose"
 
     def rewards_and_ratios(
         self, T: int, burn_in: int, seeds: Sequence[int]
@@ -89,17 +71,13 @@ class GlucoseEnvironment:
         return glucose_rewards_and_ratios(T, burn_in, seeds)
 
     def oracle(self) -> tuple[float, dict]:
-        return target_value_oracle(
-            runs=self.oracle_runs,
-            hours=self.oracle_hours,
-            burn_in=self.oracle_burn_in,
-            seed=self.oracle_seed,
-        )
+        return target_value_oracle()
 
 
-def parse_hard_spec(text: str) -> dict[str, float]:
-    """Parse 'Q=3,t0=1,zeta=0.69,M1=1,M2=2,Delta=0.5' into a dict."""
-    out: dict[str, float] = {}
+def hard_params(text: str) -> HardInstanceParams:
+    """Hard-instance parameters from a 'Q=3,t0=1,zeta=0.69,M1=1,M2=2' spec,
+    optionally with ',Delta=0.5'; Delta defaults to M1 / 2."""
+    kv: dict[str, float] = {}
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -111,19 +89,12 @@ def parse_hard_spec(text: str) -> dict[str, float]:
         if key not in ("Q", "t0", "zeta", "M1", "M2", "Delta"):
             raise ConfigurationError(f"unknown hard-instance parameter {key!r}")
         try:
-            out[key] = float(value)
+            kv[key] = float(value)
         except ValueError as exc:
             raise ConfigurationError(f"bad value for {key!r}: {value!r}") from exc
     for key in ("Q", "t0", "zeta", "M1", "M2"):
-        if key not in out:
+        if key not in kv:
             raise ConfigurationError(f"hard-instance spec missing {key!r}")
-    return out
-
-
-def hard_params(text: str) -> HardInstanceParams:
-    """Hard-instance parameters from a 'Q=..,t0=..,zeta=..,M1=..,M2=..' spec;
-    Delta defaults to M1 / 2."""
-    kv = parse_hard_spec(text)
     return params_from_mixing_time(
         Q=int(kv["Q"]),
         t0=kv["t0"],
@@ -134,7 +105,7 @@ def hard_params(text: str) -> HardInstanceParams:
     )
 
 
-def make_environment(env_id: str, **glucose_overrides):
+def make_environment(env_id: str):
     """Build a named environment: 'toy', 'glucose', or 'hard:<params>'.
 
     Hard-instance sweeps simulate and evaluate the first (high-mean)
@@ -144,7 +115,7 @@ def make_environment(env_id: str, **glucose_overrides):
         model, behavior, target = toy_model()
         return FiniteEnvironment("toy", model, behavior, target)
     if env_id == "glucose":
-        return GlucoseEnvironment(**glucose_overrides)
+        return GlucoseEnvironment()
     if env_id.startswith("hard:"):
         params = hard_params(env_id[len("hard:") :])
         hi, _lo, behavior, target = hard_instance_pair(params)

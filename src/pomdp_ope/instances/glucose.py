@@ -38,6 +38,7 @@ import numpy as np
 from ..core import chunk_ranges
 from ..errors import ConfigurationError
 from ..rng import derive_seed, make_rng
+from ..serialization import write_text
 
 INSULIN_PROB = 0.3
 MILD_ACTIVITY_PROB = 0.4
@@ -326,10 +327,4 @@ def glucose_trajectory_to_csv(traj: GlucoseTrajectory, out: Union[str, IO[str]])
             f"{int(traj.insulin[t])},{traj.y[t]:.17g},"
             f"{traj.behavior_prob[t]:.17g},{int(traj.target_action[t])}"
         )
-    text = "\n".join(lines) + "\n"
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        from pathlib import Path
-
-        Path(out).write_text(text)
+    write_text("\n".join(lines) + "\n", out)

@@ -70,8 +70,22 @@ def policy_from_dict(d: dict) -> Policy:
         raise ConfigurationError(f"policy document missing field {exc}") from exc
 
 
+def json_text(obj: Any) -> str:
+    """The one JSON layout of every document: sorted keys, two-space indent,
+    trailing newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def write_text(text: str, out: Union[PathLike, IO[str]]) -> None:
+    """Write text to a path or to an open text stream."""
+    if hasattr(out, "write"):
+        out.write(text)
+    else:
+        Path(out).write_text(text)
+
+
 def dump_json(obj: Any, path: PathLike) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_text(json_text(obj), path)
 
 
 def load_json(path: PathLike) -> Any:
@@ -100,8 +114,4 @@ def trajectory_to_csv(traj: Trajectory, out: Union[PathLike, IO[str]]) -> None:
     lines = ["t,x,h,w,y"]
     for t in range(traj.T):
         lines.append(f"{t + 1},{traj.x[t]},{traj.h[t]},{traj.w[t]},{traj.y[t]:.17g}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        Path(out).write_text(text)
+    write_text("\n".join(lines) + "\n", out)

@@ -200,6 +200,56 @@ def test_batch_ratios_flag_first_violation_in_row_major_order(toy):
     assert err.value.env == "toy"
 
 
+def _ratios_by_loop(x, w, target, behavior):
+    """Plain-loop reference for ``_policy_ratios``: one scalar division per
+    step, zero where the target probability is zero, and the first overlap
+    violation in row-major order as (t, x, a)."""
+    out = np.empty(x.shape)
+    for idx in np.ndindex(x.shape):
+        pi = target.probs[x[idx], w[idx]]
+        e = behavior.probs[x[idx], w[idx]]
+        if e == 0.0 and pi > 0.0:
+            return None, (idx[-1] + 1, x[idx], w[idx])
+        out[idx] = pi / e if e > 0.0 else 0.0
+    return out, None
+
+
+@pytest.mark.parametrize("shape", [(40,), (6, 25)])
+@pytest.mark.parametrize("seed", range(4))
+def test_policy_ratios_match_plain_loop_with_zero_probabilities(shape, seed):
+    rng = np.random.default_rng(seed)
+    num_x, num_actions = 3, 4
+    target = rng.dirichlet(np.ones(num_actions), size=num_x)
+    target[rng.random(target.shape) < 0.4] = 0.0
+    target[np.arange(num_x), rng.integers(0, num_actions, num_x)] += 0.5
+    target /= target.sum(axis=1, keepdims=True)
+    # Behavior covers the target's support, and on some rows more.
+    behavior = target + (rng.random(target.shape) < 0.5) * rng.random(target.shape)
+    behavior /= behavior.sum(axis=1, keepdims=True)
+    target, behavior = Policy(probs=target), Policy(probs=behavior)
+    assert (target.probs == 0.0).any() and (behavior.probs == 0.0).any()
+    x = rng.integers(0, num_x, size=shape)
+    w = rng.integers(0, num_actions, size=shape)
+
+    want, violation = _ratios_by_loop(x, w, target, behavior)
+    assert violation is None
+    got = est_mod._policy_ratios(x, w, target, behavior)
+    assert got.dtype == np.float64 and got.shape == shape
+    np.testing.assert_array_equal(got, want)
+
+    # Swapped roles: the target now puts mass where the behavior has none.
+    _, violation = _ratios_by_loop(x, w, behavior, target)
+    if violation is None:
+        np.testing.assert_array_equal(
+            est_mod._policy_ratios(x, w, behavior, target),
+            _ratios_by_loop(x, w, behavior, target)[0],
+        )
+    else:
+        with pytest.raises(OverlapViolationError) as err:
+            est_mod._policy_ratios(x, w, behavior, target)
+        assert (err.value.t, err.value.x, err.value.a) == violation
+
+
 def test_estimators_reject_non_finite_input():
     rho = np.ones(20)
     y = np.zeros(20)

@@ -23,8 +23,8 @@ from pomdp_ope import (
 from pomdp_ope.harness import (
     FiniteEnvironment,
     GlucoseEnvironment,
+    hard_params,
     lepski_study_to_json,
-    parse_hard_spec,
 )
 
 
@@ -41,7 +41,7 @@ def test_make_environment_toy():
 
 
 def test_make_environment_glucose():
-    env = make_environment("glucose", oracle_runs=20, oracle_hours=100)
+    env = make_environment("glucose")
     assert isinstance(env, GlucoseEnvironment)
     value, prov = env.oracle()
     assert -3.0 <= value <= 0.0
@@ -60,13 +60,14 @@ def test_make_environment_unknown():
         make_environment("banana")
 
 
-def test_parse_hard_spec_validation():
+def test_hard_params_validation():
     with pytest.raises(ConfigurationError):
-        parse_hard_spec("Q=3,t0=1")  # missing fields
+        hard_params("Q=3,t0=1")  # missing fields
     with pytest.raises(ConfigurationError):
-        parse_hard_spec("Q=3,t0=1,zeta=0.7,M1=1,M2=2,bogus=1")
-    kv = parse_hard_spec("Q=3,t0=1,zeta=0.7,M1=1,M2=2")
-    assert kv["Q"] == 3.0 and "Delta" not in kv
+        hard_params("Q=3,t0=1,zeta=0.7,M1=1,M2=2,bogus=1")
+    params = hard_params("Q=3,t0=1,zeta=0.7,M1=1,M2=2")
+    assert params.Q == 3 and params.Delta == 0.5  # Delta defaults to M1 / 2
+    assert hard_params("Q=3,t0=1,zeta=0.7,M1=1,M2=2,Delta=0.25").Delta == 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +237,9 @@ def test_environment_names_overlap_violation(monkeypatch):
         seed=0,
         burn_in=0,
     )
-    monkeypatch.setattr(harness_mod, "simulate_batch", lambda *a, **kw: [corrupted])
+    # One (1, T) row per column, as the array simulator returns them.
+    columns = tuple(col[None] for col in (corrupted.x, corrupted.h, corrupted.w, corrupted.y))
+    monkeypatch.setattr(harness_mod, "_simulate_arrays", lambda *a, **kw: columns)
     with pytest.raises(OverlapViolationError) as err:
         env.rewards_and_ratios(5, 0, [0])
     assert err.value.env == "brokenpair"

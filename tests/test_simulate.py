@@ -1,4 +1,5 @@
-"""The table-driven batch simulator against the per-step reference loop."""
+"""The table-driven batch simulator against the per-step reference loop,
+and the harness's array path against the per-trajectory one."""
 
 from __future__ import annotations
 
@@ -9,8 +10,16 @@ import pytest
 
 from oracles import simulate_reference
 
-from pomdp_ope import Gaussian, PointMass, Policy, PomdpModel, core, simulate_batch
-from pomdp_ope.harness import make_environment
+from pomdp_ope import (
+    Gaussian,
+    PointMass,
+    Policy,
+    PomdpModel,
+    core,
+    importance_ratios,
+    simulate_batch,
+)
+from pomdp_ope.harness import FiniteEnvironment, make_environment
 
 HARD_Q3 = "hard:Q=3,t0=1,zeta=0.69,M1=1,M2=2,Delta=0.5"
 HARD_Q20 = "hard:Q=20,t0=2,zeta=0.69,M1=1,M2=2"
@@ -133,3 +142,41 @@ def test_rounding_shortfall_goes_to_last_positive_entry():
     count = np.zeros(3, dtype=np.uint8)
     core._add_count_at_or_below(count, cum[0], np.array([0.2, 0.5, 1.0 - 1e-14]))
     np.testing.assert_array_equal(count, [0, 1, 1])
+
+
+def _sparse_environment(seed: int) -> FiniteEnvironment:
+    """Sparse random model with a behavior policy that never takes one
+    action per covariate, and a target that also drops the behavior's
+    likeliest action, so realized ratios include exact zeros."""
+    rng = np.random.default_rng(seed)
+    model, _ = _sparse_model(rng, 2, 3)
+    rows = np.arange(model.num_x)
+    probs = rng.dirichlet(np.ones(model.num_actions), size=model.num_x)
+    probs[rows, rng.integers(0, model.num_actions, model.num_x)] = 0.0
+    behavior = probs / probs.sum(axis=1, keepdims=True)
+    target = behavior.copy()
+    target[rows, behavior.argmax(axis=1)] = 0.0
+    target /= target.sum(axis=1, keepdims=True)
+    return FiniteEnvironment(f"sparse{seed}", model, Policy(probs=behavior), Policy(probs=target))
+
+
+@pytest.mark.parametrize("env_id", ["toy", HARD_Q20, "sparse1", "sparse2"])
+def test_rewards_and_ratios_equal_stacked_trajectories(env_id, monkeypatch):
+    if env_id.startswith("sparse"):
+        env = _sparse_environment(int(env_id[len("sparse") :]))
+    else:
+        env = make_environment(env_id)
+    T, burn_in, seeds = 40, 10, list(range(20, 27))
+    trajs = simulate_batch(env.model, env.behavior, T, burn_in, seeds)
+    want_y = np.stack([traj.y for traj in trajs])
+    want_rho = np.stack([importance_ratios(traj, env.target, env.behavior) for traj in trajs])
+    if env_id.startswith("sparse"):
+        assert (want_rho == 0.0).any()
+
+    # 3 seeds per chunk, the last chunk short.
+    monkeypatch.setattr(core, "CHUNK_STEPS", 3 * (T + burn_in) * env.model.num_states)
+    assert core.chunk_ranges(len(seeds), (T + burn_in) * env.model.num_states)[-1] == (6, 7)
+    y, rho = env.rewards_and_ratios(T, burn_in, seeds)
+    for got, want in ((y, want_y), (rho, want_rho)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
