@@ -16,20 +16,19 @@ data by intersecting the Gaussian confidence intervals of successive
 windows.
 
 Every estimator takes the same two streams: per-step ratios and rewards,
-one 1-D array of each per unit (a 2-D array counts as one row per unit).
-Adapters produce them: ``importance_ratios(traj, target, behavior)`` with
-``traj.y`` for a finite trajectory, ``GlucoseTrajectory.importance_ratios()``
-with its ``y`` for a glucose run, and the environments'
-``rewards_and_ratios`` for seeded batches.
+one 1-D array of each per unit (a 2-D array counts as one row per unit),
+all units of one length. Adapters produce them: ``importance_ratios(traj,
+target, behavior)`` with ``traj.y`` for a finite trajectory,
+``GlucoseTrajectory.importance_ratios()`` with its ``y`` for a glucose run,
+and the environments' ``rewards_and_ratios`` for seeded batches.
 
-Monte Carlo studies evaluate every window on each of many replications.
-For them, ``_estimate_windows`` computes all windows on an (R, T) batch of
-rewards and ratios in one pass, each row its own unit: window products are
-built incrementally from the previous window, the lag window is evaluated
-once per call and each lag's cross products are summed across all rows at
-once, and the normal quantile is computed once. It performs the same
-floating-point operations in the same order as ``estimate_with_ci`` on
-one row, which stays as its reference.
+All estimators run on one core, ``_estimate_windows``. It evaluates every
+requested window on a (G, n, T) batch, G estimates of n units each, in one
+pass: ``_window_terms`` builds each window's products from the previous
+window's, the lag window is evaluated once per call, each lag's cross
+products are summed across all units at once, and the normal quantile is
+computed once. The public estimators pass their units as one estimate;
+Monte Carlo studies pass each replication as an estimate of one unit.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -104,10 +103,15 @@ class EstimateReport:
     flags: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
+        """Plain-JSON fields: a non-finite number (flagged "non_finite") is None."""
+        value, variance, lo, hi = (
+            x if math.isfinite(x) else None
+            for x in (self.value, self.variance, self.ci_lo, self.ci_hi)
+        )
         return {
-            "value": self.value,
-            "variance": self.variance,
-            "ci": [self.ci_lo, self.ci_hi],
+            "value": value,
+            "variance": variance,
+            "ci": [lo, hi],
             "k": self.k,
             "n_units": self.n_units,
             "t_used": self.t_used,
@@ -219,31 +223,18 @@ def weighted_terms(ratios: np.ndarray, rewards: np.ndarray, k: int) -> np.ndarra
     Ratios and rewards of different lengths, non-finite values, or negative
     ratios raise ConfigurationError.
     """
-    rho = np.asarray(ratios, dtype=float)
-    y = np.asarray(rewards, dtype=float)
-    if rho.shape != y.shape:
-        raise ConfigurationError(
-            f"ratios (length {rho.size}) and rewards (length {y.size}) must have one length"
-        )
-    _check_ratios(rho)
-    _check_finite("rewards", y)
-    if k == -1:
-        return y.copy()
-    if y.size < k + 2:
-        raise ConfigurationError(
-            f"trajectory length {y.size} too short for window k={k} (need T >= k+2)"
-        )
-    return window_weights(rho, k) * y[k:]
+    RHO, Y = _units([ratios], [rewards])
+    ((_, terms),) = _window_terms(Y, RHO, [k])
+    return terms[0]
 
 
 def _units(
     ratios: Sequence[np.ndarray], rewards: Sequence[np.ndarray]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Ratio and reward arrays per unit, checked to pair up.
-
-    Raises ConfigurationError for no units, unequal unit counts, or a unit
-    whose ratios and rewards are not 1-D arrays of one length.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """(n, T) ratio and reward arrays, one row per unit. Raises
+    ConfigurationError for no units, unequal unit counts, a unit whose ratios
+    and rewards are not 1-D arrays of one length, units of different lengths,
+    and non-finite values or negative ratios."""
     rhos = [np.asarray(rho, dtype=float) for rho in ratios]
     ys = [np.asarray(y, dtype=float) for y in rewards]
     if len(rhos) != len(ys):
@@ -253,16 +244,52 @@ def _units(
     for i, (rho, y) in enumerate(zip(rhos, ys)):
         if rho.ndim != 1 or rho.shape != y.shape:
             raise ConfigurationError(
-                f"unit {i}: ratios of shape {rho.shape} and rewards of shape "
-                f"{y.shape} must be 1-D arrays of one length"
+                f"unit {i}: ratios (shape {rho.shape}, length {rho.size}) and rewards "
+                f"(shape {y.shape}, length {y.size}) must be 1-D arrays of one length"
             )
-    return rhos, ys
+        if y.size != ys[0].size:
+            raise ConfigurationError(
+                f"unit {i} has length {y.size} but unit 0 has length "
+                f"{ys[0].size}; all units must have one length"
+            )
+        _check_ratios(rho)
+        _check_finite("rewards", y)
+    return np.stack(rhos), np.stack(ys)
 
 
-def _unit_terms(
-    ratios: Sequence[np.ndarray], rewards: Sequence[np.ndarray], k: int
-) -> list[np.ndarray]:
-    return [weighted_terms(rho, y, k) for rho, y in zip(*_units(ratios, rewards))]
+def _window_terms(
+    Y: np.ndarray, RHO: np.ndarray, ks: Sequence[int]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (k, summands) for each distinct window in ``ks``, ascending, on
+    (m, T) rewards ``Y`` and ratios ``RHO``, one unit per row. Each row
+    switches to log space by ``window_weights``' rule; a row past the
+    threshold at k stays past it for every larger k."""
+    ks = sorted({int(k) for k in ks})
+    if not ks or ks[0] < -1:
+        raise ConfigurationError("need a nonempty set of windows k >= -1")
+    T = Y.shape[1]
+    if ks[-1] >= 0 and T < ks[-1] + 2:
+        raise ConfigurationError(
+            f"trajectory length {T} too short for window k={ks[-1]} (need T >= k+2)"
+        )
+    if ks[0] == -1:
+        yield -1, Y
+    positive = RHO > 0.0
+    max_log = np.abs(np.log(np.where(positive, RHO, 1.0))).max(axis=1)
+    W = RHO
+    for k in range(ks[-1] + 1):
+        # Multiplying in window_weights' order keeps products identical.
+        # Rows past the threshold are recomputed below; their direct
+        # products may overflow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if k > 0:
+                W = W[:, : T - k] * RHO[:, k:]
+            if k not in ks:
+                continue
+            terms = W * Y[:, k:]
+        for i in np.flatnonzero((k + 1) * max_log > _LOG_SPACE_THRESHOLD):
+            terms[i] = window_weights(RHO[i], k) * Y[i, k:]
+        yield k, terms
 
 
 def phiw_estimate(
@@ -274,8 +301,9 @@ def phiw_estimate(
     per-step ratios; k = -1 is the plain mean of all rewards. Requires every
     unit to have T >= k+2 so the time sum is nonempty.
     """
-    per_unit = [terms.mean() for terms in _unit_terms(ratios, rewards, k)]
-    return float(np.mean(per_unit))
+    RHO, Y = _units(ratios, rewards)
+    ((_, terms),) = _window_terms(Y, RHO, [k])
+    return float(terms.mean(axis=1).mean())
 
 
 def parzen_kernel(x):
@@ -292,34 +320,70 @@ def parzen_kernel(x):
     return out
 
 
-def _hac_from_terms(
-    terms_per_unit: list[np.ndarray], bandwidth: float
-) -> tuple[float, bool]:
-    """Kernel-weighted long-run variance of the estimator summands.
+# Flags the core sets per estimate and window, in the order of its mask.
+_FLAGS = ("hac_clamped", "non_finite")
 
-    Terms are centered at their pooled mean (the sample analogue of the
-    population centering constant). Computed per unit via the lag
-    decomposition sum_t ytilde_t^2 + 2 sum_{j>=1} Psi(j/B) sum_t ytilde_t
-    ytilde_{t+j}, then averaged across units. Returns (value, clamped);
-    clamped marks a negative result forced to zero.
+
+def _estimate_windows(
+    Y: np.ndarray, RHO: np.ndarray, ks: Sequence[int], alpha: float, bandwidth: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every window in ``ks`` on (G, n, T) rewards ``Y`` and ratios ``RHO``:
+    G estimates of n units each, with L summands per unit.
+
+    An estimate is the mean of its units' means. Its variance averages the
+    units' lag sums sum_t e_t^2 + 2 sum_{j>=1} Psi(j/B) sum_t e_t e_{t+j}
+    over L, with e the summands less their pooled mean, clamped to zero if
+    negative (only floating-point cancellation can do that). Returns the
+    (G, K, 4) array of (value, variance, ci_lo, ci_hi), with half-width
+    z_{1-alpha/2} sqrt(variance / (n L)), and the (G, K, len(_FLAGS)) mask.
     """
-    center = float(np.mean(np.concatenate(terms_per_unit)))
-    per_unit = []
-    for terms in terms_per_unit:
-        yt = terms - center
-        n = yt.size
-        acc = float(yt @ yt)
-        max_lag = min(int(math.floor(bandwidth)), n - 1)
-        for j in range(1, max_lag + 1):
-            psi = parzen_kernel(j / bandwidth)
-            if psi == 0.0:
-                continue
-            acc += 2.0 * psi * float(yt[:-j] @ yt[j:])
-        per_unit.append(acc / n)
-    value = float(np.mean(per_unit))
-    if value < 0.0:
-        return 0.0, True
-    return value, False
+    if not 0.0 < alpha < 1.0:
+        raise ConfigurationError("alpha must lie in (0, 1)")
+    if bandwidth <= 0:
+        raise ConfigurationError("bandwidth must be > 0")
+    G, n, T = Y.shape
+    est = np.empty((G, len(ks), 4))
+    flags = np.zeros((G, len(ks), len(_FLAGS)), dtype=bool)
+    z = float(ndtri(1.0 - alpha / 2.0))
+    lag_cap = min(int(math.floor(bandwidth)), T - 1)
+    psi = parzen_kernel(np.arange(1, lag_cap + 1) / bandwidth)
+    for k, terms in _window_terms(Y.reshape(G * n, T), RHO.reshape(G * n, T), ks):
+        L = terms.shape[1]
+        value = terms.mean(axis=1).reshape(G, n).mean(axis=1)
+        # With one unit the pooled mean is that unit's mean.
+        center = value if n == 1 else terms.reshape(G, n * L).mean(axis=1)
+        yt = terms - np.repeat(center, n)[:, None]
+        acc = np.vecdot(yt, yt)
+        for j in range(1, min(lag_cap, L - 1) + 1):
+            if psi[j - 1] != 0.0:
+                acc += 2.0 * psi[j - 1] * np.vecdot(yt[:, :-j], yt[:, j:])
+        variance = (acc / L).reshape(G, n).mean(axis=1)
+        clamped = variance < 0.0
+        variance[clamped] = 0.0
+        half = z * np.sqrt(variance / (n * L))
+        cols = [c for c, kc in enumerate(ks) if kc == k]
+        est[:, cols] = np.stack([value, variance, value - half, value + half], axis=1)[:, None]
+        flags[:, cols, 0] = clamped[:, None]
+    flags[..., 1] = ~np.isfinite(est).all(axis=2)
+    return est, flags
+
+
+def _reports(
+    RHO: np.ndarray, Y: np.ndarray, ks: Sequence[int], alpha: float, bandwidth: float
+) -> list[EstimateReport]:
+    """One report per window in ``ks``, the (n, T) units forming one estimate."""
+    n, T = Y.shape
+    est, flags = _estimate_windows(Y[None], RHO[None], ks, alpha, bandwidth)
+    return [
+        EstimateReport(
+            *(float(x) for x in row),
+            k=k,
+            n_units=n,
+            t_used=T - max(k, 0),
+            flags=tuple(name for name, on in zip(_FLAGS, mask) if on),
+        )
+        for k, row, mask in zip(ks, est[0], flags[0])
+    ]
 
 
 def hac_variance(
@@ -336,17 +400,15 @@ def hac_variance(
     (possible only through floating-point cancellation) is clamped to zero
     with a warning.
     """
-    if bandwidth <= 0:
-        raise ConfigurationError("bandwidth must be > 0")
-    value, clamped = _hac_from_terms(_unit_terms(ratios, rewards, k), bandwidth)
-    if clamped:
+    report = _reports(*_units(ratios, rewards), [k], 0.05, bandwidth)[0]
+    if "hac_clamped" in report.flags:
         warnings.warn(
             "HAC variance came out negative (numerical issue; the lag window "
             "is positive semidefinite) and was clamped to 0",
             RuntimeWarning,
             stacklevel=2,
         )
-    return value
+    return report.variance
 
 
 def estimate_with_ci(
@@ -358,95 +420,9 @@ def estimate_with_ci(
 
     The variance estimates the limit of n(T-k) * Var(V_hat), so the interval
     half-width is z_{1-alpha/2} * sqrt(variance / (n (T-k))). k = -1 reuses
-    the same machinery with unit weights.
+    the same machinery with unit weights. Flags: "hac_clamped", "non_finite".
     """
-    k = config.k
-    terms = _unit_terms(ratios, rewards, k)
-    t_used = min(t.size for t in terms)
-    value = float(np.mean([t.mean() for t in terms]))
-    variance, clamped = _hac_from_terms(terms, config.bandwidth)
-    z = float(ndtri(1.0 - config.alpha / 2.0))
-    half = z * math.sqrt(variance / (len(terms) * t_used))
-    return EstimateReport(
-        value=value,
-        variance=variance,
-        ci_lo=value - half,
-        ci_hi=value + half,
-        k=k,
-        n_units=len(terms),
-        t_used=t_used,
-        flags=("hac_clamped",) if clamped else (),
-    )
-
-
-def _estimate_windows(
-    Y: np.ndarray,
-    RHO: np.ndarray,
-    ks: Sequence[int],
-    alpha: float,
-    bandwidth: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Estimate and interval for every window in ``ks`` on every row of
-    (R, T) rewards ``Y`` and per-step ratios ``RHO``.
-
-    Each row is its own unit: entry [i, j] is what
-    ``estimate_with_ci([RHO[i]], [Y[i]], EstimatorConfig(ks[j], alpha,
-    bandwidth))`` reports. Returns an
-    (R, K, 3) array of (value, ci_lo, ci_hi) and the (R, K) mask of
-    variance estimates clamped to zero.
-    """
-    R, T = Y.shape
-    ks = [int(k) for k in ks]
-    if not ks or min(ks) < -1:
-        raise ConfigurationError("need a nonempty set of windows k >= -1")
-    k_max = max(ks)
-    if k_max >= 0 and T < k_max + 2:
-        raise ConfigurationError(
-            f"trajectory length {T} too short for window k={k_max} (need T >= k+2)"
-        )
-    out = np.empty((R, len(ks), 3))
-    clamped = np.zeros((R, len(ks)), dtype=bool)
-    z = float(ndtri(1.0 - alpha / 2.0))
-    lag_cap = min(int(math.floor(bandwidth)), T - 1)
-    psi = parzen_kernel(np.arange(1, lag_cap + 1) / bandwidth)
-
-    def fill(k: int, terms: np.ndarray) -> None:
-        n = terms.shape[1]
-        value = terms.mean(axis=1)
-        yt = terms - value[:, None]
-        acc = np.vecdot(yt, yt)
-        for j in range(1, min(lag_cap, n - 1) + 1):
-            if psi[j - 1] != 0.0:
-                acc += 2.0 * psi[j - 1] * np.vecdot(yt[:, :-j], yt[:, j:])
-        variance = acc / n
-        neg = variance < 0.0
-        variance[neg] = 0.0
-        half = z * np.sqrt(variance / n)
-        cols = [c for c, kc in enumerate(ks) if kc == k]
-        out[:, cols] = np.stack([value, value - half, value + half], axis=1)[:, None]
-        clamped[:, cols] = neg[:, None]
-
-    if -1 in ks:
-        fill(-1, Y)
-    # Same per-row switch to log space as window_weights; a row that crosses
-    # the threshold at k stays past it for every larger k.
-    positive = RHO > 0.0
-    max_log = np.abs(np.log(np.where(positive, RHO, 1.0))).max(axis=1)
-    W = RHO
-    for k in range(k_max + 1):
-        # Multiplying in window_weights' order keeps products identical.
-        # Rows past the threshold are recomputed below; their direct
-        # products may overflow.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if k > 0:
-                W = W[:, : T - k] * RHO[:, k:]
-            if k not in ks:
-                continue
-            terms = W * Y[:, k:]
-        for i in np.flatnonzero((k + 1) * max_log > _LOG_SPACE_THRESHOLD):
-            terms[i] = window_weights(RHO[i], k) * Y[i, k:]
-        fill(k, terms)
-    return out, clamped
+    return _reports(*_units(ratios, rewards), [config.k], config.alpha, config.bandwidth)[0]
 
 
 def select_window_from_intervals(
@@ -491,21 +467,15 @@ def lepski_select(
     Builds a confidence interval for every candidate window (ascending order
     required; -1 and 0 are allowed) and scans from the largest window down,
     returning the smallest window whose interval still meets the intersection
-    of all larger ones. The bandwidth follows the shortest unit's length.
-    Deterministic given the reports.
+    of all larger ones. The bandwidth follows the unit length. Deterministic
+    given the reports.
     """
-    rhos, ys = _units(ratios, rewards)
-    bandwidth = bandwidth_rule.bandwidth(min(y.size for y in ys))
-    reports = tuple(
-        estimate_with_ci(
-            rhos, ys, EstimatorConfig(k=k, alpha=alpha, bandwidth=bandwidth)
-        )
-        for k in candidates
-    )
+    RHO, Y = _units(ratios, rewards)
+    reports = _reports(RHO, Y, candidates, alpha, bandwidth_rule.bandwidth(Y.shape[1]))
     selected = select_window_from_intervals(
-        list(candidates), [(rep.ci_lo, rep.ci_hi) for rep in reports]
+        candidates, [(rep.ci_lo, rep.ci_hi) for rep in reports]
     )
-    return LepskiResult(selected_k=selected, reports=reports)
+    return LepskiResult(selected_k=selected, reports=tuple(reports))
 
 
 def corollary_window(n: int, T: int, t0: float, zeta: float, C0: float = 1.0) -> int:

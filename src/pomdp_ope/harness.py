@@ -201,23 +201,25 @@ class SweepResult:
 def _evaluate_windows(
     env, spec: SweepSpec, ti: int, ks: Sequence[int], chunk_size: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every window in ks on every replication of horizon index ti.
+    """Every window in ks on every replication of horizon index ti, each
+    replication an estimate of one unit.
 
-    Returns the (R, K, 3) array of (value, ci_lo, ci_hi) and the (R, K)
-    mask of clamped variance estimates; chunks of replications are
+    Returns the (R, K, 4) array of (value, variance, ci_lo, ci_hi) and the
+    (R, K) mask of clamped variance estimates; chunks of replications are
     simulated and estimated in turn, each writing its own rows.
     """
     T = spec.T_values[ti]
     R = spec.replications
-    out = np.empty((R, len(ks), 3))
+    out = np.empty((R, len(ks), 4))
     clamped = np.empty((R, len(ks)), dtype=bool)
     bandwidth = spec.bandwidth.bandwidth(T)
     seeds = [derive_seed(spec.master_seed, ti, r) for r in range(R)]
     for start, stop in chunk_ranges(R, T + spec.burn_in, chunk_size):
         Y, RHO = env.rewards_and_ratios(T, spec.burn_in, seeds[start:stop])
-        out[start:stop], clamped[start:stop] = _estimate_windows(
-            Y, RHO, ks, spec.alpha, bandwidth
+        out[start:stop], flags = _estimate_windows(
+            Y[:, None], RHO[:, None], ks, spec.alpha, bandwidth
         )
+        clamped[start:stop] = flags[..., 0]
     return out, clamped
 
 
@@ -242,7 +244,7 @@ def run_sweep(
     for ti, T in enumerate(spec.T_values):
         out, clamped = _evaluate_windows(env, spec, ti, ks, chunk_size)
         est = out[:, :, 0]
-        cover = (out[:, :, 1] <= oracle) & (oracle <= out[:, :, 2])
+        cover = (out[:, :, 2] <= oracle) & (oracle <= out[:, :, 3])
         for ki, k in enumerate(ks):
             col = est[:, ki]
             mean_est = float(col.mean())
@@ -317,7 +319,7 @@ def run_lepski_study(
         out, clamped = _evaluate_windows(env, spec, ti, candidates, chunk_size)
         est = out[:, :, 0]
         sel = np.array(
-            [select_window_from_intervals(candidates, iv.tolist()) for iv in out[:, :, 1:]],
+            [select_window_from_intervals(candidates, iv.tolist()) for iv in out[:, :, 2:]],
             dtype=np.int64,
         )
         sel_idx = np.searchsorted(np.asarray(candidates), sel)

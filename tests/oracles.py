@@ -125,6 +125,26 @@ def naive_hac(terms: np.ndarray, bandwidth: float, kernel) -> float:
     return acc / n
 
 
+def naive_estimate(ratios, rewards, k: int, bandwidth: float, kernel) -> tuple[float, float]:
+    """(value, long-run variance) of one estimate over units of one length,
+    for cross-checking. Each summand is the reward times the product of the
+    k+1 ratios ending at its step (k = -1: the reward alone); the value is
+    the mean of the unit means. The variance centers every summand at the
+    pooled mean of all units and averages (1/L) yt' Psi yt over units, with
+    the full kernel matrix Psi[t, u] = kernel((t - u) / B)."""
+    terms = [
+        np.asarray(y, dtype=float)
+        if k == -1
+        else np.array([np.prod(rho[t - k : t + 1]) * y[t] for t in range(k, len(y))])
+        for rho, y in zip(ratios, rewards)
+    ]
+    center = np.mean(np.concatenate(terms))
+    steps = np.arange(len(terms[0]))
+    psi = kernel((steps[:, None] - steps[None, :]) / bandwidth)
+    variance = np.mean([(t - center) @ psi @ (t - center) / t.size for t in terms])
+    return float(np.mean([t.mean() for t in terms])), float(variance)
+
+
 def simulate_reference(model, behavior, T: int, burn_in: int, seeds) -> list[tuple]:
     """(x, h, w, y) arrays per seed, one step at a time for one seed at a time.
 

@@ -1,4 +1,5 @@
-"""The batched all-windows engine against the per-unit estimator path."""
+"""The batched all-windows engine: replications as one-unit estimates
+against the public estimator on each unit alone."""
 
 from __future__ import annotations
 
@@ -16,24 +17,19 @@ ALPHA = 0.1
 
 
 def _assert_matches_per_unit(Y, RHO, ks, bandwidth):
-    out, clamped = _estimate_windows(Y, RHO, ks, ALPHA, bandwidth)
-    assert out.shape == (Y.shape[0], len(ks), 3)
-    assert clamped.shape == (Y.shape[0], len(ks))
+    out, flags = _estimate_windows(Y[:, None], RHO[:, None], ks, ALPHA, bandwidth)
+    assert out.shape == (Y.shape[0], len(ks), 4)
+    assert flags.shape == (Y.shape[0], len(ks), 2)
     for i in range(Y.shape[0]):
         for j, k in enumerate(ks):
             rep = estimate_with_ci(
                 [RHO[i]], [Y[i]], EstimatorConfig(k=k, alpha=ALPHA, bandwidth=bandwidth)
             )
-            # The point estimate multiplies and sums in the same order on
-            # both paths, so it matches exactly (a row taking the other
-            # product path would differ in the last digits). The interval
-            # also carries the variance's dot products, which are left to
-            # the BLAS build.
-            assert out[i, j, 0] == rep.value
-            np.testing.assert_allclose(
-                out[i, j], [rep.value, rep.ci_lo, rep.ci_hi], rtol=1e-12, atol=1e-14
-            )
-            assert clamped[i, j] == ("hac_clamped" in rep.flags)
+            # A batch row and a lone unit take the same products, sums and
+            # dot products, whatever the other rows hold.
+            assert tuple(out[i, j]) == (rep.value, rep.variance, rep.ci_lo, rep.ci_hi)
+            assert flags[i, j, 0] == ("hac_clamped" in rep.flags)
+            assert flags[i, j, 1] == ("non_finite" in rep.flags)
 
 
 @pytest.mark.parametrize("R", [1, 2, 7])
@@ -95,18 +91,20 @@ def test_engine_log_space_rows_survive_overflowing_direct_products():
         [rng.uniform(0.5, 2.0, size=T), np.tile([big, big, 1 / big, 1 / big], T // 4)]
     )
     _assert_matches_per_unit(Y, RHO, (3, 7), bandwidth=4.0)
-    out, _ = _estimate_windows(Y, RHO, (3, 7), ALPHA, 4.0)
+    out, flags = _estimate_windows(Y[:, None], RHO[:, None], (3, 7), ALPHA, 4.0)
     assert np.isfinite(out).all()
+    assert not flags.any()
 
 
 def test_engine_clamps_negative_variance(monkeypatch):
-    # Same fake lag window as the per-unit clamp test, vectorized.
+    # Same fake lag window as test_hac_negative_output_clamped.
     monkeypatch.setattr(est_mod, "parzen_kernel", lambda x: np.where(x > 0, -10.0, 1.0))
     y = np.array([[1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0]])
     rho = np.ones_like(y)
-    out, clamped = _estimate_windows(y, rho, [0], ALPHA, 1.5)
-    assert clamped[0, 0]
-    value, lo, hi = out[0, 0]
+    out, flags = _estimate_windows(y[:, None], rho[:, None], [0], ALPHA, 1.5)
+    assert flags[0, 0].tolist() == [True, False]
+    value, variance, lo, hi = out[0, 0]
+    assert variance == 0.0
     assert lo == value == hi
     rep = estimate_with_ci(
         [rho[0]], [y[0]], EstimatorConfig(k=0, alpha=ALPHA, bandwidth=1.5)
@@ -117,8 +115,8 @@ def test_engine_clamps_negative_variance(monkeypatch):
 
 
 def test_engine_rejects_short_series_and_negative_windows():
-    Y = np.zeros((2, 5))
+    Y = np.zeros((2, 1, 5))
     with pytest.raises(ConfigurationError):
-        _estimate_windows(Y, np.ones((2, 5)), [4], ALPHA, 2.0)
+        _estimate_windows(Y, np.ones((2, 1, 5)), [4], ALPHA, 2.0)
     with pytest.raises(ConfigurationError):
-        _estimate_windows(Y, np.ones((2, 5)), [-2], ALPHA, 2.0)
+        _estimate_windows(Y, np.ones((2, 1, 5)), [-2], ALPHA, 2.0)

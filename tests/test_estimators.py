@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -12,7 +14,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import interior_policy, random_model, random_policy, streams
-from oracles import naive_hac, naive_phiw, pushforward_value, iter_paths_with_probability
+from oracles import (
+    iter_paths_with_probability,
+    naive_estimate,
+    naive_hac,
+    naive_phiw,
+    pushforward_value,
+)
 
 from pomdp_ope import (
     BandwidthRule,
@@ -308,8 +316,13 @@ def test_negative_ratios_rejected_by_index(rho):
         ([np.ones(5), np.ones(5)], [np.ones(5), np.ones(7)], r"unit 1: .*\(5,\).*\(7,\)"),
         ([np.ones(5)], [np.ones(3)], r"unit 0: .*\(5,\).*\(3,\)"),
         (np.ones(5), np.ones(5), r"unit 0: .*shape \(\)"),
+        (
+            [np.ones(5), np.ones(7)],
+            [np.ones(5), np.ones(7)],
+            "unit 1 has length 7 but unit 0 has length 5",
+        ),
     ],
-    ids=["empty", "unit-counts", "ragged-unit-1", "ragged-unit-0", "flat-arrays"],
+    ids=["empty", "unit-counts", "ragged-unit-1", "ragged-unit-0", "flat-arrays", "unit-lengths"],
 )
 def test_estimators_reject_empty_and_ragged_units(call, ratios, rewards, match):
     with pytest.raises(ConfigurationError, match=match):
@@ -435,6 +448,32 @@ def test_hac_matches_double_sum_oracle():
         assert got == pytest.approx(expected, rel=1e-10)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_multi_unit_estimate_matches_double_sum_oracle(data):
+    n = data.draw(st.integers(1, 4), label="n")
+    T = data.draw(st.integers(2, 60), label="T")
+    k = data.draw(st.integers(-1, min(T - 2, 5)), label="k")
+    bandwidth = data.draw(st.floats(0.3, 1.5 * T), label="bandwidth")
+    rewards = data.draw(arrays(np.float64, (n, T), elements=st.floats(-10.0, 10.0)), label="Y")
+    ratios = data.draw(
+        arrays(np.float64, (n, T), elements=st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0])),
+        label="RHO",
+    )
+    value, variance = naive_estimate(ratios, rewards, k, bandwidth, parzen_kernel)
+    config = EstimatorConfig(k=k, alpha=0.1, bandwidth=bandwidth)
+    rep = estimate_with_ci(list(ratios), list(rewards), config)
+    # Sums taken in another order differ in the last digits; a variance that
+    # cancels to almost nothing is compared on the scale of the summands.
+    scale = 1.0 + float(np.abs(rewards).max()) * max(float(ratios.max()), 1.0) ** (k + 1)
+    assert rep.value == pytest.approx(value, rel=1e-9, abs=1e-9 * scale)
+    assert rep.variance == pytest.approx(max(variance, 0.0), rel=1e-9, abs=1e-9 * scale**2)
+    assert hac_variance(list(ratios), list(rewards), k, bandwidth) == rep.variance
+    half = NormalDist().inv_cdf(0.95) * np.sqrt(rep.variance / (n * (T - max(k, 0))))
+    assert (rep.ci_lo, rep.ci_hi) == pytest.approx((rep.value - half, rep.value + half), rel=1e-12)
+    assert (rep.n_units, rep.t_used) == (n, T - max(k, 0))
+
+
 def test_hac_shift_invariant_and_scale_quadratic(toy):
     model, behavior, target = toy
     traj = simulate(model, behavior, T=300, burn_in=50, seed=15)
@@ -460,7 +499,7 @@ def test_hac_iid_matches_population_variance():
 def test_hac_negative_output_clamped(monkeypatch):
     # The lag window is positive semidefinite, so negativity can only come
     # from numerics; fake a window that violates it to exercise the clamp.
-    monkeypatch.setattr(est_mod, "parzen_kernel", lambda x: -10.0 if x > 0 else 1.0)
+    monkeypatch.setattr(est_mod, "parzen_kernel", lambda x: np.where(x > 0, -10.0, 1.0))
     y = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
     with pytest.warns(RuntimeWarning):
         got = hac_variance([np.ones(8)], [y], 0, bandwidth=1.5)
@@ -491,6 +530,16 @@ def test_interval_uses_normal_quantile():
         1.959964 * np.sqrt(rep.variance / 500), rel=1e-6
     )
     assert rep.ci_lo <= rep.value <= rep.ci_hi
+
+
+def test_non_finite_estimate_is_flagged_and_written_as_null():
+    # Windows of four ratios of 1e200 overflow even in log space.
+    rep = estimate_with_ci([np.full(12, 1e200)], [np.ones(12)], EstimatorConfig(k=3))
+    assert not np.isfinite(rep.value)
+    assert rep.flags == ("non_finite",)
+    doc = rep.to_dict()
+    assert doc["value"] is None and doc["variance"] is None and doc["ci"] == [None, None]
+    json.dumps(doc, allow_nan=False)
 
 
 def test_t_used_counts_summands(toy):
