@@ -22,15 +22,20 @@ rewards; ``simulate_batch`` wraps each row in a ``Trajectory``, and the
 harness reads the arrays directly. Each seed's random stream is drawn up
 front. Whole-array comparisons against the cumulative policy and transition
 rows then build two tables over every (seed, step): the action drawn if the
-covariate is x, and the next state reached from state s. The only
-sequential loop follows the state through the next-state table, one gather
-per step; covariates, hidden states, actions and rewards are derived from
-the state path in one vectorized pass.
+covariate is x, and the next state reached from state s. ``_follow`` then
+follows the state through the next-state table. When a step's row is
+narrow (at most ``SCAN_LANES`` (state, seed) lanes) it runs a blocked scan:
+it composes the steps inside blocks of about sqrt(steps) with wide gathers,
+carries the state from block to block, and fills each block's rows in one
+gather, so about 2 sqrt(steps) numpy calls replace one per step. Wider rows
+keep one gather per step. Covariates, hidden states, actions and rewards
+are derived from the state path in one vectorized pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Sequence, Union
 
 import numpy as np
@@ -44,6 +49,12 @@ ROW_SUM_TOL = 1e-12
 # steps, or for ``_simulate_arrays`` table cells (steps x states). Bounds the
 # per-chunk draws and tables to tens of MB whatever T is.
 CHUNK_STEPS = 2_000_000
+
+# Widest step row, in (state, seed) lanes, that ``_follow`` scans in blocks.
+# Per-step gathers cost a fixed call overhead per step; the scan's cost
+# grows with steps x lanes. They broke even near 200 lanes (S = 3, 4 and 20
+# states, 2-core Xeon VM, numpy 2.4).
+SCAN_LANES = 200
 
 
 def chunk_ranges(
@@ -274,7 +285,11 @@ def stationary_distribution(
     from the uniform distribution.
 
     Returns d with ||d @ kernel - d||_1 <= tol. Raises MixingFailureError
-    (carrying the last iterate and residual) if max_iter is exhausted.
+    (carrying the last iterate and residual) if max_iter is exhausted. An
+    iterate that repeats one seen before, bit for bit (a periodic chain),
+    fails at once: Brent's cycle check compares each iterate with the one
+    saved at the last power-of-two step, and whole cycles up to max_iter are
+    skipped, so the error carries what step max_iter would hold.
     """
     M = np.asarray(kernel, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -285,14 +300,24 @@ def stationary_distribution(
         raise ConfigurationError("kernel must be row-stochastic")
     d = np.full(M.shape[0], 1.0 / M.shape[0])
     residual = np.inf
-    for _ in range(max_iter):
+    saved, saved_at = d.tobytes(), 0
+    step = 0
+    while step < max_iter:
         d_next = d @ M
         residual = float(np.abs(d_next - d).sum())
         d = d_next
+        step += 1
         if residual <= tol:
             # Fixed-point check on the returned iterate, not its predecessor.
             if float(np.abs(d @ M - d).sum()) <= tol:
                 return d / d.sum()
+        key = d.tobytes()
+        if key == saved:
+            # Every step of the cycle has been tried; the rest repeat it.
+            period = step - saved_at
+            step += (max_iter - step) // period * period
+        elif step & (step - 1) == 0:
+            saved, saved_at = key, step
     raise MixingFailureError(d, residual, max_iter)
 
 
@@ -402,8 +427,10 @@ def _simulate_arrays(
 
     A chunk of seeds is simulated from two tables built with whole-array
     operations: the action each covariate would draw and the next state each
-    state would reach, at every (seed, step). Only following the state
-    through the next-state table runs step by step. Chunks are sized by
+    state would reach, at every (seed, step). ``_follow`` then follows the
+    state through the next-state table: in about 2 sqrt(steps) numpy calls
+    by a blocked scan for batches of at most ``SCAN_LANES`` (state, seed)
+    lanes, one gather per step for wider ones. Chunks are sized by
     table cells, (T + burn_in) * num_states per seed, and each writes its own
     rows of the outputs.
     """
@@ -472,8 +499,9 @@ def _simulate_chunk(
         uu[r] = rng.random((total, 2))
         zz[r] = rng.standard_normal(total)
     # The tables are built in (step, seed) layout, so each step's block is
-    # contiguous for the loop below. Each stage's inputs are dropped once it
-    # is done, which keeps peak memory near that of a per-step loop.
+    # one contiguous row of the table ``_follow`` walks. Each stage's inputs
+    # are dropped once it is done, which keeps peak memory near that of a
+    # per-step loop.
     u_act = np.ascontiguousarray(uu[:, :, 0].T)
     u_move = np.ascontiguousarray(uu[:, : total - 1, 1].T)
     del uu
@@ -503,13 +531,7 @@ def _simulate_chunk(
     nxt += np.arange(n, dtype=index_dtype)
     del u_move, count
 
-    # Follow the state: one gather per step. Every index is in range by
-    # construction (``_thresholds`` keeps each count below num_states), and
-    # "clip" skips the buffered bounds check of the default mode.
-    path = np.empty((total, n), dtype=index_dtype)
-    path[0] = state * n + np.arange(n)
-    for block, cur, new in zip(nxt.reshape(total - 1, num_s * n), path, path[1:]):
-        block.take(cur, out=new, mode="clip")
+    path = _follow(nxt.reshape(total - 1, num_s * n), state * n + np.arange(n))
     del nxt
 
     # Derive the recorded columns from the state path, one seed per row.
@@ -527,3 +549,40 @@ def _simulate_chunk(
     del zz
     np.add(model.reward_mean.take(cell), ys, out=ys)
     return xs, hs, ws, ys
+
+
+def _follow(table: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The (m + 1, n) path through an (m, lanes) next-state table: row 0 is
+    ``start`` and row t + 1 is ``table[t]`` gathered at row t.
+
+    Works in blocks of B steps: B = isqrt(m) when ``lanes`` is at most
+    ``SCAN_LANES``, else 1. First, each pass composes one more step into every
+    block at once, so comp[j, b] is the lane reached at step b B + j + 1 from
+    each lane at step b B (a last partial block is padded with identity
+    steps). Then the path is carried from block start to block start, one
+    gather of width n per block. Last, one gather fills the rows inside every
+    block. At B = 1 the first and last stages are empty and the middle one is
+    a gather per step. Every index is in range by construction
+    (``_thresholds`` keeps each count below num_states), and "clip" skips the
+    buffered bounds check of the default mode.
+    """
+    m, lanes = table.shape
+    n = len(start)
+    B = max(isqrt(m), 1) if lanes <= SCAN_LANES else 1
+    blocks = -(-m // B)
+    pad = blocks * B - m
+    if pad:
+        identity = np.broadcast_to(np.arange(lanes, dtype=table.dtype), (pad, lanes))
+        table = np.concatenate([table, identity])
+    # A copy for B > 1, a view of the table for B = 1.
+    comp = np.ascontiguousarray(table.reshape(blocks, B, lanes).transpose(1, 0, 2))
+    offsets = np.arange(0, blocks * lanes, lanes)[:, None]
+    for prev, row in zip(comp, comp[1:]):
+        row[:] = row.take(prev + offsets, mode="clip")
+    path = np.empty((blocks * B + 1, n), dtype=table.dtype)
+    path[0] = start
+    for last, cur, new in zip(comp[-1], path[::B], path[B::B]):
+        last.take(cur, out=new, mode="clip")
+    inner = np.take_along_axis(comp[:-1], path[:-1:B][None], axis=2)
+    path[1:].reshape(blocks, B, n)[:, :-1] = inner.transpose(1, 0, 2)
+    return path[: m + 1]

@@ -288,7 +288,10 @@ def _window_terms(
                 continue
             terms = W * Y[:, k:]
         for i in np.flatnonzero((k + 1) * max_log > _LOG_SPACE_THRESHOLD):
-            terms[i] = window_weights(RHO[i], k) * Y[i, k:]
+            # A weight past the float range becomes inf here, and the
+            # estimate built on it is flagged "non_finite".
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms[i] = window_weights(RHO[i], k) * Y[i, k:]
         yield k, terms
 
 
@@ -349,15 +352,18 @@ def _estimate_windows(
     psi = parzen_kernel(np.arange(1, lag_cap + 1) / bandwidth)
     for k, terms in _window_terms(Y.reshape(G * n, T), RHO.reshape(G * n, T), ks):
         L = terms.shape[1]
-        value = terms.mean(axis=1).reshape(G, n).mean(axis=1)
-        # With one unit the pooled mean is that unit's mean.
-        center = value if n == 1 else terms.reshape(G, n * L).mean(axis=1)
-        yt = terms - np.repeat(center, n)[:, None]
-        acc = np.vecdot(yt, yt)
-        for j in range(1, min(lag_cap, L - 1) + 1):
-            if psi[j - 1] != 0.0:
-                acc += 2.0 * psi[j - 1] * np.vecdot(yt[:, :-j], yt[:, j:])
-        variance = (acc / L).reshape(G, n).mean(axis=1)
+        # Infinite summands make inf - inf here; every estimate they reach
+        # is flagged "non_finite" below instead of warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = terms.mean(axis=1).reshape(G, n).mean(axis=1)
+            # With one unit the pooled mean is that unit's mean.
+            center = value if n == 1 else terms.reshape(G, n * L).mean(axis=1)
+            yt = terms - np.repeat(center, n)[:, None]
+            acc = np.vecdot(yt, yt)
+            for j in range(1, min(lag_cap, L - 1) + 1):
+                if psi[j - 1] != 0.0:
+                    acc += 2.0 * psi[j - 1] * np.vecdot(yt[:, :-j], yt[:, j:])
+            variance = (acc / L).reshape(G, n).mean(axis=1)
         clamped = variance < 0.0
         variance[clamped] = 0.0
         half = z * np.sqrt(variance / (n * L))

@@ -192,6 +192,39 @@ def test_stationary_mixing_failure_carries_iterate():
     assert err.value.residual > 0
 
 
+def _power_iteration_failure(M, max_iter, tol=1e-12):
+    """(last iterate, residual) of plain power iteration from uniform that
+    runs out of steps."""
+    d = np.full(len(M), 1.0 / len(M))
+    residual = np.inf
+    for _ in range(max_iter):
+        d_next = d @ M
+        residual = float(np.abs(d_next - d).sum())
+        d = d_next
+        assert not (residual <= tol and np.abs(d @ M - d).sum() <= tol)
+    return d, residual
+
+
+PERIODIC_KERNELS = {
+    "period2": [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]],
+    "period3": [[0, 0.5, 0.5, 0], [0, 0, 0, 1], [0, 0, 0, 1], [1, 0, 0, 0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERIODIC_KERNELS))
+@pytest.mark.parametrize("max_iter", [3, 4, 1000, 1001])
+def test_periodic_chain_fails_with_the_plain_loops_last_step(name, max_iter):
+    # The iterate repeats exactly, so the failure comes at once, carrying
+    # what the last of max_iter steps would hold.
+    M = np.array(PERIODIC_KERNELS[name], dtype=float)
+    want_d, want_residual = _power_iteration_failure(M, max_iter)
+    with pytest.raises(MixingFailureError) as err:
+        stationary_distribution(M, max_iter=max_iter)
+    assert err.value.last_iterate.tobytes() == want_d.tobytes()
+    assert err.value.residual == want_residual
+    assert err.value.max_iter == max_iter
+
+
 def test_toy_values(toy):
     model, behavior, target = toy
     assert policy_value_exact(model, behavior) == pytest.approx(0.37, abs=5e-3)

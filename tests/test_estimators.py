@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from statistics import NormalDist
 
@@ -540,6 +541,23 @@ def test_non_finite_estimate_is_flagged_and_written_as_null():
     doc = rep.to_dict()
     assert doc["value"] is None and doc["variance"] is None and doc["ci"] == [None, None]
     json.dumps(doc, allow_nan=False)
+
+
+@pytest.mark.parametrize("rewards", [np.ones(12), np.tile([1.0, -1.0], 6)])
+@pytest.mark.parametrize("n_units", [1, 2])
+def test_non_finite_estimate_is_flagged_without_warnings(rewards, n_units):
+    # The flag reports the overflow; numpy's RuntimeWarnings on the way
+    # ("overflow encountered in exp", "invalid value encountered in
+    # subtract") would only repeat it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = estimate_with_ci(
+            [np.full(12, 1e200)] * n_units, [rewards] * n_units, EstimatorConfig(k=3)
+        )
+    assert rep.flags == ("non_finite",)
+    # A direct caller of window_weights still hears about the overflow.
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert np.isinf(window_weights(np.full(12, 1e200), 3)).all()
 
 
 def test_t_used_counts_summands(toy):

@@ -7,6 +7,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import simulate_reference
 
@@ -104,6 +106,67 @@ def test_simulate_batch_matches_reference_with_one_state_and_many_seeds():
     )
     behavior = Policy(probs=np.array([[0.3, 0.7]]))
     _assert_matches_reference(model, behavior, 6, 2, list(range(256)))
+
+
+@pytest.mark.parametrize("env_id", ["toy", HARD_Q20, "one-state"])
+def test_long_single_trajectory_matches_reference(env_id):
+    # One seed: the state is followed by the blocked scan.
+    if env_id == "one-state":
+        model = PomdpModel(
+            num_x=1,
+            num_h=1,
+            num_actions=2,
+            transition=np.ones((2, 1, 1)),
+            reward=((Gaussian(1.0, 0.5), PointMass(2.0)),),
+        )
+        behavior = Policy(probs=np.array([[0.3, 0.7]]))
+    else:
+        env = make_environment(env_id)
+        model, behavior = env.model, env.behavior
+    assert model.num_states <= core.SCAN_LANES
+    _assert_matches_reference(model, behavior, 5_000, 100, [77])
+
+
+def _follow_by_step(table: np.ndarray, start: np.ndarray) -> np.ndarray:
+    path = np.empty((len(table) + 1, len(start)), dtype=table.dtype)
+    path[0] = start
+    for t, row in enumerate(table):
+        path[t + 1] = row[path[t]]
+    return path
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_follow_matches_per_step_loop(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    wide = data.draw(st.booleans(), label="wide")
+    # Lanes on both sides of the cut between the blocked scan and the
+    # per-step loop.
+    narrow_states = core.SCAN_LANES // n
+    num_s = data.draw(
+        st.integers(narrow_states + 1, narrow_states + 20) if wide else st.integers(1, narrow_states),
+        label="num_s",
+    )
+    lanes = num_s * n
+    assert (lanes > core.SCAN_LANES) == wide
+    # Empty tables (T = 1, no burn-in), perfect squares, one short of and one
+    # past them, and anything else up to ~500 steps.
+    root = data.draw(st.integers(0, 22), label="root")
+    m = data.draw(
+        st.sampled_from([root * root, max(root * root - 1, 0), root * root + 1])
+        | st.integers(0, 500),
+        label="m",
+    )
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    dtype = np.min_scalar_type(lanes)
+    table = rng.integers(0, lanes, size=(m, lanes)).astype(dtype)
+    start = rng.integers(0, lanes, size=n)
+    table.setflags(write=False)
+    got = core._follow(table, start)
+    want = _follow_by_step(table, start)
+    assert got.dtype == want.dtype and got.shape == (m + 1, n)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_simulate_batch_chunks_match_reference(toy, monkeypatch):
