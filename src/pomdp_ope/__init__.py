@@ -38,7 +38,6 @@ from .estimators import (
     parzen_kernel,
     phiw_estimate,
     select_window_from_intervals,
-    weighted_terms,
     window_weights,
 )
 from .harness import (
@@ -98,6 +97,5 @@ __all__ = [
     "stationary_distribution",
     "sweep_result_to_csv",
     "sweep_result_to_json",
-    "weighted_terms",
     "window_weights",
 ]

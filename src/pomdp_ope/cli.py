@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import serialization
+from . import harness, serialization
 from .core import mixing_overlap_report, policy_value_exact, simulate
 from .errors import ConfigurationError, MixingFailureError, OverlapViolationError
 from .estimators import (
@@ -35,6 +35,7 @@ from .harness import (
     sweep_result_to_csv,
     sweep_result_to_json,
 )
+from .instances import glucose
 from .instances.glucose import (
     glucose_simulate,
     glucose_trajectory_to_csv,
@@ -89,7 +90,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--behavior", help="behavior policy JSON path")
     p.add_argument("--target", help="target policy JSON path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--burn-in", type=int, default=None, help="default 100 (glucose: 50)")
+    p.add_argument("--burn-in", type=int, help=f"default {harness.DEFAULT_BURN_IN} (glucose: {glucose.DEFAULT_BURN_IN})")
     p.add_argument("--out", help="output path (default stdout)")
 
 
@@ -160,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _burn_in(args) -> int:
     if args.burn_in is not None:
         return args.burn_in
-    return 50 if args.env == "glucose" else 100
+    return glucose.DEFAULT_BURN_IN if args.env == "glucose" else harness.DEFAULT_BURN_IN
 
 
 def _cmd_simulate(args) -> int:

@@ -181,12 +181,6 @@ class PomdpModel:
     def num_states(self) -> int:
         return self.num_x * self.num_h
 
-    def state_x(self, s: int) -> int:
-        return s // self.num_h
-
-    def state_h(self, s: int) -> int:
-        return s % self.num_h
-
     @property
     def x_of_state(self) -> np.ndarray:
         """Covariate index of each joint state, shape (S,)."""

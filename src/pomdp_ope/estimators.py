@@ -25,10 +25,12 @@ and the environments' ``rewards_and_ratios`` for seeded batches.
 All estimators run on one core, ``_estimate_windows``. It evaluates every
 requested window on a (G, n, T) batch, G estimates of n units each, in one
 pass: ``_window_terms`` builds each window's products from the previous
-window's, the lag window is evaluated once per call, each lag's cross
-products are summed across all units at once, and the normal quantile is
-computed once. The public estimators pass their units as one estimate;
-Monte Carlo studies pass each replication as an estimate of one unit.
+window's (``window_weights`` reads them from it too), the lag window is
+evaluated once per call, each lag's cross products are summed across all
+units at once, and the normal quantile is computed once. The public
+estimators pass their units as one estimate; Monte Carlo studies pass each
+replication as an estimate of one unit. Window selection leaves out the
+windows whose estimates are flagged "non_finite".
 """
 
 from __future__ import annotations
@@ -188,44 +190,22 @@ def _check_ratios(rho: np.ndarray) -> None:
 def window_weights(ratios: np.ndarray, k: int) -> np.ndarray:
     """Products of k+1 consecutive ratios; entry j covers steps j..j+k.
 
-    Large windows (where the worst-case log magnitude exceeds a safe bound)
-    are accumulated in log space, with zero ratios tracked separately so a
-    single zero still annihilates its window. Ratios must be finite and
-    >= 0, or ConfigurationError names the first bad index.
+    Computed by the estimators' own pass: a series whose worst-case window
+    log magnitude exceeds a safe bound is multiplied in log space, with zero
+    ratios tracked separately so a single zero still annihilates its window.
+    Ratios must be finite and >= 0, or ConfigurationError names the first
+    bad index. A product past the float range is inf, with a RuntimeWarning.
     """
     rho = np.asarray(ratios, dtype=float)
     _check_ratios(rho)
     if k < 0:
         raise ConfigurationError("window_weights requires k >= 0")
-    n = rho.size - k
-    if n < 1:
+    if rho.size < k + 1:
         raise ConfigurationError(f"need at least k+1={k + 1} steps, got {rho.size}")
-    positive = rho > 0.0
-    max_log = float(np.abs(np.log(rho[positive])).max()) if positive.any() else 0.0
-    if (k + 1) * max_log <= _LOG_SPACE_THRESHOLD:
-        w = np.ones(n)
-        for s in range(k + 1):
-            w = w * rho[s : s + n]
-        return w
-    log_rho = np.where(positive, np.log(np.where(positive, rho, 1.0)), 0.0)
-    log_w = np.zeros(n)
-    zeros = np.zeros(n, dtype=np.int64)
-    for s in range(k + 1):
-        log_w += log_rho[s : s + n]
-        zeros += ~positive[s : s + n]
-    return np.where(zeros > 0, 0.0, np.exp(log_w))
-
-
-def weighted_terms(ratios: np.ndarray, rewards: np.ndarray, k: int) -> np.ndarray:
-    """The summands of the estimator: window weight times reward.
-
-    k = -1 returns the rewards unchanged (sample-mean baseline, all T terms).
-    Ratios and rewards of different lengths, non-finite values, or negative
-    ratios raise ConfigurationError.
-    """
-    RHO, Y = _units([ratios], [rewards])
-    ((_, terms),) = _window_terms(Y, RHO, [k])
-    return terms[0]
+    ((_, w),) = _window_terms(np.ones((1, rho.size)), rho.reshape(1, -1), [k])
+    if np.isinf(w).any():
+        warnings.warn("window product overflowed to inf", RuntimeWarning, stacklevel=2)
+    return w[0]
 
 
 def _units(
@@ -260,38 +240,36 @@ def _units(
 def _window_terms(
     Y: np.ndarray, RHO: np.ndarray, ks: Sequence[int]
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (k, summands) for each distinct window in ``ks``, ascending, on
-    (m, T) rewards ``Y`` and ratios ``RHO``, one unit per row. Each row
-    switches to log space by ``window_weights``' rule; a row past the
-    threshold at k stays past it for every larger k."""
-    ks = sorted({int(k) for k in ks})
-    if not ks or ks[0] < -1:
-        raise ConfigurationError("need a nonempty set of windows k >= -1")
-    T = Y.shape[1]
-    if ks[-1] >= 0 and T < ks[-1] + 2:
-        raise ConfigurationError(
-            f"trajectory length {T} too short for window k={ks[-1]} (need T >= k+2)"
-        )
+    """Yield (k, summands) for each window in the ascending, distinct ``ks``
+    (-1 <= k < T) on (m, T) rewards ``Y`` and ratios ``RHO``, one series per
+    row. Products grow left to right from the previous window's; a row whose
+    worst-case log magnitude (k+1) max|log rho| passes _LOG_SPACE_THRESHOLD
+    takes them from log sums grown the same way, kept only for the rows that
+    pass it at the largest k. An overflowing weight is inf, silently."""
     if ks[0] == -1:
         yield -1, Y
+    T = RHO.shape[1]
     positive = RHO > 0.0
     max_log = np.abs(np.log(np.where(positive, RHO, 1.0))).max(axis=1)
-    W = RHO
+    logged = np.flatnonzero((ks[-1] + 1) * max_log > _LOG_SPACE_THRESHOLD)
+    log_rho = np.log(np.where(positive[logged], RHO[logged], 1.0))
+    zero = ~positive[logged]
+    W, L, Z = RHO, log_rho, zero
     for k in range(ks[-1] + 1):
-        # Multiplying in window_weights' order keeps products identical.
-        # Rows past the threshold are recomputed below; their direct
-        # products may overflow.
+        # Rows in log space may overflow or meet inf * 0 here; their
+        # summands are replaced below.
         with np.errstate(over="ignore", invalid="ignore"):
             if k > 0:
                 W = W[:, : T - k] * RHO[:, k:]
+                L = L[:, :-1] + log_rho[:, k:]
+                Z = Z[:, :-1] | zero[:, k:]
             if k not in ks:
                 continue
             terms = W * Y[:, k:]
-        for i in np.flatnonzero((k + 1) * max_log > _LOG_SPACE_THRESHOLD):
-            # A weight past the float range becomes inf here, and the
-            # estimate built on it is flagged "non_finite".
-            with np.errstate(over="ignore", invalid="ignore"):
-                terms[i] = window_weights(RHO[i], k) * Y[i, k:]
+            past = (k + 1) * max_log[logged] > _LOG_SPACE_THRESHOLD
+            if past.any():
+                rows = logged[past]
+                terms[rows] = np.where(Z[past], 0.0, np.exp(L[past])) * Y[rows, k:]
         yield k, terms
 
 
@@ -304,9 +282,8 @@ def phiw_estimate(
     per-step ratios; k = -1 is the plain mean of all rewards. Requires every
     unit to have T >= k+2 so the time sum is nonempty.
     """
-    RHO, Y = _units(ratios, rewards)
-    ((_, terms),) = _window_terms(Y, RHO, [k])
-    return float(terms.mean(axis=1).mean())
+    # The value depends on neither alpha nor the bandwidth.
+    return _reports(*_units(ratios, rewards), [k], 0.05, 1.0)[0].value
 
 
 def parzen_kernel(x):
@@ -345,12 +322,19 @@ def _estimate_windows(
     if bandwidth <= 0:
         raise ConfigurationError("bandwidth must be > 0")
     G, n, T = Y.shape
+    windows = sorted({int(k) for k in ks})
+    if not windows or windows[0] < -1:
+        raise ConfigurationError("need a nonempty set of windows k >= -1")
+    if windows[-1] >= 0 and T < windows[-1] + 2:
+        raise ConfigurationError(
+            f"trajectory length {T} too short for window k={windows[-1]} (need T >= k+2)"
+        )
     est = np.empty((G, len(ks), 4))
     flags = np.zeros((G, len(ks), len(_FLAGS)), dtype=bool)
     z = float(ndtri(1.0 - alpha / 2.0))
     lag_cap = min(int(math.floor(bandwidth)), T - 1)
     psi = parzen_kernel(np.arange(1, lag_cap + 1) / bandwidth)
-    for k, terms in _window_terms(Y.reshape(G * n, T), RHO.reshape(G * n, T), ks):
+    for k, terms in _window_terms(Y.reshape(G * n, T), RHO.reshape(G * n, T), windows):
         L = terms.shape[1]
         # Infinite summands make inf - inf here; every estimate they reach
         # is flagged "non_finite" below instead of warning.
@@ -461,6 +445,15 @@ def select_window_from_intervals(
     return cands[0]
 
 
+def _select_finite(candidates: Sequence[int], intervals, non_finite: Sequence[bool]) -> int:
+    """``select_window_from_intervals`` over the candidates whose estimates
+    are finite; the smallest candidate if none is."""
+    if list(candidates) != sorted(candidates):
+        raise ConfigurationError("candidates must be sorted ascending")
+    kept = [(c, iv) for c, iv, bad in zip(candidates, intervals, non_finite) if not bad]
+    return select_window_from_intervals(*zip(*kept)) if kept else candidates[0]
+
+
 def lepski_select(
     ratios: Sequence[np.ndarray],
     rewards: Sequence[np.ndarray],
@@ -473,13 +466,16 @@ def lepski_select(
     Builds a confidence interval for every candidate window (ascending order
     required; -1 and 0 are allowed) and scans from the largest window down,
     returning the smallest window whose interval still meets the intersection
-    of all larger ones. The bandwidth follows the unit length. Deterministic
-    given the reports.
+    of all larger ones. A candidate whose estimate is flagged "non_finite"
+    is left out of the scan; if every one is, the smallest is selected. The
+    bandwidth follows the unit length. Deterministic given the reports.
     """
     RHO, Y = _units(ratios, rewards)
     reports = _reports(RHO, Y, candidates, alpha, bandwidth_rule.bandwidth(Y.shape[1]))
-    selected = select_window_from_intervals(
-        candidates, [(rep.ci_lo, rep.ci_hi) for rep in reports]
+    selected = _select_finite(
+        candidates,
+        [(rep.ci_lo, rep.ci_hi) for rep in reports],
+        ["non_finite" in rep.flags for rep in reports],
     )
     return LepskiResult(selected_k=selected, reports=tuple(reports))
 

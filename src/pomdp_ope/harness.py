@@ -27,7 +27,7 @@ from .estimators import (
     DEFAULT_BANDWIDTH_RULE,
     _estimate_windows,
     _policy_ratios,
-    select_window_from_intervals,
+    _select_finite,
 )
 from .instances.glucose import glucose_rewards_and_ratios, target_value_oracle
 from .instances.hard import HardInstanceParams, hard_instance_pair, params_from_mixing_time
@@ -205,22 +205,21 @@ def _evaluate_windows(
     replication an estimate of one unit.
 
     Returns the (R, K, 4) array of (value, variance, ci_lo, ci_hi) and the
-    (R, K) mask of clamped variance estimates; chunks of replications are
-    simulated and estimated in turn, each writing its own rows.
+    (R, K) masks of clamped variances and of non-finite estimates; chunks of
+    replications are simulated and estimated in turn into their own rows.
     """
     T = spec.T_values[ti]
     R = spec.replications
     out = np.empty((R, len(ks), 4))
-    clamped = np.empty((R, len(ks)), dtype=bool)
+    flags = np.empty((R, len(ks), 2), dtype=bool)
     bandwidth = spec.bandwidth.bandwidth(T)
     seeds = [derive_seed(spec.master_seed, ti, r) for r in range(R)]
     for start, stop in chunk_ranges(R, T + spec.burn_in, chunk_size):
         Y, RHO = env.rewards_and_ratios(T, spec.burn_in, seeds[start:stop])
-        out[start:stop], flags = _estimate_windows(
+        out[start:stop], flags[start:stop] = _estimate_windows(
             Y[:, None], RHO[:, None], ks, spec.alpha, bandwidth
         )
-        clamped[start:stop] = flags[..., 0]
-    return out, clamped
+    return out, flags[..., 0], flags[..., 1]
 
 
 def run_sweep(
@@ -242,7 +241,7 @@ def run_sweep(
     ks = spec.k_values
     cells: list[SweepCell] = []
     for ti, T in enumerate(spec.T_values):
-        out, clamped = _evaluate_windows(env, spec, ti, ks, chunk_size)
+        out, clamped, _ = _evaluate_windows(env, spec, ti, ks, chunk_size)
         est = out[:, :, 0]
         cover = (out[:, :, 2] <= oracle) & (oracle <= out[:, :, 3])
         for ki, k in enumerate(ks):
@@ -316,12 +315,10 @@ def run_lepski_study(
     rows: list[LepskiRow] = []
     for ti, T in enumerate(spec.T_values):
         R = spec.replications
-        out, clamped = _evaluate_windows(env, spec, ti, candidates, chunk_size)
+        out, clamped, non_finite = _evaluate_windows(env, spec, ti, candidates, chunk_size)
         est = out[:, :, 0]
-        sel = np.array(
-            [select_window_from_intervals(candidates, iv.tolist()) for iv in out[:, :, 2:]],
-            dtype=np.int64,
-        )
+        intervals = zip(out[:, :, 2:].tolist(), non_finite.tolist())
+        sel = np.array([_select_finite(candidates, *iv) for iv in intervals], dtype=np.int64)
         sel_idx = np.searchsorted(np.asarray(candidates), sel)
         sel_est = est[np.arange(R), sel_idx]
         rows.append(

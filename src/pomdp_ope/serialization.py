@@ -2,12 +2,14 @@
 
 Numbers are emitted with full round-trip precision (json uses repr floats;
 CSV uses %.17g), so a document written by this module re-loads into an
-identical in-memory object.
+identical in-memory object. JSON has no inf or NaN: a non-finite number is
+written as null.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import IO, Any, Union
 
@@ -70,10 +72,20 @@ def policy_from_dict(d: dict) -> Policy:
         raise ConfigurationError(f"policy document missing field {exc}") from exc
 
 
+def _null_non_finite(obj: Any) -> Any:
+    """The document with every non-finite float replaced by None."""
+    if isinstance(obj, dict):
+        return {key: _null_non_finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_non_finite(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def json_text(obj: Any) -> str:
     """The one JSON layout of every document: sorted keys, two-space indent,
-    trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    trailing newline. A non-finite number is written as null, so the text
+    is strict JSON."""
+    return json.dumps(_null_non_finite(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_text(text: str, out: Union[PathLike, IO[str]]) -> None:

@@ -112,6 +112,31 @@ def naive_phiw(
     return total / (T - k)
 
 
+def window_weights_reference(rho: np.ndarray, k: int, threshold: float) -> np.ndarray:
+    """Products of k+1 consecutive ratios of one series, entry j covering
+    steps j..j+k, for cross-checking. The series multiplies directly while
+    its worst-case window log magnitude (k+1) max|log rho| stays within
+    ``threshold``; past it, the window's logs are summed left to right and
+    exponentiated, and a window holding a zero ratio is zero."""
+    rho = np.asarray(rho, dtype=float)
+    n = rho.size - k
+    positive = rho > 0.0
+    max_log = float(np.abs(np.log(rho[positive])).max()) if positive.any() else 0.0
+    if (k + 1) * max_log <= threshold:
+        w = np.ones(n)
+        for s in range(k + 1):
+            w = w * rho[s : s + n]
+        return w
+    log_rho = np.where(positive, np.log(np.where(positive, rho, 1.0)), 0.0)
+    log_w = np.zeros(n)
+    zeros = np.zeros(n, dtype=np.int64)
+    for s in range(k + 1):
+        log_w += log_rho[s : s + n]
+        zeros += ~positive[s : s + n]
+    with np.errstate(over="ignore"):
+        return np.where(zeros > 0, 0.0, np.exp(log_w))
+
+
 def naive_hac(terms: np.ndarray, bandwidth: float, kernel) -> float:
     """Double-sum form of the kernel-weighted variance, for cross-checking:
     (1/n) sum_{t,u} Psi((t - u)/B) (terms_t - c)(terms_u - c) with the pooled

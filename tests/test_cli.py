@@ -180,6 +180,39 @@ def test_mixing_failure_exits_4(tmp_path, capsys):
     assert "did not converge" in err
 
 
+@pytest.mark.parametrize(
+    "target, behavior, key",
+    [("stay", "mix", "mixing_time_target"), ("mix", "stay", "overlap_zeta")],
+    ids=["dobrushin-1", "overlap-violated"],
+)
+def test_oracle_writes_infinite_diagnostics_as_null(tmp_path, capsys, target, behavior, key):
+    from pomdp_ope import PointMass, Policy, PomdpModel
+    from pomdp_ope.serialization import save_model, save_policy
+
+    # Action 0 keeps the state and action 1 swaps it: "stay" gives a kernel
+    # with Dobrushin coefficient 1, and "mix" puts mass on the action "stay"
+    # never takes.
+    kernel = np.eye(2)
+    reward = tuple(tuple(PointMass(float(s)) for _ in range(2)) for s in range(2))
+    model = PomdpModel(
+        num_x=2, num_h=1, num_actions=2,
+        transition=np.stack([kernel, kernel[::-1]]), reward=reward,
+    )
+    save_model(model, tmp_path / "m.json")
+    save_policy(Policy(probs=np.array([[1.0, 0.0], [1.0, 0.0]])), tmp_path / "stay.json")
+    save_policy(Policy(probs=np.full((2, 2), 0.5)), tmp_path / "mix.json")
+    code, out, _ = run_cli(
+        capsys,
+        "oracle", "--model", str(tmp_path / "m.json"),
+        "--behavior", str(tmp_path / f"{behavior}.json"),
+        "--target", str(tmp_path / f"{target}.json"),
+    )
+    assert code == 0
+    doc = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
+    assert doc["diagnostics"][key] is None
+    assert doc["value"] == 0.5
+
+
 def test_unknown_environment_exits_2(capsys):
     code, _, err = run_cli(capsys, "oracle", "--env", "nosuch")
     assert code == 2

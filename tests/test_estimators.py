@@ -21,6 +21,7 @@ from oracles import (
     naive_hac,
     naive_phiw,
     pushforward_value,
+    window_weights_reference,
 )
 
 from pomdp_ope import (
@@ -43,7 +44,6 @@ from pomdp_ope import (
     select_window_from_intervals,
     simulate,
     simulate_batch,
-    weighted_terms,
     window_weights,
 )
 from pomdp_ope import estimators as est_mod
@@ -174,6 +174,71 @@ def test_window_weights_survive_transient_overflow():
     assert w.min() == pytest.approx(np.exp(-350.0), rel=1e-9)
 
 
+@st.composite
+def _ratio_batches(draw):
+    """(ks, ratios, rewards): a few requested windows and a batch whose rows
+    multiply directly, in log space, or cross into log space between two
+    requested windows, with zero ratios, products past the float range, and
+    partial products that overflow although the window products do not."""
+    threshold = est_mod._LOG_SPACE_THRESHOLD
+    k_max = draw(st.integers(0, 8), label="k_max")
+    ks = sorted(set(draw(st.lists(st.integers(-1, k_max), max_size=3), label="ks")) | {k_max})
+    T = draw(st.integers(k_max + 2, k_max + 30), label="T")
+    rows = []
+    for i in range(draw(st.integers(1, 6), label="m")):
+        kind = draw(st.sampled_from(["scaled", "overflow", "transient"]), label=f"kind {i}")
+        if kind == "scaled":
+            logs = draw(arrays(np.float64, T, elements=st.floats(-1.0, 1.0)), label=f"logs {i}")
+            logs[draw(st.integers(0, T - 1), label=f"peak {i}")] = 1.0
+            # max|log rho| = reach * threshold / (k_max + 1): the row is
+            # direct at every window for reach <= 1, in log space at every
+            # window for reach > k_max + 1, and crosses over in between.
+            reach = draw(st.floats(0.05, k_max + 3.0), label=f"reach {i}")
+            rho = np.exp(logs * reach * threshold / (k_max + 1))
+        elif kind == "overflow":
+            rho = np.full(T, 1e200)
+        else:
+            big = np.exp(350.0)
+            rho = np.roll(np.resize([big, big, 1.0 / big, 1.0 / big], T), i)
+        zeros = draw(arrays(np.bool_, T, elements=st.booleans()), label=f"zeros {i}")
+        rows.append(np.where(zeros, 0.0, rho))
+    rewards = draw(
+        arrays(np.float64, (len(rows), T), elements=st.floats(-10.0, 10.0)), label="rewards"
+    )
+    return ks, np.stack(rows), rewards
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ratio_batches())
+def test_window_pass_matches_per_series_reference(batch):
+    ks, RHO, Y = batch
+    threshold = est_mod._LOG_SPACE_THRESHOLD
+    got = dict(est_mod._window_terms(Y, RHO, ks))
+    assert sorted(got) == ks
+    for k in ks:
+        for i in range(len(RHO)):
+            if k == -1:
+                np.testing.assert_array_equal(_bits(got[k][i]), _bits(Y[i]))
+                continue
+            want = window_weights_reference(RHO[i], k, threshold)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want_terms = want * Y[i, k:]
+            np.testing.assert_array_equal(_bits(got[k][i]), _bits(want_terms))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                weights = window_weights(RHO[i], k)
+            np.testing.assert_array_equal(_bits(weights), _bits(want))
+            # One RuntimeWarning exactly when a product is inf, and no other.
+            assert len(caught) == int(np.isinf(want).any())
+            assert all(
+                w.category is RuntimeWarning and "overflow" in str(w.message) for w in caught
+            )
+
+
 def test_too_short_trajectory_raises(toy):
     model, behavior, target = toy
     traj = simulate(model, behavior, T=4, burn_in=0, seed=8)
@@ -275,16 +340,6 @@ def test_estimators_reject_non_finite_input():
         hac_variance([bad_rho], [y], -1, 3.0)
 
 
-def test_weighted_terms_rejects_unequal_lengths_for_the_sample_mean():
-    with pytest.raises(ConfigurationError, match=r"length 5\).*length 3\)"):
-        weighted_terms(np.ones(5), np.ones(3), -1)
-
-
-def test_weighted_terms_rejects_unequal_lengths_for_a_window():
-    with pytest.raises(ConfigurationError, match=r"length 5\).*length 7\)"):
-        weighted_terms(np.ones(5), np.ones(7), 1)
-
-
 # The first series takes the direct product path, the second the log-space
 # path (|log 1e9| * 2 > threshold); both once gave a silent answer.
 @pytest.mark.parametrize("rho", [[2.0, -1.0, 2.0, 2.0], [1e9, -1.0, 2.0, 2.0, 1e-9]])
@@ -294,9 +349,7 @@ def test_negative_ratios_rejected_by_index(rho):
         window_weights(rho, 1)
     for k in (-1, 1):
         with pytest.raises(ConfigurationError, match=match):
-            weighted_terms(rho, np.ones(len(rho)), k)
-    with pytest.raises(ConfigurationError, match=match):
-        phiw_estimate([np.array(rho)], [np.ones(len(rho))], 1)
+            phiw_estimate([np.array(rho)], [np.ones(len(rho))], k)
 
 
 @pytest.mark.parametrize(
@@ -444,7 +497,7 @@ def test_hac_matches_double_sum_oracle():
     rho = np.exp(rng.normal(0, 0.2, size=120))
     for bandwidth in (1.5, 4.0, 9.7):
         got = hac_variance([rho], [y], 1, bandwidth=bandwidth)
-        terms = weighted_terms(rho, y, 1)
+        terms = window_weights(rho, 1) * y[1:]
         expected = naive_hac(terms, bandwidth, parzen_kernel)
         assert got == pytest.approx(expected, rel=1e-10)
 
@@ -628,6 +681,22 @@ def test_nan_interval_raises_naming_candidate():
     intervals = [(0.0, 1.0), (np.nan, np.nan), (5.0, 6.0)]
     with pytest.raises(ConfigurationError, match="candidate 1"):
         select_window_from_intervals([0, 1, 2], intervals)
+
+
+def test_lepski_leaves_non_finite_candidates_out_of_the_scan():
+    rho, y = [np.full(40, 1e200)], [np.ones(40)]
+    result = lepski_select(rho, y, [-1, 0, 1, 2, 3])
+    assert [rep.flags for rep in result.reports] == [(), ()] + [("non_finite",)] * 3
+    # Windows 1-3 overflow; k = 0's finite interval (near 1e200) misses the
+    # sample mean's, so the scan over {-1, 0} stops at 0.
+    assert result.selected_k == 0
+    # Zero rewards give k = -1 and k = 0 the interval [0, 0]; the NaN
+    # estimates of windows 1-3 (inf weight times 0) are left out.
+    assert lepski_select(rho, [np.zeros(40)], [-1, 0, 1, 2, 3]).selected_k == -1
+    # With no finite candidate, the smallest is selected.
+    assert lepski_select(rho, y, [1, 2, 3]).selected_k == 1
+    with pytest.raises(ConfigurationError, match="sorted ascending"):
+        lepski_select(rho, y, [3, 1, 2])
 
 
 def _meet(intervals) -> bool:

@@ -26,6 +26,7 @@ from pomdp_ope.harness import (
     hard_params,
     lepski_study_to_json,
 )
+from pomdp_ope.serialization import json_text
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +285,31 @@ def test_lepski_study_single_candidate_always_selected():
     spec = _small_spec(k_values=(1,), T_values=(80,), replications=16)
     study = run_lepski_study(spec, candidates=[1])
     assert study.row(80).selection_freq[1] == 1.0
+
+
+# The MSE of an estimate near 1e200 overflows on the way.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_lepski_study_selects_among_finite_estimates(monkeypatch):
+    # Ratios of 2e200 put every weighted estimate past the float range; the
+    # scan leaves those out and keeps the sample mean instead of aborting.
+    simulate = FiniteEnvironment.rewards_and_ratios
+
+    def overflowing(self, T, burn_in, seeds):
+        rewards, ratios = simulate(self, T, burn_in, seeds)
+        return rewards, ratios * 1e200
+
+    monkeypatch.setattr(FiniteEnvironment, "rewards_and_ratios", overflowing)
+    spec = _small_spec(k_values=(0,), T_values=(60,), replications=8)
+    study = run_lepski_study(spec, candidates=[-1, 0, 1, 2])
+    row = study.row(60)
+    assert row.selection_freq == {-1: 1.0, 0: 0.0, 1: 0.0, 2: 0.0}
+    assert row.mse_selected == row.mse_by_k[-1]
+    assert not np.isfinite(row.mse_by_k[2])
+    doc = json.loads(
+        json_text(lepski_study_to_json(study)),
+        parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"),
+    )
+    assert doc["rows"][0]["mse_by_k"]["2"] is None
 
 
 def test_lepski_study_shapes_and_determinism():
