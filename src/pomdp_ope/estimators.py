@@ -27,7 +27,9 @@ requested window on a (G, n, T) batch, G estimates of n units each, in one
 pass: ``_window_terms`` builds each window's products from the previous
 window's (``window_weights`` reads them from it too), the lag window is
 evaluated once per call, each lag's cross products are summed across all
-units at once, and the normal quantile is computed once. The public
+units at once, and the normal quantile z_{1-alpha/2} is computed once, by
+``_ndtri``, a plain-Python port of the Cephes library's inverse normal CDF
+``ndtri`` (the package needs numpy alone). The public
 estimators pass their units as one estimate; Monte Carlo studies pass each
 replication as an estimate of one unit. Window selection leaves out the
 windows whose estimates are flagged "non_finite".
@@ -41,7 +43,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import Policy, Trajectory, _check_finite, _raise_at_first
 from .errors import ConfigurationError, OverlapViolationError
@@ -50,6 +51,59 @@ from .errors import ConfigurationError, OverlapViolationError
 # could overflow or lose precision; below this, direct multiplication is exact
 # enough and slightly faster.
 _LOG_SPACE_THRESHOLD = 30.0
+
+
+# Cephes ndtri: a rational approximation in y - 1/2 on the central branch
+# exp(-2) < y < 1 - exp(-2), and in 1/x with x = sqrt(-2 log y) in the tails,
+# one table pair for 2 <= x < 8 and one for 8 <= x. The Q tables lead with the
+# implicit coefficient 1, which leaves Horner's rule unchanged bit for bit.
+_EXP_M2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _horner(x: float, coefs: tuple[float, ...]) -> float:
+    """The polynomial with ``coefs``, highest degree first, at x."""
+    ans = coefs[0]
+    for c in coefs[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(p: float) -> float:
+    """Standard normal quantile for p in [0, 1]: -inf at 0 and inf at 1."""
+    if p == 0.0:
+        return -math.inf
+    if p == 1.0:
+        return math.inf
+    y, lower = p, True
+    if y > 1.0 - _EXP_M2:
+        y, lower = 1.0 - y, False
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _horner(y2, _P0) / _horner(y2, _Q0))) * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    P, Q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    x = x - math.log(x) / x - z * _horner(z, P) / _horner(z, Q)
+    return -x if lower else x
 
 
 @dataclass(frozen=True)
@@ -331,7 +385,7 @@ def _estimate_windows(
         )
     est = np.empty((G, len(ks), 4))
     flags = np.zeros((G, len(ks), len(_FLAGS)), dtype=bool)
-    z = float(ndtri(1.0 - alpha / 2.0))
+    z = _ndtri(1.0 - alpha / 2.0)
     lag_cap = min(int(math.floor(bandwidth)), T - 1)
     psi = parzen_kernel(np.arange(1, lag_cap + 1) / bandwidth)
     for k, terms in _window_terms(Y.reshape(G * n, T), RHO.reshape(G * n, T), windows):

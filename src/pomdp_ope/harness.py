@@ -248,12 +248,16 @@ def run_sweep(
             col = est[:, ki]
             mean_est = float(col.mean())
             bias = mean_est - oracle
-            variance = float(col.var())
+            # An error past about 1e154 squares to inf without a warning;
+            # the core already flags such estimates "non_finite".
+            with np.errstate(over="ignore"):
+                variance = float(col.var())
+                mse = float(((col - oracle) ** 2).mean())
             cells.append(
                 SweepCell(
                     k=k,
                     T=T,
-                    mse=float(((col - oracle) ** 2).mean()),
+                    mse=mse,
                     bias=bias,
                     variance=variance,
                     mean_estimate=mean_est,
@@ -321,17 +325,21 @@ def run_lepski_study(
         sel = np.array([_select_finite(candidates, *iv) for iv in intervals], dtype=np.int64)
         sel_idx = np.searchsorted(np.asarray(candidates), sel)
         sel_est = est[np.arange(R), sel_idx]
+        # As in run_sweep, a squared error past the float range is inf, unwarned.
+        with np.errstate(over="ignore"):
+            mse_by_k = {
+                k: float(((est[:, ki] - oracle) ** 2).mean())
+                for ki, k in enumerate(candidates)
+            }
+            mse_selected = float(((sel_est - oracle) ** 2).mean())
         rows.append(
             LepskiRow(
                 T=T,
                 selection_freq={
                     k: float((sel == k).mean()) for k in candidates
                 },
-                mse_by_k={
-                    k: float(((est[:, ki] - oracle) ** 2).mean())
-                    for ki, k in enumerate(candidates)
-                },
-                mse_selected=float(((sel_est - oracle) ** 2).mean()),
+                mse_by_k=mse_by_k,
+                mse_selected=mse_selected,
                 n_clamped=int(clamped.sum()),
             )
         )

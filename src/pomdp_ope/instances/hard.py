@@ -28,9 +28,7 @@ from ..core import (
     Gaussian,
     PomdpModel,
     Policy,
-    dobrushin_coefficient,
     mixing_overlap_report,
-    policy_transition_matrix,
 )
 from ..errors import ConfigurationError
 
@@ -231,7 +229,6 @@ def check_conditions(params: HardInstanceParams, tol: float = 1e-9) -> Condition
     hi, lo, behavior, target = hard_instance_pair(params)
     t0 = params.mixing_time
     report = mixing_overlap_report(hi, target, behavior)
-    dob = dobrushin_coefficient(policy_transition_matrix(hi, target))
     means = np.concatenate([hi.reward_mean.ravel(), lo.reward_mean.ravel()])
     second = np.concatenate(
         [
@@ -242,12 +239,12 @@ def check_conditions(params: HardInstanceParams, tol: float = 1e-9) -> Condition
     contraction_bound = math.exp(-1.0 / t0)
     return ConditionReport(
         overlap_ok=bool(report.overlap_zeta <= params.zeta + tol),
-        contraction_ok=bool(dob <= contraction_bound + tol),
+        contraction_ok=bool(report.dobrushin <= contraction_bound + tol),
         first_moment_ok=bool(np.abs(means).max() <= params.M1 + tol),
         second_moment_ok=bool(second.max() <= params.M2 + tol),
         overlap_zeta=report.overlap_zeta,
         zeta_bound=params.zeta,
-        dobrushin=dob,
+        dobrushin=report.dobrushin,
         contraction_bound=contraction_bound,
         max_abs_mean=float(np.abs(means).max()),
         max_second_moment=float(second.max()),

@@ -219,6 +219,23 @@ def test_unknown_environment_exits_2(capsys):
     assert "nosuch" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("estimate", "--env", "toy", "--T", "100", "--k", "1"),
+        ("simulate", "--env", "toy", "--T", "20"),
+        ("simulate", "--env", "glucose", "--T", "20"),
+        ("lepski", "--env", "glucose", "--T", "50", "--k-set=-1,0,1"),
+    ],
+    ids=["estimate-toy", "simulate-toy", "simulate-glucose", "lepski-glucose"],
+)
+def test_negative_seed_exits_2_naming_it(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "non-negative" in err and "-1" in err
+
+
 @pytest.mark.parametrize("runs, hours, name", [("0", "10", "runs"), ("5", "0", "hours")])
 def test_glucose_oracle_without_runs_exits_2(capsys, runs, hours, name):
     code, out, err = run_cli(

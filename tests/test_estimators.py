@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import ndtri
 
 from conftest import interior_policy, random_model, random_policy, streams
 from oracles import (
@@ -777,16 +779,87 @@ def test_bandwidth_rule():
         BandwidthRule("cubic", 1.0)
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes most of a second to import; the quantile comes from
-    # scipy.special.ndtri, so starting the package must not load it.
+def _run_python(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports this package."""
     import pomdp_ope
 
     src = str(Path(pomdp_ope.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    code = "import sys, pomdp_ope; print('scipy.stats' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    # The package runs on numpy alone; scipy is a test dependency only.
+    code = (
+        "import sys, pomdp_ope, pomdp_ope.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    assert _run_python(code).strip() == "[]"
+
+
+def test_cli_runs_with_scipy_import_blocked():
+    # A None entry in sys.modules makes every "import scipy" fail.
+    runs = [
+        ["simulate", "--env", "toy", "--T", "30"],
+        ["simulate", "--env", "glucose", "--T", "30"],
+        ["estimate", "--env", "toy", "--T", "200", "--k", "1"],
+        ["estimate", "--env", "glucose", "--T", "100", "--k", "1", "--alpha", "0.01"],
+        ["lepski", "--env", "toy", "--T", "300", "--k-set=-1,0,1,2"],
+        ["lepski", "--env", "glucose", "--T", "200", "--k-set=-1,0,1"],
+        ["sweep", "--env", "toy", "--k-set=-1,0,1", "--T-set=60", "--replications", "3"],
+        ["sweep", "--env", "glucose", "--k-set=-1,0", "--T-set=30", "--replications", "2"],
+        ["instance", "--env", "toy"],
+        ["instance", "--env", "glucose", "--T", "30"],
+        ["instance", "--hard", "Q=3,t0=1,zeta=0.69,M1=1,M2=2", "--check"],
+        ["oracle", "--env", "toy"],
+        ["oracle", "--env", "glucose", "--oracle-runs", "3", "--oracle-hours", "20"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from pomdp_ope.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(argv[0], argv[2], code)\n"
+    )
+    lines = _run_python(code).splitlines()
+    assert lines == [f"{argv[0]} {argv[2]} 0" for argv in runs]
+
+
+# The interval's quantile must equal scipy.special.ndtri bit for bit, so that
+# dropping scipy moves no interval endpoint; float.hex compares every bit,
+# including the sign of zero.
+_NDTRI_GRID = [
+    0.0,
+    0.5,
+    1.0,
+    5e-324,
+    np.nextafter(1.0, 0.0),
+    np.nextafter(0.5, 0.0),
+    np.nextafter(0.5, 1.0),
+    *(math.exp(-2.0) + d for d in (-1e-17, 0.0, 1e-17)),
+    *(1.0 - math.exp(-2.0) + d for d in (-1e-16, 0.0, 1e-16)),
+    math.exp(-32.0),
+    *(1.0 - alpha / 2.0 for alpha in (0.05, 0.1, 0.01)),
+    *(10.0**-e for e in range(1, 301)),
+    *(1.0 - 10.0**-e for e in range(1, 17)),
+    *np.linspace(0.0, 1.0, 10_001).tolist(),
+    *np.geomspace(1e-300, 0.5, 50_001).tolist(),
+]
+
+
+def test_ndtri_matches_scipy_bit_for_bit_on_a_grid():
+    for p in _NDTRI_GRID:
+        assert est_mod._ndtri(float(p)).hex() == float(ndtri(p)).hex(), p
+    assert est_mod._ndtri(0.0) == -math.inf and est_mod._ndtri(1.0) == math.inf
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.0))
+def test_ndtri_matches_scipy_bit_for_bit(p):
+    assert est_mod._ndtri(p).hex() == float(ndtri(p)).hex()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -287,8 +288,6 @@ def test_lepski_study_single_candidate_always_selected():
     assert study.row(80).selection_freq[1] == 1.0
 
 
-# The MSE of an estimate near 1e200 overflows on the way.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_lepski_study_selects_among_finite_estimates(monkeypatch):
     # Ratios of 2e200 put every weighted estimate past the float range; the
     # scan leaves those out and keeps the sample mean instead of aborting.
@@ -310,6 +309,38 @@ def test_lepski_study_selects_among_finite_estimates(monkeypatch):
         parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"),
     )
     assert doc["rows"][0]["mse_by_k"]["2"] is None
+
+
+def test_study_aggregates_of_overflowing_estimates_do_not_warn(monkeypatch):
+    # Ratios of 1e200 put k = 0 estimates near 1e200, whose squared errors
+    # overflow to inf; longer windows are not finite at all. Both reach the
+    # aggregates without a numpy warning.
+    simulate = FiniteEnvironment.rewards_and_ratios
+
+    def overflowing(self, T, burn_in, seeds):
+        rewards, ratios = simulate(self, T, burn_in, seeds)
+        return rewards, ratios * 1e200
+
+    monkeypatch.setattr(FiniteEnvironment, "rewards_and_ratios", overflowing)
+    spec = _small_spec(k_values=(-1, 0, 1), T_values=(60,), replications=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sweep = run_sweep(spec)
+        study = run_lepski_study(spec, candidates=[-1, 0, 1])
+    mse = {cell.k: cell.mse for cell in sweep.cells}
+    assert np.isfinite(mse[-1]) and np.isinf(mse[0]) and not np.isfinite(mse[1])
+    assert np.isinf([c.variance for c in sweep.cells if c.k == 0]).all()
+    row = study.row(60)
+    assert np.isinf(row.mse_by_k[0]) and not np.isfinite(row.mse_by_k[1])
+    assert row.mse_selected == row.mse_by_k[-1]
+
+
+@pytest.mark.parametrize(
+    "run", [run_sweep, lambda spec: run_lepski_study(spec, [-1, 0])], ids=["sweep", "study"]
+)
+def test_negative_master_seed_is_named(run):
+    with pytest.raises(ConfigurationError, match="non-negative.*-1"):
+        run(_small_spec(master_seed=-1))
 
 
 def test_lepski_study_shapes_and_determinism():
