@@ -19,16 +19,17 @@ Chain oracles provided here:
 Trajectories are simulated by ``_simulate_arrays``, which is table-driven
 and returns (seeds, T) arrays of covariates, hidden states, actions and
 rewards; ``simulate_batch`` wraps each row in a ``Trajectory``, and the
-harness reads the arrays directly. Each seed's random stream is drawn up
-front. Whole-array comparisons against the cumulative policy and transition
-rows then build two tables over every (seed, step): the action drawn if the
-covariate is x, and the next state reached from state s. ``_follow`` then
-follows the state through the next-state table. When a step's row is
-narrow (at most ``SCAN_LANES`` (state, seed) lanes) it runs a blocked scan:
-it composes the steps inside blocks of about sqrt(steps) with wide gathers,
-carries the state from block to block, and fills each block's rows in one
-gather, so about 2 sqrt(steps) numpy calls replace one per step. Wider rows
-keep one gather per step. Covariates, hidden states, actions and rewards
+harness reads the arrays directly. A chunk's generators are seeded in one
+vectorized pass (``rng._make_rngs``), and each seed's random stream is drawn
+up front. Whole-array comparisons against the cumulative policy and
+transition rows then build two tables over every (seed, step): the action
+drawn if the covariate is x, and the next state reached from state s.
+``_follow`` then follows the state through the next-state table. When a
+step's row is narrow (at most ``SCAN_LANES`` (state, seed) lanes) it runs a
+blocked scan: it composes the steps inside blocks of about sqrt(steps) with
+wide gathers, carries the state from block to block, and fills each block's
+rows in one gather, so about 2 sqrt(steps) numpy calls replace one per step.
+Wider rows keep one gather per step. Covariates, hidden states, actions and rewards
 are derived from the state path in one vectorized pass.
 """
 
@@ -41,7 +42,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError, MixingFailureError
-from .rng import make_rng
+from .rng import _make_rngs
 
 ROW_SUM_TOL = 1e-12
 
@@ -487,8 +488,7 @@ def _simulate_chunk(
     uu = np.empty((n, total, 2))
     zz = np.empty((n, total))
     state = np.empty(n, dtype=np.int64)
-    for r, sd in enumerate(seeds):
-        rng = make_rng(sd)
+    for r, rng in enumerate(_make_rngs(seeds)):
         state[r] = rng.integers(0, num_s)
         uu[r] = rng.random((total, 2))
         zz[r] = rng.standard_normal(total)

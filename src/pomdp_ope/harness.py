@@ -1,7 +1,8 @@
 """Seeded Monte Carlo experiment runner.
 
 Replications are independent work items: replication r of horizon index ti
-draws its trajectory from the stream hash(master_seed, ti, r), every window
+draws its trajectory from the stream hash(master_seed, ti, r), derived for
+all replications of a horizon in one vectorized pass, every window
 length is evaluated on that same trajectory (a paired design), and results
 are gathered into preallocated per-replication arrays before aggregation.
 Replications run in one serial loop over chunks sized by ``chunk_ranges``
@@ -32,7 +33,7 @@ from .estimators import (
 from .instances.glucose import glucose_rewards_and_ratios, target_value_oracle
 from .instances.hard import HardInstanceParams, hard_instance_pair, params_from_mixing_time
 from .instances.toy import toy_model
-from .rng import derive_seed
+from .rng import _derive_seeds
 
 DEFAULT_BURN_IN = 100
 
@@ -213,7 +214,7 @@ def _evaluate_windows(
     out = np.empty((R, len(ks), 4))
     flags = np.empty((R, len(ks), 2), dtype=bool)
     bandwidth = spec.bandwidth.bandwidth(T)
-    seeds = [derive_seed(spec.master_seed, ti, r) for r in range(R)]
+    seeds = _derive_seeds(spec.master_seed, ti, np.arange(R))
     for start, stop in chunk_ranges(R, T + spec.burn_in, chunk_size):
         Y, RHO = env.rewards_and_ratios(T, spec.burn_in, seeds[start:stop])
         out[start:stop], flags[start:stop] = _estimate_windows(

@@ -18,10 +18,11 @@ would have taken, which is all the downstream importance-weighting needs.
 Glucose starts at the noise-free resting level 100 with empty lag history,
 and a burn-in period (default 50 hours) is discarded before recording.
 
-A batch of seeds is simulated time-major. Each seed's own stream is drawn
-once, straight into that seed's row of preallocated blocks; the blocks are
-then transposed to ``(hours, seeds)`` so that the hour loop reads and writes
-contiguous rows, and only glucose and the two insulin decisions are stored.
+A batch of seeds is simulated time-major. The batch's generators are seeded
+in one vectorized pass, and each seed's own stream is drawn once, straight
+into that seed's row of preallocated blocks; the blocks are then transposed
+to ``(hours, seeds)`` so that the hour loop reads and writes contiguous rows,
+and only glucose and the two insulin decisions are stored.
 Rewards, logging probabilities and ratios are computed from those arrays
 afterwards, and the Monte Carlo oracle turns only glucose into utilities.
 The behavior policy's uniform u_insulin is the last draw of a stream and is
@@ -37,7 +38,7 @@ import numpy as np
 
 from ..core import chunk_ranges
 from ..errors import ConfigurationError
-from ..rng import derive_seed, make_rng
+from ..rng import _derive_seeds, _make_rngs
 from ..serialization import write_text
 
 INSULIN_PROB = 0.3
@@ -169,15 +170,15 @@ def _draw_exogenous(seeds: Sequence[int], total: int, with_insulin: bool):
     ``insulin`` is the behavior policy's injection decision, drawn only when
     ``with_insulin`` (otherwise None).
 
-    Each seed's own stream is drawn in a fixed order (noise, u_activity,
+    The generators come from one pass of the batch seed core; each seed's
+    own stream is drawn in a fixed order (noise, u_activity,
     mild, moderate, moderate's mild part, u_diet, diet, then u_insulin)
     straight into that seed's row of each block.
     """
     n = len(seeds)
     noise, u_activity, ex, moderate, u_diet, di = (np.empty((n, total)) for _ in range(6))
     insulin = np.empty((n, total), dtype=bool) if with_insulin else None
-    for i, seed in enumerate(seeds):
-        rng = make_rng(seed)
+    for i, rng in enumerate(_make_rngs(seeds)):
         noise[i] = rng.normal(0.0, GLUCOSE_NOISE_SD, total)
         rng.random(out=u_activity[i])
         ex[i] = _truncated_normal(rng, MILD_ACTIVITY_MEAN, MILD_ACTIVITY_SD, total)
@@ -291,8 +292,9 @@ def target_value_oracle(
     Averages the utility over `runs` independent target-policy trajectories
     of `hours` hours each (after burn-in). Cached per parameter tuple; the
     provenance dict records everything needed to reproduce the number.
-    Utilities are small integers, so each chunk's sum is exact and the mean
-    does not depend on where chunks break.
+    Run r's stream is hash(seed, r), derived for every run in one vectorized
+    pass. Utilities are small integers, so each chunk's sum is exact and the
+    mean does not depend on where chunks break.
     """
     if runs < 1:
         raise ConfigurationError(f"runs must be >= 1, got {runs}")
@@ -302,9 +304,9 @@ def target_value_oracle(
     if key not in _oracle_cache:
         total = 0.0
         count = 0
+        seeds = _derive_seeds(seed, np.arange(runs))
         for start, stop in chunk_ranges(runs, hours + burn_in):
-            seeds = [derive_seed(seed, r) for r in range(start, stop)]
-            gl = _simulate_arrays(hours, burn_in, "target", seeds)[0]
+            gl = _simulate_arrays(hours, burn_in, "target", seeds[start:stop])[0]
             total += float(utility_from_glucose(gl).sum())
             count += gl.size
         provenance = {
@@ -312,7 +314,9 @@ def target_value_oracle(
             "runs": runs,
             "hours": hours,
             "burn_in": burn_in,
-            "seed": seed,
+            # A plain int: the seed passed the derivation's integer check,
+            # and a NumPy integer would not serialize.
+            "seed": int(seed),
         }
         _oracle_cache[key] = (total / count, provenance)
     return _oracle_cache[key]

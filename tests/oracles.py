@@ -4,7 +4,8 @@ Nothing here calls into the estimator, simulation or chain-analysis code
 under test: stationary distributions come from a linear solve instead of
 power iteration, estimator expectations come from exhaustive path
 enumeration, and the naive estimator and the reference simulators are
-written with plain Python loops.
+written with plain Python loops. Random streams come from NumPy's own
+``SeedSequence`` and ``default_rng``, not from the package's batch seeding.
 """
 
 from __future__ import annotations
@@ -14,7 +15,13 @@ import itertools
 import numpy as np
 
 from pomdp_ope.instances import glucose
-from pomdp_ope.rng import make_rng
+
+
+def seed_reference(master_seed: int, *path: int) -> int:
+    """The stream seed of (master_seed, path...), taken straight from
+    NumPy's SeedSequence: the first uint64 of its state."""
+    ss = np.random.SeedSequence(master_seed, spawn_key=path)
+    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def stationary_by_linear_solve(kernel: np.ndarray) -> np.ndarray:
@@ -186,7 +193,7 @@ def simulate_reference(model, behavior, T: int, burn_in: int, seeds) -> list[tup
     sd = model.reward_sd.tolist()
     out = []
     for seed in seeds:
-        rng = make_rng(seed)
+        rng = np.random.default_rng(seed)
         state = int(rng.integers(0, model.num_x * model.num_h))
         uu = rng.random((T + burn_in, 2)).tolist()
         zz = rng.standard_normal(T + burn_in).tolist()
@@ -257,7 +264,7 @@ def glucose_reference(T: int, burn_in: int, policy_kind: str, seed: int) -> dict
     insulin lags, then the noise.
     """
     g = glucose
-    d = _glucose_draws(make_rng(seed), T + burn_in)
+    d = _glucose_draws(np.random.default_rng(seed), T + burn_in)
     gl_prev, di1, di2, ex1, ex2, in1, in2 = g.GLUCOSE_REST, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
     names = ("gl", "ex", "di", "insulin", "y", "behavior_prob", "target_action")
     rec = {name: [] for name in names}

@@ -5,7 +5,7 @@ import io
 
 import numpy as np
 import pytest
-from oracles import glucose_reference
+from oracles import glucose_reference, seed_reference
 
 from pomdp_ope import core
 from pomdp_ope.errors import ConfigurationError
@@ -21,7 +21,7 @@ from pomdp_ope.instances.glucose import (
     target_value_oracle,
     utility_from_glucose,
 )
-from pomdp_ope.rng import derive_seed, make_rng
+from pomdp_ope.rng import make_rng
 
 FIELDS = ("gl", "ex", "di", "insulin", "y", "behavior_prob", "target_action")
 
@@ -152,7 +152,7 @@ def reference_rewards_and_ratios(T, burn_in, seeds):
 
 def reference_oracle(runs, hours, burn_in, seed):
     total = sum(
-        glucose_reference(hours, burn_in, "target", derive_seed(seed, r))["y"].sum()
+        glucose_reference(hours, burn_in, "target", seed_reference(seed, r))["y"].sum()
         for r in range(runs)
     )
     return float(total) / (runs * hours)

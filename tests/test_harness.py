@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import seed_reference
 
 from pomdp_ope import (
     BandwidthRule,
@@ -145,13 +146,13 @@ def test_sweep_zero_mse_when_policies_match():
 
 def test_paired_design_k_minus_one_is_reward_mean():
     # With one replication, the k = -1 cell must equal the trajectory mean.
-    from pomdp_ope import simulate, derive_seed
+    from pomdp_ope import simulate
     from pomdp_ope.instances import toy_model
 
     spec = _small_spec(replications=1, T_values=(60,))
     result = run_sweep(spec)
     model, behavior, _ = toy_model()
-    traj = simulate(model, behavior, 60, spec.burn_in, derive_seed(spec.master_seed, 0, 0))
+    traj = simulate(model, behavior, 60, spec.burn_in, seed_reference(spec.master_seed, 0, 0))
     assert result.cell(-1, 60).mean_estimate == traj.y.mean()
 
 
@@ -379,7 +380,7 @@ def test_fit_rate_rejects_bad_inputs():
 def test_fit_rate_toy_with_calibrated_window():
     # Error-vs-horizon slope with the calibrated window: negative and bounded
     # away from zero. The fitted value itself is recorded, not pinned.
-    from pomdp_ope import derive_seed, phiw_estimate
+    from pomdp_ope import phiw_estimate
     from pomdp_ope.instances import toy_model
 
     model, behavior, target = toy_model()
@@ -391,7 +392,7 @@ def test_fit_rate_toy_with_calibrated_window():
     points = []
     for ti, T in enumerate((200, 400, 800, 1600, 3200, 6400, 12800)):
         k = corollary_window(n=1, T=T, t0=t0, zeta=rep.overlap_zeta, C0=1.0)
-        seeds = [derive_seed(4242, ti, r) for r in range(reps)]
+        seeds = [seed_reference(4242, ti, r) for r in range(reps)]
         Y, RHO = env.rewards_and_ratios(T, 100, seeds)
         est = np.array(
             [phiw_estimate([RHO[i]], [Y[i]], k) for i in range(reps)]
