@@ -47,7 +47,8 @@ print(f"V(rule) ~= {oracle:.4f}  from {provenance['runs']} runs x {provenance['h
 # The same U-shape appears, but the optimum sits at larger k than in the toy
 # chain: the unobserved meals keep influencing glucose for several hours, so
 # matching a longer suffix of the action history pays off before the weight
-# variance takes over. (Replications trimmed for demo speed.)
+# variance takes over. (Replications trimmed for demo speed; the spec takes
+# the simulator's own 50-hour burn-in.)
 
 # %%
 spec = SweepSpec(
@@ -55,7 +56,6 @@ spec = SweepSpec(
     k_values=tuple(range(-1, 9)),
     T_values=(1000,),
     replications=400,
-    burn_in=50,
     master_seed=99001,
 )
 result = run_sweep(spec)

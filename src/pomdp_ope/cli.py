@@ -1,9 +1,14 @@
 """Command-line front end.
 
 Thin adapters only: every subcommand parses flags, calls into the library,
-and serializes the result. Exit codes: 0 success, 2 configuration error
-(including malformed JSON, reported with line and column), 3 overlap
-violation, 4 mixing failure.
+and serializes the result. ``_load_environment`` is the only code that
+decides which kind of environment ``--env`` or the
+``--model/--behavior/--target`` files name (the two sources are exclusive);
+each subcommand then asks the loaded environment for its default burn-in,
+its trajectory CSV and its rewards and ratios, and refuses, naming it, an
+option that does not apply to that kind. Exit codes: 0 success, 2
+configuration error (including malformed JSON, reported with line and
+column), 3 overlap violation, 4 mixing failure.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness, serialization
-from .core import mixing_overlap_report, policy_value_exact, simulate
+from . import serialization
+from .core import mixing_overlap_report, policy_value_exact
 from .errors import ConfigurationError, MixingFailureError, OverlapViolationError
 from .estimators import (
     BandwidthRule,
@@ -35,12 +40,7 @@ from .harness import (
     sweep_result_to_csv,
     sweep_result_to_json,
 )
-from .instances import glucose
-from .instances.glucose import (
-    glucose_simulate,
-    glucose_trajectory_to_csv,
-    target_value_oracle,
-)
+from .instances.glucose import target_value_oracle
 from .instances.hard import check_conditions, hard_instance_pair
 
 EXIT_OK = 0
@@ -61,7 +61,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_environment(args):
-    """Environment from --env or from --model/--target/--behavior files."""
+    """Environment from --env or from --model/--target/--behavior files: the
+    one place the command line decides which kind of environment it runs."""
+    if args.env:
+        _refuse(args, "--env", "--model", "--behavior", "--target")
+        return make_environment(args.env)
     if args.model:
         model = serialization.load_model(args.model)
         if not (args.behavior and args.target):
@@ -69,19 +73,19 @@ def _load_environment(args):
         behavior = serialization.load_policy(args.behavior)
         target = serialization.load_policy(args.target)
         return FiniteEnvironment(args.model, model, behavior, target)
-    if not args.env:
-        raise ConfigurationError("specify --env or --model/--behavior/--target")
-    return make_environment(args.env)
+    raise ConfigurationError("specify --env or --model/--behavior/--target")
 
 
-def _load_finite_environment(args) -> FiniteEnvironment:
-    env = _load_environment(args)
-    if isinstance(env, GlucoseEnvironment):
-        raise ConfigurationError(
-            f"subcommand {args.command!r} needs a finite environment here; "
-            "glucose has no finite model/policy tables"
-        )
-    return env
+def _burn_in(args, env) -> int:
+    return env.default_burn_in if args.burn_in is None else args.burn_in
+
+
+def _refuse(args, where: str, *options: str) -> None:
+    """ConfigurationError naming each of ``options`` that was given,
+    when none of them applies to ``where``."""
+    given = [opt for opt in options if getattr(args, opt[2:].replace("-", "_")) is not None]
+    if given:
+        raise ConfigurationError(f"{', '.join(given)} not allowed with {where}")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -90,7 +94,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--behavior", help="behavior policy JSON path")
     p.add_argument("--target", help="target policy JSON path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--burn-in", type=int, help=f"default {harness.DEFAULT_BURN_IN} (glucose: {glucose.DEFAULT_BURN_IN})")
+    p.add_argument("--burn-in", type=int, help=f"default {FiniteEnvironment.default_burn_in} (glucose: {GlucoseEnvironment.default_burn_in})")
     p.add_argument("--out", help="output path (default stdout)")
 
 
@@ -151,36 +155,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--policy", choices=["target", "behavior"], default="target")
     p.add_argument("--T", type=int, default=None, help="also report the calibrated window for this horizon")
-    p.add_argument("--C0", type=float, default=1.0, help="constant in the calibrated window formula")
+    p.add_argument("--C0", type=float, default=None, help="constant in the calibrated window formula (default 1)")
     p.add_argument("--oracle-runs", type=int, default=None, help="glucose Monte Carlo runs")
     p.add_argument("--oracle-hours", type=int, default=None, help="glucose Monte Carlo hours per run")
+    # Only the glucose oracle is seeded; a seed given elsewhere is refused.
+    p.set_defaults(seed=None)
 
     return parser
 
 
-def _burn_in(args) -> int:
-    if args.burn_in is not None:
-        return args.burn_in
-    return glucose.DEFAULT_BURN_IN if args.env == "glucose" else harness.DEFAULT_BURN_IN
-
-
 def _cmd_simulate(args) -> int:
-    out = args.out or sys.stdout
-    if args.env == "glucose":
-        traj = glucose_simulate(
-            T=args.T, burn_in=_burn_in(args), policy_kind="behavior", seed=args.seed
-        )
-        glucose_trajectory_to_csv(traj, out)
-    else:
-        env = _load_finite_environment(args)
-        traj = simulate(env.model, env.behavior, args.T, _burn_in(args), args.seed)
-        serialization.trajectory_to_csv(traj, out)
+    env = _load_environment(args)
+    env.write_trajectory(args.T, _burn_in(args, env), args.seed, args.out or sys.stdout)
     return EXIT_OK
 
 
 def _cmd_estimate(args) -> int:
     env = _load_environment(args)
-    rewards, ratios = env.rewards_and_ratios(args.T, _burn_in(args), [args.seed])
+    rewards, ratios = env.rewards_and_ratios(args.T, _burn_in(args, env), [args.seed])
     config = EstimatorConfig(
         k=args.k, alpha=args.alpha, bandwidth=float(args.T) ** args.bandwidth_exp
     )
@@ -191,7 +183,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_lepski(args) -> int:
     env = _load_environment(args)
-    rewards, ratios = env.rewards_and_ratios(args.T, _burn_in(args), [args.seed])
+    rewards, ratios = env.rewards_and_ratios(args.T, _burn_in(args, env), [args.seed])
     result = lepski_select(
         ratios,
         rewards,
@@ -206,12 +198,13 @@ def _cmd_lepski(args) -> int:
 def _cmd_sweep(args) -> int:
     if not args.env:
         raise ConfigurationError("sweep requires --env")
+    env = _load_environment(args)
     spec = SweepSpec(
         environment=args.env,
         k_values=tuple(args.k_set),
         T_values=tuple(args.T_set),
         replications=args.replications,
-        burn_in=_burn_in(args),
+        burn_in=_burn_in(args, env),
         master_seed=args.seed,
         bandwidth=BandwidthRule("power", args.bandwidth_exp),
         alpha=args.alpha,
@@ -228,10 +221,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_instance(args) -> int:
-    if args.env == "glucose":
-        return _cmd_simulate(args)
+    env = None if args.hard else _load_environment(args)
+    if isinstance(env, GlucoseEnvironment):
+        env.write_trajectory(args.T, _burn_in(args, env), args.seed, args.out or sys.stdout)
+        return EXIT_OK
     if args.hard or (args.env and args.env.startswith("hard:")):
-        params = hard_params(args.hard if args.hard else args.env[len("hard:") :])
+        params = hard_params(args.hard or args.env[len("hard:") :])
         if args.check:
             report = check_conditions(params)
             _emit("\n".join(report.lines()) + "\n", args.out)
@@ -245,7 +240,6 @@ def _cmd_instance(args) -> int:
         }
         _emit(serialization.json_text(doc), args.out)
         return EXIT_OK
-    env = _load_finite_environment(args)
     doc = {
         "model": serialization.model_to_dict(env.model),
         "behavior": serialization.policy_to_dict(env.behavior),
@@ -256,18 +250,16 @@ def _cmd_instance(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.env == "glucose":
+    env = _load_environment(args)
+    if isinstance(env, GlucoseEnvironment):
+        _refuse(args, "the glucose oracle", "--T", "--C0")
         if args.policy != "target":
             raise ConfigurationError("the glucose oracle is defined for --policy target")
-        kwargs = {}
-        if args.oracle_runs is not None:
-            kwargs["runs"] = args.oracle_runs
-        if args.oracle_hours is not None:
-            kwargs["hours"] = args.oracle_hours
-        value, provenance = target_value_oracle(**kwargs)
+        given = dict(runs=args.oracle_runs, hours=args.oracle_hours, burn_in=args.burn_in, seed=args.seed)
+        value, provenance = target_value_oracle(**{k: v for k, v in given.items() if v is not None})
         _emit(serialization.json_text({"value": value, "provenance": provenance}), args.out)
         return EXIT_OK
-    env = _load_finite_environment(args)
+    _refuse(args, "the exact oracle", "--oracle-runs", "--oracle-hours", "--seed", "--burn-in")
     policy = env.target if args.policy == "target" else env.behavior
     value = policy_value_exact(env.model, policy)
     target_rep = mixing_overlap_report(env.model, env.target, env.behavior)
@@ -287,7 +279,8 @@ def _cmd_oracle(args) -> int:
     t0 = max(target_rep.mixing_time, behavior_rep.mixing_time)
     if args.T is not None and np.isfinite(t0) and t0 > 0 and not target_rep.overlap_violated:
         doc["calibrated_k"] = corollary_window(
-            n=1, T=args.T, t0=t0, zeta=target_rep.overlap_zeta, C0=args.C0
+            n=1, T=args.T, t0=t0, zeta=target_rep.overlap_zeta,
+            C0=1.0 if args.C0 is None else args.C0,
         )
     _emit(serialization.json_text(doc), args.out)
     return EXIT_OK

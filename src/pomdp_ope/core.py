@@ -46,6 +46,10 @@ from .rng import _make_rngs
 
 ROW_SUM_TOL = 1e-12
 
+# Steps simulated and discarded before recording, so that recorded steps
+# come from (near) the stationary law the estimators target.
+DEFAULT_BURN_IN = 100
+
 # Work per chunk, shared by every batch simulator and the harness: simulated
 # steps, or for ``_simulate_arrays`` table cells (steps x states). Bounds the
 # per-chunk draws and tables to tens of MB whatever T is.
@@ -373,7 +377,7 @@ def simulate(
     model: PomdpModel,
     behavior: Policy,
     T: int,
-    burn_in: int = 100,
+    burn_in: int = DEFAULT_BURN_IN,
     seed: int = 0,
 ) -> Trajectory:
     """Simulate one trajectory of length T under the behavior policy.

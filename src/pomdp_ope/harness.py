@@ -11,17 +11,34 @@ and evaluated by the batched estimator engine. Finite environments read
 the array simulator ``core._simulate_arrays`` directly and gather ratios
 from one policy-ratio table, so no ``Trajectory`` is built on the way.
 Output is bit-identical for a given spec whatever the chunk size.
+
+An environment object is the one place that knows its kind and defaults:
+``make_environment`` maps an id to one, and each carries its default
+burn-in (``core.DEFAULT_BURN_IN`` for finite POMDPs,
+``glucose.DEFAULT_BURN_IN`` for the glucose simulator), simulates rewards
+and ratios, answers its value oracle and writes its own trajectory CSV.
+A ``SweepSpec`` built without ``burn_in`` takes its environment's default,
+and the command line asks the same objects, so both burn in alike.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence, Union
+from typing import IO, Sequence, Union
 
 import numpy as np
 
-from .core import Policy, PomdpModel, _simulate_arrays, chunk_ranges, policy_value_exact
+from .core import (
+    DEFAULT_BURN_IN,
+    Policy,
+    PomdpModel,
+    _simulate_arrays,
+    chunk_ranges,
+    policy_value_exact,
+    simulate,
+)
 from .errors import ConfigurationError
 from .estimators import (
     BandwidthRule,
@@ -30,12 +47,17 @@ from .estimators import (
     _policy_ratios,
     _select_finite,
 )
-from .instances.glucose import glucose_rewards_and_ratios, target_value_oracle
+from .instances import glucose
+from .instances.glucose import (
+    glucose_rewards_and_ratios,
+    glucose_simulate,
+    glucose_trajectory_to_csv,
+    target_value_oracle,
+)
 from .instances.hard import HardInstanceParams, hard_instance_pair, params_from_mixing_time
 from .instances.toy import toy_model
 from .rng import _derive_seeds
-
-DEFAULT_BURN_IN = 100
+from .serialization import trajectory_to_csv
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +66,8 @@ DEFAULT_BURN_IN = 100
 
 class FiniteEnvironment:
     """Finite POMDP with exact value oracle."""
+
+    default_burn_in = DEFAULT_BURN_IN
 
     def __init__(self, name: str, model: PomdpModel, behavior: Policy, target: Policy):
         self.name = name
@@ -60,11 +84,16 @@ class FiniteEnvironment:
     def oracle(self) -> tuple[float, dict]:
         return policy_value_exact(self.model, self.target), {"kind": "exact", "tol": 1e-12}
 
+    def write_trajectory(self, T: int, burn_in: int, seed: int, out: Union[str, IO[str]]) -> None:
+        """One behavior-policy trajectory as CSV (header t,x,h,w,y)."""
+        trajectory_to_csv(simulate(self.model, self.behavior, T, burn_in, seed), out)
+
 
 class GlucoseEnvironment:
     """Blood-glucose simulator with a cached Monte Carlo value oracle."""
 
     name = "glucose"
+    default_burn_in = glucose.DEFAULT_BURN_IN
 
     def rewards_and_ratios(
         self, T: int, burn_in: int, seeds: Sequence[int]
@@ -73,6 +102,11 @@ class GlucoseEnvironment:
 
     def oracle(self) -> tuple[float, dict]:
         return target_value_oracle()
+
+    def write_trajectory(self, T: int, burn_in: int, seed: int, out: Union[str, IO[str]]) -> None:
+        """One behavior-policy trajectory as CSV (header
+        t,gl,ex,di,in,y,behavior_prob,target_action)."""
+        glucose_trajectory_to_csv(glucose_simulate(T, burn_in, "behavior", seed), out)
 
 
 def hard_params(text: str) -> HardInstanceParams:
@@ -128,16 +162,33 @@ def make_environment(env_id: str):
 # Sweeps
 
 
+def _count(name: str, value) -> int:
+    """``value`` as a Python int; a float, NaN, string or negative number
+    raises ConfigurationError naming ``name``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+    if count < 0:
+        raise ConfigurationError(f"{name} must be non-negative, got {count}")
+    return count
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """What to run: environment, windows, horizons, replication count, and
-    the shared randomness / inference settings."""
+    the shared randomness / inference settings.
+
+    ``burn_in`` left as None becomes the environment's own default when the
+    spec is built. ``replications``, ``burn_in`` and ``master_seed`` must be
+    non-negative integers (NumPy integers included) and are stored as
+    Python ints, so the spec's echo always serializes."""
 
     environment: str
     k_values: tuple[int, ...]
     T_values: tuple[int, ...]
     replications: int
-    burn_in: int = DEFAULT_BURN_IN
+    burn_in: int | None = None
     master_seed: int = 0
     bandwidth: BandwidthRule = DEFAULT_BANDWIDTH_RULE
     alpha: float = 0.05
@@ -145,6 +196,12 @@ class SweepSpec:
     def __post_init__(self):
         object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
         object.__setattr__(self, "T_values", tuple(int(t) for t in self.T_values))
+        if self.burn_in is None:
+            object.__setattr__(
+                self, "burn_in", make_environment(self.environment).default_burn_in
+            )
+        for name in ("replications", "burn_in", "master_seed"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         if self.replications < 1:
             raise ConfigurationError("replications must be >= 1")
         if not self.k_values or not self.T_values:

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from pomdp_ope import SweepSpec, run_sweep, sweep_result_to_json
 from pomdp_ope.cli import main
+from pomdp_ope.serialization import json_text
 
 
 def run_cli(capsys, *argv):
@@ -244,6 +246,81 @@ def test_glucose_oracle_without_runs_exits_2(capsys, runs, hours, name):
     assert code == 2
     assert out == ""
     assert name in err
+
+
+def test_glucose_oracle_takes_seed_and_burn_in(capsys):
+    code, out, _ = run_cli(
+        capsys, "oracle", "--env", "glucose", "--seed", "5", "--burn-in", "0",
+        "--oracle-runs", "20", "--oracle-hours", "20",
+    )
+    assert code == 0
+    provenance = json.loads(out)["provenance"]
+    assert (provenance["seed"], provenance["burn_in"]) == (5, 0)
+
+
+@pytest.mark.parametrize(
+    "env, option",
+    [
+        ("glucose", ("--T", "100")),
+        ("glucose", ("--C0", "2")),
+        ("toy", ("--oracle-runs", "20")),
+        ("toy", ("--oracle-hours", "20")),
+        ("toy", ("--seed", "5")),
+        ("toy", ("--burn-in", "0")),
+    ],
+    ids=["glucose-T", "glucose-C0", "toy-oracle-runs", "toy-oracle-hours", "toy-seed", "toy-burn-in"],
+)
+def test_oracle_refuses_options_that_do_not_apply(capsys, env, option):
+    # The glucose cases keep the Monte Carlo run small, in case the option
+    # were ignored and the oracle ran.
+    size = ("--oracle-runs", "5", "--oracle-hours", "5") if env == "glucose" else ()
+    code, out, err = run_cli(capsys, "oracle", "--env", env, *size, *option)
+    assert code == 2
+    assert out == ""
+    assert option[0] in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--T", "5"),
+        ("estimate", "--T", "50", "--k", "1"),
+        ("lepski", "--T", "50", "--k-set=-1,0,1"),
+        ("sweep", "--k-set=-1,0", "--T-set", "20", "--replications", "2"),
+        ("instance",),
+        ("oracle",),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_env_and_model_files_are_exclusive(tmp_path, capsys, argv):
+    from pomdp_ope.instances import toy_model
+    from pomdp_ope.serialization import save_model, save_policy
+
+    model, behavior, target = toy_model()
+    save_model(model, tmp_path / "m.json")
+    save_policy(behavior, tmp_path / "b.json")
+    save_policy(target, tmp_path / "t.json")
+    code, out, err = run_cli(
+        capsys, *argv, "--env", "toy", "--model", str(tmp_path / "m.json"),
+        "--behavior", str(tmp_path / "b.json"), "--target", str(tmp_path / "t.json"),
+    )
+    assert code == 2
+    assert out == ""
+    assert "--env" in err and "--model" in err
+
+
+@pytest.mark.parametrize("env", ["toy", "glucose", "hard:Q=3,t0=1,zeta=0.69,M1=1,M2=2"])
+def test_sweep_without_burn_in_matches_the_library(capsys, env):
+    spec = SweepSpec(
+        environment=env, k_values=(-1, 0, 1), T_values=(40,), replications=3, master_seed=5
+    )
+    library = json_text(sweep_result_to_json(run_sweep(spec)))
+    code, out, _ = run_cli(
+        capsys, "sweep", "--env", env, "--k-set=-1,0,1", "--T-set", "40",
+        "--replications", "3", "--seed", "5",
+    )
+    assert code == 0
+    assert out == library
 
 
 def test_malformed_json_exits_2_with_position(tmp_path, capsys):

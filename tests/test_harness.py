@@ -344,6 +344,40 @@ def test_negative_master_seed_is_named(run):
         run(_small_spec(master_seed=-1))
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        lambda spec: sweep_result_to_json(run_sweep(spec)),
+        lambda spec: lepski_study_to_json(run_lepski_study(spec, [-1, 0])),
+    ],
+    ids=["sweep", "study"],
+)
+def test_numpy_integer_spec_fields_serialize(document):
+    spec = _small_spec(
+        k_values=(0,), T_values=(20,), replications=np.int64(2),
+        burn_in=np.int64(5), master_seed=np.int64(3),
+    )
+    echo = json.loads(json_text(document(spec)))["spec"]
+    assert (echo["replications"], echo["burn_in"], echo["master_seed"]) == (2, 5, 3)
+
+
+@pytest.mark.parametrize("field", ["master_seed", "burn_in", "replications"])
+@pytest.mark.parametrize("value", [3.0, float("nan"), "3"])
+def test_non_integer_spec_field_is_named(field, value):
+    with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+        _small_spec(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "env_id, burn_in",
+    [("toy", 100), ("glucose", 50), ("hard:Q=3,t0=1,zeta=0.69,M1=1,M2=2", 100)],
+)
+def test_spec_burn_in_defaults_to_the_environments(env_id, burn_in):
+    spec = SweepSpec(environment=env_id, k_values=(0,), T_values=(20,), replications=1)
+    assert spec.burn_in == make_environment(env_id).default_burn_in == burn_in
+    assert spec.to_dict()["burn_in"] == burn_in
+
+
 def test_lepski_study_shapes_and_determinism():
     spec = _small_spec(k_values=(0, 1), T_values=(80,), replications=32)
     a = run_lepski_study(spec, candidates=[-1, 0, 1, 2], workers=1)
