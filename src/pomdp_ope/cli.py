@@ -145,8 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p)
     p.add_argument("--hard", help="hard-instance parameters Q=..,t0=..,zeta=..,M1=..,M2=..[,Delta=..]")
-    p.add_argument("--check", action="store_true", help="check instance-family conditions (hard instances)")
-    p.add_argument("--T", type=int, default=1000, help="trajectory length for glucose output")
+    p.add_argument("--check", action="store_true", default=None, help="check instance-family conditions (hard instances)")
+    p.add_argument("--T", type=int, default=None, help="trajectory length for glucose output (default 1000)")
+    # Only the glucose trajectory is seeded; a seed given elsewhere is refused.
+    p.set_defaults(seed=None)
 
     p = sub.add_parser(
         "oracle",
@@ -221,10 +223,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_instance(args) -> int:
+    source = "--hard" if args.hard else f"--env {args.env}" if args.env else "--model"
+    if args.hard:
+        _refuse(args, source, "--env", "--model", "--behavior", "--target")
     env = None if args.hard else _load_environment(args)
     if isinstance(env, GlucoseEnvironment):
-        env.write_trajectory(args.T, _burn_in(args, env), args.seed, args.out or sys.stdout)
+        _refuse(args, source, "--check")
+        T = 1000 if args.T is None else args.T
+        seed = 0 if args.seed is None else args.seed
+        env.write_trajectory(T, _burn_in(args, env), seed, args.out or sys.stdout)
         return EXIT_OK
+    # A finite instance prints as model JSON, so no trajectory option applies.
+    _refuse(args, source, "--seed", "--T", "--burn-in")
     if args.hard or (args.env and args.env.startswith("hard:")):
         params = hard_params(args.hard or args.env[len("hard:") :])
         if args.check:
@@ -240,6 +250,7 @@ def _cmd_instance(args) -> int:
         }
         _emit(serialization.json_text(doc), args.out)
         return EXIT_OK
+    _refuse(args, source, "--check")
     doc = {
         "model": serialization.model_to_dict(env.model),
         "behavior": serialization.policy_to_dict(env.behavior),

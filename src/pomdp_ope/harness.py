@@ -162,13 +162,18 @@ def make_environment(env_id: str):
 # Sweeps
 
 
-def _count(name: str, value) -> int:
-    """``value`` as a Python int; a float, NaN, string or negative number
-    raises ConfigurationError naming ``name``."""
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; a float, NaN or string raises
+    ConfigurationError naming ``name`` and the value."""
     try:
-        count = operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _count(name: str, value) -> int:
+    """``_integer``, refusing negative numbers too."""
+    count = _integer(name, value)
     if count < 0:
         raise ConfigurationError(f"{name} must be non-negative, got {count}")
     return count
@@ -181,8 +186,9 @@ class SweepSpec:
 
     ``burn_in`` left as None becomes the environment's own default when the
     spec is built. ``replications``, ``burn_in`` and ``master_seed`` must be
-    non-negative integers (NumPy integers included) and are stored as
-    Python ints, so the spec's echo always serializes."""
+    non-negative integers and every ``k_values`` and ``T_values`` entry an
+    integer (NumPy integers included); all are stored as Python ints, so
+    the spec's echo always serializes."""
 
     environment: str
     k_values: tuple[int, ...]
@@ -194,8 +200,9 @@ class SweepSpec:
     alpha: float = 0.05
 
     def __post_init__(self):
-        object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
-        object.__setattr__(self, "T_values", tuple(int(t) for t in self.T_values))
+        for name in ("k_values", "T_values"):
+            entries = tuple(_integer(f"{name} entry", v) for v in getattr(self, name))
+            object.__setattr__(self, name, entries)
         if self.burn_in is None:
             object.__setattr__(
                 self, "burn_in", make_environment(self.environment).default_burn_in
@@ -369,7 +376,7 @@ def run_lepski_study(
     """Adaptive-window study: how often each candidate gets selected per
     horizon, and the MSE of the selected estimator next to every fixed
     window. ``chunk_size`` and ``workers`` behave as in ``run_sweep``."""
-    candidates = tuple(int(k) for k in candidates)
+    candidates = tuple(_integer("candidates entry", k) for k in candidates)
     if list(candidates) != sorted(candidates):
         raise ConfigurationError("candidates must be sorted ascending")
     env = make_environment(spec.environment)

@@ -281,6 +281,34 @@ def test_oracle_refuses_options_that_do_not_apply(capsys, env, option):
 
 
 @pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("--env", "toy", "--seed", "5", "--T", "3", "--burn-in", "2"), "--seed, --T, --burn-in"),
+        (("--env", "hard:Q=3,t0=1,zeta=0.69,M1=1,M2=2", "--seed", "5"), "--seed"),
+        (("--hard", "Q=3,t0=1,zeta=0.69,M1=1,M2=2", "--env", "glucose"), "--env"),
+        (("--hard", "Q=3,t0=1,zeta=0.69,M1=1,M2=2", "--T", "3"), "--T"),
+        (("--env", "toy", "--check"), "--check"),
+        (("--env", "glucose", "--check", "--T", "3"), "--check"),
+    ],
+    ids=["toy-trajectory-options", "hard-env-seed", "hard-with-env", "hard-T", "toy-check", "glucose-check"],
+)
+def test_instance_refuses_options_that_do_not_apply(capsys, argv, named):
+    code, out, err = run_cli(capsys, "instance", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"error: {named} not allowed with" in err
+
+
+def test_instance_glucose_defaults_to_seed_0_and_1000_hours(capsys):
+    code, out, _ = run_cli(capsys, "instance", "--env", "glucose")
+    assert code == 0
+    code, want, _ = run_cli(capsys, "simulate", "--env", "glucose", "--T", "1000", "--seed", "0")
+    assert code == 0
+    assert out == want
+    assert len(out.strip().split("\n")) == 1001
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("simulate", "--T", "5"),

@@ -234,3 +234,89 @@ def test_outputs_pinned():
 def test_oracle_without_runs_raises(runs, hours, name):
     with pytest.raises(ConfigurationError, match=name):
         target_value_oracle(runs=runs, hours=hours)
+
+
+@pytest.mark.parametrize(
+    "mean, sd",
+    [
+        (0.0, glucose.GLUCOSE_NOISE_SD),
+        (glucose.MILD_ACTIVITY_MEAN, glucose.MILD_ACTIVITY_SD),
+        (glucose.MODERATE_ACTIVITY_MEAN, glucose.MODERATE_ACTIVITY_SD),
+        (glucose.DIET_MEAN, glucose.DIET_SD),
+    ],
+)
+def test_normal_is_scaled_standard_normal(mean, sd):
+    # The grouped draws fill standard normals and scale them afterwards; that
+    # equals Generator.normal only if NumPy computes mean + sd * z with a
+    # separate multiply and add. A build that fuses the two fails here.
+    want = np.random.default_rng(17).normal(mean, sd, 200_000)
+    z = np.random.default_rng(17).standard_normal(200_000)
+    got = mean + sd * z
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), (
+        "Generator.normal(mean, sd) differs bitwise from mean + sd * standard_normal: "
+        "this NumPy build fuses multiply-add, so the grouped glucose draws are not bit-exact"
+    )
+
+
+def assert_arrays_match_reference(T, burn_in, policy_kind, seeds):
+    """Every column of ``_simulate_arrays`` equals the one-seed reference."""
+    gl, ex, di, insulin, wants = glucose._simulate_arrays(T, burn_in, policy_kind, seeds)
+    for i, seed in enumerate(seeds):
+        ref = glucose_reference(T, burn_in, policy_kind, seed)
+        for name, got in (("gl", gl), ("ex", ex), ("di", di)):
+            assert_same(got[:, i], ref[name])
+        assert_same(insulin[:, i].astype(np.int64), ref["insulin"])
+        assert_same(wants[:, i].astype(np.int64), ref["target_action"])
+
+
+@pytest.mark.parametrize("group", [1, 3, 40])
+def test_group_size_does_not_change_outputs(monkeypatch, group):
+    T, burn_in, seeds = 30, 6, list(range(50, 61))
+    monkeypatch.setattr(glucose, "_GROUP_SEEDS", group)
+    monkeypatch.setattr(glucose, "_oracle_cache", {})
+    for policy_kind in ("behavior", "target"):
+        assert_arrays_match_reference(T, burn_in, policy_kind, seeds)
+    want_y, want_rho = reference_rewards_and_ratios(T, burn_in, seeds)
+    ys, rhos = glucose_rewards_and_ratios(T, burn_in, seeds)
+    assert_same(ys, want_y)
+    assert_same(rhos, want_rho)
+    value, _ = target_value_oracle(runs=11, hours=T, burn_in=burn_in, seed=43)
+    assert value == reference_oracle(11, T, burn_in, 43)
+
+
+def test_mixed_group_rejection_matches_reference(monkeypatch):
+    # At a mild mean of 3.5 sd above zero, about one seed in seven meets a
+    # negative truncated draw in 350 hours: a group holds seeds drawn
+    # again by the sequential path next to seeds kept from the group fill.
+    monkeypatch.setattr(glucose, "MILD_ACTIVITY_MEAN", 17.5)
+    monkeypatch.setattr(glucose, "_oracle_cache", {})
+    redrawn = []
+
+    def recording_make_rng(seed):
+        redrawn.append(int(seed))
+        return make_rng(seed)
+
+    monkeypatch.setattr(glucose, "make_rng", recording_make_rng)
+    seeds = list(range(100, 100 + glucose._GROUP_SEEDS))  # one group
+    for policy_kind in ("behavior", "target"):
+        redrawn.clear()
+        assert_arrays_match_reference(300, 50, policy_kind, seeds)
+        assert 0 < len(redrawn) < len(seeds)
+    assert target_value_oracle(runs=16, hours=300, burn_in=50, seed=3)[0] == reference_oracle(
+        16, 300, 50, 3
+    )
+
+
+def test_band_counts_sum_utilities():
+    edges = np.array(glucose.UTILITY_EDGES)
+    near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    spread = np.random.default_rng(5).normal(110.0, 40.0, 996)
+    for gl in [near, spread, np.concatenate([near, spread]).reshape(-1, 16)]:
+        assert glucose._utility_sum(gl) == utility_from_glucose(gl).sum()
+    for edge in edges:
+        for value in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
+            gl = np.array([value])
+            assert glucose._utility_sum(gl) == utility_from_glucose(gl).sum()
+    values = utility_from_glucose(near)
+    below = np.searchsorted(edges, near)
+    assert values.tolist() == [glucose.UTILITY_VALUES[i] for i in below]

@@ -354,11 +354,12 @@ def test_negative_master_seed_is_named(run):
 )
 def test_numpy_integer_spec_fields_serialize(document):
     spec = _small_spec(
-        k_values=(0,), T_values=(20,), replications=np.int64(2),
+        k_values=np.array([0]), T_values=(np.int64(20),), replications=np.int64(2),
         burn_in=np.int64(5), master_seed=np.int64(3),
     )
     echo = json.loads(json_text(document(spec)))["spec"]
     assert (echo["replications"], echo["burn_in"], echo["master_seed"]) == (2, 5, 3)
+    assert (echo["k_values"], echo["T_values"]) == ([0], [20])
 
 
 @pytest.mark.parametrize("field", ["master_seed", "burn_in", "replications"])
@@ -366,6 +367,20 @@ def test_numpy_integer_spec_fields_serialize(document):
 def test_non_integer_spec_field_is_named(field, value):
     with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
         _small_spec(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, values, entry",
+    [("k_values", (0.9, 1.5), "0.9"), ("T_values", (60.7,), "60.7"), ("k_values", (0, "1"), "'1'")],
+)
+def test_fractional_window_or_horizon_is_named(field, values, entry):
+    with pytest.raises(ConfigurationError, match=f"{field} entry must be an integer, got {entry}"):
+        _small_spec(**{field: values})
+
+
+def test_fractional_candidate_is_named():
+    with pytest.raises(ConfigurationError, match="candidates entry must be an integer, got 0.5"):
+        run_lepski_study(_small_spec(), (0.5, 1.7))
 
 
 @pytest.mark.parametrize(
