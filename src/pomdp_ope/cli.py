@@ -175,9 +175,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     env = _load_environment(args)
     rewards, ratios = env.rewards_and_ratios(args.T, _burn_in(args, env), [args.seed])
-    config = EstimatorConfig(
-        k=args.k, alpha=args.alpha, bandwidth=float(args.T) ** args.bandwidth_exp
-    )
+    bandwidth = BandwidthRule("power", args.bandwidth_exp).bandwidth(args.T)
+    config = EstimatorConfig(k=args.k, alpha=args.alpha, bandwidth=bandwidth)
     report = estimate_with_ci(ratios, rewards, config)
     _emit(serialization.json_text(report.to_dict()), args.out)
     return EXIT_OK

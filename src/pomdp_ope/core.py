@@ -41,7 +41,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, MixingFailureError
+from .errors import ConfigurationError, MixingFailureError, _integer, _positive
 from .rng import _make_rngs
 
 ROW_SUM_TOL = 1e-12
@@ -73,8 +73,7 @@ def chunk_ranges(
     """
     if chunk is None:
         chunk = max(1, CHUNK_STEPS // max(steps_per_row, 1))
-    elif chunk < 1:
-        raise ConfigurationError(f"chunk size must be >= 1, got {chunk}")
+    chunk = _integer("chunk size", chunk, 1)
     return [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
 
 
@@ -293,8 +292,8 @@ def stationary_distribution(
     M = np.asarray(kernel, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ConfigurationError(f"kernel must be square, got shape {M.shape}")
-    if tol <= 0:
-        raise ConfigurationError("tol must be > 0")
+    _positive("tol", tol)
+    _integer("max_iter", max_iter, 1)
     if (M < 0).any() or np.abs(M.sum(axis=1) - 1.0).max() > 1e-9:
         raise ConfigurationError("kernel must be row-stochastic")
     d = np.full(M.shape[0], 1.0 / M.shape[0])
@@ -434,10 +433,8 @@ def _simulate_arrays(
     rows of the outputs.
     """
     _check_dimensions(model, behavior)
-    if T < 1:
-        raise ConfigurationError("T must be >= 1")
-    if burn_in < 0:
-        raise ConfigurationError("burn_in must be >= 0")
+    T = _integer("T", T, 1)
+    burn_in = _integer("burn_in", burn_in, 0)
     n = len(seeds)
     x, h, w = (np.empty((n, T), dtype=np.int64) for _ in range(3))
     y = np.empty((n, T))

@@ -2,12 +2,36 @@
 
 from __future__ import annotations
 
+import numbers
+import operator
+
 import numpy as np
 
 
 class ConfigurationError(ValueError):
     """Invalid model, policy, or estimator configuration (bad shapes, rows
     that do not sum to one, out-of-range parameters, unknown environments)."""
+
+
+def _integer(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as a Python int, at least ``minimum`` if given; else
+    ConfigurationError naming ``name`` and the value."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and count < minimum:
+        bound = "non-negative" if minimum == 0 else f">= {minimum}"
+        raise ConfigurationError(f"{name} must be {bound}, got {count}")
+    return count
+
+
+def _positive(name: str, value):
+    """``value`` unchanged if it is a finite real > 0 (a bandwidth, a
+    tolerance, a time constant); else ConfigurationError naming ``name``."""
+    if not (isinstance(value, numbers.Real) and 0.0 < value < np.inf):
+        raise ConfigurationError(f"{name} must be finite and > 0, got {value!r}")
+    return value
 
 
 class OverlapViolationError(RuntimeError):

@@ -45,7 +45,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import Policy, Trajectory, _check_finite, _raise_at_first
-from .errors import ConfigurationError, OverlapViolationError
+from .errors import ConfigurationError, OverlapViolationError, _integer, _positive
 
 # Switch window products to log space once the worst-case product magnitude
 # could overflow or lose precision; below this, direct multiplication is exact
@@ -115,12 +115,10 @@ class EstimatorConfig:
     bandwidth: float = 10.0
 
     def __post_init__(self):
-        if self.k < -1:
-            raise ConfigurationError("k must be >= -1")
+        _windows("k", [self.k])
         if not 0.0 < self.alpha < 1.0:
             raise ConfigurationError("alpha must lie in (0, 1)")
-        if self.bandwidth <= 0:
-            raise ConfigurationError("bandwidth must be > 0")
+        _positive("bandwidth", self.bandwidth)
 
 
 @dataclass(frozen=True)
@@ -133,12 +131,12 @@ class BandwidthRule:
     def __post_init__(self):
         if self.kind not in ("power", "fixed"):
             raise ConfigurationError(f"unknown bandwidth rule kind {self.kind!r}")
-        if self.kind == "fixed" and self.value <= 0:
-            raise ConfigurationError("fixed bandwidth must be > 0")
+        if self.kind == "fixed":
+            _positive("fixed bandwidth", self.value)
 
     def bandwidth(self, T: int) -> float:
         if self.kind == "power":
-            return float(T) ** self.value
+            return _positive(f"bandwidth {T}**{self.value}", float(T) ** self.value)
         return self.value
 
 
@@ -252,8 +250,7 @@ def window_weights(ratios: np.ndarray, k: int) -> np.ndarray:
     """
     rho = np.asarray(ratios, dtype=float)
     _check_ratios(rho)
-    if k < 0:
-        raise ConfigurationError("window_weights requires k >= 0")
+    k = _integer("k", k, 0)
     if rho.size < k + 1:
         raise ConfigurationError(f"need at least k+1={k + 1} steps, got {rho.size}")
     ((_, w),) = _window_terms(np.ones((1, rho.size)), rho.reshape(1, -1), [k])
@@ -289,6 +286,22 @@ def _units(
         _check_ratios(rho)
         _check_finite("rewards", y)
     return np.stack(rhos), np.stack(ys)
+
+
+def _windows(name: str, ks, T: int | None = None, ascending: bool = False) -> list[int]:
+    """The windows ``ks`` as Python ints: at least one, each an integer >= -1
+    (a bad one is named ``name``), at most T - 2 given the series length T,
+    and sorted if ``ascending``; ``window_weights`` alone takes k = T - 1."""
+    windows = [_integer(name, k, -1) for k in ks]
+    if not windows:
+        raise ConfigurationError(f"need at least one {name}")
+    if ascending and windows != sorted(windows):
+        raise ConfigurationError(f"windows must be sorted ascending, got {windows}")
+    if T is not None and max(windows) > T - 2:
+        raise ConfigurationError(
+            f"trajectory length {T} too short for window k={max(windows)} (need T >= k+2)"
+        )
+    return windows
 
 
 def _window_terms(
@@ -373,16 +386,9 @@ def _estimate_windows(
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError("alpha must lie in (0, 1)")
-    if bandwidth <= 0:
-        raise ConfigurationError("bandwidth must be > 0")
+    _positive("bandwidth", bandwidth)
     G, n, T = Y.shape
-    windows = sorted({int(k) for k in ks})
-    if not windows or windows[0] < -1:
-        raise ConfigurationError("need a nonempty set of windows k >= -1")
-    if windows[-1] >= 0 and T < windows[-1] + 2:
-        raise ConfigurationError(
-            f"trajectory length {T} too short for window k={windows[-1]} (need T >= k+2)"
-        )
+    windows = sorted(set(_windows("k", ks, T)))
     est = np.empty((G, len(ks), 4))
     flags = np.zeros((G, len(ks), len(_FLAGS)), dtype=bool)
     z = _ndtri(1.0 - alpha / 2.0)
@@ -477,11 +483,7 @@ def select_window_from_intervals(
     first becomes empty at candidate k, return the next candidate above k.
     If the intersection never empties, return the smallest candidate. A NaN
     endpoint raises ConfigurationError naming its candidate."""
-    cands = list(candidates)
-    if not cands:
-        raise ConfigurationError("candidate set must be nonempty")
-    if sorted(cands) != cands:
-        raise ConfigurationError("candidates must be sorted ascending")
+    cands = _windows("candidates entry", candidates, ascending=True)
     if len(intervals) != len(cands):
         raise ConfigurationError("need one interval per candidate")
     for c, (c_lo, c_hi) in zip(cands, intervals):
@@ -502,8 +504,6 @@ def select_window_from_intervals(
 def _select_finite(candidates: Sequence[int], intervals, non_finite: Sequence[bool]) -> int:
     """``select_window_from_intervals`` over the candidates whose estimates
     are finite; the smallest candidate if none is."""
-    if list(candidates) != sorted(candidates):
-        raise ConfigurationError("candidates must be sorted ascending")
     kept = [(c, iv) for c, iv, bad in zip(candidates, intervals, non_finite) if not bad]
     return select_window_from_intervals(*zip(*kept)) if kept else candidates[0]
 
@@ -525,6 +525,7 @@ def lepski_select(
     bandwidth follows the unit length. Deterministic given the reports.
     """
     RHO, Y = _units(ratios, rewards)
+    candidates = _windows("candidates entry", candidates, ascending=True)
     reports = _reports(RHO, Y, candidates, alpha, bandwidth_rule.bandwidth(Y.shape[1]))
     selected = _select_finite(
         candidates,
@@ -536,15 +537,15 @@ def lepski_select(
 
 def corollary_window(n: int, T: int, t0: float, zeta: float, C0: float = 1.0) -> int:
     """Theoretically calibrated window length
-    round(t0 / (t0 zeta + 2) * ln(C0 n T)), clamped to [0, T-1].
+    round(t0 / (t0 zeta + 2) * ln(C0 n T)), clamped to [0, T-2].
 
     Nondecreasing in n*T for fixed (t0, zeta, C0).
     """
-    if t0 <= 0 or C0 <= 0:
-        raise ConfigurationError("t0 and C0 must be > 0")
-    if n * T < 1:
-        raise ConfigurationError("n*T must be >= 1")
-    if zeta < 0:
+    _positive("t0", t0)
+    _positive("C0", C0)
+    _integer("n", n, 1)
+    _integer("T", T, 1)
+    if not zeta >= 0:
         raise ConfigurationError("zeta must be >= 0")
     k = int(np.round(t0 / (t0 * zeta + 2.0) * math.log(C0 * n * T)))
-    return max(0, min(k, T - 1))
+    return max(0, min(k, T - 2))

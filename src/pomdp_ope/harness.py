@@ -23,7 +23,6 @@ and the command line asks the same objects, so both burn in alike.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Sequence, Union
@@ -34,18 +33,20 @@ from .core import (
     DEFAULT_BURN_IN,
     Policy,
     PomdpModel,
+    _check_finite,
     _simulate_arrays,
     chunk_ranges,
     policy_value_exact,
     simulate,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _integer
 from .estimators import (
     BandwidthRule,
     DEFAULT_BANDWIDTH_RULE,
     _estimate_windows,
     _policy_ratios,
     _select_finite,
+    _windows,
 )
 from .instances import glucose
 from .instances.glucose import (
@@ -130,8 +131,9 @@ def hard_params(text: str) -> HardInstanceParams:
     for key in ("Q", "t0", "zeta", "M1", "M2"):
         if key not in kv:
             raise ConfigurationError(f"hard-instance spec missing {key!r}")
+    # A whole Q passes as its int, any other Q as given, to be refused by name.
     return params_from_mixing_time(
-        Q=int(kv["Q"]),
+        Q=int(kv["Q"]) if kv["Q"].is_integer() else kv["Q"],
         t0=kv["t0"],
         zeta=kv["zeta"],
         M1=kv["M1"],
@@ -162,33 +164,16 @@ def make_environment(env_id: str):
 # Sweeps
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int; a float, NaN or string raises
-    ConfigurationError naming ``name`` and the value."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _count(name: str, value) -> int:
-    """``_integer``, refusing negative numbers too."""
-    count = _integer(name, value)
-    if count < 0:
-        raise ConfigurationError(f"{name} must be non-negative, got {count}")
-    return count
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """What to run: environment, windows, horizons, replication count, and
     the shared randomness / inference settings.
 
     ``burn_in`` left as None becomes the environment's own default when the
-    spec is built. ``replications``, ``burn_in`` and ``master_seed`` must be
-    non-negative integers and every ``k_values`` and ``T_values`` entry an
-    integer (NumPy integers included); all are stored as Python ints, so
-    the spec's echo always serializes."""
+    spec is built. Counts and windows must be integers (NumPy integers
+    included), ``k_values`` windows the shortest horizon takes; all are
+    stored as Python ints, so the spec's echo always serializes. The
+    bandwidth rule must give every horizon a bandwidth."""
 
     environment: str
     k_values: tuple[int, ...]
@@ -200,23 +185,20 @@ class SweepSpec:
     alpha: float = 0.05
 
     def __post_init__(self):
-        for name in ("k_values", "T_values"):
-            entries = tuple(_integer(f"{name} entry", v) for v in getattr(self, name))
-            object.__setattr__(self, name, entries)
+        T_values = tuple(_integer("T_values entry", T, 1) for T in self.T_values)
+        if not T_values:
+            raise ConfigurationError("need at least one T_values entry")
+        k_values = tuple(_windows("k_values entry", self.k_values, min(T_values)))
+        object.__setattr__(self, "T_values", T_values)
+        object.__setattr__(self, "k_values", k_values)
+        for T in T_values:
+            self.bandwidth.bandwidth(T)
         if self.burn_in is None:
             object.__setattr__(
                 self, "burn_in", make_environment(self.environment).default_burn_in
             )
-        for name in ("replications", "burn_in", "master_seed"):
-            object.__setattr__(self, name, _count(name, getattr(self, name)))
-        if self.replications < 1:
-            raise ConfigurationError("replications must be >= 1")
-        if not self.k_values or not self.T_values:
-            raise ConfigurationError("k_values and T_values must be nonempty")
-        if min(self.k_values) < -1:
-            raise ConfigurationError("window lengths must be >= -1")
-        if max(self.k_values) >= min(self.T_values):
-            raise ConfigurationError("every k must be smaller than every T")
+        for name, minimum in (("replications", 1), ("burn_in", 0), ("master_seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
         if not 0.0 < self.alpha < 1.0:
             raise ConfigurationError("alpha must lie in (0, 1)")
 
@@ -376,9 +358,9 @@ def run_lepski_study(
     """Adaptive-window study: how often each candidate gets selected per
     horizon, and the MSE of the selected estimator next to every fixed
     window. ``chunk_size`` and ``workers`` behave as in ``run_sweep``."""
-    candidates = tuple(_integer("candidates entry", k) for k in candidates)
-    if list(candidates) != sorted(candidates):
-        raise ConfigurationError("candidates must be sorted ascending")
+    candidates = tuple(
+        _windows("candidates entry", candidates, min(spec.T_values), ascending=True)
+    )
     env = make_environment(spec.environment)
     oracle, provenance = env.oracle()
     rows: list[LepskiRow] = []
@@ -434,10 +416,11 @@ class RateFit:
 def fit_rate(points: Sequence[tuple[float, float]]) -> RateFit:
     """Least-squares slope of log(rmse) vs log(nT) with residual diagnostics.
 
-    Accepts (nT, rmse) pairs; needs at least 3, all strictly positive.
+    Accepts (nT, rmse) pairs; needs at least 3, all finite and strictly positive.
     """
     if len(points) < 3:
         raise ConfigurationError("need at least 3 points to fit a rate")
+    _check_finite("rate-fit points", points)
     nt = np.array([p[0] for p in points], dtype=float)
     rmse = np.array([p[1] for p in points], dtype=float)
     if (nt <= 0).any() or (rmse <= 0).any():

@@ -42,7 +42,7 @@ from typing import IO, Sequence, Union
 import numpy as np
 
 from ..core import chunk_ranges
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, _integer
 from ..rng import _derive_seeds, _make_rngs, make_rng
 from ..serialization import write_text
 
@@ -289,10 +289,8 @@ def _simulate_arrays(T: int, burn_in: int, policy_kind: str, seeds: Sequence[int
     rows. Only behavior runs draw u_insulin; target runs inject exactly
     when the rule says so.
     """
-    if T < 1:
-        raise ConfigurationError("T must be >= 1")
-    if burn_in < 0:
-        raise ConfigurationError("burn_in must be >= 0")
+    T = _integer("T", T, 1)
+    burn_in = _integer("burn_in", burn_in, 0)
     if policy_kind not in ("behavior", "target"):
         raise ConfigurationError(f"policy_kind must be behavior|target, got {policy_kind!r}")
     behavior = policy_kind == "behavior"
@@ -374,10 +372,8 @@ def target_value_oracle(
     small integers, so the sum is exact and the mean does not depend on
     where chunks break.
     """
-    if runs < 1:
-        raise ConfigurationError(f"runs must be >= 1, got {runs}")
-    if hours < 1:
-        raise ConfigurationError(f"hours must be >= 1, got {hours}")
+    runs = _integer("runs", runs, 1)
+    hours = _integer("hours", hours, 1)
     key = (runs, hours, burn_in, seed)
     if key not in _oracle_cache:
         total = 0.0

@@ -30,7 +30,7 @@ from ..core import (
     Policy,
     mixing_overlap_report,
 )
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, _integer, _positive
 
 CONTROL, TREAT = 0, 1
 
@@ -44,7 +44,7 @@ class HardInstanceParams:
     means; M1, M2: first/second moment bounds the instances must respect;
     zeta: log overlap between always-treat and the randomized behavior
     policy. q_clamped marks a design whose ladder height formula had a
-    nonpositive log argument and was forced to 1.
+    nonpositive log argument and was forced to 1. Every field is finite.
     """
 
     Q: int
@@ -56,16 +56,17 @@ class HardInstanceParams:
     q_clamped: bool = False
 
     def __post_init__(self):
-        if self.Q < 1:
-            raise ConfigurationError("Q must be >= 1")
+        _integer("Q", self.Q, 1)
         if not 0.0 < self.delta < 1.0:
             raise ConfigurationError("delta must lie in (0, 1)")
+        _positive("zeta", self.zeta)
+        for name in ("M1", "M2", "Delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.M2 <= self.M1**2:
             raise ConfigurationError("need M2 > M1^2 (positive reward variance)")
         if not 0.0 <= self.Delta <= self.M1 / 2.0 + 1e-12:
             raise ConfigurationError("Delta must lie in [0, M1/2]")
-        if self.zeta <= 0:
-            raise ConfigurationError("zeta must be > 0")
 
     @property
     def mixing_time(self) -> float:
@@ -77,8 +78,7 @@ def params_from_mixing_time(
     Q: int, t0: float, zeta: float, M1: float, M2: float, Delta: float
 ) -> HardInstanceParams:
     """Construct parameters from a mixing time via delta = 1 - exp(-1/t0)."""
-    if t0 <= 0:
-        raise ConfigurationError("t0 must be > 0")
+    _positive("t0", t0)
     return HardInstanceParams(
         Q=Q, delta=1.0 - math.exp(-1.0 / t0), Delta=Delta, M1=M1, M2=M2, zeta=zeta
     )
@@ -117,8 +117,6 @@ def hard_instance_pair(
 def kl_bound(params: HardInstanceParams, T: int, t0: float) -> float:
     """Upper bound on the KL divergence between length-T observed-data laws
     of the two instances: 2 T Delta^2 / (M2 - M1^2) * exp(-(Q-1)(1/t0 + zeta))."""
-    if params.M2 <= params.M1**2:
-        raise ConfigurationError("need M2 > M1^2")
     return (
         2.0
         * T
@@ -139,8 +137,9 @@ def theorem2_design(
     sqrt((M2 - M1^2) / (2T)) * exp((Q-1)(t0 zeta + 1)/(2 t0)); with the
     second branch active the KL bound evaluates to exactly 1.
     """
-    if T < 1 or t0 <= 0 or zeta <= 0 or M1 <= 0:
-        raise ConfigurationError("T, t0, zeta, M1 must be positive")
+    _integer("T", T, 1)
+    for name, value in (("t0", t0), ("zeta", zeta), ("M1", M1)):
+        _positive(name, value)
     if M2 <= M1**2:
         raise ConfigurationError("need M2 > M1^2")
     clamped = False

@@ -1,0 +1,248 @@
+"""Scalar argument rules, one table per rule: every public entry point
+refuses a bad count, positive real or window with a ConfigurationError that
+names the argument and reports the value it got.
+
+Each rule has one owner: counts ``errors._integer``, positive reals
+``errors._positive`` and windows ``estimators._windows``.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from pomdp_ope import (
+    BandwidthRule,
+    ConfigurationError,
+    EstimatorConfig,
+    SweepSpec,
+    corollary_window,
+    estimate_with_ci,
+    fit_rate,
+    hac_variance,
+    lepski_select,
+    phiw_estimate,
+    run_lepski_study,
+    run_sweep,
+    select_window_from_intervals,
+    simulate,
+    stationary_distribution,
+    window_weights,
+)
+from pomdp_ope import harness
+from pomdp_ope.cli import main
+from pomdp_ope.harness import hard_params
+from pomdp_ope.instances import toy_model
+from pomdp_ope.instances.glucose import glucose_simulate, target_value_oracle
+from pomdp_ope.instances.hard import HardInstanceParams, params_from_mixing_time, theorem2_design
+
+NAN, INF = float("nan"), float("inf")
+MODEL, BEHAVIOR, _ = toy_model()
+RHO, Y = [np.full(50, 2.0)], [np.arange(50.0)]
+KERNEL = np.array([[0.9, 0.1], [0.2, 0.8]])
+HARD = "t0=1,zeta=0.69,M1=1,M2=2"
+
+
+def _params(**overrides) -> HardInstanceParams:
+    base = dict(Q=2, delta=0.5, Delta=0.1, M1=1.0, M2=2.0, zeta=0.5)
+    return HardInstanceParams(**{**base, **overrides})
+
+
+def _spec(**overrides) -> SweepSpec:
+    base = dict(environment="toy", k_values=(0,), T_values=(20,), replications=2, burn_in=5)
+    return SweepSpec(**{**base, **overrides})
+
+
+def _table(rows):
+    """pytest params (call, name, value) from (entry, name, call, values) rows."""
+    return [
+        pytest.param(call, name, value, id=f"{entry}-{value!r}")
+        for entry, name, call, values in rows
+        for value in values
+    ]
+
+
+def _assert_refused(call, name, value):
+    pattern = rf"^{re.escape(name)}\b.*, got {re.escape(repr(value))}$"
+    with pytest.raises(ConfigurationError, match=pattern):
+        call(value)
+
+
+ALL = (1.5, NAN, INF, -1, "3")
+# For counts whose negative values their own tests already cover.
+NOT_NEGATIVE = (1.5, NAN, INF, "3")
+
+# Counts: integers, at least a minimum.
+COUNTS = [
+    ("simulate", "T", lambda v: simulate(MODEL, BEHAVIOR, v), ALL),
+    ("simulate", "burn_in", lambda v: simulate(MODEL, BEHAVIOR, 5, v), ALL),
+    ("glucose_simulate", "T", lambda v: glucose_simulate(v), ALL),
+    ("glucose_simulate", "burn_in", lambda v: glucose_simulate(5, v), ALL),
+    ("target_value_oracle", "runs", lambda v: target_value_oracle(runs=v, hours=5), NOT_NEGATIVE),
+    ("target_value_oracle", "hours", lambda v: target_value_oracle(runs=5, hours=v), NOT_NEGATIVE),
+    ("stationary_distribution", "max_iter", lambda v: stationary_distribution(KERNEL, max_iter=v), ALL),
+    ("HardInstanceParams", "Q", lambda v: _params(Q=v), ALL),
+    ("hard_params", "Q", lambda v: hard_params(f"Q={v},{HARD}"), ALL[:4]),
+    ("theorem2_design", "T", lambda v: theorem2_design(v, 4.0, 1.0, 1.0, 2.0), ALL),
+    ("corollary_window", "n", lambda v: corollary_window(v, 10, 1.0, 0.5), ALL),
+    ("corollary_window", "T", lambda v: corollary_window(1, v, 1.0, 0.5), ALL),
+    ("run_sweep", "chunk size", lambda v: run_sweep(_spec(), chunk_size=v), NOT_NEGATIVE),
+    ("SweepSpec", "T_values entry", lambda v: _spec(k_values=(-1,), T_values=(v,)), (-1,)),
+]
+
+
+@pytest.mark.parametrize("call, name, value", _table(COUNTS))
+def test_bad_count_is_named(call, name, value):
+    _assert_refused(call, name, value)
+
+
+# Positive reals: finite and > 0.
+POSITIVE = [
+    ("EstimatorConfig", "bandwidth", lambda v: EstimatorConfig(k=1, bandwidth=v), ALL[1:]),
+    ("BandwidthRule-fixed", "fixed bandwidth", lambda v: BandwidthRule("fixed", v), ALL[1:]),
+    ("BandwidthRule-power", "bandwidth", lambda v: BandwidthRule("power", v).bandwidth(100), (NAN, INF)),
+    ("hac_variance", "bandwidth", lambda v: hac_variance(RHO, Y, 1, v), ALL[1:]),
+    (
+        "lepski_select",
+        "bandwidth",
+        lambda v: lepski_select(RHO, Y, [0, 1], bandwidth_rule=BandwidthRule("power", v)),
+        (NAN, INF),
+    ),
+    ("SweepSpec", "bandwidth", lambda v: _spec(bandwidth=BandwidthRule("power", v)), (NAN, INF)),
+    ("stationary_distribution", "tol", lambda v: stationary_distribution(KERNEL, tol=v), ALL[1:]),
+    ("corollary_window", "t0", lambda v: corollary_window(1, 10, v, 0.5), ALL[1:]),
+    ("corollary_window", "C0", lambda v: corollary_window(1, 10, 1.0, 0.5, v), ALL[1:]),
+    ("params_from_mixing_time", "t0", lambda v: params_from_mixing_time(2, v, 0.5, 1.0, 2.0, 0.1), ALL[1:]),
+    ("HardInstanceParams", "zeta", lambda v: _params(zeta=v), ALL[1:]),
+    ("theorem2_design", "t0", lambda v: theorem2_design(100, v, 1.0, 1.0, 2.0), ALL[1:]),
+    ("theorem2_design", "zeta", lambda v: theorem2_design(100, 4.0, v, 1.0, 2.0), ALL[1:]),
+    ("theorem2_design", "M1", lambda v: theorem2_design(100, 4.0, 1.0, v, 2.0), ALL[1:]),
+]
+
+
+@pytest.mark.parametrize("call, name, value", _table(POSITIVE))
+def test_bad_positive_real_is_named(call, name, value):
+    _assert_refused(call, name, value)
+
+
+# Windows: integers >= -1 (>= 0 for window_weights), at least one, sorted
+# where a scan runs over them.
+WINDOW = (1.5, NAN, INF, "3", -2)
+WINDOWS = [
+    ("phiw_estimate", "k", lambda v: phiw_estimate(RHO, Y, v), WINDOW),
+    ("hac_variance", "k", lambda v: hac_variance(RHO, Y, v, 3.0), WINDOW),
+    ("EstimatorConfig", "k", lambda v: EstimatorConfig(k=v), WINDOW),
+    ("window_weights", "k", lambda v: window_weights(RHO[0], v), WINDOW[:4] + (-1,)),
+    ("lepski_select", "candidates entry", lambda v: lepski_select(RHO, Y, [v, 2]), WINDOW),
+    (
+        "select_window_from_intervals",
+        "candidates entry",
+        lambda v: select_window_from_intervals([v, 2], [(0.0, 1.0), (0.0, 1.0)]),
+        WINDOW,
+    ),
+    ("run_lepski_study", "candidates entry", lambda v: run_lepski_study(_spec(), [v, 0]), (-2,)),
+    ("SweepSpec", "k_values entry", lambda v: _spec(k_values=(v, 0)), (-2,)),
+]
+
+
+@pytest.mark.parametrize("call, name, value", _table(WINDOWS))
+def test_bad_window_is_named(call, name, value):
+    _assert_refused(call, name, value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: phiw_estimate(RHO, Y, 1.5),
+        lambda: hac_variance(RHO, Y, 1.5, 3.0),
+        lambda: estimate_with_ci(RHO, Y, EstimatorConfig(k=1.5)),
+        lambda: lepski_select(RHO, Y, [0, 0.5, 1]),
+    ],
+    ids=["phiw_estimate", "hac_variance", "estimate_with_ci", "lepski_select"],
+)
+def test_fractional_window_raises(call):
+    # No window column matches 1.5, so its estimate once came from unset
+    # memory (value 0.0, variance 5e-324) instead of an error.
+    with pytest.raises(ConfigurationError, match="must be an integer, got (1|0).5"):
+        call()
+
+
+def test_spec_refuses_a_window_the_shortest_horizon_cannot_take():
+    with pytest.raises(ConfigurationError, match="length 10 too short for window k=9"):
+        SweepSpec(environment="toy", k_values=(9,), T_values=(10,), replications=1)
+    assert SweepSpec(environment="toy", k_values=(8,), T_values=(10,), replications=1)
+
+
+def test_study_refuses_bad_candidates_before_it_runs(monkeypatch):
+    spec = _spec()
+
+    def unreachable(env_id):
+        raise AssertionError("the study started")
+
+    monkeypatch.setattr(harness, "make_environment", unreachable)
+    with pytest.raises(ConfigurationError, match="sorted ascending"):
+        run_lepski_study(spec, [1, 0])
+    with pytest.raises(ConfigurationError, match="length 20 too short for window k=19"):
+        run_lepski_study(spec, [0, 19])
+
+
+@given(
+    st.integers(1, 50),
+    st.integers(1, 10**6),
+    st.floats(0.01, 100.0),
+    st.floats(0.0, 5.0),
+    st.floats(0.01, 1e9),
+)
+def test_corollary_window_is_a_window_the_horizon_takes(n, T, t0, zeta, C0):
+    k = corollary_window(n=n, T=T, t0=t0, zeta=zeta, C0=C0)
+    assert 0 <= k <= max(0, T - 2)
+
+
+@pytest.mark.parametrize("index, point", [(0, (1.0, NAN)), (2, (INF, 1.0))])
+def test_rate_fit_refuses_a_non_finite_point(index, point):
+    points = [(1.0, 1.0), (2.0, 0.5), (3.0, 0.3)]
+    points[index] = point
+    with pytest.raises(ConfigurationError, match=rf"finite, got (nan|inf) at index \({index}, "):
+        fit_rate(points)
+
+
+@pytest.mark.parametrize("field", ["M1", "M2", "Delta"])
+@pytest.mark.parametrize("value", [NAN, INF])
+def test_hard_params_refuse_non_finite_fields(field, value):
+    with pytest.raises(ConfigurationError, match=f"^{field} must be finite, got {value}$"):
+        _params(**{field: value})
+
+
+def _cli(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("estimate", "--env", "toy", "--T", "100", "--k", "1", "--bandwidth-exp", "nan"),
+        ("sweep", "--env", "toy", "--k-set=0", "--T-set=50", "--replications", "2", "--bandwidth-exp", "inf"),
+        ("instance", "--hard", f"Q=2.5,{HARD}", "--check"),
+        ("instance", "--hard", f"Q=nan,{HARD}", "--check"),
+    ],
+    ids=["estimate-nan-bandwidth", "sweep-inf-bandwidth", "hard-fractional-Q", "hard-nan-Q"],
+)
+def test_cli_names_a_bad_argument_with_exit_2(capsys, argv):
+    code, captured = _cli(capsys, *argv)
+    assert code == 2
+    assert re.match(r"error: (bandwidth|Q) ", captured.err)
+
+
+def test_cli_calibrated_window_is_one_estimate_takes(capsys):
+    code, captured = _cli(capsys, "oracle", "--env", "toy", "--T", "3", "--C0", "1000000")
+    assert code == 0
+    k = json.loads(captured.out)["calibrated_k"]
+    assert k == 1
+    code, _ = _cli(capsys, "estimate", "--env", "toy", "--T", "3", "--k", str(k))
+    assert code == 0
