@@ -17,11 +17,13 @@ Chain oracles provided here:
   with the log overlap constant max ln(pi_a(x) / e_a(x)).
 
 Trajectories are simulated by ``_simulate_arrays``, which is table-driven
-and returns (seeds, T) arrays of covariates, hidden states, actions and
-rewards; ``simulate_batch`` wraps each row in a ``Trajectory``, and the
-harness reads the arrays directly. A chunk's generators are seeded in one
-vectorized pass (``rng._make_rngs``), and each seed's random stream is drawn
-up front. Whole-array comparisons against the cumulative policy and
+and returns (seeds, T) arrays of flat (state, action) cells
+s * num_actions + w and of rewards; ``simulate_batch`` splits the cells into
+covariates, hidden states and actions and wraps each row in a
+``Trajectory``, and the harness gathers ratios at the cells directly. A
+chunk's generators are seeded in one vectorized pass (``rng._make_rngs``),
+and each seed's random stream is drawn up front straight into the chunk's
+buffers. Whole-array comparisons against the cumulative policy and
 transition rows then build two tables over every (seed, step): the action
 drawn if the covariate is x, and the next state reached from state s.
 ``_follow`` then follows the state through the next-state table. When a
@@ -29,8 +31,14 @@ step's row is narrow (at most ``SCAN_LANES`` (state, seed) lanes) it runs a
 blocked scan: it composes the steps inside blocks of about sqrt(steps) with
 wide gathers, carries the state from block to block, and fills each block's
 rows in one gather, so about 2 sqrt(steps) numpy calls replace one per step.
-Wider rows keep one gather per step. Covariates, hidden states, actions and rewards
-are derived from the state path in one vectorized pass.
+Wider rows keep one gather per step. The cells are read off the state path
+time-major and transposed once into seed rows; the rewards are gathered from
+them.
+
+Two step budgets size chunks, both applied by ``chunk_ranges``:
+``CHUNK_STEPS`` bounds every simulator's memory, and ``CACHE_STEPS``, a
+smaller cache bound, sizes the replication chunks of finite-environment
+sweeps and studies.
 """
 
 from __future__ import annotations
@@ -50,10 +58,20 @@ ROW_SUM_TOL = 1e-12
 # come from (near) the stationary law the estimators target.
 DEFAULT_BURN_IN = 100
 
-# Work per chunk, shared by every batch simulator and the harness: simulated
-# steps, or for ``_simulate_arrays`` table cells (steps x states). Bounds the
-# per-chunk draws and tables to tens of MB whatever T is.
+# Work per chunk of every batch simulator: simulated steps, or for
+# ``_simulate_arrays`` table cells (steps x states). A memory bound: it keeps
+# the per-chunk draws and tables to tens of MB whatever T is.
 CHUNK_STEPS = 2_000_000
+
+# Simulated steps per replication chunk of a finite-environment sweep or
+# study. A cache bound: the estimator engine makes about 16 passes over each
+# chunk's (replications, T) arrays per window, and chunks of this size keep
+# them near the 2 MiB L2 of a 2-core Xeon VM. There (numpy 2.4), budgets of
+# 64K to 192K steps ran the figure-3 sweep within noise of each other, 128K
+# ran the window-selection study fastest, and CHUNK_STEPS ran both 15-30%
+# slower. The glucose simulator's sweeps ran slower at this budget, so the
+# glucose environment keeps CHUNK_STEPS.
+CACHE_STEPS = 131_072
 
 # Widest step row, in (state, seed) lanes, that ``_follow`` scans in blocks.
 # Per-step gathers cost a fixed call overhead per step; the scan's cost
@@ -63,16 +81,18 @@ SCAN_LANES = 200
 
 
 def chunk_ranges(
-    n: int, steps_per_row: int, chunk: int | None = None
+    n: int, steps_per_row: int, chunk: int | None = None, budget: int | None = None
 ) -> list[tuple[int, int]]:
     """Split n rows of steps_per_row simulated steps each into (start, stop)
-    ranges of ``chunk`` rows, by default as many as fit in CHUNK_STEPS.
+    ranges of ``chunk`` rows, by default as many as fit in ``budget`` steps
+    (CHUNK_STEPS if None).
 
     Every row drives its own random stream, so results never depend on where
     the chunks break.
     """
     if chunk is None:
-        chunk = max(1, CHUNK_STEPS // max(steps_per_row, 1))
+        budget = CHUNK_STEPS if budget is None else budget
+        chunk = max(1, budget // max(steps_per_row, 1))
     chunk = _integer("chunk size", chunk, 1)
     return [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
 
@@ -398,7 +418,8 @@ def simulate_batch(
     seeds: Sequence[int],
 ) -> list[Trajectory]:
     """Simulate one trajectory per seed: the rows of ``_simulate_arrays``,
-    each wrapped in a ``Trajectory``.
+    split into covariates, hidden states and actions and wrapped in a
+    ``Trajectory``.
 
     Each seed drives its own random stream with a fixed consumption order
     (initial state, then per-step action/transition uniforms, then reward
@@ -406,7 +427,9 @@ def simulate_batch(
     seeds share the batch. Equivalent to, and tested against, a loop of
     single-seed ``simulate`` calls and a plain per-step reference loop.
     """
-    x, h, w, y = _simulate_arrays(model, behavior, T, burn_in, seeds)
+    cells, y = _simulate_arrays(model, behavior, T, burn_in, seeds)
+    states, w = np.divmod(cells, model.num_actions)
+    x, h = np.divmod(states, model.num_h)
     return [
         Trajectory(x=x[r], h=h[r], w=w[r], y=y[r], seed=int(sd), burn_in=burn_in)
         for r, sd in enumerate(seeds)
@@ -419,9 +442,9 @@ def _simulate_arrays(
     T: int,
     burn_in: int,
     seeds: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Covariates, hidden states, actions (int64) and rewards (float64) of
-    one trajectory per seed, each as a (len(seeds), T) array.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (state, action) cells s * num_actions + w (int64) and the rewards
+    (float64) of one trajectory per seed, each as a (len(seeds), T) array.
 
     A chunk of seeds is simulated from two tables built with whole-array
     operations: the action each covariate would draw and the next state each
@@ -436,14 +459,12 @@ def _simulate_arrays(
     T = _integer("T", T, 1)
     burn_in = _integer("burn_in", burn_in, 0)
     n = len(seeds)
-    x, h, w = (np.empty((n, T), dtype=np.int64) for _ in range(3))
+    cells = np.empty((n, T), dtype=np.int64)
     y = np.empty((n, T))
     for start, stop in chunk_ranges(n, (T + burn_in) * model.num_states):
         rows = slice(start, stop)
-        x[rows], h[rows], w[rows], y[rows] = _simulate_chunk(
-            model, behavior, T, burn_in, seeds[start:stop]
-        )
-    return x, h, w, y
+        _simulate_chunk(model, behavior, T, burn_in, seeds[rows], cells[rows], y[rows])
+    return cells, y
 
 
 def _thresholds(probs: np.ndarray) -> np.ndarray:
@@ -482,7 +503,11 @@ def _simulate_chunk(
     T: int,
     burn_in: int,
     seeds: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    cells: np.ndarray,
+    ys: np.ndarray,
+) -> None:
+    """Write the (len(seeds), T) cells and rewards of one chunk of seeds
+    into ``cells`` and ``ys``."""
     n = len(seeds)
     total = T + burn_in
     num_s = model.num_states
@@ -491,8 +516,8 @@ def _simulate_chunk(
     state = np.empty(n, dtype=np.int64)
     for r, rng in enumerate(_make_rngs(seeds)):
         state[r] = rng.integers(0, num_s)
-        uu[r] = rng.random((total, 2))
-        zz[r] = rng.standard_normal(total)
+        rng.random(out=uu[r])
+        rng.standard_normal(out=zz[r])
     # The tables are built in (step, seed) layout, so each step's block is
     # one contiguous row of the table ``_follow`` walks. Each stage's inputs
     # are dropped once it is done, which keeps peak memory near that of a
@@ -529,21 +554,17 @@ def _simulate_chunk(
     path = _follow(nxt.reshape(total - 1, num_s * n), state * n + np.arange(n))
     del nxt
 
-    # Derive the recorded columns from the state path, one seed per row.
-    states = np.empty((n, T), dtype=np.intp)
-    np.floor_divide(path[burn_in:].T, n, out=states)
-    xs = x_of_state.take(states)
-    hs = (np.arange(num_s) % model.num_h).take(states)
-    ws = np.take_along_axis(act[:, burn_in:].transpose(0, 2, 1), xs[None], axis=0)[0]
-    cell = states  # flat (state, action) index into the reward tables
-    cell *= model.num_actions
-    cell += ws
-    # mean[s, w] + sd[s, w] * z, evaluated in place.
-    ys = model.reward_sd.take(cell)
+    # The recorded cells, built time-major and transposed once into seed
+    # rows: the state, and the action its covariate drew at that step.
+    states = np.floor_divide(path[burn_in:], n, dtype=np.int64)
+    acts = np.take_along_axis(act[:, burn_in:], x_of_state.take(states)[None], axis=0)[0]
+    states *= model.num_actions
+    states += acts
+    cells[...] = states.T
+    # mean[cell] + sd[cell] * z, evaluated in place; every cell is in range.
+    model.reward_sd.take(cells, out=ys, mode="clip")
     ys *= zz[:, burn_in:]
-    del zz
-    np.add(model.reward_mean.take(cell), ys, out=ys)
-    return xs, hs, ws, ys
+    ys += model.reward_mean.take(cells, mode="clip")
 
 
 def _follow(table: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -578,6 +599,7 @@ def _follow(table: np.ndarray, start: np.ndarray) -> np.ndarray:
     path[0] = start
     for last, cur, new in zip(comp[-1], path[::B], path[B::B]):
         last.take(cur, out=new, mode="clip")
-    inner = np.take_along_axis(comp[:-1], path[:-1:B][None], axis=2)
-    path[1:].reshape(blocks, B, n)[:, :-1] = inner.transpose(1, 0, 2)
+    if B > 1:
+        inner = comp[:-1][:, np.arange(blocks)[:, None], path[:-1:B]]
+        path[1:].reshape(blocks, B, n)[:, :-1] = inner.transpose(1, 0, 2)
     return path[: m + 1]

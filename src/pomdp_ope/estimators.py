@@ -38,6 +38,7 @@ windows whose estimates are flagged "non_finite".
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -133,10 +134,18 @@ class BandwidthRule:
             raise ConfigurationError(f"unknown bandwidth rule kind {self.kind!r}")
         if self.kind == "fixed":
             _positive("fixed bandwidth", self.value)
+        elif not (isinstance(self.value, numbers.Real) and math.isfinite(self.value)):
+            raise ConfigurationError(
+                f"bandwidth exponent must be a finite real, got {self.value!r}"
+            )
 
     def bandwidth(self, T: int) -> float:
         if self.kind == "power":
-            return _positive(f"bandwidth {T}**{self.value}", float(T) ** self.value)
+            try:
+                power = float(T) ** self.value
+            except OverflowError:
+                power = math.inf
+            return _positive(f"bandwidth {T}**{self.value}", power)
         return self.value
 
 
@@ -194,29 +203,31 @@ class LepskiResult:
 
 
 def _policy_ratios(
-    x: np.ndarray,
-    w: np.ndarray,
+    cells: np.ndarray,
+    covariates: np.ndarray,
     target: Policy,
     behavior: Policy,
     env: str | None = None,
 ) -> np.ndarray:
-    """Ratios pi_w(x) / e_w(x) for covariate/action arrays of any shape with
-    time on the last axis, gathered from one (num_x, num_actions) table.
+    """Ratios pi_a(x) / e_a(x) gathered from one table at the flat cells
+    row * num_actions + a of an array of any shape with time on the last
+    axis, where table row r stands for covariate ``covariates[r]``: one row
+    per covariate for (x, w) pairs, one per state for a simulator's
+    (state, action) cells.
 
     Raises OverlapViolationError at the first violation in row-major order.
     """
-    pi = target.probs
-    e = behavior.probs
-    bad = (e == 0.0) & (pi > 0.0)
-    if bad.any() and bad[x, w].any():
-        idx = tuple(np.argwhere(bad[x, w])[0])
-        raise OverlapViolationError(
-            t=int(idx[-1]) + 1, x=int(x[idx]), a=int(w[idx]), env=env
-        )
-    table = np.zeros_like(pi)
+    pi = target.probs[covariates].ravel()
+    e = behavior.probs[covariates].ravel()
     ok = e > 0.0
+    bad = ~ok & (pi > 0.0)
+    if bad.any() and bad.take(cells).any():
+        idx = tuple(np.argwhere(bad.take(cells))[0])
+        row, a = divmod(int(cells[idx]), target.num_actions)
+        raise OverlapViolationError(t=idx[-1] + 1, x=int(covariates[row]), a=a, env=env)
+    table = np.zeros_like(pi)
     table[ok] = pi[ok] / e[ok]
-    return table[x, w]
+    return table.take(cells)
 
 
 def importance_ratios(traj: Trajectory, target: Policy, behavior: Policy) -> np.ndarray:
@@ -230,7 +241,8 @@ def importance_ratios(traj: Trajectory, target: Policy, behavior: Policy) -> np.
     positive probability. Steps where the target probability is zero yield a
     zero ratio (the window weight vanishes).
     """
-    return _policy_ratios(traj.x, traj.w, target, behavior)
+    cells = np.ravel_multi_index((traj.x, traj.w), target.probs.shape)
+    return _policy_ratios(cells, np.arange(target.num_x), target, behavior)
 
 
 def _check_ratios(rho: np.ndarray) -> None:

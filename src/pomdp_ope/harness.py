@@ -5,18 +5,23 @@ draws its trajectory from the stream hash(master_seed, ti, r), derived for
 all replications of a horizon in one vectorized pass, every window
 length is evaluated on that same trajectory (a paired design), and results
 are gathered into preallocated per-replication arrays before aggregation.
-Replications run in one serial loop over chunks sized by ``chunk_ranges``
-(or ``chunk_size``); each chunk is simulated into (rewards, ratios) arrays
-and evaluated by the batched estimator engine. Finite environments read
-the array simulator ``core._simulate_arrays`` directly and gather ratios
-from one policy-ratio table, so no ``Trajectory`` is built on the way.
+Replications run in one serial loop over chunks of as many replications as
+fit in the environment's ``chunk_steps`` budget of simulated steps (or
+``chunk_size`` replications); each chunk is simulated into (rewards,
+ratios) arrays and evaluated by the batched estimator engine. Finite
+environments budget ``core.CACHE_STEPS``, so the engine's passes over a
+chunk stay in cache; glucose budgets ``core.CHUNK_STEPS``, the simulators'
+memory bound. Finite environments read the array simulator
+``core._simulate_arrays`` directly and gather ratios at its (state, action)
+cells from one policy-ratio table, so no ``Trajectory`` is built on the way.
 Output is bit-identical for a given spec whatever the chunk size.
 
 An environment object is the one place that knows its kind and defaults:
 ``make_environment`` maps an id to one, and each carries its default
 burn-in (``core.DEFAULT_BURN_IN`` for finite POMDPs,
-``glucose.DEFAULT_BURN_IN`` for the glucose simulator), simulates rewards
-and ratios, answers its value oracle and writes its own trajectory CSV.
+``glucose.DEFAULT_BURN_IN`` for the glucose simulator) and its chunk
+budget, simulates rewards and ratios, answers its value oracle and writes
+its own trajectory CSV.
 A ``SweepSpec`` built without ``burn_in`` takes its environment's default,
 and the command line asks the same objects, so both burn in alike.
 """
@@ -30,9 +35,12 @@ from typing import IO, Sequence, Union
 import numpy as np
 
 from .core import (
+    CACHE_STEPS,
+    CHUNK_STEPS,
     DEFAULT_BURN_IN,
     Policy,
     PomdpModel,
+    _check_dimensions,
     _check_finite,
     _simulate_arrays,
     chunk_ranges,
@@ -69,8 +77,12 @@ class FiniteEnvironment:
     """Finite POMDP with exact value oracle."""
 
     default_burn_in = DEFAULT_BURN_IN
+    chunk_steps = CACHE_STEPS
 
     def __init__(self, name: str, model: PomdpModel, behavior: Policy, target: Policy):
+        # The ratio table has a row per state, read from both policies.
+        _check_dimensions(model, behavior)
+        _check_dimensions(model, target)
         self.name = name
         self.model = model
         self.behavior = behavior
@@ -79,8 +91,9 @@ class FiniteEnvironment:
     def rewards_and_ratios(
         self, T: int, burn_in: int, seeds: Sequence[int]
     ) -> tuple[np.ndarray, np.ndarray]:
-        x, _, w, y = _simulate_arrays(self.model, self.behavior, T, burn_in, seeds)
-        return y, _policy_ratios(x, w, self.target, self.behavior, env=self.name)
+        cells, y = _simulate_arrays(self.model, self.behavior, T, burn_in, seeds)
+        rho = _policy_ratios(cells, self.model.x_of_state, self.target, self.behavior, self.name)
+        return y, rho
 
     def oracle(self) -> tuple[float, dict]:
         return policy_value_exact(self.model, self.target), {"kind": "exact", "tol": 1e-12}
@@ -95,6 +108,7 @@ class GlucoseEnvironment:
 
     name = "glucose"
     default_burn_in = glucose.DEFAULT_BURN_IN
+    chunk_steps = CHUNK_STEPS
 
     def rewards_and_ratios(
         self, T: int, burn_in: int, seeds: Sequence[int]
@@ -261,7 +275,7 @@ def _evaluate_windows(
     flags = np.empty((R, len(ks), 2), dtype=bool)
     bandwidth = spec.bandwidth.bandwidth(T)
     seeds = _derive_seeds(spec.master_seed, ti, np.arange(R))
-    for start, stop in chunk_ranges(R, T + spec.burn_in, chunk_size):
+    for start, stop in chunk_ranges(R, T + spec.burn_in, chunk_size, env.chunk_steps):
         Y, RHO = env.rewards_and_ratios(T, spec.burn_in, seeds[start:stop])
         out[start:stop], flags[start:stop] = _estimate_windows(
             Y[:, None], RHO[:, None], ks, spec.alpha, bandwidth
@@ -280,7 +294,7 @@ def run_sweep(
     MSE, bias, variance, mean estimate, CI coverage and the count of
     clamped variance estimates against the environment's value oracle.
     Results do not depend on chunk_size (replications per chunk, >= 1;
-    None fits each chunk to the shared step budget of ``chunk_ranges``).
+    None fits each chunk to the environment's ``chunk_steps`` budget).
     ``workers`` is accepted and ignored: replications always run serially.
     """
     env = make_environment(spec.environment)

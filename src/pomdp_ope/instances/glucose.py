@@ -344,6 +344,8 @@ def glucose_rewards_and_ratios(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Behavior-policy batch: rewards and per-hour importance ratios,
     shape (len(seeds), T) each. Chunked by ``chunk_ranges`` to bound memory."""
+    T = _integer("T", T, 1)
+    burn_in = _integer("burn_in", burn_in, 0)
     ys = np.empty((len(seeds), T))
     rhos = np.empty((len(seeds), T))
     for start, stop in chunk_ranges(len(seeds), T + burn_in):

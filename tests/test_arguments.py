@@ -46,6 +46,7 @@ MODEL, BEHAVIOR, _ = toy_model()
 RHO, Y = [np.full(50, 2.0)], [np.arange(50.0)]
 KERNEL = np.array([[0.9, 0.1], [0.2, 0.8]])
 HARD = "t0=1,zeta=0.69,M1=1,M2=2"
+GLUCOSE = harness.make_environment("glucose")
 
 
 def _params(**overrides) -> HardInstanceParams:
@@ -83,6 +84,8 @@ COUNTS = [
     ("simulate", "burn_in", lambda v: simulate(MODEL, BEHAVIOR, 5, v), ALL),
     ("glucose_simulate", "T", lambda v: glucose_simulate(v), ALL),
     ("glucose_simulate", "burn_in", lambda v: glucose_simulate(5, v), ALL),
+    ("glucose rewards_and_ratios", "T", lambda v: GLUCOSE.rewards_and_ratios(v, 5, [0]), ALL),
+    ("glucose rewards_and_ratios", "burn_in", lambda v: GLUCOSE.rewards_and_ratios(5, v, [0]), ALL),
     ("target_value_oracle", "runs", lambda v: target_value_oracle(runs=v, hours=5), NOT_NEGATIVE),
     ("target_value_oracle", "hours", lambda v: target_value_oracle(runs=5, hours=v), NOT_NEGATIVE),
     ("stationary_distribution", "max_iter", lambda v: stationary_distribution(KERNEL, max_iter=v), ALL),
@@ -128,6 +131,26 @@ POSITIVE = [
 @pytest.mark.parametrize("call, name, value", _table(POSITIVE))
 def test_bad_positive_real_is_named(call, name, value):
     _assert_refused(call, name, value)
+
+
+# Finite reals: a power bandwidth's exponent, checked when the rule is built.
+FINITE = [
+    ("BandwidthRule-power", "bandwidth exponent", lambda v: BandwidthRule("power", v), (NAN, INF, "3")),
+]
+
+
+@pytest.mark.parametrize("call, name, value", _table(FINITE))
+def test_bad_finite_real_is_named(call, name, value):
+    _assert_refused(call, name, value)
+
+
+@pytest.mark.parametrize("exponent", [1000, 1000.0, -1000.0])
+def test_power_bandwidth_out_of_the_float_range_is_named(exponent):
+    # 1e5**1000 overflows; 1e5**-1000 underflows to 0.
+    power = re.escape(f"100000**{exponent}")
+    pattern = rf"^bandwidth {power} must be finite and > 0, got (inf|0.0)$"
+    with pytest.raises(ConfigurationError, match=pattern):
+        BandwidthRule("power", exponent).bandwidth(100_000)
 
 
 # Windows: integers >= -1 (>= 0 for window_weights), at least one, sorted
@@ -227,11 +250,18 @@ def _cli(capsys, *argv):
     "argv",
     [
         ("estimate", "--env", "toy", "--T", "100", "--k", "1", "--bandwidth-exp", "nan"),
+        ("estimate", "--env", "toy", "--T", "100000", "--k", "1", "--bandwidth-exp", "1000"),
         ("sweep", "--env", "toy", "--k-set=0", "--T-set=50", "--replications", "2", "--bandwidth-exp", "inf"),
         ("instance", "--hard", f"Q=2.5,{HARD}", "--check"),
         ("instance", "--hard", f"Q=nan,{HARD}", "--check"),
     ],
-    ids=["estimate-nan-bandwidth", "sweep-inf-bandwidth", "hard-fractional-Q", "hard-nan-Q"],
+    ids=[
+        "estimate-nan-bandwidth",
+        "estimate-overflowing-bandwidth",
+        "sweep-inf-bandwidth",
+        "hard-fractional-Q",
+        "hard-nan-Q",
+    ],
 )
 def test_cli_names_a_bad_argument_with_exit_2(capsys, argv):
     code, captured = _cli(capsys, *argv)

@@ -260,17 +260,24 @@ def test_overlap_violation_names_step_and_pair(toy):
     assert err.value.x == traj.x[first_treated]
 
 
+def _pair_ratios(x, w, target, behavior, env=None):
+    """``_policy_ratios`` at (covariate, action) pairs: one table row per
+    covariate."""
+    cells = np.ravel_multi_index((x, w), target.probs.shape)
+    return est_mod._policy_ratios(cells, np.arange(target.num_x), target, behavior, env)
+
+
 def test_batch_ratios_flag_first_violation_in_row_major_order(toy):
     model, behavior, target = toy
     trajs = simulate_batch(model, behavior, T=30, burn_in=5, seeds=[1, 2, 3])
     X = np.stack([tr.x for tr in trajs])
     W = np.stack([tr.w for tr in trajs])
-    rho = est_mod._policy_ratios(X, W, target, behavior)
+    rho = _pair_ratios(X, W, target, behavior)
     for i, tr in enumerate(trajs):
         np.testing.assert_array_equal(rho[i], importance_ratios(tr, target, behavior))
     no_treat = Policy(probs=np.array([[1.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(OverlapViolationError) as err:
-        est_mod._policy_ratios(X, W, target, no_treat, env="toy")
+        _pair_ratios(X, W, target, no_treat, "toy")
     r, t = np.argwhere(W == 1)[0]
     assert (err.value.t, err.value.x, err.value.a) == (t + 1, X[r, t], 1)
     assert err.value.env == "toy"
@@ -309,7 +316,7 @@ def test_policy_ratios_match_plain_loop_with_zero_probabilities(shape, seed):
 
     want, violation = _ratios_by_loop(x, w, target, behavior)
     assert violation is None
-    got = est_mod._policy_ratios(x, w, target, behavior)
+    got = _pair_ratios(x, w, target, behavior)
     assert got.dtype == np.float64 and got.shape == shape
     np.testing.assert_array_equal(got, want)
 
@@ -317,12 +324,12 @@ def test_policy_ratios_match_plain_loop_with_zero_probabilities(shape, seed):
     _, violation = _ratios_by_loop(x, w, behavior, target)
     if violation is None:
         np.testing.assert_array_equal(
-            est_mod._policy_ratios(x, w, behavior, target),
+            _pair_ratios(x, w, behavior, target),
             _ratios_by_loop(x, w, behavior, target)[0],
         )
     else:
         with pytest.raises(OverlapViolationError) as err:
-            est_mod._policy_ratios(x, w, behavior, target)
+            _pair_ratios(x, w, behavior, target)
         assert (err.value.t, err.value.x, err.value.a) == violation
 
 

@@ -191,6 +191,82 @@ def test_chunk_size_one_matches_auto_chunking(tmp_path):
     assert docs[0] == docs[1]
 
 
+def _spy_chunk_ranges(monkeypatch) -> list:
+    """Record every list of chunks the harness asks ``chunk_ranges`` for."""
+    import pomdp_ope.harness as harness_mod
+
+    calls = []
+    chunk_ranges = harness_mod.chunk_ranges
+
+    def spy(*args):
+        calls.append(chunk_ranges(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(harness_mod, "chunk_ranges", spy)
+    return calls
+
+
+def _sweep_and_study_bytes(spec, tmp_path, chunk_size) -> tuple[bytes, str]:
+    path = tmp_path / f"sweep-{chunk_size}.csv"
+    sweep_result_to_csv(run_sweep(spec, chunk_size=chunk_size), path)
+    study = run_lepski_study(spec, [-1, 0, 1, 2], chunk_size=chunk_size)
+    return path.read_bytes(), json_text(lepski_study_to_json(study))
+
+
+@pytest.mark.parametrize("env_id", ["toy", "hard:Q=3,t0=1,zeta=0.69,M1=1,M2=2"])
+def test_cache_budget_chunks_match_one_replication_per_chunk(env_id, tmp_path, monkeypatch):
+    # A budget of 300 steps fits 3 replications of T = 60 plus 20 burn-in
+    # steps per chunk and 2 of T = 120, so each horizon splits into several
+    # automatic chunks with a short last one.
+    spec = _small_spec(environment=env_id, replications=11)
+    calls = _spy_chunk_ranges(monkeypatch)
+    monkeypatch.setattr(FiniteEnvironment, "chunk_steps", 300)
+    auto = _sweep_and_study_bytes(spec, tmp_path, None)
+    assert [len(ranges) for ranges in calls] == [4, 6, 4, 6]
+    assert _sweep_and_study_bytes(spec, tmp_path, 1) == auto
+
+
+def test_glucose_sweeps_chunk_by_the_memory_budget(monkeypatch):
+    # 700 replications of 250 steps exceed the finite environments' cache
+    # budget but fit CHUNK_STEPS, so a glucose horizon runs as one chunk.
+    from pomdp_ope import core
+
+    assert GlucoseEnvironment.chunk_steps == core.CHUNK_STEPS
+    assert FiniteEnvironment.chunk_steps == core.CACHE_STEPS < 700 * 250
+    calls = _spy_chunk_ranges(monkeypatch)
+    monkeypatch.setattr(GlucoseEnvironment, "oracle", lambda self: (-0.7, {}))
+    spec = _small_spec(
+        environment="glucose", k_values=(0,), T_values=(200,), replications=700, burn_in=50
+    )
+    run_sweep(spec)
+    assert calls == [[(0, 700)]]
+
+
+def test_sweep_and_study_output_is_pinned(tmp_path):
+    # SHA-256 of a toy sweep CSV and study JSON recorded before replication
+    # chunks were sized by the cache budget (96 x 1,500 steps at T = 1,400 now
+    # runs as two chunks); drift from that code shows here, not only drift
+    # between chunk sizes.
+    import hashlib
+
+    spec = SweepSpec(
+        environment="toy",
+        k_values=(-1, 0, 1, 2, 3),
+        T_values=(100, 1400),
+        replications=96,
+        master_seed=16,
+    )
+    path = tmp_path / "sweep.csv"
+    sweep_result_to_csv(run_sweep(spec), path)
+    study = json_text(lepski_study_to_json(run_lepski_study(spec, [-1, 0, 1, 2, 3])))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "cee719e817ef7ac23547f5b5d51260eb676e051028791a26fcb290d81612469a"
+    )
+    assert hashlib.sha256(study.encode()).hexdigest() == (
+        "a60145d92b554ff9f944b787b24218a22e76ce9a4142a11062f4321a20e5b52e"
+    )
+
+
 def test_clamped_variances_are_counted(monkeypatch):
     import pomdp_ope.estimators as est_mod
 
@@ -240,14 +316,30 @@ def test_environment_names_overlap_violation(monkeypatch):
         seed=0,
         burn_in=0,
     )
-    # One (1, T) row per column, as the array simulator returns them.
-    columns = tuple(col[None] for col in (corrupted.x, corrupted.h, corrupted.w, corrupted.y))
+    # One (1, T) row of (state, action) cells and one of rewards, as the
+    # array simulator returns them.
+    states = corrupted.x * hi.num_h + corrupted.h
+    columns = ((states * hi.num_actions + corrupted.w)[None], corrupted.y[None])
     monkeypatch.setattr(harness_mod, "_simulate_arrays", lambda *a, **kw: columns)
     with pytest.raises(OverlapViolationError) as err:
         env.rewards_and_ratios(5, 0, [0])
     assert err.value.env == "brokenpair"
     assert err.value.t == 3
     assert err.value.a == 1
+
+
+@pytest.mark.parametrize("role", ["behavior", "target"])
+def test_finite_environment_refuses_a_policy_of_another_shape(role):
+    # Ratios are read from a table with one row per model state, so a
+    # policy with other covariates is refused by name when the environment
+    # is built.
+    from pomdp_ope import Policy
+
+    toy = make_environment("toy")
+    policies = {"behavior": toy.behavior, "target": toy.target}
+    policies[role] = Policy(probs=np.full((3, 2), 0.5))
+    with pytest.raises(ConfigurationError, match=r"policy shape \(3, 2\) does not match model"):
+        FiniteEnvironment("toy", toy.model, **policies)
 
 
 def test_chunk_boundaries_do_not_change_simulators(monkeypatch, toy):

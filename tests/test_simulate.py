@@ -21,6 +21,7 @@ from pomdp_ope import (
     importance_ratios,
     simulate_batch,
 )
+from pomdp_ope.estimators import _policy_ratios
 from pomdp_ope.harness import FiniteEnvironment, make_environment
 
 HARD_Q3 = "hard:Q=3,t0=1,zeta=0.69,M1=1,M2=2,Delta=0.5"
@@ -221,6 +222,49 @@ def _sparse_environment(seed: int) -> FiniteEnvironment:
     target[rows, behavior.argmax(axis=1)] = 0.0
     target /= target.sum(axis=1, keepdims=True)
     return FiniteEnvironment(f"sparse{seed}", model, Policy(probs=behavior), Policy(probs=target))
+
+
+def _dense_environment(seed: int) -> FiniteEnvironment:
+    """Random dense model, every transition entry positive, with a behavior
+    policy that never takes some actions; the target keeps to its support."""
+    rng = np.random.default_rng(seed)
+    num_x, num_h, num_actions = 3, 2, 3
+    s = num_x * num_h
+    reward = tuple(
+        tuple(Gaussian(float(rng.normal()), float(rng.uniform())) for _ in range(num_actions))
+        for _ in range(s)
+    )
+    model = PomdpModel(
+        num_x=num_x,
+        num_h=num_h,
+        num_actions=num_actions,
+        transition=rng.dirichlet(np.ones(s), size=(num_actions, s)),
+        reward=reward,
+    )
+    behavior = _with_zeros(rng, (num_x, num_actions))
+    target = behavior * rng.uniform(0.5, 2.0, size=behavior.shape)
+    target /= target.sum(axis=1, keepdims=True)
+    return FiniteEnvironment("dense", model, Policy(probs=behavior), Policy(probs=target))
+
+
+@pytest.mark.parametrize("env_id", ["toy", HARD_Q3, "dense"])
+def test_cell_adapter_matches_reference_loop(env_id):
+    # The simulator's (state, action) cells and their one ratio table give
+    # the rewards and ratios of the per-step reference loop, with ratios
+    # taken at its (covariate, action) pairs.
+    env = _dense_environment(5) if env_id == "dense" else make_environment(env_id)
+    if env_id == "dense":
+        assert (env.model.transition > 0.0).all() and (env.behavior.probs == 0.0).any()
+    T, burn_in, seeds = 70, 15, [40, 41, 2**33, 43, 44, 45]
+    y, rho = env.rewards_and_ratios(T, burn_in, seeds)
+    reference = simulate_reference(env.model, env.behavior, T, burn_in, seeds)
+    x, _, w, want_y = (np.stack(column) for column in zip(*reference))
+    cells = np.ravel_multi_index((x, w), env.target.probs.shape)
+    covariates = np.arange(env.model.num_x)
+    want_rho = _policy_ratios(cells, covariates, env.target, env.behavior)
+    for got, want in ((y, want_y), (rho, want_rho)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("env_id", ["toy", HARD_Q20, "sparse1", "sparse2"])
