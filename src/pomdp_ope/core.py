@@ -21,19 +21,25 @@ and returns (seeds, T) arrays of flat (state, action) cells
 s * num_actions + w and of rewards; ``simulate_batch`` splits the cells into
 covariates, hidden states and actions and wraps each row in a
 ``Trajectory``, and the harness gathers ratios at the cells directly. A
-chunk's generators are seeded in one vectorized pass (``rng._make_rngs``),
-and each seed's random stream is drawn up front straight into the chunk's
-buffers. Whole-array comparisons against the cumulative policy and
-transition rows then build two tables over every (seed, step): the action
-drawn if the covariate is x, and the next state reached from state s.
+chunk's generators are seeded in one vectorized pass (``rng._make_rngs``).
+Each seed's stream is read in a fixed order: the initial state, an
+(action, move) uniform pair per step, then a reward normal per step. The
+uniforms are drawn a block at a time (a group of seeds and a span of
+steps, ``GROUP_STEPS`` draws at most) into a small scratch and written
+straight into time-major tables; the normals are drawn last, a group at a
+time once the path is known, and turned into rewards in place.
+Whole-array comparisons against the cumulative policy and transition rows
+build two tables over every (seed, step): the action drawn if the
+covariate is x, and the next state reached from state s.
 ``_follow`` then follows the state through the next-state table. When a
 step's row is narrow (at most ``SCAN_LANES`` (state, seed) lanes) it runs a
 blocked scan: it composes the steps inside blocks of about sqrt(steps) with
 wide gathers, carries the state from block to block, and fills each block's
 rows in one gather, so about 2 sqrt(steps) numpy calls replace one per step.
 Wider rows keep one gather per step. The cells are read off the state path
-time-major and transposed once into seed rows; the rewards are gathered from
-them.
+time-major, a group of seeds at a time, into seed rows; the rewards' means
+and standard deviations are gathered from them. Each stage's arrays are
+freed when it ends.
 
 Two step budgets size chunks, both applied by ``chunk_ranges``:
 ``CHUNK_STEPS`` bounds every simulator's memory, and ``CACHE_STEPS``, a
@@ -66,12 +72,25 @@ CHUNK_STEPS = 2_000_000
 # Simulated steps per replication chunk of a finite-environment sweep or
 # study. A cache bound: the estimator engine makes about 16 passes over each
 # chunk's (replications, T) arrays per window, and chunks of this size keep
-# them near the 2 MiB L2 of a 2-core Xeon VM. There (numpy 2.4), budgets of
-# 64K to 192K steps ran the figure-3 sweep within noise of each other, 128K
-# ran the window-selection study fastest, and CHUNK_STEPS ran both 15-30%
-# slower. The glucose simulator's sweeps ran slower at this budget, so the
-# glucose environment keeps CHUNK_STEPS.
-CACHE_STEPS = 131_072
+# them near the 2 MiB L2 of a 2-core Xeon VM while two of them run side by
+# side. There (numpy 2.4, chunks on two threads), 65,536 and 81,920 steps
+# ran the figure-3 sweep about 10% slower than this budget; 114,688 and
+# 131,072 ran it about as fast but raised its peak RSS by 1 and 4 MiB more
+# (7% and 13% over one thread at 131,072, against 5% here). The glucose
+# simulator's sweeps ran slower at a cache budget, so the glucose
+# environment keeps CHUNK_STEPS.
+CACHE_STEPS = 98_304
+
+# Draws per block of ``_simulate_chunk``: a group of seeds' uniforms pass
+# through a scratch of at most this many steps on their way into the
+# time-major tables (see ``_draw_blocks``), so no stage holds a second
+# full-chunk copy of the draws.
+GROUP_STEPS = 32_768
+# Fewest seeds per group when a chunk has that many. A narrower group writes
+# strips of the time-major rows that fill only part of a cache line each,
+# which ran about 20% slower at T = 10,000 (2-core Xeon VM, numpy 2.4), so
+# the streams of long series are drawn in spans of steps instead.
+GROUP_SEEDS = 16
 
 # Widest step row, in (state, seed) lanes, that ``_follow`` scans in blocks.
 # Per-step gathers cost a fixed call overhead per step; the scan's cost
@@ -497,6 +516,16 @@ def _add_count_at_or_below(
         out += hit if repeat == 1 else hit * out.dtype.type(repeat)
 
 
+def _draw_blocks(n: int, total: int) -> tuple[list[tuple[int, int]], int]:
+    """The (start, stop) seed groups of a chunk of n seeds of ``total``
+    steps, and the steps per span each group's streams are drawn in: a
+    group holds as many seeds as fit in ``GROUP_STEPS`` steps but at least
+    ``GROUP_SEEDS`` (at most n), and a span as many steps as fit in
+    ``GROUP_STEPS`` for the group (at most ``total``)."""
+    groups = chunk_ranges(n, 1, min(n, max(GROUP_SEEDS, GROUP_STEPS // total)))
+    return groups, min(total, max(1, GROUP_STEPS // groups[0][1]))
+
+
 def _simulate_chunk(
     model: PomdpModel,
     behavior: Policy,
@@ -511,20 +540,28 @@ def _simulate_chunk(
     n = len(seeds)
     total = T + burn_in
     num_s = model.num_states
-    uu = np.empty((n, total, 2))
-    zz = np.empty((n, total))
-    state = np.empty(n, dtype=np.int64)
-    for r, rng in enumerate(_make_rngs(seeds)):
-        state[r] = rng.integers(0, num_s)
-        rng.random(out=uu[r])
-        rng.standard_normal(out=zz[r])
+    rngs = list(_make_rngs(seeds))
+    groups, span = _draw_blocks(n, total)
     # The tables are built in (step, seed) layout, so each step's block is
-    # one contiguous row of the table ``_follow`` walks. Each stage's inputs
-    # are dropped once it is done, which keeps peak memory near that of a
-    # per-step loop.
-    u_act = np.ascontiguousarray(uu[:, :, 0].T)
-    u_move = np.ascontiguousarray(uu[:, : total - 1, 1].T)
-    del uu
+    # one contiguous row of the table ``_follow`` walks. The uniforms go
+    # through a small scratch, a group of seeds and a span of steps at a
+    # time, straight into those rows, and each stage's inputs are dropped
+    # once it is done, which keeps peak memory near that of a per-step loop.
+    u_act = np.empty((total, n))
+    u_move = np.empty((total - 1, n))
+    state = np.empty(n, dtype=np.int64)
+    scratch = np.empty((groups[0][1], span, 2))
+    for start, stop in groups:
+        for t0 in range(0, total, span):
+            t1 = min(t0 + span, total)
+            drawn = scratch[: stop - start, : t1 - t0]
+            for r, uu in zip(range(start, stop), drawn):
+                if t0 == 0:
+                    state[r] = rngs[r].integers(0, num_s)
+                rngs[r].random(out=uu)
+            u_act[t0:t1, start:stop] = drawn[:, :, 0].T
+            u_move[t0:t1, start:stop] = drawn[:, : total - 1 - t0, 1].T
+    del scratch, drawn
 
     # act[x, t, r]: the action drawn at step t of seed r if the covariate is x.
     cum_pol = _thresholds(behavior.probs)
@@ -554,17 +591,28 @@ def _simulate_chunk(
     path = _follow(nxt.reshape(total - 1, num_s * n), state * n + np.arange(n))
     del nxt
 
-    # The recorded cells, built time-major and transposed once into seed
-    # rows: the state, and the action its covariate drew at that step.
-    states = np.floor_divide(path[burn_in:], n, dtype=np.int64)
-    acts = np.take_along_axis(act[:, burn_in:], x_of_state.take(states)[None], axis=0)[0]
-    states *= model.num_actions
-    states += acts
-    cells[...] = states.T
-    # mean[cell] + sd[cell] * z, evaluated in place; every cell is in range.
-    model.reward_sd.take(cells, out=ys, mode="clip")
-    ys *= zz[:, burn_in:]
-    ys += model.reward_mean.take(cells, mode="clip")
+    # The recorded cells, a group of seeds at a time: the state and the
+    # action its covariate drew at that step, read off the path time-major
+    # and written into seed rows.
+    for start, stop in groups:
+        seen = path[burn_in:, start:stop]
+        states = np.floor_divide(seen, n, dtype=np.int64)
+        drew = act[:, burn_in:, start:stop]
+        acts = np.take_along_axis(drew, x_of_state.take(states)[None], axis=0)[0]
+        states *= model.num_actions
+        states += acts
+        cells[start:stop] = states.T
+    del path, act
+
+    # Each stream's reward normals come last in it: mean[cell] + sd[cell] * z,
+    # evaluated in place a group at a time; every cell is in range.
+    for start, stop in groups:
+        for r in range(start, stop):
+            rngs[r].standard_normal(burn_in)  # the burn-in steps' normals
+            rngs[r].standard_normal(out=ys[r])
+        rows = slice(start, stop)
+        ys[rows] *= model.reward_sd.take(cells[rows], mode="clip")
+        ys[rows] += model.reward_mean.take(cells[rows], mode="clip")
 
 
 def _follow(table: np.ndarray, start: np.ndarray) -> np.ndarray:

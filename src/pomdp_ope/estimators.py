@@ -328,18 +328,28 @@ def _window_terms(
     if ks[0] == -1:
         yield -1, Y
     T = RHO.shape[1]
-    positive = RHO > 0.0
-    max_log = np.abs(np.log(np.where(positive, RHO, 1.0))).max(axis=1)
+    # A row's largest |log rho| is at its largest or its smallest positive
+    # ratio; a row with no positive ratio has only zero windows.
+    hi = RHO.max(axis=1)
+    lo = np.where(RHO > 0.0, RHO, np.inf).min(axis=1)
+    none = ~(hi > 0.0)
+    hi[none] = lo[none] = 1.0
+    max_log = np.maximum(np.abs(np.log(hi)), np.abs(np.log(lo)))
     logged = np.flatnonzero((ks[-1] + 1) * max_log > _LOG_SPACE_THRESHOLD)
-    log_rho = np.log(np.where(positive[logged], RHO[logged], 1.0))
-    zero = ~positive[logged]
+    positive = RHO[logged] > 0.0
+    log_rho = np.log(np.where(positive, RHO[logged], 1.0))
+    zero = ~positive
     W, L, Z = RHO, log_rho, zero
     for k in range(ks[-1] + 1):
         # Rows in log space may overflow or meet inf * 0 here; their
         # summands are replaced below.
         with np.errstate(over="ignore", invalid="ignore"):
+            if k == 1:
+                W = RHO[:, :-1] * RHO[:, 1:]
+            elif k > 1:
+                # Later products overwrite the first one's buffer.
+                W = np.multiply(W[:, : T - k], RHO[:, k:], out=W[:, : T - k])
             if k > 0:
-                W = W[:, : T - k] * RHO[:, k:]
                 L = L[:, :-1] + log_rho[:, k:]
                 Z = Z[:, :-1] | zero[:, k:]
             if k not in ks:
@@ -350,6 +360,7 @@ def _window_terms(
                 rows = logged[past]
                 terms[rows] = np.where(Z[past], 0.0, np.exp(L[past])) * Y[rows, k:]
         yield k, terms
+        del terms  # freed before the next window's, once the caller drops it too
 
 
 def phiw_estimate(
@@ -414,7 +425,10 @@ def _estimate_windows(
             value = terms.mean(axis=1).reshape(G, n).mean(axis=1)
             # With one unit the pooled mean is that unit's mean.
             center = value if n == 1 else terms.reshape(G, n * L).mean(axis=1)
-            yt = terms - np.repeat(center, n)[:, None]
+            center = np.repeat(center, n)[:, None]
+            # The rewards (k = -1) are the caller's; window summands are
+            # fresh, so they are centred in place.
+            yt = terms - center if k == -1 else np.subtract(terms, center, out=terms)
             acc = np.vecdot(yt, yt)
             for j in range(1, min(lag_cap, L - 1) + 1):
                 if psi[j - 1] != 0.0:
@@ -426,6 +440,7 @@ def _estimate_windows(
         cols = [c for c, kc in enumerate(ks) if kc == k]
         est[:, cols] = np.stack([value, variance, value - half, value + half], axis=1)[:, None]
         flags[:, cols, 0] = clamped[:, None]
+        del terms, yt  # so the next window's summands need no second buffer
     flags[..., 1] = ~np.isfinite(est).all(axis=2)
     return est, flags
 

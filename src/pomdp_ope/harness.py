@@ -5,16 +5,26 @@ draws its trajectory from the stream hash(master_seed, ti, r), derived for
 all replications of a horizon in one vectorized pass, every window
 length is evaluated on that same trajectory (a paired design), and results
 are gathered into preallocated per-replication arrays before aggregation.
-Replications run in one serial loop over chunks of as many replications as
-fit in the environment's ``chunk_steps`` budget of simulated steps (or
-``chunk_size`` replications); each chunk is simulated into (rewards,
-ratios) arrays and evaluated by the batched estimator engine. Finite
-environments budget ``core.CACHE_STEPS``, so the engine's passes over a
-chunk stay in cache; glucose budgets ``core.CHUNK_STEPS``, the simulators'
-memory bound. Finite environments read the array simulator
+A sweep or study is one list of jobs, one per (horizon, chunk) in that
+order, a chunk being as many replications as fit in the environment's
+``chunk_steps`` budget of simulated steps (or ``chunk_size``
+replications). Each job simulates its chunk into (rewards, ratios) arrays,
+evaluates them with the batched estimator engine and writes only its own
+rows of its horizon's arrays. Finite environments budget
+``core.CACHE_STEPS``, so the engine's passes over a chunk stay in cache;
+glucose budgets ``core.CHUNK_STEPS``, the simulators' memory bound.
+The jobs run on up to ``workers`` threads (``DEFAULT_WORKERS`` = 2 by
+default, one on a single usable core); the estimator's array passes
+release the GIL, so one chunk's estimate overlaps another's simulation.
+The chunks in flight hold at most ``CHUNK_STEPS`` simulated steps between
+them, so a glucose chunk, whose budget is ``CHUNK_STEPS``, always runs
+alone, and so does any chunk larger than half of it. One thread runs the
+jobs in a plain loop. The first job to fail, in job order, raises its
+error. Finite environments read the array simulator
 ``core._simulate_arrays`` directly and gather ratios at its (state, action)
 cells from one policy-ratio table, so no ``Trajectory`` is built on the way.
-Output is bit-identical for a given spec whatever the chunk size.
+Output is bit-identical for a given spec whatever the chunk size and the
+worker count.
 
 An environment object is the one place that knows its kind and defaults:
 ``make_environment`` maps an id to one, and each carries its default
@@ -28,6 +38,7 @@ and the command line asks the same objects, so both burn in alike.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Sequence, Union
@@ -259,28 +270,76 @@ class SweepResult:
         raise KeyError((k, T))
 
 
+# Threads that run a sweep's or study's chunks by default, capped at the
+# usable cores. Two is the most measured: on a 2-core Xeon VM two threads
+# ran the figure-3 sweep and the window-selection study about 20% faster
+# than one in raw time while the host lent the VM both cores, and up to a
+# third slower while it stole 20-40% of the VM's time, because the
+# simulator holds the GIL for most of its run (``BENCH_17.json``).
+DEFAULT_WORKERS = 2
+
+
+def _worker_count(workers: int | None) -> int:
+    """``workers`` checked (an integer >= 1), or if None ``DEFAULT_WORKERS``
+    capped at the usable cores."""
+    if workers is not None:
+        return _integer("workers", workers, 1)
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(DEFAULT_WORKERS, cores)
+
+
 def _evaluate_windows(
-    env, spec: SweepSpec, ti: int, ks: Sequence[int], chunk_size: int | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every window in ks on every replication of horizon index ti, each
+    env, spec: SweepSpec, ks: Sequence[int], workers: int, chunk_size: int | None
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every window in ks on every replication of every horizon, each
     replication an estimate of one unit.
 
-    Returns the (R, K, 4) array of (value, variance, ci_lo, ci_hi) and the
-    (R, K) masks of clamped variances and of non-finite estimates; chunks of
-    replications are simulated and estimated in turn into their own rows.
+    Returns, per horizon, the (R, K, 4) array of (value, variance, ci_lo,
+    ci_hi) and the (R, K) masks of clamped variances and of non-finite
+    estimates. One job per (horizon, chunk of replications) simulates its
+    chunk, estimates it and writes only its own rows; the jobs run in order
+    on ``workers`` threads, at most as many as ``CHUNK_STEPS`` holds of the
+    largest job or of the environment's budget, whichever is larger, and
+    the first job to fail in that order raises its error.
     """
-    T = spec.T_values[ti]
     R = spec.replications
-    out = np.empty((R, len(ks), 4))
-    flags = np.empty((R, len(ks), 2), dtype=bool)
-    bandwidth = spec.bandwidth.bandwidth(T)
-    seeds = _derive_seeds(spec.master_seed, ti, np.arange(R))
-    for start, stop in chunk_ranges(R, T + spec.burn_in, chunk_size, env.chunk_steps):
-        Y, RHO = env.rewards_and_ratios(T, spec.burn_in, seeds[start:stop])
-        out[start:stop], flags[start:stop] = _estimate_windows(
+    outs = [np.empty((R, len(ks), 4)) for _ in spec.T_values]
+    flags = [np.empty((R, len(ks), 2), dtype=bool) for _ in spec.T_values]
+    jobs = []
+    for ti, T in enumerate(spec.T_values):
+        seeds = _derive_seeds(spec.master_seed, ti, np.arange(R))
+        bandwidth = spec.bandwidth.bandwidth(T)
+        for start, stop in chunk_ranges(R, T + spec.burn_in, chunk_size, env.chunk_steps):
+            jobs.append((ti, T, bandwidth, seeds[start:stop], slice(start, stop)))
+
+    def run(job) -> None:
+        ti, T, bandwidth, seeds, rows = job
+        Y, RHO = env.rewards_and_ratios(T, spec.burn_in, seeds)
+        outs[ti][rows], flags[ti][rows] = _estimate_windows(
             Y[:, None], RHO[:, None], ks, spec.alpha, bandwidth
         )
-    return out, flags[..., 0], flags[..., 1]
+
+    # Chunks in flight hold at most CHUNK_STEPS simulated steps, as one
+    # automatic chunk did when they ran one at a time; a glucose chunk, whose
+    # budget is CHUNK_STEPS, always runs alone.
+    largest = max((rows.stop - rows.start) * (T + spec.burn_in) for _, T, _, _, rows in jobs)
+    threads = min(workers, len(jobs), max(1, CHUNK_STEPS // max(env.chunk_steps, largest)))
+    if threads > 1:
+        # Imported here: it brings in logging, about 10 ms of start-up that
+        # the one-thread path never needs.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(threads) as pool:
+            # Results come in job order; an error cancels the jobs not started.
+            for _ in pool.map(run, jobs):
+                pass
+    else:
+        for job in jobs:
+            run(job)
+    return [(out, flag[..., 0], flag[..., 1]) for out, flag in zip(outs, flags)]
 
 
 def run_sweep(
@@ -294,15 +353,20 @@ def run_sweep(
     MSE, bias, variance, mean estimate, CI coverage and the count of
     clamped variance estimates against the environment's value oracle.
     Results do not depend on chunk_size (replications per chunk, >= 1;
-    None fits each chunk to the environment's ``chunk_steps`` budget).
-    ``workers`` is accepted and ignored: replications always run serially.
+    None fits each chunk to the environment's ``chunk_steps`` budget) nor
+    on ``workers``, the threads that run chunks side by side (an integer
+    >= 1; None means ``DEFAULT_WORKERS``, or one on a single usable core).
+    Chunks run side by side only while together they hold at most
+    ``CHUNK_STEPS`` simulated steps, so glucose chunks always run one at a
+    time.
     """
+    workers = _worker_count(workers)
     env = make_environment(spec.environment)
     oracle, provenance = env.oracle()
     ks = spec.k_values
     cells: list[SweepCell] = []
-    for ti, T in enumerate(spec.T_values):
-        out, clamped, _ = _evaluate_windows(env, spec, ti, ks, chunk_size)
+    results = _evaluate_windows(env, spec, ks, workers, chunk_size)
+    for T, (out, clamped, _) in zip(spec.T_values, results):
         est = out[:, :, 0]
         cover = (out[:, :, 2] <= oracle) & (oracle <= out[:, :, 3])
         for ki, k in enumerate(ks):
@@ -371,16 +435,19 @@ def run_lepski_study(
 ) -> LepskiStudyResult:
     """Adaptive-window study: how often each candidate gets selected per
     horizon, and the MSE of the selected estimator next to every fixed
-    window. ``chunk_size`` and ``workers`` behave as in ``run_sweep``."""
+    window. ``chunk_size`` and ``workers`` behave as in ``run_sweep``: the
+    chunks of every horizon run side by side on ``workers`` threads, and
+    the result does not depend on either."""
     candidates = tuple(
         _windows("candidates entry", candidates, min(spec.T_values), ascending=True)
     )
+    workers = _worker_count(workers)
     env = make_environment(spec.environment)
     oracle, provenance = env.oracle()
     rows: list[LepskiRow] = []
-    for ti, T in enumerate(spec.T_values):
-        R = spec.replications
-        out, clamped, non_finite = _evaluate_windows(env, spec, ti, candidates, chunk_size)
+    R = spec.replications
+    results = _evaluate_windows(env, spec, candidates, workers, chunk_size)
+    for T, (out, clamped, non_finite) in zip(spec.T_values, results):
         est = out[:, :, 0]
         intervals = zip(out[:, :, 2:].tolist(), non_finite.tolist())
         sel = np.array([_select_finite(candidates, *iv) for iv in intervals], dtype=np.int64)

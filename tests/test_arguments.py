@@ -95,6 +95,8 @@ COUNTS = [
     ("corollary_window", "n", lambda v: corollary_window(v, 10, 1.0, 0.5), ALL),
     ("corollary_window", "T", lambda v: corollary_window(1, v, 1.0, 0.5), ALL),
     ("run_sweep", "chunk size", lambda v: run_sweep(_spec(), chunk_size=v), NOT_NEGATIVE),
+    ("run_sweep workers", "workers", lambda v: run_sweep(_spec(), workers=v), ("abc", -3, 1.5)),
+    ("run_lepski_study workers", "workers", lambda v: run_lepski_study(_spec(), [0, 1], workers=v), (0,)),
     ("SweepSpec", "T_values entry", lambda v: _spec(k_values=(-1,), T_values=(v,)), (-1,)),
 ]
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import window_weights_reference
 
 from pomdp_ope import ConfigurationError, EstimatorConfig, estimate_with_ci
 from pomdp_ope import estimators as est_mod
@@ -78,6 +79,26 @@ def test_engine_mixes_log_space_and_direct_rows_at_one_window():
     assert (k + 1) * row_max[0] <= _LOG_SPACE_THRESHOLD < (k + 1) * row_max[1]
     assert k * row_max[1] <= _LOG_SPACE_THRESHOLD
     _assert_matches_per_unit(Y, RHO, (-1, 0, 1, 2, k), bandwidth=4.2)
+
+
+def test_log_space_decision_reads_each_rows_extreme_ratios():
+    # Row 0 passes the threshold at k = 3 only through its smallest positive
+    # ratio, row 1 only through its largest, and row 2 has no positive ratio.
+    # Rows 0 and 1 hold zeros too, which the decision must not count.
+    rng = np.random.default_rng(17)
+    T = 40
+    Y = rng.normal(size=(3, T))
+    RHO = np.stack([rng.uniform(0.8, 1.25, size=T), rng.uniform(0.8, 1.25, size=T), np.zeros(T)])
+    RHO[0, 7], RHO[1, 11] = np.exp(-9.0), np.exp(9.0)
+    RHO[:2, [3, 20]] = 0.0
+    assert 3 * 9.0 <= _LOG_SPACE_THRESHOLD < 4 * 9.0
+    ks = [-1, 0, 1, 2, 3, 4]
+    got = dict(est_mod._window_terms(Y, RHO, ks))
+    for k in ks[1:]:
+        for i in range(3):
+            want = window_weights_reference(RHO[i], k, _LOG_SPACE_THRESHOLD) * Y[i, k:]
+            np.testing.assert_array_equal(got[k][i].view(np.int64), want.view(np.int64))
+    _assert_matches_per_unit(Y, RHO, ks, bandwidth=3.5)
 
 
 def test_engine_log_space_rows_survive_overflowing_direct_products():

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -242,29 +246,218 @@ def test_glucose_sweeps_chunk_by_the_memory_budget(monkeypatch):
     assert calls == [[(0, 700)]]
 
 
-def test_sweep_and_study_output_is_pinned(tmp_path):
-    # SHA-256 of a toy sweep CSV and study JSON recorded before replication
-    # chunks were sized by the cache budget (96 x 1,500 steps at T = 1,400 now
-    # runs as two chunks); drift from that code shows here, not only drift
-    # between chunk sizes.
-    import hashlib
+# A toy sweep and study whose outputs' SHA-256 digests were recorded before
+# replication chunks were sized by the cache budget and before they ran on
+# threads (96 x 1,500 steps at T = 1,400 now runs as two chunks); drift from
+# that code shows here, not only drift between chunk sizes or worker counts.
+PINNED_SPEC = SweepSpec(
+    environment="toy",
+    k_values=(-1, 0, 1, 2, 3),
+    T_values=(100, 1400),
+    replications=96,
+    master_seed=16,
+)
+PINNED_SWEEP_CSV = "cee719e817ef7ac23547f5b5d51260eb676e051028791a26fcb290d81612469a"
+PINNED_STUDY_JSON = "a60145d92b554ff9f944b787b24218a22e76ce9a4142a11062f4321a20e5b52e"
 
-    spec = SweepSpec(
-        environment="toy",
-        k_values=(-1, 0, 1, 2, 3),
-        T_values=(100, 1400),
-        replications=96,
-        master_seed=16,
-    )
+
+def _pinned_digests(tmp_path, **options) -> tuple[str, str]:
     path = tmp_path / "sweep.csv"
-    sweep_result_to_csv(run_sweep(spec), path)
-    study = json_text(lepski_study_to_json(run_lepski_study(spec, [-1, 0, 1, 2, 3])))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "cee719e817ef7ac23547f5b5d51260eb676e051028791a26fcb290d81612469a"
+    sweep_result_to_csv(run_sweep(PINNED_SPEC, **options), path)
+    study = run_lepski_study(PINNED_SPEC, [-1, 0, 1, 2, 3], **options)
+    return (
+        hashlib.sha256(path.read_bytes()).hexdigest(),
+        hashlib.sha256(json_text(lepski_study_to_json(study)).encode()).hexdigest(),
     )
-    assert hashlib.sha256(study.encode()).hexdigest() == (
-        "a60145d92b554ff9f944b787b24218a22e76ce9a4142a11062f4321a20e5b52e"
+
+
+def test_sweep_and_study_output_is_pinned(tmp_path):
+    # Default workers: two threads where two or more cores are usable, a
+    # plain loop on one core.
+    sweep, study = _pinned_digests(tmp_path)
+    assert sweep == PINNED_SWEEP_CSV
+    assert study == PINNED_STUDY_JSON
+
+
+def _finishing_in_reverse(monkeypatch) -> tuple[list[int], list[int]]:
+    """Make every finite chunk sleep before it simulates, earlier chunks
+    longer (100 ms, halving with each later start), so on two or more
+    threads later chunks finish first. Returns the lists of chunk start
+    indices in start order and in the order the chunks finished."""
+    simulate = FiniteEnvironment.rewards_and_ratios
+    lock = threading.Lock()
+    started: list[int] = []
+    finished: list[int] = []
+
+    def slow(self, T, burn_in, seeds):
+        with lock:
+            index = len(started)
+            started.append(index)
+        time.sleep(0.1 * 0.5**index)
+        out = simulate(self, T, burn_in, seeds)
+        with lock:
+            finished.append(index)
+        return out
+
+    monkeypatch.setattr(FiniteEnvironment, "rewards_and_ratios", slow)
+    return started, finished
+
+
+@pytest.mark.parametrize("chunk_size", [None, 7])
+def test_chunks_finishing_out_of_order_give_the_pinned_output(chunk_size, tmp_path, monkeypatch):
+    # Every job writes only its own rows, so the order in which chunks
+    # finish cannot reach the output.
+    started, finished = _finishing_in_reverse(monkeypatch)
+    for workers in (1, 2, 4):
+        started.clear()
+        finished.clear()
+        assert _pinned_digests(tmp_path, workers=workers, chunk_size=chunk_size) == (
+            PINNED_SWEEP_CSV,
+            PINNED_STUDY_JSON,
+        )
+        in_order = finished == started
+        assert in_order if workers == 1 else not in_order
+
+
+def test_more_workers_than_cores_with_fast_switching_are_deterministic(tmp_path):
+    # Eight threads switching every microsecond on one-replication chunks:
+    # a lost or misplaced row write would change the bytes.
+    spec = _small_spec(replications=24)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [run_sweep(spec, workers=workers, chunk_size=1) for workers in (1, 8)]
+        studies = [run_lepski_study(spec, [-1, 0, 1], workers=w, chunk_size=1) for w in (1, 8)]
+    finally:
+        sys.setswitchinterval(interval)
+    files = []
+    for i, result in enumerate(runs):
+        path = tmp_path / f"sweep_{i}.csv"
+        sweep_result_to_csv(result, path)
+        files.append(path.read_bytes())
+    assert files[0] == files[1]
+    assert json_text(lepski_study_to_json(studies[0])) == json_text(lepski_study_to_json(studies[1]))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_first_failing_chunk_raises_and_threads_end(workers, monkeypatch):
+    # Chunks 2 and 4 (one replication each) fail with different errors;
+    # chunk 2's is raised even when chunk 4 fails first, and no worker
+    # thread outlives the call.
+    from pomdp_ope.rng import _derive_seeds
+
+    spec = _small_spec(T_values=(60,), replications=6)
+    index = {int(s): r for r, s in enumerate(_derive_seeds(spec.master_seed, 0, np.arange(6)))}
+    simulate = FiniteEnvironment.rewards_and_ratios
+
+    def failing(self, T, burn_in, seeds):
+        chunk = index[int(seeds[0])]
+        if chunk == 2:
+            time.sleep(0.05)
+            raise ValueError("chunk 2 failed")
+        if chunk == 4:
+            raise KeyError("chunk 4 failed")
+        return simulate(self, T, burn_in, seeds)
+
+    monkeypatch.setattr(FiniteEnvironment, "rewards_and_ratios", failing)
+    baseline = threading.active_count()
+    for run in (run_sweep, lambda spec, **kw: run_lepski_study(spec, [-1, 0, 1], **kw)):
+        with pytest.raises(ValueError, match="chunk 2 failed"):
+            run(spec, workers=workers, chunk_size=1)
+        assert threading.active_count() == baseline
+
+
+def test_glucose_chunks_run_one_at_a_time(monkeypatch):
+    # The glucose budget is CHUNK_STEPS, so however many workers are asked
+    # for, one glucose chunk is in flight at a time.
+    simulate = GlucoseEnvironment.rewards_and_ratios
+    lock = threading.Lock()
+    in_flight = [0]
+    most = [0]
+    calls = []
+
+    def spy(self, T, burn_in, seeds):
+        with lock:
+            in_flight[0] += 1
+            most[0] = max(most[0], in_flight[0])
+            calls.append(len(seeds))
+        try:
+            time.sleep(0.01)
+            return simulate(self, T, burn_in, seeds)
+        finally:
+            with lock:
+                in_flight[0] -= 1
+
+    monkeypatch.setattr(GlucoseEnvironment, "rewards_and_ratios", spy)
+    monkeypatch.setattr(GlucoseEnvironment, "oracle", lambda self: (-0.7, {}))
+    spec = _small_spec(
+        environment="glucose", k_values=(0,), T_values=(30, 40), replications=6, burn_in=5
     )
+    run_sweep(spec, workers=4, chunk_size=2)
+    run_lepski_study(spec, [-1, 0], workers=4, chunk_size=2)
+    assert calls == [2] * 12
+    assert most[0] == 1
+
+
+@pytest.mark.parametrize("cores, expected", [(1, 1), (2, 2), (8, 2)])
+def test_default_workers_are_two_capped_at_the_usable_cores(cores, expected, monkeypatch):
+    from pomdp_ope import harness
+
+    def affinity(pid):
+        return set(range(cores))
+
+    monkeypatch.setattr(harness.os, "sched_getaffinity", affinity, raising=False)
+    assert harness._worker_count(None) == expected
+    assert harness._worker_count(5) == 5
+
+
+@pytest.mark.parametrize(
+    "T_values, replications, chunk_size, bound, pooled",
+    [
+        # chunk_size=R: each job is a whole horizon of 960 or 1,680 steps.
+        ((60, 120), 12, 12, 1, False),
+        # One replication of 420 or 520 steps overflows the 300-step budget,
+        # so each automatic chunk is one replication larger than the budget.
+        ((400, 500), 3, None, 1, False),
+        # Automatic chunks of 3 replications (240 steps) fit 4 at a time.
+        ((60,), 24, None, 4, True),
+    ],
+)
+def test_chunks_in_flight_hold_at_most_chunk_steps(
+    T_values, replications, chunk_size, bound, pooled, monkeypatch
+):
+    # With the budgets shrunk to 300 steps per chunk and 1,000 steps in
+    # flight, a spy counts the steps of the chunks being simulated at once.
+    from pomdp_ope import harness
+
+    monkeypatch.setattr(FiniteEnvironment, "chunk_steps", 300)
+    monkeypatch.setattr(harness, "CHUNK_STEPS", 1000)
+    simulate = FiniteEnvironment.rewards_and_ratios
+    lock = threading.Lock()
+    in_flight = [0, 0]  # chunks, steps
+    most = [0, 0]
+
+    def spy(self, T, burn_in, seeds):
+        steps = len(seeds) * (T + burn_in)
+        with lock:
+            in_flight[0] += 1
+            in_flight[1] += steps
+            most[:] = [max(m, f) for m, f in zip(most, in_flight)]
+        try:
+            time.sleep(0.01)
+            return simulate(self, T, burn_in, seeds)
+        finally:
+            with lock:
+                in_flight[0] -= 1
+                in_flight[1] -= steps
+
+    monkeypatch.setattr(FiniteEnvironment, "rewards_and_ratios", spy)
+    spec = _small_spec(T_values=T_values, replications=replications, burn_in=20)
+    run_sweep(spec, workers=4, chunk_size=chunk_size)
+    run_lepski_study(spec, [-1, 0], workers=4, chunk_size=chunk_size)
+    assert most[0] <= bound
+    assert most[0] > 1 if pooled else most[0] == 1
+    assert most[1] <= 1000 or most[0] == 1
 
 
 def test_clamped_variances_are_counted(monkeypatch):

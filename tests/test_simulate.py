@@ -267,6 +267,33 @@ def test_cell_adapter_matches_reference_loop(env_id):
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("env_id", ["toy", HARD_Q3, "dense"])
+@pytest.mark.parametrize(
+    "T, burn_in, n, group_seeds, blocks",
+    [
+        # 3 seeds of 40 steps fit the budget of 120: a short last group.
+        (30, 10, 7, 3, ([(0, 3), (3, 6), (6, 7)], 40)),
+        (30, 10, 1, 3, ([(0, 1)], 40)),
+        # Groups of at least 2 seeds draw 85 or 61 steps in spans of 60,
+        # the last span 25 steps or one.
+        (70, 15, 5, 2, ([(0, 2), (2, 4), (4, 5)], 60)),
+        (46, 15, 3, 2, ([(0, 2), (2, 3)], 60)),
+        # A seed's 85 steps exceed the budget, so each group is one seed.
+        (70, 15, 3, 1, ([(0, 1), (1, 2), (2, 3)], 85)),
+    ],
+    ids=["short-last-group", "one-seed", "spans", "one-step-span", "one-seed-groups"],
+)
+def test_draw_blocks_match_reference_loop(env_id, T, burn_in, n, group_seeds, blocks, monkeypatch):
+    # With a budget of 120 steps per block, every way of splitting the
+    # seeds' streams into groups and spans gives the per-step reference
+    # loop's trajectories, zero-probability behavior actions included.
+    env = _dense_environment(5) if env_id == "dense" else make_environment(env_id)
+    monkeypatch.setattr(core, "GROUP_STEPS", 120)
+    monkeypatch.setattr(core, "GROUP_SEEDS", group_seeds)
+    assert core._draw_blocks(n, T + burn_in) == blocks
+    _assert_matches_reference(env.model, env.behavior, T, burn_in, list(range(60, 60 + n)))
+
+
 @pytest.mark.parametrize("env_id", ["toy", HARD_Q20, "sparse1", "sparse2"])
 def test_rewards_and_ratios_equal_stacked_trajectories(env_id, monkeypatch):
     if env_id.startswith("sparse"):
