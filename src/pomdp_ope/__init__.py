@@ -21,7 +21,6 @@ from .core import (
     policy_transition_matrix,
     policy_value_exact,
     simulate,
-    simulate_batch,
     stationary_distribution,
 )
 from .errors import ConfigurationError, MixingFailureError, OverlapViolationError
@@ -38,7 +37,6 @@ from .estimators import (
     parzen_kernel,
     phiw_estimate,
     select_window_from_intervals,
-    window_weights,
 )
 from .harness import (
     LepskiStudyResult,
@@ -93,9 +91,7 @@ __all__ = [
     "run_sweep",
     "select_window_from_intervals",
     "simulate",
-    "simulate_batch",
     "stationary_distribution",
     "sweep_result_to_csv",
     "sweep_result_to_json",
-    "window_weights",
 ]

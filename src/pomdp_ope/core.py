@@ -18,16 +18,15 @@ Chain oracles provided here:
 
 Trajectories are simulated by ``_simulate_arrays``, which is table-driven
 and returns (seeds, T) arrays of flat (state, action) cells
-s * num_actions + w and of rewards; ``simulate_batch`` splits the cells into
-covariates, hidden states and actions and wraps each row in a
-``Trajectory``, and the harness gathers ratios at the cells directly. A
-chunk's generators are seeded in one vectorized pass (``rng._make_rngs``).
-Each seed's stream is read in a fixed order: the initial state, an
-(action, move) uniform pair per step, then a reward normal per step. The
-uniforms are drawn a block at a time (a group of seeds and a span of
-steps, ``GROUP_STEPS`` draws at most) into a small scratch and written
-straight into time-major tables; the normals are drawn last, a group at a
-time once the path is known, and turned into rewards in place.
+s * num_actions + w and of rewards; ``simulate`` splits one seed's cells
+into covariates, hidden states and actions, and the harness gathers ratios
+at the cells directly. A chunk's generators are seeded in one vectorized
+pass (``rng._make_rngs``). Each seed's stream is read in a fixed order: the
+initial state, an (action, move) uniform pair per step, then a reward
+normal per step. The uniforms are drawn a block at a time (a group of seeds
+and a span of steps, ``GROUP_STEPS`` draws at most) into a small scratch
+and written straight into time-major tables; the normals are drawn last, a
+group at a time once the path is known, and turned into rewards in place.
 Whole-array comparisons against the cumulative policy and transition rows
 build two tables over every (seed, step): the action drawn if the
 covariate is x, and the next state reached from state s.
@@ -259,7 +258,9 @@ class Policy:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Aligned (x, h, w, y) sequences recorded after a burn-in period."""
+    """Aligned (x, h, w, y) sequences recorded after a burn-in period: 1-D
+    columns of one length, whole numbers >= 0 in x, h and w, and finite
+    rewards y."""
 
     x: np.ndarray
     h: np.ndarray
@@ -268,21 +269,29 @@ class Trajectory:
     seed: int
     burn_in: int
 
+    # The CSV columns after t, as (header, field) pairs.
+    csv_columns = (("x", "x"), ("h", "h"), ("w", "w"), ("y", "y"))
+
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.int64)
-        h = np.asarray(self.h, dtype=np.int64)
-        w = np.asarray(self.w, dtype=np.int64)
-        y = np.asarray(self.y, dtype=float)
-        n = len(y)
-        if n < 1 or not (len(x) == len(h) == len(w) == n):
+        columns = {}
+        for name in ("x", "h", "w", "y"):
+            raw = np.asarray(getattr(self, name))
+            if raw.ndim != 1:
+                raise ConfigurationError(f"trajectory {name} must be 1-D, got shape {raw.shape}")
+            real = raw.astype(float)
+            if name == "y":
+                _check_finite("trajectory rewards y", real)
+                columns[name] = real
+            else:
+                whole = (real >= 0.0) & (real < np.inf) & (real == np.floor(real))
+                _raise_at_first(f"trajectory {name}", raw, ~whole, "a whole number >= 0")
+                columns[name] = raw.astype(np.int64)
+        T = len(columns["y"])
+        if T < 1 or any(len(arr) != T for arr in columns.values()):
             raise ConfigurationError("trajectory sequences must share a length T >= 1")
-        _check_finite("trajectory rewards y", y)
-        for arr in (x, h, w, y):
+        for name, arr in columns.items():
             arr.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "y", y)
+            object.__setattr__(self, name, arr)
 
     @property
     def T(self) -> int:
@@ -424,35 +433,12 @@ def simulate(
     step draws the action from behavior(x), the reward from the (state,
     action) reward law, and the next state from the transition tensor. Only
     the last T steps are recorded. Identical arguments produce a bit-identical
-    trajectory.
+    trajectory, the row of ``seed`` in any batch of ``_simulate_arrays``.
     """
-    return simulate_batch(model, behavior, T, burn_in, [seed])[0]
-
-
-def simulate_batch(
-    model: PomdpModel,
-    behavior: Policy,
-    T: int,
-    burn_in: int,
-    seeds: Sequence[int],
-) -> list[Trajectory]:
-    """Simulate one trajectory per seed: the rows of ``_simulate_arrays``,
-    split into covariates, hidden states and actions and wrapped in a
-    ``Trajectory``.
-
-    Each seed drives its own random stream with a fixed consumption order
-    (initial state, then per-step action/transition uniforms, then reward
-    normals), so the result for a given seed does not depend on which other
-    seeds share the batch. Equivalent to, and tested against, a loop of
-    single-seed ``simulate`` calls and a plain per-step reference loop.
-    """
-    cells, y = _simulate_arrays(model, behavior, T, burn_in, seeds)
-    states, w = np.divmod(cells, model.num_actions)
+    cells, y = _simulate_arrays(model, behavior, T, burn_in, [seed])
+    states, w = np.divmod(cells[0], model.num_actions)
     x, h = np.divmod(states, model.num_h)
-    return [
-        Trajectory(x=x[r], h=h[r], w=w[r], y=y[r], seed=int(sd), burn_in=burn_in)
-        for r, sd in enumerate(seeds)
-    ]
+    return Trajectory(x=x, h=h, w=w, y=y[0], seed=int(seed), burn_in=burn_in)
 
 
 def _simulate_arrays(

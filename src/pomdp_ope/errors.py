@@ -34,6 +34,14 @@ def _positive(name: str, value):
     return value
 
 
+def _level(name: str, value):
+    """``value`` unchanged if it is a real in (0, 1) (an interval's alpha);
+    else ConfigurationError naming ``name``."""
+    if not (isinstance(value, numbers.Real) and 0.0 < value < 1.0):
+        raise ConfigurationError(f"{name} must lie in (0, 1), got {value!r}")
+    return value
+
+
 class OverlapViolationError(RuntimeError):
     """The behavior policy puts zero probability on an action the target
     policy can take, at a covariate actually visited by the data."""

@@ -25,14 +25,13 @@ and the environments' ``rewards_and_ratios`` for seeded batches.
 All estimators run on one core, ``_estimate_windows``. It evaluates every
 requested window on a (G, n, T) batch, G estimates of n units each, in one
 pass: ``_window_terms`` builds each window's products from the previous
-window's (``window_weights`` reads them from it too), the lag window is
-evaluated once per call, each lag's cross products are summed across all
-units at once, and the normal quantile z_{1-alpha/2} is computed once, by
-``_ndtri``, a plain-Python port of the Cephes library's inverse normal CDF
-``ndtri`` (the package needs numpy alone). The public
-estimators pass their units as one estimate; Monte Carlo studies pass each
-replication as an estimate of one unit. Window selection leaves out the
-windows whose estimates are flagged "non_finite".
+window's, the lag window is evaluated once per call, each lag's cross
+products are summed across all units at once, and the normal quantile
+z_{1-alpha/2} is computed once, by ``_ndtri``, a plain-Python port of the
+Cephes library's inverse normal CDF ``ndtri`` (the package needs numpy
+alone). The public estimators pass their units as one estimate; Monte Carlo
+studies pass each replication as an estimate of one unit. Window selection
+leaves out the windows whose estimates are flagged "non_finite".
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import Policy, Trajectory, _check_finite, _raise_at_first
-from .errors import ConfigurationError, OverlapViolationError, _integer, _positive
+from .errors import ConfigurationError, OverlapViolationError, _integer, _level, _positive
 
 # Switch window products to log space once the worst-case product magnitude
 # could overflow or lose precision; below this, direct multiplication is exact
@@ -117,8 +116,7 @@ class EstimatorConfig:
 
     def __post_init__(self):
         _windows("k", [self.k])
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigurationError("alpha must lie in (0, 1)")
+        _level("alpha", self.alpha)
         _positive("bandwidth", self.bandwidth)
 
 
@@ -239,8 +237,17 @@ def importance_ratios(traj: Trajectory, target: Policy, behavior: Policy) -> np.
     Raises OverlapViolationError naming (t, x, a) if the behavior policy has
     zero probability on a realized action to which the target assigns
     positive probability. Steps where the target probability is zero yield a
-    zero ratio (the window weight vanishes).
+    zero ratio (the window weight vanishes). Raises ConfigurationError if
+    the two policies differ in shape, or naming the first step whose x or w
+    is out of their range.
     """
+    if target.probs.shape != behavior.probs.shape:
+        raise ConfigurationError(
+            f"target policy shape {target.probs.shape} != behavior policy shape "
+            f"{behavior.probs.shape}"
+        )
+    for name, column, size in (("x", traj.x, target.num_x), ("w", traj.w, target.num_actions)):
+        _raise_at_first(f"trajectory {name}", column, column >= size, f"< {size}")
     cells = np.ravel_multi_index((traj.x, traj.w), target.probs.shape)
     return _policy_ratios(cells, np.arange(target.num_x), target, behavior)
 
@@ -249,26 +256,6 @@ def _check_ratios(rho: np.ndarray) -> None:
     """Raise ConfigurationError naming the first non-finite or negative ratio."""
     _check_finite("ratios", rho)
     _raise_at_first("ratios", rho, rho < 0.0, ">= 0")
-
-
-def window_weights(ratios: np.ndarray, k: int) -> np.ndarray:
-    """Products of k+1 consecutive ratios; entry j covers steps j..j+k.
-
-    Computed by the estimators' own pass: a series whose worst-case window
-    log magnitude exceeds a safe bound is multiplied in log space, with zero
-    ratios tracked separately so a single zero still annihilates its window.
-    Ratios must be finite and >= 0, or ConfigurationError names the first
-    bad index. A product past the float range is inf, with a RuntimeWarning.
-    """
-    rho = np.asarray(ratios, dtype=float)
-    _check_ratios(rho)
-    k = _integer("k", k, 0)
-    if rho.size < k + 1:
-        raise ConfigurationError(f"need at least k+1={k + 1} steps, got {rho.size}")
-    ((_, w),) = _window_terms(np.ones((1, rho.size)), rho.reshape(1, -1), [k])
-    if np.isinf(w).any():
-        warnings.warn("window product overflowed to inf", RuntimeWarning, stacklevel=2)
-    return w[0]
 
 
 def _units(
@@ -303,7 +290,7 @@ def _units(
 def _windows(name: str, ks, T: int | None = None, ascending: bool = False) -> list[int]:
     """The windows ``ks`` as Python ints: at least one, each an integer >= -1
     (a bad one is named ``name``), at most T - 2 given the series length T,
-    and sorted if ``ascending``; ``window_weights`` alone takes k = T - 1."""
+    and sorted if ``ascending``."""
     windows = [_integer(name, k, -1) for k in ks]
     if not windows:
         raise ConfigurationError(f"need at least one {name}")
@@ -407,8 +394,7 @@ def _estimate_windows(
     (G, K, 4) array of (value, variance, ci_lo, ci_hi), with half-width
     z_{1-alpha/2} sqrt(variance / (n L)), and the (G, K, len(_FLAGS)) mask.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError("alpha must lie in (0, 1)")
+    _level("alpha", alpha)
     _positive("bandwidth", bandwidth)
     G, n, T = Y.shape
     windows = sorted(set(_windows("k", ks, T)))

@@ -58,7 +58,7 @@ from .core import (
     policy_value_exact,
     simulate,
 )
-from .errors import ConfigurationError, _integer
+from .errors import ConfigurationError, _integer, _level
 from .estimators import (
     BandwidthRule,
     DEFAULT_BANDWIDTH_RULE,
@@ -71,7 +71,6 @@ from .instances import glucose
 from .instances.glucose import (
     glucose_rewards_and_ratios,
     glucose_simulate,
-    glucose_trajectory_to_csv,
     target_value_oracle,
 )
 from .instances.hard import HardInstanceParams, hard_instance_pair, params_from_mixing_time
@@ -132,7 +131,7 @@ class GlucoseEnvironment:
     def write_trajectory(self, T: int, burn_in: int, seed: int, out: Union[str, IO[str]]) -> None:
         """One behavior-policy trajectory as CSV (header
         t,gl,ex,di,in,y,behavior_prob,target_action)."""
-        glucose_trajectory_to_csv(glucose_simulate(T, burn_in, "behavior", seed), out)
+        trajectory_to_csv(glucose_simulate(T, burn_in, "behavior", seed), out)
 
 
 def hard_params(text: str) -> HardInstanceParams:
@@ -224,8 +223,7 @@ class SweepSpec:
             )
         for name, minimum in (("replications", 1), ("burn_in", 0), ("master_seed", 0)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigurationError("alpha must lie in (0, 1)")
+        _level("alpha", self.alpha)
 
     def to_dict(self) -> dict:
         return {

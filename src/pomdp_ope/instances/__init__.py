@@ -6,7 +6,6 @@ from .glucose import (
     GlucoseTrajectory,
     glucose_rewards_and_ratios,
     glucose_simulate,
-    glucose_trajectory_to_csv,
     target_value_oracle,
     utility_from_glucose,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "check_conditions",
     "glucose_rewards_and_ratios",
     "glucose_simulate",
-    "glucose_trajectory_to_csv",
     "hard_instance_pair",
     "kl_bound",
     "params_from_mixing_time",

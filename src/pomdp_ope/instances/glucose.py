@@ -37,14 +37,13 @@ drawn only for behavior runs, so target runs see the same values either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from ..core import chunk_ranges
 from ..errors import ConfigurationError, _integer
 from ..rng import _derive_seeds, _make_rngs, make_rng
-from ..serialization import write_text
 
 INSULIN_PROB = 0.3
 MILD_ACTIVITY_PROB = 0.4
@@ -124,6 +123,17 @@ class GlucoseTrajectory:
     policy_kind: str
     seed: int
     burn_in: int
+
+    # The CSV columns after t, as (header, field) pairs.
+    csv_columns = (
+        ("gl", "gl"),
+        ("ex", "ex"),
+        ("di", "di"),
+        ("in", "insulin"),
+        ("y", "y"),
+        ("behavior_prob", "behavior_prob"),
+        ("target_action", "target_action"),
+    )
 
     @property
     def T(self) -> int:
@@ -396,15 +406,3 @@ def target_value_oracle(
         }
         _oracle_cache[key] = (total / count, provenance)
     return _oracle_cache[key]
-
-
-def glucose_trajectory_to_csv(traj: GlucoseTrajectory, out: Union[str, IO[str]]) -> None:
-    """CSV with header t,gl,ex,di,in,y,behavior_prob,target_action."""
-    lines = ["t,gl,ex,di,in,y,behavior_prob,target_action"]
-    for t in range(traj.T):
-        lines.append(
-            f"{t + 1},{traj.gl[t]:.17g},{traj.ex[t]:.17g},{traj.di[t]:.17g},"
-            f"{int(traj.insulin[t])},{traj.y[t]:.17g},"
-            f"{traj.behavior_prob[t]:.17g},{int(traj.target_action[t])}"
-        )
-    write_text("\n".join(lines) + "\n", out)

@@ -15,7 +15,7 @@ from typing import IO, Any, Union
 
 import numpy as np
 
-from .core import Gaussian, PointMass, PomdpModel, Policy, RewardSpec, Trajectory
+from .core import Gaussian, PointMass, PomdpModel, Policy, RewardSpec
 from .errors import ConfigurationError
 
 PathLike = Union[str, Path]
@@ -121,9 +121,25 @@ def load_policy(path: PathLike) -> Policy:
     return policy_from_dict(load_json(path))
 
 
-def trajectory_to_csv(traj: Trajectory, out: Union[PathLike, IO[str]]) -> None:
-    """Write a trajectory as CSV with header t,x,h,w,y (t starts at 1)."""
-    lines = ["t,x,h,w,y"]
-    for t in range(traj.T):
-        lines.append(f"{t + 1},{traj.x[t]},{traj.h[t]},{traj.w[t]},{traj.y[t]:.17g}")
+def _csv_cells(values: np.ndarray) -> list[str]:
+    """A column's cells as text: floats %.17g, integers plain."""
+    if values.dtype.kind == "f":
+        return [f"{v:.17g}" for v in values.tolist()]
+    return [str(v) for v in values.tolist()]
+
+
+def trajectory_to_csv(traj, out: Union[PathLike, IO[str]]) -> None:
+    """Write a trajectory record (a ``Trajectory`` or a
+    ``GlucoseTrajectory``) as CSV: a column t counting steps from 1, then
+    the record's ``csv_columns``, named by their (header, field) pairs.
+    Every column must hold one entry per step, or ConfigurationError names
+    it."""
+    headers, fields = zip(*traj.csv_columns)
+    columns = [_csv_cells(np.arange(1, traj.T + 1))]
+    for name in fields:
+        values = getattr(traj, name)
+        if values.shape != (traj.T,):
+            raise ConfigurationError(f"{name} must have shape ({traj.T},), got {values.shape}")
+        columns.append(_csv_cells(values))
+    lines = [",".join(("t", *headers)), *map(",".join, zip(*columns))]
     write_text("\n".join(lines) + "\n", out)

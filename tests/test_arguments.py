@@ -1,9 +1,10 @@
 """Scalar argument rules, one table per rule: every public entry point
-refuses a bad count, positive real or window with a ConfigurationError that
-names the argument and reports the value it got.
+refuses a bad count, positive real, interval level or window with a
+ConfigurationError that names the argument and reports the value it got.
 
 Each rule has one owner: counts ``errors._integer``, positive reals
-``errors._positive`` and windows ``estimators._windows``.
+``errors._positive``, interval levels ``errors._level`` and windows
+``estimators._windows``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from pomdp_ope import (
     select_window_from_intervals,
     simulate,
     stationary_distribution,
-    window_weights,
 )
 from pomdp_ope import harness
 from pomdp_ope.cli import main
@@ -155,14 +155,27 @@ def test_power_bandwidth_out_of_the_float_range_is_named(exponent):
         BandwidthRule("power", exponent).bandwidth(100_000)
 
 
-# Windows: integers >= -1 (>= 0 for window_weights), at least one, sorted
-# where a scan runs over them.
+# Interval levels: alpha, a real strictly between 0 and 1. lepski_select
+# hands its alpha to the estimator core, whose check is the one it meets.
+LEVEL = ALL + (0.0, 1.0)
+LEVELS = [
+    ("EstimatorConfig", "alpha", lambda v: EstimatorConfig(k=1, alpha=v), LEVEL),
+    ("SweepSpec", "alpha", lambda v: _spec(alpha=v), LEVEL),
+    ("lepski_select", "alpha", lambda v: lepski_select(RHO, Y, [0, 1], alpha=v), LEVEL),
+]
+
+
+@pytest.mark.parametrize("call, name, value", _table(LEVELS))
+def test_bad_level_is_named(call, name, value):
+    _assert_refused(call, name, value)
+
+
+# Windows: integers >= -1, at least one, sorted where a scan runs over them.
 WINDOW = (1.5, NAN, INF, "3", -2)
 WINDOWS = [
     ("phiw_estimate", "k", lambda v: phiw_estimate(RHO, Y, v), WINDOW),
     ("hac_variance", "k", lambda v: hac_variance(RHO, Y, v, 3.0), WINDOW),
     ("EstimatorConfig", "k", lambda v: EstimatorConfig(k=v), WINDOW),
-    ("window_weights", "k", lambda v: window_weights(RHO[0], v), WINDOW[:4] + (-1,)),
     ("lepski_select", "candidates entry", lambda v: lepski_select(RHO, Y, [v, 2]), WINDOW),
     (
         "select_window_from_intervals",

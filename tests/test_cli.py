@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -62,6 +63,36 @@ def test_simulate_glucose_csv(tmp_path, capsys):
     lines = out_path.read_text().strip().split("\n")
     assert lines[0] == "t,gl,ex,di,in,y,behavior_prob,target_action"
     assert len(lines) == 31
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("simulate", "--env", "toy", "--T", "400", "--seed", "5"),
+            "692330bd2b20370b17b7fbbd7b69f9fb9cdf4f5b0625634e10714552db5d6724",
+        ),
+        (
+            ("simulate", "--env", "hard:Q=3,t0=1,zeta=0.69,M1=1,M2=2", "--T", "400", "--seed", "5"),
+            "16b31609ece2e892ec56145990a49c2fe132f68f00513ef54609a4baa3e219ff",
+        ),
+        (
+            ("simulate", "--env", "glucose", "--T", "400", "--seed", "5"),
+            "689e7d5d14113ba8765d0031bdf0221b6391238e3a164b5f063f0847a90dfc04",
+        ),
+        (
+            ("instance", "--env", "glucose", "--seed", "3"),
+            "32db582c94b3b0e9fbe9cbdeb61e8c6443f0e902c10d70843c365a3aa084bb95",
+        ),
+    ],
+    ids=["simulate-toy", "simulate-hard", "simulate-glucose", "instance-glucose"],
+)
+def test_trajectory_csv_bytes_are_pinned(capsys, argv, digest):
+    # SHA-256 of each environment's trajectory CSV: any change to the
+    # columns, the number format or the simulators' streams shows up here.
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_lepski_subcommand(capsys):

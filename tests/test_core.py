@@ -21,9 +21,9 @@ from pomdp_ope import (
     policy_transition_matrix,
     policy_value_exact,
     simulate,
-    simulate_batch,
     stationary_distribution,
 )
+from pomdp_ope.core import _simulate_arrays
 from pomdp_ope.instances.toy import CONTROL_KERNEL, TREAT_KERNEL
 
 
@@ -257,11 +257,40 @@ def test_simulate_deterministic_in_seed(toy):
 def test_simulate_batch_matches_individual_calls(toy):
     model, behavior, _ = toy
     seeds = [7, 8, 9]
-    batch = simulate_batch(model, behavior, T=50, burn_in=10, seeds=seeds)
-    for seed, traj in zip(seeds, batch):
+    cells, ys = _simulate_arrays(model, behavior, T=50, burn_in=10, seeds=seeds)
+    for seed, cell, y in zip(seeds, cells, ys):
         single = simulate(model, behavior, T=50, burn_in=10, seed=seed)
-        np.testing.assert_array_equal(traj.w, single.w)
-        np.testing.assert_array_equal(traj.y, single.y)
+        states, w = np.divmod(cell, model.num_actions)
+        np.testing.assert_array_equal(w, single.w)
+        np.testing.assert_array_equal(y, single.y)
+        np.testing.assert_array_equal(np.divmod(states, model.num_h), (single.x, single.h))
+
+
+@pytest.mark.parametrize(
+    "field, values, match",
+    [
+        ("x", [0.5, 1], r"^trajectory x must be a whole number >= 0, got 0.5 at index 0$"),
+        ("h", [0, -1], r"^trajectory h must be a whole number >= 0, got -1 at index 1$"),
+        ("w", [1, np.nan], r"^trajectory w must be a whole number >= 0, got nan at index 1$"),
+        ("x", [0, np.inf], r"^trajectory x must be a whole number >= 0, got inf at index 1$"),
+        ("w", [[1, 0]], r"^trajectory w must be 1-D, got shape \(1, 2\)$"),
+        ("y", [[0.5], [1.5]], r"^trajectory y must be 1-D, got shape \(2, 1\)$"),
+    ],
+    ids=["fractional-x", "negative-h", "nan-w", "inf-x", "2d-w", "2d-y"],
+)
+def test_trajectory_refuses_bad_columns(field, values, match):
+    # A fractional x was once truncated to 0 and a 2-D column stored as is.
+    columns = {"x": [0, 1], "h": [0, 0], "w": [1, 0], "y": [0.5, 1.5]}
+    columns[field] = values
+    with pytest.raises(ConfigurationError, match=match):
+        Trajectory(**columns, seed=0, burn_in=0)
+
+
+def test_trajectory_keeps_whole_float_indices_as_integers():
+    traj = Trajectory(x=[0.0, 1.0], h=[0, 0], w=[True, False], y=[1, 2], seed=0, burn_in=0)
+    assert traj.x.dtype == traj.w.dtype == np.int64
+    assert traj.x.tolist() == [0, 1] and traj.w.tolist() == [1, 0]
+    assert traj.y.dtype == np.float64
 
 
 def test_simulate_deterministic_model_hand_checked():

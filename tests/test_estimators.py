@@ -45,10 +45,9 @@ from pomdp_ope import (
     phiw_estimate,
     select_window_from_intervals,
     simulate,
-    simulate_batch,
-    window_weights,
 )
 from pomdp_ope import estimators as est_mod
+from pomdp_ope.harness import FiniteEnvironment
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +106,20 @@ def test_matches_naive_loop_implementation(toy):
 
 def test_multi_trajectory_average(toy):
     model, behavior, target = toy
-    trajs = simulate_batch(model, behavior, T=40, burn_in=10, seeds=[1, 2, 3])
+    trajs = [simulate(model, behavior, T=40, burn_in=10, seed=s) for s in (1, 2, 3)]
     singles = [phiw_estimate(*streams([t], target, behavior), 2) for t in trajs]
     assert phiw_estimate(*streams(trajs, target, behavior), 2) == pytest.approx(
         np.mean(singles), rel=1e-14
     )
+
+
+def _window_weights(rho, k):
+    """One series' products of k+1 consecutive ratios (entry j covers steps
+    j..j+k), as the engine's window pass builds them: its window-k summands
+    with every reward 1."""
+    rho = np.asarray(rho, dtype=float)
+    ((_, w),) = est_mod._window_terms(np.ones((1, rho.size)), rho[None], [k])
+    return w[0]
 
 
 def test_window_weights_log_space_agrees_with_direct():
@@ -119,22 +127,24 @@ def test_window_weights_log_space_agrees_with_direct():
     rho = np.exp(rng.normal(0.0, 1.5, size=200))
     rho[rng.random(200) < 0.1] = 0.0
     k = 4
-    direct = window_weights(rho, k)
+    direct = _window_weights(rho, k)
     forced = est_mod._LOG_SPACE_THRESHOLD
     try:
         est_mod._LOG_SPACE_THRESHOLD = -1.0  # force the log-space path
-        logged = window_weights(rho, k)
+        logged = _window_weights(rho, k)
     finally:
         est_mod._LOG_SPACE_THRESHOLD = forced
     np.testing.assert_allclose(logged, direct, rtol=1e-10, atol=1e-300)
     assert ((direct == 0) == (logged == 0)).all()
+    np.testing.assert_array_equal(direct, window_weights_reference(rho, k, forced))
+    np.testing.assert_array_equal(logged, window_weights_reference(rho, k, -1.0))
 
 
 def _window_weights_with_threshold(rho, k, threshold):
     saved = est_mod._LOG_SPACE_THRESHOLD
     try:
         est_mod._LOG_SPACE_THRESHOLD = threshold
-        return window_weights(rho, k)
+        return _window_weights(rho, k)
     finally:
         est_mod._LOG_SPACE_THRESHOLD = saved
 
@@ -161,7 +171,9 @@ def test_window_products_agree_near_log_space_threshold(data):
     positive = rho > 0.0
     max_log = float(np.abs(np.log(rho[positive])).max()) if positive.any() else 0.0
     chosen = direct if (k + 1) * max_log <= est_mod._LOG_SPACE_THRESHOLD else logged
-    np.testing.assert_array_equal(window_weights(rho, k), chosen)
+    np.testing.assert_array_equal(_window_weights(rho, k), chosen)
+    threshold = est_mod._LOG_SPACE_THRESHOLD
+    np.testing.assert_array_equal(chosen, window_weights_reference(rho, k, threshold))
 
 
 def test_window_weights_survive_transient_overflow():
@@ -170,7 +182,7 @@ def test_window_weights_survive_transient_overflow():
     # path (triggered by the large per-step log magnitude) stays exact.
     big = np.exp(350.0)
     rho = np.tile([big, big, 1.0 / big, 1.0 / big], 20)
-    w = window_weights(rho, 2)
+    w = _window_weights(rho, 2)
     assert np.isfinite(w).all()
     assert w.max() == pytest.approx(np.exp(350.0), rel=1e-9)
     assert w.min() == pytest.approx(np.exp(-350.0), rel=1e-9)
@@ -230,15 +242,6 @@ def test_window_pass_matches_per_series_reference(batch):
             with np.errstate(over="ignore", invalid="ignore"):
                 want_terms = want * Y[i, k:]
             np.testing.assert_array_equal(_bits(got[k][i]), _bits(want_terms))
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                weights = window_weights(RHO[i], k)
-            np.testing.assert_array_equal(_bits(weights), _bits(want))
-            # One RuntimeWarning exactly when a product is inf, and no other.
-            assert len(caught) == int(np.isinf(want).any())
-            assert all(
-                w.category is RuntimeWarning and "overflow" in str(w.message) for w in caught
-            )
 
 
 def test_too_short_trajectory_raises(toy):
@@ -260,6 +263,35 @@ def test_overlap_violation_names_step_and_pair(toy):
     assert err.value.x == traj.x[first_treated]
 
 
+@pytest.mark.parametrize(
+    "field, values, match",
+    [
+        ("x", [0, 2, 1], r"^trajectory x must be < 2, got 2 at index 1$"),
+        ("w", [0, 1, 5], r"^trajectory w must be < 2, got 5 at index 2$"),
+    ],
+    ids=["x", "w"],
+)
+def test_importance_ratios_refuse_steps_outside_the_policies(toy, field, values, match):
+    # numpy's "invalid entry in coordinates array" once stood for these.
+    _, behavior, target = toy
+    columns = {"x": [0, 1, 1], "h": [0, 0, 0], "w": [0, 1, 0], "y": [1.0, 1.0, 1.0]}
+    columns[field] = values
+    traj = Trajectory(**columns, seed=0, burn_in=0)
+    with pytest.raises(ConfigurationError, match=match):
+        importance_ratios(traj, target, behavior)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3)])
+def test_importance_ratios_refuse_policies_of_two_shapes(toy, shape):
+    # A wider target once failed with a bare IndexError.
+    model, behavior, _ = toy
+    traj = simulate(model, behavior, T=5, burn_in=0, seed=1)
+    target = Policy(probs=np.full(shape, 1.0 / shape[1]))
+    pattern = rf"^target policy shape \({shape[0]}, {shape[1]}\) != behavior policy shape \(2, 2\)$"
+    with pytest.raises(ConfigurationError, match=pattern):
+        importance_ratios(traj, target, behavior)
+
+
 def _pair_ratios(x, w, target, behavior, env=None):
     """``_policy_ratios`` at (covariate, action) pairs: one table row per
     covariate."""
@@ -269,7 +301,7 @@ def _pair_ratios(x, w, target, behavior, env=None):
 
 def test_batch_ratios_flag_first_violation_in_row_major_order(toy):
     model, behavior, target = toy
-    trajs = simulate_batch(model, behavior, T=30, burn_in=5, seeds=[1, 2, 3])
+    trajs = [simulate(model, behavior, T=30, burn_in=5, seed=s) for s in (1, 2, 3)]
     X = np.stack([tr.x for tr in trajs])
     W = np.stack([tr.w for tr in trajs])
     rho = _pair_ratios(X, W, target, behavior)
@@ -354,8 +386,6 @@ def test_estimators_reject_non_finite_input():
 @pytest.mark.parametrize("rho", [[2.0, -1.0, 2.0, 2.0], [1e9, -1.0, 2.0, 2.0, 1e-9]])
 def test_negative_ratios_rejected_by_index(rho):
     match = r"ratios must be >= 0, got -1.0 at index 1"
-    with pytest.raises(ConfigurationError, match=match):
-        window_weights(rho, 1)
     for k in (-1, 1):
         with pytest.raises(ConfigurationError, match=match):
             phiw_estimate([np.array(rho)], [np.ones(len(rho))], k)
@@ -394,7 +424,7 @@ def test_estimators_reject_empty_and_ragged_units(call, ratios, rewards, match):
 
 def test_estimators_take_a_2d_array_as_one_row_per_unit(toy):
     model, behavior, target = toy
-    trajs = simulate_batch(model, behavior, T=60, burn_in=10, seeds=[4, 5, 6])
+    trajs = [simulate(model, behavior, T=60, burn_in=10, seed=s) for s in (4, 5, 6)]
     ratios, rewards = streams(trajs, target, behavior)
     config = EstimatorConfig(k=2, bandwidth=3.0)
     assert estimate_with_ci(np.stack(ratios), np.stack(rewards), config) == (
@@ -414,7 +444,7 @@ def test_window_weights_respect_overlap_bound(seed):
     for k in (0, 2, 4):
         pi = target.probs[traj.x, traj.w]
         e = behavior.probs[traj.x, traj.w]
-        w = window_weights(pi / e, k)
+        w = _window_weights(pi / e, k)
         assert w.min() >= 0.0
         assert w.max() <= np.exp(zeta * (k + 1)) * (1 + 1e-12)
 
@@ -506,7 +536,7 @@ def test_hac_matches_double_sum_oracle():
     rho = np.exp(rng.normal(0, 0.2, size=120))
     for bandwidth in (1.5, 4.0, 9.7):
         got = hac_variance([rho], [y], 1, bandwidth=bandwidth)
-        terms = window_weights(rho, 1) * y[1:]
+        terms = _window_weights(rho, 1) * y[1:]
         expected = naive_hac(terms, bandwidth, parzen_kernel)
         assert got == pytest.approx(expected, rel=1e-10)
 
@@ -617,9 +647,6 @@ def test_non_finite_estimate_is_flagged_without_warnings(rewards, n_units):
             [np.full(12, 1e200)] * n_units, [rewards] * n_units, EstimatorConfig(k=3)
         )
     assert rep.flags == ("non_finite",)
-    # A direct caller of window_weights still hears about the overflow.
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert np.isinf(window_weights(np.full(12, 1e200), 3)).all()
 
 
 def test_t_used_counts_summands(toy):
@@ -634,18 +661,16 @@ def test_t_used_counts_summands(toy):
 
 
 def test_ci_width_halves_when_T_quadruples(toy):
-    model, behavior, target = toy
+    env = FiniteEnvironment("toy", *toy)
     reps = 500
     widths = {}
     for ti, T in enumerate((400, 1600)):
         seeds = [np.random.SeedSequence((19, ti, r)).generate_state(1)[0] for r in range(reps)]
-        trajs = simulate_batch(model, behavior, T, 100, [int(s) for s in seeds])
+        ys, rhos = env.rewards_and_ratios(T, 100, [int(s) for s in seeds])
         config = EstimatorConfig(k=1, bandwidth=float(T) ** (1 / 3))
         ws = [
-            (lambda rep: rep.ci_hi - rep.ci_lo)(
-                estimate_with_ci(*streams([traj], target, behavior), config)
-            )
-            for traj in trajs
+            (lambda rep: rep.ci_hi - rep.ci_lo)(estimate_with_ci([rho], [y], config))
+            for rho, y in zip(rhos, ys)
         ]
         widths[T] = float(np.mean(ws))
     assert widths[1600] == pytest.approx(widths[400] / 2.0, rel=0.15)

@@ -16,12 +16,12 @@ from pomdp_ope.instances.glucose import (
     glucose_mean_update,
     glucose_rewards_and_ratios,
     glucose_simulate,
-    glucose_trajectory_to_csv,
     target_rule,
     target_value_oracle,
     utility_from_glucose,
 )
 from pomdp_ope.rng import make_rng
+from pomdp_ope.serialization import trajectory_to_csv
 
 FIELDS = ("gl", "ex", "di", "insulin", "y", "behavior_prob", "target_action")
 
@@ -126,13 +126,22 @@ def test_target_policy_beats_behavior_on_average():
 def test_csv_round_trip_columns():
     traj = glucose_simulate(T=5, burn_in=2, policy_kind="behavior", seed=12)
     buf = io.StringIO()
-    glucose_trajectory_to_csv(traj, buf)
+    trajectory_to_csv(traj, buf)
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "t,gl,ex,di,in,y,behavior_prob,target_action"
     assert len(lines) == 6
     first = lines[1].split(",")
     assert first[0] == "1"
     assert float(first[1]) == pytest.approx(traj.gl[0])
+
+
+@pytest.mark.parametrize("shape", [(4,), (5, 1)])
+def test_csv_refuses_a_column_without_one_entry_per_hour(shape):
+    # A short column once failed with a bare IndexError mid-write.
+    traj = glucose_simulate(T=5, burn_in=2, policy_kind="behavior", seed=12)
+    object.__setattr__(traj, "ex", np.ones(shape))
+    with pytest.raises(ConfigurationError, match=rf"^ex must have shape \(5,\), got \({shape[0]},"):
+        trajectory_to_csv(traj, io.StringIO())
 
 
 def assert_same(got, want):

@@ -22,7 +22,7 @@ from pomdp_ope import (
     mixing_overlap_report,
     run_lepski_study,
     run_sweep,
-    simulate_batch,
+    simulate,
     sweep_result_to_csv,
     sweep_result_to_json,
 )
@@ -546,7 +546,7 @@ def test_chunk_boundaries_do_not_change_simulators(monkeypatch, toy):
 
     def run_all():
         monkeypatch.setattr(glucose, "_oracle_cache", {})
-        trajs = simulate_batch(model, behavior, 40, 10, seeds)
+        trajs = [simulate(model, behavior, 40, 10, seed) for seed in seeds]
         ys, rhos = glucose.glucose_rewards_and_ratios(30, 10, seeds)
         value, _ = glucose.target_value_oracle(runs=10, hours=30, burn_in=10, seed=7)
         return trajs, ys, rhos, value

@@ -19,7 +19,7 @@ from pomdp_ope import (
     PomdpModel,
     core,
     importance_ratios,
-    simulate_batch,
+    simulate,
 )
 from pomdp_ope.estimators import _policy_ratios
 from pomdp_ope.harness import FiniteEnvironment, make_environment
@@ -28,15 +28,23 @@ HARD_Q3 = "hard:Q=3,t0=1,zeta=0.69,M1=1,M2=2,Delta=0.5"
 HARD_Q20 = "hard:Q=20,t0=2,zeta=0.69,M1=1,M2=2"
 
 
+def _batch_columns(model, behavior, T, burn_in, seeds):
+    """(seeds, T) x, h, w and y arrays of one batch of the simulator core."""
+    cells, y = core._simulate_arrays(model, behavior, T, burn_in, seeds)
+    states, w = np.divmod(cells, model.num_actions)
+    x, h = np.divmod(states, model.num_h)
+    return x, h, w, y
+
+
 def _assert_matches_reference(model, behavior, T, burn_in, seeds):
-    trajs = simulate_batch(model, behavior, T, burn_in, seeds)
+    batch = _batch_columns(model, behavior, T, burn_in, seeds)
     expected = simulate_reference(model, behavior, T, burn_in, seeds)
-    assert len(trajs) == len(expected)
-    for traj, columns in zip(trajs, expected):
-        for got, want in zip((traj.x, traj.h, traj.w, traj.y), columns):
+    assert all(len(column) == len(expected) for column in batch)
+    for r, columns in enumerate(expected):
+        for got, want in zip((column[r] for column in batch), columns):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
-    return trajs
+    return batch
 
 
 def _with_zeros(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -83,10 +91,9 @@ def test_simulate_batch_matches_reference_with_zero_probabilities(num_x, num_h):
     rng = np.random.default_rng(100 * num_x + num_h)
     model, behavior = _sparse_model(rng, num_x, num_h)
     assert (behavior.probs == 0.0).any()
-    trajs = _assert_matches_reference(model, behavior, 80, 20, [11, 12, 13])
+    x, _, w, _ = _assert_matches_reference(model, behavior, 80, 20, [11, 12, 13])
     # A zero-probability action is never taken.
-    for traj in trajs:
-        assert (behavior.probs[traj.x, traj.w] > 0.0).all()
+    assert (behavior.probs[x, w] > 0.0).all()
 
 
 @pytest.mark.parametrize("T, burn_in", [(1, 0), (1, 7), (25, 0)])
@@ -173,23 +180,23 @@ def test_follow_matches_per_step_loop(data):
 def test_simulate_batch_chunks_match_reference(toy, monkeypatch):
     model, behavior, _ = toy
     seeds = list(range(7))
-    whole = simulate_batch(model, behavior, 40, 10, seeds)
+    _, _, whole_w, whole_y = _batch_columns(model, behavior, 40, 10, seeds)
     # 50 steps x 4 states per seed: 3 seeds per chunk, the last chunk short.
     monkeypatch.setattr(core, "CHUNK_STEPS", 600)
     assert core.chunk_ranges(len(seeds), 50 * model.num_states) == [(0, 3), (3, 6), (6, 7)]
-    chunked = _assert_matches_reference(model, behavior, 40, 10, seeds)
-    for a, b in zip(whole, chunked):
-        np.testing.assert_array_equal(a.y, b.y)
-        np.testing.assert_array_equal(a.w, b.w)
+    _, _, w, y = _assert_matches_reference(model, behavior, 40, 10, seeds)
+    np.testing.assert_array_equal(whole_y, y)
+    np.testing.assert_array_equal(whole_w, w)
 
 
 def test_simulate_batch_output_is_pinned(toy):
-    # SHA-256 of a fixed toy batch, recorded before the table-driven
-    # simulator replaced the per-step loop; any change to the random stream
-    # order or the compare-and-count rule shows up here.
+    # SHA-256 of five fixed toy trajectories, recorded before the
+    # table-driven simulator replaced the per-step loop; any change to the
+    # random stream order or the compare-and-count rule shows up here.
     model, behavior, _ = toy
     digest = hashlib.sha256()
-    for traj in simulate_batch(model, behavior, 200, 50, [0, 1, 2, 3, 4]):
+    for seed in range(5):
+        traj = simulate(model, behavior, 200, 50, seed)
         for arr in (traj.x, traj.h, traj.w, traj.y):
             digest.update(arr.dtype.str.encode())
             digest.update(arr.tobytes())
@@ -301,7 +308,7 @@ def test_rewards_and_ratios_equal_stacked_trajectories(env_id, monkeypatch):
     else:
         env = make_environment(env_id)
     T, burn_in, seeds = 40, 10, list(range(20, 27))
-    trajs = simulate_batch(env.model, env.behavior, T, burn_in, seeds)
+    trajs = [simulate(env.model, env.behavior, T, burn_in, seed) for seed in seeds]
     want_y = np.stack([traj.y for traj in trajs])
     want_rho = np.stack([importance_ratios(traj, env.target, env.behavior) for traj in trajs])
     if env_id.startswith("sparse"):
