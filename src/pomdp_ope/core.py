@@ -48,6 +48,7 @@ sweeps and studies.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from math import isqrt
 from typing import Sequence, Union
@@ -96,6 +97,30 @@ GROUP_SEEDS = 16
 # grows with steps x lanes. They broke even near 200 lanes (S = 3, 4 and 20
 # states, 2-core Xeon VM, numpy 2.4).
 SCAN_LANES = 200
+
+
+# Threads that share a batch's work by default, capped at the usable cores:
+# the chunks of a sweep or study (``harness``) and the seed draws of one
+# glucose chunk (``glucose._draw_exogenous``). Two is the most measured: on
+# a 2-core Xeon VM two threads ran the figure-3 sweep and the
+# window-selection study about 20% faster than one in raw time while the
+# host lent the VM both cores, and up to a third slower while it stole
+# 20-40% of the VM's time, because the simulator holds the GIL for most of
+# its run (``BENCH_17.json``). The glucose draws, NumPy fills that release
+# the GIL, took a fifth to a third less time on two (``BENCH_19.json``).
+DEFAULT_WORKERS = 2
+
+
+def _worker_count(workers: int | None) -> int:
+    """``workers`` checked (an integer >= 1), or if None ``DEFAULT_WORKERS``
+    capped at the usable cores."""
+    if workers is not None:
+        return _integer("workers", workers, 1)
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(DEFAULT_WORKERS, cores)
 
 
 def chunk_ranges(

@@ -13,16 +13,19 @@ evaluates them with the batched estimator engine and writes only its own
 rows of its horizon's arrays. Finite environments budget
 ``core.CACHE_STEPS``, so the engine's passes over a chunk stay in cache;
 glucose budgets ``core.CHUNK_STEPS``, the simulators' memory bound.
-The jobs run on up to ``workers`` threads (``DEFAULT_WORKERS`` = 2 by
-default, one on a single usable core); the estimator's array passes
+The jobs run on up to ``workers`` threads (``core.DEFAULT_WORKERS`` = 2
+by default, one on a single usable core); the estimator's array passes
 release the GIL, so one chunk's estimate overlaps another's simulation.
 The chunks in flight hold at most ``CHUNK_STEPS`` simulated steps between
 them, so a glucose chunk, whose budget is ``CHUNK_STEPS``, always runs
-alone, and so does any chunk larger than half of it. One thread runs the
-jobs in a plain loop. The first job to fail, in job order, raises its
-error. Finite environments read the array simulator
-``core._simulate_arrays`` directly and gather ratios at its (state, action)
-cells from one policy-ratio table, so no ``Trajectory`` is built on the way.
+alone, and so does any chunk larger than half of it. A glucose chunk
+splits its seed draws instead: ``glucose._draw_exogenous`` fills them on
+the default thread count, whatever ``workers`` is, so at most two threads
+are busy at once. One thread runs the jobs in a plain loop. The first
+job to fail, in job order, raises its error. Finite environments read
+the array simulator ``core._simulate_arrays`` directly and gather ratios
+at its (state, action) cells from one policy-ratio table, so no
+``Trajectory`` is built on the way.
 Output is bit-identical for a given spec whatever the chunk size and the
 worker count.
 
@@ -38,7 +41,6 @@ and the command line asks the same objects, so both burn in alike.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Sequence, Union
@@ -54,6 +56,7 @@ from .core import (
     _check_dimensions,
     _check_finite,
     _simulate_arrays,
+    _worker_count,
     chunk_ranges,
     policy_value_exact,
     simulate,
@@ -268,27 +271,6 @@ class SweepResult:
         raise KeyError((k, T))
 
 
-# Threads that run a sweep's or study's chunks by default, capped at the
-# usable cores. Two is the most measured: on a 2-core Xeon VM two threads
-# ran the figure-3 sweep and the window-selection study about 20% faster
-# than one in raw time while the host lent the VM both cores, and up to a
-# third slower while it stole 20-40% of the VM's time, because the
-# simulator holds the GIL for most of its run (``BENCH_17.json``).
-DEFAULT_WORKERS = 2
-
-
-def _worker_count(workers: int | None) -> int:
-    """``workers`` checked (an integer >= 1), or if None ``DEFAULT_WORKERS``
-    capped at the usable cores."""
-    if workers is not None:
-        return _integer("workers", workers, 1)
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    return min(DEFAULT_WORKERS, cores)
-
-
 def _evaluate_windows(
     env, spec: SweepSpec, ks: Sequence[int], workers: int, chunk_size: int | None
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -352,11 +334,11 @@ def run_sweep(
     clamped variance estimates against the environment's value oracle.
     Results do not depend on chunk_size (replications per chunk, >= 1;
     None fits each chunk to the environment's ``chunk_steps`` budget) nor
-    on ``workers``, the threads that run chunks side by side (an integer
-    >= 1; None means ``DEFAULT_WORKERS``, or one on a single usable core).
+    on ``workers``, which bounds the chunks in flight (an integer >= 1;
+    None means ``core.DEFAULT_WORKERS``, or one on a single usable core).
     Chunks run side by side only while together they hold at most
     ``CHUNK_STEPS`` simulated steps, so glucose chunks always run one at a
-    time.
+    time; each glucose chunk's seed draws use the default thread count.
     """
     workers = _worker_count(workers)
     env = make_environment(spec.environment)

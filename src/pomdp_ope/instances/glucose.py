@@ -18,12 +18,19 @@ would have taken, which is all the downstream importance-weighting needs.
 Glucose starts at the noise-free resting level 100 with empty lag history,
 and a burn-in period (default 50 hours) is discarded before recording.
 
-A batch of seeds is simulated time-major. The batch's generators are seeded
-in one vectorized pass and drawn in cache-sized groups of seeds: each
-seed's stream fills its rows of the group's blocks with standard normals
-and uniforms, the group scales the normals, applies the hour's events and
-writes its columns straight into ``(hours, seeds)`` arrays, so the hour
-loop reads and writes contiguous rows and no full-batch transpose is made.
+A batch of seeds is simulated time-major. The batch's seeds are cut into
+contiguous runs of whole groups, one per thread (``core.DEFAULT_WORKERS``,
+capped at the usable cores, and no more than there are groups): the
+caller draws the first run and a helper thread the other, and NumPy's
+random fills release the GIL, so the two overlap. Each run's generators
+are seeded in one vectorized pass and drawn in cache-sized groups of
+seeds: each seed's stream fills its rows of the group's blocks with
+standard normals and uniforms, the group scales the normals, applies the
+hour's events and writes its columns straight into ``(hours, seeds)``
+arrays, so the hour loop reads and writes contiguous rows and no
+full-batch transpose is made. Every seed's stream is its own, so the
+values do not depend on the thread count. The hour loop runs on the
+caller's thread alone.
 A seed whose truncated normals hold a negative draw is drawn again by the
 exact sequential path, with the rejections in-stream, so every seed's
 values are those of drawing it alone. Only glucose and the two insulin
@@ -36,12 +43,13 @@ drawn only for behavior runs, so target runs see the same values either way.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ..core import chunk_ranges
+from ..core import _worker_count, chunk_ranges
 from ..errors import ConfigurationError, _integer
 from ..rng import _derive_seeds, _make_rngs, make_rng
 
@@ -110,7 +118,8 @@ class GlucoseTrajectory:
     behavior_prob holds the logging-policy probability of the insulin
     decision actually realized each hour; target_action holds the decision
     the evaluation rule would have made. Importance ratios follow as
-    1{insulin == target_action} / behavior_prob.
+    1{insulin == target_action} / behavior_prob. The columns are 1-D
+    with one entry per hour.
     """
 
     gl: np.ndarray
@@ -134,6 +143,17 @@ class GlucoseTrajectory:
         ("behavior_prob", "behavior_prob"),
         ("target_action", "target_action"),
     )
+
+    def __post_init__(self):
+        T = np.size(self.y)
+        for _, name in self.csv_columns:
+            column = np.asarray(getattr(self, name))
+            if column.shape != (T,):
+                raise ConfigurationError(
+                    f"glucose trajectory {name} must have shape ({T},), one entry per "
+                    f"hour of y, got {column.shape}"
+                )
+            object.__setattr__(self, name, column)
 
     @property
     def T(self) -> int:
@@ -222,12 +242,19 @@ def _draw_exogenous(seeds: Sequence[int], total: int, with_insulin: bool):
     per seed. ``insulin`` is the behavior policy's injection decision, drawn
     only when ``with_insulin`` (otherwise None).
 
-    The generators come from one pass of the batch seed core and are walked
-    in groups of ``_GROUP_SEEDS``. Each seed's stream fills that seed's row
-    of the group's blocks in a fixed order (noise, u_activity, mild,
-    moderate, moderate's mild part, u_diet, diet, then u_insulin), as
-    standard normals and uniforms; the group then scales each normal block
-    to ``mean + sd * z``, which is how ``Generator.normal`` computes it.
+    The seeds are cut into contiguous runs of whole ``_GROUP_SEEDS``
+    groups, one run per thread (``core._worker_count(None)``, at most one
+    per group): the caller's thread draws the first run and a
+    ``threading.Thread`` each other one. A run's generators come from one
+    pass of the batch seed core, made on the caller's thread, and it keeps
+    its own scratch and writes only its own columns; NumPy's fills release
+    the GIL, so the runs' draws overlap. The caller joins every helper
+    before it returns or raises, and raises the first run's error in seed
+    order. Within a run, each seed's stream fills that seed's row of the
+    group's blocks in a fixed order (noise, u_activity, mild, moderate,
+    moderate's mild part, u_diet, diet, then u_insulin), as standard
+    normals and uniforms; the group then scales each normal block to
+    ``mean + sd * z``, which is how ``Generator.normal`` computes it.
     A row with no negative truncated draw consumed exactly the stream the
     sequential path would have; a row with one is drawn again from a fresh
     generator by that path (``_draw_row``). The group's events are then
@@ -237,53 +264,80 @@ def _draw_exogenous(seeds: Sequence[int], total: int, with_insulin: bool):
     noise, ex, di = (np.empty((total, n)) for _ in range(3))
     insulin = np.empty((total, n), dtype=bool) if with_insulin else None
     group = max(1, min(_GROUP_SEEDS, n))
-    scratch = np.empty((8 if with_insulin else 7, group, total))
-    rngs = _make_rngs(seeds)
-    for lo in range(0, n, group):
-        hi = min(lo + group, n)
-        blocks = scratch[:, : hi - lo]
-        z_noise, u_activity, mild, moderate, moderate_mild, u_diet, diet, *u_insulin = blocks
-        for j, rng in zip(range(hi - lo), rngs):
-            rng.standard_normal(out=z_noise[j])
-            rng.random(out=u_activity[j])
-            rng.standard_normal(out=mild[j])
-            rng.standard_normal(out=moderate[j])
-            rng.standard_normal(out=moderate_mild[j])
-            rng.random(out=u_diet[j])
-            rng.standard_normal(out=diet[j])
+    groups = -(-n // group)
+    threads = max(1, min(_worker_count(None), groups))
+    cuts = [min(n, group * (groups * i // threads)) for i in range(threads + 1)]
+    runs = [(lo, hi, _make_rngs(seeds[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
+
+    def draw_run(start: int, stop: int, rngs) -> None:
+        scratch = np.empty((8 if with_insulin else 7, group, total))
+        for lo in range(start, stop, group):
+            hi = min(lo + group, stop)
+            blocks = scratch[:, : hi - lo]
+            z_noise, u_activity, mild, moderate, moderate_mild, u_diet, diet, *u_insulin = blocks
+            for j, rng in zip(range(hi - lo), rngs):
+                rng.standard_normal(out=z_noise[j])
+                rng.random(out=u_activity[j])
+                rng.standard_normal(out=mild[j])
+                rng.standard_normal(out=moderate[j])
+                rng.standard_normal(out=moderate_mild[j])
+                rng.random(out=u_diet[j])
+                rng.standard_normal(out=diet[j])
+                for u in u_insulin:
+                    rng.random(out=u[j])
+            rejected = np.zeros(hi - lo, dtype=bool)
+            for block, mean, sd, truncated in (
+                (z_noise, 0.0, GLUCOSE_NOISE_SD, False),
+                (mild, MILD_ACTIVITY_MEAN, MILD_ACTIVITY_SD, True),
+                (moderate, MODERATE_ACTIVITY_MEAN, MODERATE_ACTIVITY_SD, True),
+                (moderate_mild, MILD_ACTIVITY_MEAN, MILD_ACTIVITY_SD, True),
+                (diet, DIET_MEAN, DIET_SD, True),
+            ):
+                block *= sd
+                block += mean
+                if truncated:
+                    rejected |= block.min(axis=1) < 0.0
+            for j in np.flatnonzero(rejected):
+                _draw_row(make_rng(seeds[lo + j]), blocks[:, j])
+            # Each hour keeps the draw of its event and zeroes the others, by
+            # multiplying with 0/1 masks. That is exact: the truncated draws
+            # are finite and non-negative, so x * 1 = x, x * 0 = +0.0 and
+            # x + 0.0 = x. mild becomes the activity and diet the intake.
+            mild_hour = u_activity < MILD_ACTIVITY_PROB
+            moderate_hour = u_activity < MILD_ACTIVITY_PROB + MODERATE_ACTIVITY_PROB
+            moderate_hour ^= mild_hour
+            moderate += moderate_mild
+            moderate *= moderate_hour
+            mild *= mild_hour
+            mild += moderate
+            diet *= u_diet < DIET_PROB
+            noise[:, lo:hi] = z_noise.T
+            ex[:, lo:hi] = mild.T
+            di[:, lo:hi] = diet.T
             for u in u_insulin:
-                rng.random(out=u[j])
-        rejected = np.zeros(hi - lo, dtype=bool)
-        for block, mean, sd, truncated in (
-            (z_noise, 0.0, GLUCOSE_NOISE_SD, False),
-            (mild, MILD_ACTIVITY_MEAN, MILD_ACTIVITY_SD, True),
-            (moderate, MODERATE_ACTIVITY_MEAN, MODERATE_ACTIVITY_SD, True),
-            (moderate_mild, MILD_ACTIVITY_MEAN, MILD_ACTIVITY_SD, True),
-            (diet, DIET_MEAN, DIET_SD, True),
-        ):
-            block *= sd
-            block += mean
-            if truncated:
-                rejected |= block.min(axis=1) < 0.0
-        for j in np.flatnonzero(rejected):
-            _draw_row(make_rng(seeds[lo + j]), blocks[:, j])
-        # Each hour keeps the draw of its event and zeroes the others, by
-        # multiplying with 0/1 masks. That is exact: the truncated draws are
-        # finite and non-negative, so x * 1 = x, x * 0 = +0.0 and
-        # x + 0.0 = x. mild becomes the activity and diet the intake.
-        mild_hour = u_activity < MILD_ACTIVITY_PROB
-        moderate_hour = u_activity < MILD_ACTIVITY_PROB + MODERATE_ACTIVITY_PROB
-        moderate_hour ^= mild_hour
-        moderate += moderate_mild
-        moderate *= moderate_hour
-        mild *= mild_hour
-        mild += moderate
-        diet *= u_diet < DIET_PROB
-        noise[:, lo:hi] = z_noise.T
-        ex[:, lo:hi] = mild.T
-        di[:, lo:hi] = diet.T
-        for u in u_insulin:
-            np.less(u.T, INSULIN_PROB, out=insulin[:, lo:hi])
+                np.less(u.T, INSULIN_PROB, out=insulin[:, lo:hi])
+
+    errors: list[BaseException | None] = [None] * len(runs)
+
+    def helper(i: int) -> None:
+        try:
+            draw_run(*runs[i])
+        except BaseException as exc:
+            errors[i] = exc
+
+    started = []
+    try:
+        for i in range(1, len(runs)):
+            thread = threading.Thread(target=helper, args=(i,))
+            thread.start()
+            started.append(thread)
+        draw_run(*runs[0])
+    finally:
+        for thread in started:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
     return noise, ex, di, insulin
 
 

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import io
+import sys
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -329,3 +332,126 @@ def test_band_counts_sum_utilities():
     values = utility_from_glucose(near)
     below = np.searchsorted(edges, near)
     assert values.tolist() == [glucose.UTILITY_VALUES[i] for i in below]
+
+
+@pytest.mark.parametrize(
+    "name, column, got",
+    [("insulin", [1, 0], r"\(2,\)"), ("gl", np.ones((2, 2)), r"\(2, 2\)")],
+    ids=["short", "2-D"],
+)
+def test_trajectory_refuses_a_column_without_one_entry_per_hour(name, column, got):
+    # A 2-entry insulin column beside 4-entry ones once failed only later,
+    # in importance_ratios, with numpy's bare broadcast error.
+    traj = glucose_simulate(T=4, burn_in=2, policy_kind="behavior", seed=12)
+    fields = {field: getattr(traj, field) for field in FIELDS}
+    fields[name] = column
+    want = rf"^glucose trajectory {name} must have shape \(4,\), .* got {got}"
+    with pytest.raises(ConfigurationError, match=want):
+        glucose.GlucoseTrajectory(**fields, policy_kind="behavior", seed=12, burn_in=2)
+
+
+def split_draws(monkeypatch, workers, group=3):
+    """Draw in groups of ``group`` seeds on ``workers`` threads."""
+    monkeypatch.setattr(glucose, "_GROUP_SEEDS", group)
+    monkeypatch.setattr(glucose, "_worker_count", lambda count: workers)
+    monkeypatch.setattr(glucose, "_oracle_cache", {})
+
+
+@pytest.mark.parametrize("n", [16, 17, 33, 50])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_split_draws_match_reference(monkeypatch, workers, n):
+    # 3-seed groups: 16 and 50 seeds end in a part group, and 17 and 33
+    # split into runs of unequal length.
+    split_draws(monkeypatch, workers)
+    T, burn_in, seeds = 12, 4, list(range(200, 200 + n))
+    for policy_kind in ("behavior", "target"):
+        assert_arrays_match_reference(T, burn_in, policy_kind, seeds)
+    want_y, want_rho = reference_rewards_and_ratios(T, burn_in, seeds)
+    ys, rhos = glucose_rewards_and_ratios(T, burn_in, seeds)
+    assert_same(ys, want_y)
+    assert_same(rhos, want_rho)
+    value, _ = target_value_oracle(runs=n, hours=T, burn_in=burn_in, seed=47)
+    assert value == reference_oracle(n, T, burn_in, 47)
+
+
+def test_split_redraws_in_the_helper_match_reference(monkeypatch):
+    # As in test_mixed_group_rejection_matches_reference, about one seed in
+    # seven is drawn again by the sequential path; some of those fall in
+    # the helper thread's run.
+    split_draws(monkeypatch, workers=2)
+    monkeypatch.setattr(glucose, "MILD_ACTIVITY_MEAN", 17.5)
+    on_helper = []
+
+    def recording_make_rng(seed):
+        on_helper.append(threading.current_thread() is not threading.main_thread())
+        return make_rng(seed)
+
+    monkeypatch.setattr(glucose, "make_rng", recording_make_rng)
+    seeds = list(range(100, 133))
+    for policy_kind in ("behavior", "target"):
+        on_helper.clear()
+        assert_arrays_match_reference(300, 50, policy_kind, seeds)
+        assert any(on_helper) and not all(on_helper)
+    assert target_value_oracle(runs=33, hours=300, burn_in=50, seed=3)[0] == reference_oracle(
+        33, 300, 50, 3
+    )
+
+
+@pytest.mark.parametrize("bad_seed", [101, 130])  # in the caller's run, in the helper's
+def test_split_failure_reaches_the_caller_after_the_join(monkeypatch, bad_seed):
+    # Every seed is drawn again (mean 1), and _draw_row fails on the fresh
+    # generator of one of them.
+    split_draws(monkeypatch, workers=2)
+    monkeypatch.setattr(glucose, "MILD_ACTIVITY_MEAN", 1.0)
+    bad_state = make_rng(bad_seed).bit_generator.state
+    draw_row = glucose._draw_row
+
+    def failing_draw_row(rng, rows):
+        if rng.bit_generator.state == bad_state:
+            raise RuntimeError(f"draw failed for seed {bad_seed}")
+        draw_row(rng, rows)
+
+    monkeypatch.setattr(glucose, "_draw_row", failing_draw_row)
+    baseline = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"seed {bad_seed}"):
+        glucose._simulate_arrays(20, 5, "behavior", list(range(100, 133)))
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize(
+    "cores, n, helpers",
+    [(1, 50, 0), (2, glucose._GROUP_SEEDS, 0), (2, glucose._GROUP_SEEDS + 1, 1)],
+)
+def test_split_starts_a_helper_only_on_two_cores_and_two_groups(monkeypatch, cores, n, helpers):
+    started = []
+
+    class SpyThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    monkeypatch.setattr(glucose, "threading", SimpleNamespace(Thread=SpyThread))
+    assert_arrays_match_reference(10, 2, "behavior", list(range(n)))
+    assert len(started) == helpers
+    started.clear()
+    glucose_simulate(T=10, burn_in=2, seed=5)
+    assert started == []
+
+
+def test_split_draws_hold_under_fast_thread_switching(monkeypatch):
+    # More runs than cores, switching threads every few microseconds: each
+    # run still writes exactly its own columns.
+    seeds = list(range(300, 350))
+    split_draws(monkeypatch, workers=1)
+    want = glucose._draw_exogenous(seeds, 40, True)
+    split_draws(monkeypatch, workers=4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(20):
+            got = glucose._draw_exogenous(seeds, 40, True)
+            for g, w in zip(got, want):
+                assert_same(g, w)
+    finally:
+        sys.setswitchinterval(interval)

@@ -401,12 +401,13 @@ def test_glucose_chunks_run_one_at_a_time(monkeypatch):
 
 @pytest.mark.parametrize("cores, expected", [(1, 1), (2, 2), (8, 2)])
 def test_default_workers_are_two_capped_at_the_usable_cores(cores, expected, monkeypatch):
-    from pomdp_ope import harness
+    from pomdp_ope import core, harness
 
     def affinity(pid):
         return set(range(cores))
 
-    monkeypatch.setattr(harness.os, "sched_getaffinity", affinity, raising=False)
+    # The count has one owner in core, shared with the glucose draw split.
+    monkeypatch.setattr(core.os, "sched_getaffinity", affinity, raising=False)
     assert harness._worker_count(None) == expected
     assert harness._worker_count(5) == 5
 
