@@ -49,6 +49,7 @@ sweeps and studies.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field
 from math import isqrt
 from typing import Sequence, Union
@@ -121,6 +122,54 @@ def _worker_count(workers: int | None) -> int:
     else:
         cores = os.cpu_count() or 1
     return min(DEFAULT_WORKERS, cores)
+
+
+def _run_jobs(run, jobs: Sequence, threads: int) -> None:
+    """Call ``run(job)`` for every job, on the caller's thread and up to
+    ``threads - 1`` helper threads (none for one thread or one job).
+
+    Thread i starts with job i, the caller with job 0; then each takes the
+    next job not yet started. No job starts once an earlier job in job order
+    has failed, and jobs are taken in order, so every job before the first
+    failing one runs, as in a plain loop. Every helper is joined before this
+    returns or raises, and the first failing job in job order raises its
+    error. The jobs must write disjoint outputs; the runner shares nothing
+    else between them.
+    """
+    lock = threading.Lock()
+    taken = threads = max(1, min(threads, len(jobs)))
+    # The earliest failed job in job order and its error; len(jobs) if none.
+    failed, error = len(jobs), None
+
+    def work(i: int | None) -> None:
+        nonlocal taken, failed, error
+        while True:
+            with lock:
+                if i is None:
+                    i, taken = taken, taken + 1
+                if i >= failed:
+                    return
+            try:
+                run(jobs[i])
+            except BaseException as exc:
+                with lock:
+                    if i < failed:
+                        failed, error = i, exc
+                return
+            i = None
+
+    helpers = []
+    try:
+        for i in range(1, threads):
+            helper = threading.Thread(target=work, args=(i,))
+            helper.start()
+            helpers.append(helper)
+        work(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if error is not None:
+        raise error
 
 
 def chunk_ranges(

@@ -13,16 +13,12 @@ evaluates them with the batched estimator engine and writes only its own
 rows of its horizon's arrays. Finite environments budget
 ``core.CACHE_STEPS``, so the engine's passes over a chunk stay in cache;
 glucose budgets ``core.CHUNK_STEPS``, the simulators' memory bound.
-The jobs run on up to ``workers`` threads (``core.DEFAULT_WORKERS`` = 2
-by default, one on a single usable core); the estimator's array passes
-release the GIL, so one chunk's estimate overlaps another's simulation.
-The chunks in flight hold at most ``CHUNK_STEPS`` simulated steps between
-them, so a glucose chunk, whose budget is ``CHUNK_STEPS``, always runs
-alone, and so does any chunk larger than half of it. A glucose chunk
-splits its seed draws instead: ``glucose._draw_exogenous`` fills them on
-the default thread count, whatever ``workers`` is, so at most two threads
-are busy at once. One thread runs the jobs in a plain loop. The first
-job to fail, in job order, raises its error. Finite environments read
+The jobs run on up to ``workers`` threads through ``core._run_jobs``;
+the estimator's array passes release the GIL, so one chunk's estimate
+overlaps another's simulation. The chunks in flight hold at most
+``CHUNK_STEPS`` simulated steps between them, so a glucose chunk, whose
+budget is ``CHUNK_STEPS``, always runs alone and splits its seed draws
+instead (``glucose._draw_exogenous``). Finite environments read
 the array simulator ``core._simulate_arrays`` directly and gather ratios
 at its (state, action) cells from one policy-ratio table, so no
 ``Trajectory`` is built on the way.
@@ -55,6 +51,7 @@ from .core import (
     PomdpModel,
     _check_dimensions,
     _check_finite,
+    _run_jobs,
     _simulate_arrays,
     _worker_count,
     chunk_ranges,
@@ -280,10 +277,10 @@ def _evaluate_windows(
     Returns, per horizon, the (R, K, 4) array of (value, variance, ci_lo,
     ci_hi) and the (R, K) masks of clamped variances and of non-finite
     estimates. One job per (horizon, chunk of replications) simulates its
-    chunk, estimates it and writes only its own rows; the jobs run in order
-    on ``workers`` threads, at most as many as ``CHUNK_STEPS`` holds of the
-    largest job or of the environment's budget, whichever is larger, and
-    the first job to fail in that order raises its error.
+    chunk, estimates it and writes only its own rows; ``core._run_jobs``
+    runs the jobs on ``workers`` threads, at most as many as ``CHUNK_STEPS``
+    holds of the largest job or of the environment's budget, whichever is
+    larger, and the first job to fail in job order raises its error.
     """
     R = spec.replications
     outs = [np.empty((R, len(ks), 4)) for _ in spec.T_values]
@@ -306,19 +303,7 @@ def _evaluate_windows(
     # automatic chunk did when they ran one at a time; a glucose chunk, whose
     # budget is CHUNK_STEPS, always runs alone.
     largest = max((rows.stop - rows.start) * (T + spec.burn_in) for _, T, _, _, rows in jobs)
-    threads = min(workers, len(jobs), max(1, CHUNK_STEPS // max(env.chunk_steps, largest)))
-    if threads > 1:
-        # Imported here: it brings in logging, about 10 ms of start-up that
-        # the one-thread path never needs.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(threads) as pool:
-            # Results come in job order; an error cancels the jobs not started.
-            for _ in pool.map(run, jobs):
-                pass
-    else:
-        for job in jobs:
-            run(job)
+    _run_jobs(run, jobs, min(workers, max(1, CHUNK_STEPS // max(env.chunk_steps, largest))))
     return [(out, flag[..., 0], flag[..., 1]) for out, flag in zip(outs, flags)]
 
 

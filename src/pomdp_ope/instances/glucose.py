@@ -19,18 +19,16 @@ Glucose starts at the noise-free resting level 100 with empty lag history,
 and a burn-in period (default 50 hours) is discarded before recording.
 
 A batch of seeds is simulated time-major. The batch's seeds are cut into
-contiguous runs of whole groups, one per thread (``core.DEFAULT_WORKERS``,
-capped at the usable cores, and no more than there are groups): the
-caller draws the first run and a helper thread the other, and NumPy's
-random fills release the GIL, so the two overlap. Each run's generators
-are seeded in one vectorized pass and drawn in cache-sized groups of
-seeds: each seed's stream fills its rows of the group's blocks with
-standard normals and uniforms, the group scales the normals, applies the
-hour's events and writes its columns straight into ``(hours, seeds)``
-arrays, so the hour loop reads and writes contiguous rows and no
-full-batch transpose is made. Every seed's stream is its own, so the
-values do not depend on the thread count. The hour loop runs on the
-caller's thread alone.
+contiguous runs of whole groups, drawn side by side by ``core._run_jobs``
+on the default thread count; NumPy's random fills release the GIL, so the
+runs overlap. Each run's generators are seeded in one vectorized pass and
+drawn in cache-sized groups of seeds: each seed's stream fills its rows of
+the group's blocks with standard normals and uniforms, the group scales
+the normals, applies the hour's events and writes its columns straight
+into ``(hours, seeds)`` arrays, so the hour loop reads and writes
+contiguous rows and no full-batch transpose is made. Every seed's stream
+is its own, so the values do not depend on the thread count. The hour
+loop runs on the caller's thread alone.
 A seed whose truncated normals hold a negative draw is drawn again by the
 exact sequential path, with the rejections in-stream, so every seed's
 values are those of drawing it alone. Only glucose and the two insulin
@@ -43,13 +41,12 @@ drawn only for behavior runs, so target runs see the same values either way.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ..core import _worker_count, chunk_ranges
+from ..core import _run_jobs, _worker_count, chunk_ranges
 from ..errors import ConfigurationError, _integer
 from ..rng import _derive_seeds, _make_rngs, make_rng
 
@@ -244,17 +241,15 @@ def _draw_exogenous(seeds: Sequence[int], total: int, with_insulin: bool):
 
     The seeds are cut into contiguous runs of whole ``_GROUP_SEEDS``
     groups, one run per thread (``core._worker_count(None)``, at most one
-    per group): the caller's thread draws the first run and a
-    ``threading.Thread`` each other one. A run's generators come from one
+    per group), which ``core._run_jobs`` draws side by side; NumPy's fills
+    release the GIL, so they overlap. A run's generators come from one
     pass of the batch seed core, made on the caller's thread, and it keeps
-    its own scratch and writes only its own columns; NumPy's fills release
-    the GIL, so the runs' draws overlap. The caller joins every helper
-    before it returns or raises, and raises the first run's error in seed
-    order. Within a run, each seed's stream fills that seed's row of the
-    group's blocks in a fixed order (noise, u_activity, mild, moderate,
-    moderate's mild part, u_diet, diet, then u_insulin), as standard
-    normals and uniforms; the group then scales each normal block to
-    ``mean + sd * z``, which is how ``Generator.normal`` computes it.
+    its own scratch and writes only its own columns. Within a run, each
+    seed's stream fills that seed's row of the group's blocks in a fixed
+    order (noise, u_activity, mild, moderate, moderate's mild part, u_diet,
+    diet, then u_insulin), as standard normals and uniforms; the group
+    then scales each normal block to ``mean + sd * z``, which is how
+    ``Generator.normal`` computes it.
     A row with no negative truncated draw consumed exactly the stream the
     sequential path would have; a row with one is drawn again from a fresh
     generator by that path (``_draw_row``). The group's events are then
@@ -317,27 +312,7 @@ def _draw_exogenous(seeds: Sequence[int], total: int, with_insulin: bool):
             for u in u_insulin:
                 np.less(u.T, INSULIN_PROB, out=insulin[:, lo:hi])
 
-    errors: list[BaseException | None] = [None] * len(runs)
-
-    def helper(i: int) -> None:
-        try:
-            draw_run(*runs[i])
-        except BaseException as exc:
-            errors[i] = exc
-
-    started = []
-    try:
-        for i in range(1, len(runs)):
-            thread = threading.Thread(target=helper, args=(i,))
-            thread.start()
-            started.append(thread)
-        draw_run(*runs[0])
-    finally:
-        for thread in started:
-            thread.join()
-    for error in errors:
-        if error is not None:
-            raise error
+    _run_jobs(lambda run: draw_run(*run), runs, threads)
     return noise, ex, di, insulin
 
 
@@ -440,6 +415,7 @@ def target_value_oracle(
     """
     runs = _integer("runs", runs, 1)
     hours = _integer("hours", hours, 1)
+    burn_in = _integer("burn_in", burn_in, 0)
     key = (runs, hours, burn_in, seed)
     if key not in _oracle_cache:
         total = 0.0

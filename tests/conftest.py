@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -60,3 +65,16 @@ def interior_policy(rng: np.random.Generator, num_x: int = 2, num_actions: int =
     probs = 0.8 * raw + 0.2 / num_actions
     probs = probs / probs.sum(axis=1, keepdims=True)
     return Policy(probs=probs)
+
+
+def run_python(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports this package."""
+    import pomdp_ope
+
+    src = str(Path(pomdp_ope.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout

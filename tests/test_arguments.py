@@ -88,6 +88,7 @@ COUNTS = [
     ("glucose rewards_and_ratios", "burn_in", lambda v: GLUCOSE.rewards_and_ratios(5, v, [0]), ALL),
     ("target_value_oracle", "runs", lambda v: target_value_oracle(runs=v, hours=5), NOT_NEGATIVE),
     ("target_value_oracle", "hours", lambda v: target_value_oracle(runs=5, hours=v), NOT_NEGATIVE),
+    ("target_value_oracle", "burn_in", lambda v: target_value_oracle(runs=5, hours=5, burn_in=v), ALL),
     ("stationary_distribution", "max_iter", lambda v: stationary_distribution(KERNEL, max_iter=v), ALL),
     ("HardInstanceParams", "Q", lambda v: _params(Q=v), ALL),
     ("hard_params", "Q", lambda v: hard_params(f"Q={v},{HARD}"), ALL[:4]),

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import sys
+import threading
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +28,8 @@ from pomdp_ope import (
     simulate,
     stationary_distribution,
 )
-from pomdp_ope.core import _simulate_arrays
+from pomdp_ope import core
+from pomdp_ope.core import _run_jobs, _simulate_arrays
 from pomdp_ope.instances.toy import CONTROL_KERNEL, TREAT_KERNEL
 
 
@@ -400,3 +406,117 @@ def test_overlap_zeta_dominates_all_ratios(seed):
     support = target.probs > 0
     ratios = target.probs[support] / behavior.probs[support]
     assert np.exp(rep.overlap_zeta) >= ratios.max() - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Job runner
+
+
+def _recording(ran: list, fail=None):
+    """A job function that appends (job, thread) to ``ran`` as each job
+    starts, sleeps a millisecond, and then calls ``fail(job)``, if given."""
+    lock = threading.Lock()
+
+    def run(job):
+        with lock:
+            ran.append((job, threading.current_thread()))
+        time.sleep(0.001)
+        if fail is not None:
+            fail(job)
+
+    return run
+
+
+@pytest.mark.parametrize("threads, n", [(1, 9), (2, 9), (4, 9), (4, 3), (8, 1), (3, 0)])
+def test_run_jobs_runs_every_job_exactly_once(threads, n):
+    # (4, 3) and (8, 1) ask for more threads than there are jobs.
+    ran = []
+    baseline = threading.active_count()
+    _run_jobs(_recording(ran), range(n), threads)
+    assert sorted(job for job, _ in ran) == list(range(n))
+    assert threading.active_count() == baseline
+
+
+def test_run_jobs_takes_each_job_once_under_fast_switching():
+    # Eight threads switching every microsecond: a lost update of the next
+    # job to take would run a job twice or skip one.
+    ran = []
+    lock = threading.Lock()
+
+    def run(job):
+        with lock:
+            ran.append(job)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            ran.clear()
+            _run_jobs(run, range(300), 8)
+            assert sorted(ran) == list(range(300))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_run_jobs_caller_runs_job_0_and_helper_i_starts_with_job_i(threads, monkeypatch):
+    helpers = []
+
+    class SpyThread(threading.Thread):
+        def start(self):
+            helpers.append(self)
+            super().start()
+
+    monkeypatch.setattr(core, "threading", SimpleNamespace(Thread=SpyThread, Lock=threading.Lock))
+    ran = []
+    _run_jobs(_recording(ran), range(12), threads)
+    first = {}
+    for job, thread in ran:
+        first.setdefault(thread, job)
+    assert first[threading.current_thread()] == 0
+    assert [first[helper] for helper in helpers] == list(range(1, threads))
+
+
+@pytest.mark.parametrize("later_fails_first", [True, False])
+@pytest.mark.parametrize("threads, early, late", [(2, 0, 1), (4, 0, 3), (2, 1, 3), (4, 1, 3)])
+def test_run_jobs_raises_the_first_failing_job_in_job_order(threads, early, late, later_fails_first):
+    # Of two failing jobs, the one that fails second waits for the other's
+    # failure; the earlier job's error is raised either way.
+    first, second = (late, early) if later_fails_first else (early, late)
+    first_failed = threading.Event()
+
+    def fail(job):
+        if job == first:
+            first_failed.set()
+        elif job == second:
+            assert first_failed.wait(timeout=10)
+        else:
+            return
+        raise ValueError(f"job {job}") if job == early else KeyError(f"job {job}")
+
+    baseline = threading.active_count()
+    with pytest.raises(ValueError, match=f"job {early}"):
+        _run_jobs(_recording([], fail), range(8), threads)
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_jobs_starts_no_job_after_a_failure(threads):
+    # On two threads the helper holds job 1 until job 2, on the caller, has
+    # failed, so the next job either thread could take is job 3.
+    failed = threading.Event()
+
+    def fail(job):
+        if job == 1 and threads > 1:
+            assert failed.wait(timeout=10)
+            time.sleep(0.05)
+        if job == 2:
+            failed.set()
+            raise RuntimeError("job 2")
+
+    ran = []
+    baseline = threading.active_count()
+    with pytest.raises(RuntimeError, match="job 2"):
+        _run_jobs(_recording(ran, fail), range(8), threads)
+    assert sorted(job for job, _ in ran) == [0, 1, 2]
+    assert threading.active_count() == baseline

@@ -2,11 +2,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -16,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import ndtri
 
-from conftest import interior_policy, random_model, random_policy, streams
+from conftest import interior_policy, random_model, random_policy, run_python, streams
 from oracles import (
     iter_paths_with_probability,
     naive_estimate,
@@ -811,26 +807,13 @@ def test_bandwidth_rule():
         BandwidthRule("cubic", 1.0)
 
 
-def _run_python(code: str) -> str:
-    """Stdout of ``code`` run in a fresh interpreter that imports this package."""
-    import pomdp_ope
-
-    src = str(Path(pomdp_ope.__file__).resolve().parents[1])
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    return out.stdout
-
-
 def test_import_leaves_scipy_unloaded():
     # The package runs on numpy alone; scipy is a test dependency only.
     code = (
         "import sys, pomdp_ope, pomdp_ope.cli; "
         "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
     )
-    assert _run_python(code).strip() == "[]"
+    assert run_python(code).strip() == "[]"
 
 
 def test_cli_runs_with_scipy_import_blocked():
@@ -859,7 +842,7 @@ def test_cli_runs_with_scipy_import_blocked():
         "        code = main(argv)\n"
         "    print(argv[0], argv[2], code)\n"
     )
-    lines = _run_python(code).splitlines()
+    lines = run_python(code).splitlines()
     assert lines == [f"{argv[0]} {argv[2]} 0" for argv in runs]
 
 

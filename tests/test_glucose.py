@@ -431,7 +431,7 @@ def test_split_starts_a_helper_only_on_two_cores_and_two_groups(monkeypatch, cor
             super().start()
 
     monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-    monkeypatch.setattr(glucose, "threading", SimpleNamespace(Thread=SpyThread))
+    monkeypatch.setattr(core, "threading", SimpleNamespace(Thread=SpyThread, Lock=threading.Lock))
     assert_arrays_match_reference(10, 2, "behavior", list(range(n)))
     assert len(started) == helpers
     started.clear()

@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import run_python
 from oracles import seed_reference
 
 from pomdp_ope import (
@@ -397,6 +398,26 @@ def test_glucose_chunks_run_one_at_a_time(monkeypatch):
     run_lepski_study(spec, [-1, 0], workers=4, chunk_size=2)
     assert calls == [2] * 12
     assert most[0] == 1
+
+
+def test_chunks_side_by_side_load_no_executor():
+    # The chunks run on plain threads: concurrent.futures, and the logging
+    # it imports, cost about 10 ms of start-up that a sweep never needs.
+    code = """
+import sys, threading
+from pomdp_ope import SweepSpec, run_sweep
+from pomdp_ope.harness import FiniteEnvironment
+threads = set()
+simulate = FiniteEnvironment.rewards_and_ratios
+def spy(self, *args):
+    threads.add(threading.current_thread())
+    return simulate(self, *args)
+FiniteEnvironment.rewards_and_ratios = spy
+spec = SweepSpec(environment="toy", k_values=(0,), T_values=(20,), replications=8, burn_in=5)
+run_sweep(spec, workers=2, chunk_size=1)
+print(len(threads), [m for m in ("concurrent.futures", "logging") if m in sys.modules])
+"""
+    assert run_python(code).strip() == "2 []"
 
 
 @pytest.mark.parametrize("cores, expected", [(1, 1), (2, 2), (8, 2)])
