@@ -16,7 +16,6 @@ from .core import (
     Policy,
     PomdpModel,
     Trajectory,
-    dobrushin_coefficient,
     mixing_overlap_report,
     policy_transition_matrix,
     policy_value_exact,
@@ -34,9 +33,7 @@ from .estimators import (
     hac_variance,
     importance_ratios,
     lepski_select,
-    parzen_kernel,
     phiw_estimate,
-    select_window_from_intervals,
 )
 from .harness import (
     LepskiStudyResult,
@@ -50,7 +47,7 @@ from .harness import (
     sweep_result_to_csv,
     sweep_result_to_json,
 )
-from .rng import derive_seed, make_rng
+from .rng import derive_seed
 
 __version__ = "0.1.0"
 
@@ -74,22 +71,18 @@ __all__ = [
     "Trajectory",
     "corollary_window",
     "derive_seed",
-    "dobrushin_coefficient",
     "estimate_with_ci",
     "fit_rate",
     "hac_variance",
     "importance_ratios",
     "lepski_select",
     "make_environment",
-    "make_rng",
     "mixing_overlap_report",
-    "parzen_kernel",
     "phiw_estimate",
     "policy_transition_matrix",
     "policy_value_exact",
     "run_lepski_study",
     "run_sweep",
-    "select_window_from_intervals",
     "simulate",
     "stationary_distribution",
     "sweep_result_to_csv",

@@ -20,7 +20,7 @@ Trajectories are simulated by ``_simulate_arrays``, which is table-driven
 and returns (seeds, T) arrays of flat (state, action) cells
 s * num_actions + w and of rewards; ``simulate`` splits one seed's cells
 into covariates, hidden states and actions, and the harness gathers ratios
-at the cells directly. A chunk's generators are seeded in one vectorized
+at the cells directly. A batch's generators are seeded in one vectorized
 pass (``rng._make_rngs``). Each seed's stream is read in a fixed order: the
 initial state, an (action, move) uniform pair per step, then a reward
 normal per step. The uniforms are drawn a block at a time (a group of seeds
@@ -40,10 +40,11 @@ time-major, a group of seeds at a time, into seed rows; the rewards' means
 and standard deviations are gathered from them. Each stage's arrays are
 freed when it ends.
 
-Two step budgets size chunks, both applied by ``chunk_ranges``:
-``CHUNK_STEPS`` bounds every simulator's memory, and ``CACHE_STEPS``, a
-smaller cache bound, sizes the replication chunks of finite-environment
-sweeps and studies.
+Each batch is chunked once, by its owner: the harness and the glucose
+oracle split their seeds with ``chunk_ranges``, and the simulators take the
+seeds they are given. ``CHUNK_STEPS`` bounds a chunk's memory and
+``CACHE_STEPS``, a smaller cache bound, sizes the replication chunks of
+finite-environment sweeps and studies.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ ROW_SUM_TOL = 1e-12
 # come from (near) the stationary law the estimators target.
 DEFAULT_BURN_IN = 100
 
-# Work per chunk of every batch simulator: simulated steps, or for
-# ``_simulate_arrays`` table cells (steps x states). A memory bound: it keeps
-# the per-chunk draws and tables to tens of MB whatever T is.
+# Work per chunk that a batch's owner hands a simulator: simulated steps,
+# or for a finite environment table cells (steps x states). A memory bound:
+# it keeps the per-chunk draws and tables to tens of MB whatever T is.
 CHUNK_STEPS = 2_000_000
 
 # Simulated steps per replication chunk of a finite-environment sweep or
@@ -82,12 +83,12 @@ CHUNK_STEPS = 2_000_000
 # environment keeps CHUNK_STEPS.
 CACHE_STEPS = 98_304
 
-# Draws per block of ``_simulate_chunk``: a group of seeds' uniforms pass
+# Draws per block of ``_simulate_arrays``: a group of seeds' uniforms pass
 # through a scratch of at most this many steps on their way into the
 # time-major tables (see ``_draw_blocks``), so no stage holds a second
 # full-chunk copy of the draws.
 GROUP_STEPS = 32_768
-# Fewest seeds per group when a chunk has that many. A narrower group writes
+# Fewest seeds per group when a batch has that many. A narrower group writes
 # strips of the time-major rows that fill only part of a cache line each,
 # which ran about 20% slower at T = 10,000 (2-core Xeon VM, numpy 2.4), so
 # the streams of long series are drawn in spans of steps instead.
@@ -449,7 +450,7 @@ def policy_value_exact(model: PomdpModel, policy: Policy, tol: float = 1e-12) ->
     return float(d @ (per_state * model.reward_mean).sum(axis=1))
 
 
-def dobrushin_coefficient(kernel: np.ndarray) -> float:
+def _dobrushin_coefficient(kernel: np.ndarray) -> float:
     """Half the maximum L1 distance between any two rows of the kernel."""
     M = np.asarray(kernel, dtype=float)
     if M.shape[0] == 1:
@@ -471,7 +472,7 @@ def mixing_overlap_report(
     """
     _check_dimensions(model, target)
     _check_dimensions(model, behavior)
-    coeff = min(dobrushin_coefficient(policy_transition_matrix(model, target)), 1.0)
+    coeff = min(_dobrushin_coefficient(policy_transition_matrix(model, target)), 1.0)
     if coeff <= 0.0:
         mixing_time = 0.0
     elif coeff >= 1.0:
@@ -515,37 +516,6 @@ def simulate(
     return Trajectory(x=x, h=h, w=w, y=y[0], seed=int(seed), burn_in=burn_in)
 
 
-def _simulate_arrays(
-    model: PomdpModel,
-    behavior: Policy,
-    T: int,
-    burn_in: int,
-    seeds: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (state, action) cells s * num_actions + w (int64) and the rewards
-    (float64) of one trajectory per seed, each as a (len(seeds), T) array.
-
-    A chunk of seeds is simulated from two tables built with whole-array
-    operations: the action each covariate would draw and the next state each
-    state would reach, at every (seed, step). ``_follow`` then follows the
-    state through the next-state table: in about 2 sqrt(steps) numpy calls
-    by a blocked scan for batches of at most ``SCAN_LANES`` (state, seed)
-    lanes, one gather per step for wider ones. Chunks are sized by
-    table cells, (T + burn_in) * num_states per seed, and each writes its own
-    rows of the outputs.
-    """
-    _check_dimensions(model, behavior)
-    T = _integer("T", T, 1)
-    burn_in = _integer("burn_in", burn_in, 0)
-    n = len(seeds)
-    cells = np.empty((n, T), dtype=np.int64)
-    y = np.empty((n, T))
-    for start, stop in chunk_ranges(n, (T + burn_in) * model.num_states):
-        rows = slice(start, stop)
-        _simulate_chunk(model, behavior, T, burn_in, seeds[rows], cells[rows], y[rows])
-    return cells, y
-
-
 def _thresholds(probs: np.ndarray) -> np.ndarray:
     """Cumulative sums along the last axis of probability rows, with every
     entry from the row's last positive column on raised to 1.0.
@@ -577,7 +547,7 @@ def _add_count_at_or_below(
 
 
 def _draw_blocks(n: int, total: int) -> tuple[list[tuple[int, int]], int]:
-    """The (start, stop) seed groups of a chunk of n seeds of ``total``
+    """The (start, stop) seed groups of a batch of n seeds of ``total``
     steps, and the steps per span each group's streams are drawn in: a
     group holds as many seeds as fit in ``GROUP_STEPS`` steps but at least
     ``GROUP_SEEDS`` (at most n), and a span as many steps as fit in
@@ -586,18 +556,31 @@ def _draw_blocks(n: int, total: int) -> tuple[list[tuple[int, int]], int]:
     return groups, min(total, max(1, GROUP_STEPS // groups[0][1]))
 
 
-def _simulate_chunk(
+def _simulate_arrays(
     model: PomdpModel,
     behavior: Policy,
     T: int,
     burn_in: int,
     seeds: Sequence[int],
-    cells: np.ndarray,
-    ys: np.ndarray,
-) -> None:
-    """Write the (len(seeds), T) cells and rewards of one chunk of seeds
-    into ``cells`` and ``ys``."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (state, action) cells s * num_actions + w (int64) and the rewards
+    (float64) of one trajectory per seed, each as a (len(seeds), T) array.
+
+    The seeds are simulated from two tables built with whole-array
+    operations: the action each covariate would draw and the next state each
+    state would reach, at every (seed, step). ``_follow`` then follows the
+    state through the next-state table: in about 2 sqrt(steps) numpy calls
+    by a blocked scan for batches of at most ``SCAN_LANES`` (state, seed)
+    lanes, one gather per step for wider ones. The tables take
+    (T + burn_in) * num_states cells per seed; the batch's owner sizes it
+    with ``chunk_ranges``, and this simulates all the seeds it is given.
+    """
+    _check_dimensions(model, behavior)
+    T = _integer("T", T, 1)
+    burn_in = _integer("burn_in", burn_in, 0)
     n = len(seeds)
+    cells = np.empty((n, T), dtype=np.int64)
+    ys = np.empty((n, T))
     total = T + burn_in
     num_s = model.num_states
     rngs = list(_make_rngs(seeds))
@@ -673,6 +656,7 @@ def _simulate_chunk(
         rows = slice(start, stop)
         ys[rows] *= model.reward_sd.take(cells[rows], mode="clip")
         ys[rows] += model.reward_mean.take(cells[rows], mode="clip")
+    return cells, ys
 
 
 def _follow(table: np.ndarray, start: np.ndarray) -> np.ndarray:

@@ -187,12 +187,6 @@ class LepskiResult:
     selected_k: int
     reports: tuple[EstimateReport, ...]
 
-    def report_for(self, k: int) -> EstimateReport:
-        for rep in self.reports:
-            if rep.k == k:
-                return rep
-        raise KeyError(k)
-
     def to_dict(self) -> dict:
         return {
             "selected_k": self.selected_k,

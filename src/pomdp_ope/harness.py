@@ -10,9 +10,11 @@ order, a chunk being as many replications as fit in the environment's
 ``chunk_steps`` budget of simulated steps (or ``chunk_size``
 replications). Each job simulates its chunk into (rewards, ratios) arrays,
 evaluates them with the batched estimator engine and writes only its own
-rows of its horizon's arrays. Finite environments budget
-``core.CACHE_STEPS``, so the engine's passes over a chunk stay in cache;
-glucose budgets ``core.CHUNK_STEPS``, the simulators' memory bound.
+rows of its horizon's arrays. These chunks are the only ones: the
+simulators take the seeds they are given. Finite environments budget
+``core.CACHE_STEPS``, so the engine's passes over a chunk stay in cache,
+but never more than ``core.CHUNK_STEPS`` cells of the simulator's (step,
+state) tables; glucose budgets ``core.CHUNK_STEPS``, the memory bound.
 The jobs run on up to ``workers`` threads through ``core._run_jobs``;
 the estimator's array passes release the GIL, so one chunk's estimate
 overlaps another's simulation. The chunks in flight hold at most
@@ -68,11 +70,7 @@ from .estimators import (
     _windows,
 )
 from .instances import glucose
-from .instances.glucose import (
-    glucose_rewards_and_ratios,
-    glucose_simulate,
-    target_value_oracle,
-)
+from .instances.glucose import glucose_simulate, target_value_oracle
 from .instances.hard import HardInstanceParams, hard_instance_pair, params_from_mixing_time
 from .instances.toy import toy_model
 from .rng import _derive_seeds
@@ -87,7 +85,6 @@ class FiniteEnvironment:
     """Finite POMDP with exact value oracle."""
 
     default_burn_in = DEFAULT_BURN_IN
-    chunk_steps = CACHE_STEPS
 
     def __init__(self, name: str, model: PomdpModel, behavior: Policy, target: Policy):
         # The ratio table has a row per state, read from both policies.
@@ -97,6 +94,13 @@ class FiniteEnvironment:
         self.model = model
         self.behavior = behavior
         self.target = target
+
+    @property
+    def chunk_steps(self) -> int:
+        """Simulated steps per replication chunk: ``CACHE_STEPS``, or fewer
+        when that many steps would take more than ``CHUNK_STEPS`` cells of
+        the simulator's (step, state) tables."""
+        return min(CACHE_STEPS, CHUNK_STEPS // self.model.num_states)
 
     def rewards_and_ratios(
         self, T: int, burn_in: int, seeds: Sequence[int]
@@ -123,7 +127,7 @@ class GlucoseEnvironment:
     def rewards_and_ratios(
         self, T: int, burn_in: int, seeds: Sequence[int]
     ) -> tuple[np.ndarray, np.ndarray]:
-        return glucose_rewards_and_ratios(T, burn_in, seeds)
+        return glucose._rewards_and_ratios(T, burn_in, seeds)
 
     def oracle(self) -> tuple[float, dict]:
         return target_value_oracle()

@@ -4,10 +4,8 @@ mobile-health simulator, and the worst-case ladder instance family."""
 from .glucose import (
     GlucoseState,
     GlucoseTrajectory,
-    glucose_rewards_and_ratios,
     glucose_simulate,
     target_value_oracle,
-    utility_from_glucose,
 )
 from .hard import (
     ConditionReport,
@@ -27,7 +25,6 @@ __all__ = [
     "GlucoseTrajectory",
     "HardInstanceParams",
     "check_conditions",
-    "glucose_rewards_and_ratios",
     "glucose_simulate",
     "hard_instance_pair",
     "kl_bound",
@@ -36,5 +33,4 @@ __all__ = [
     "theorem2_design",
     "top_state_occupancy",
     "toy_model",
-    "utility_from_glucose",
 ]

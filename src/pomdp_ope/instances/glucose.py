@@ -48,7 +48,7 @@ import numpy as np
 
 from ..core import _run_jobs, _worker_count, chunk_ranges
 from ..errors import ConfigurationError, _integer
-from ..rng import _derive_seeds, _make_rngs, make_rng
+from ..rng import _derive_seeds, _make_rng, _make_rngs
 
 INSULIN_PROB = 0.3
 MILD_ACTIVITY_PROB = 0.4
@@ -180,7 +180,7 @@ def glucose_mean_update(state: GlucoseState):
     )
 
 
-def utility_from_glucose(gl):
+def _utility(gl):
     """Four-level utility, elementwise: -3 at or below 70, -2 above 150, -1
     on the borderline bands (70, 80] and (120, 150], 0 on the normal band
     (80, 120] (the bands of ``UTILITY_EDGES`` and ``UTILITY_VALUES``)."""
@@ -191,9 +191,9 @@ def utility_from_glucose(gl):
 
 
 def _utility_sum(gl: np.ndarray) -> float:
-    """``utility_from_glucose(gl).sum()`` from band counts: the readings at
-    or below each edge, differenced into per-band counts. Exact, since the
-    utilities are integers."""
+    """``_utility(gl).sum()`` from band counts: the readings at or below
+    each edge, differenced into per-band counts. Exact, since the utilities
+    are integers."""
     at_or_below = [np.count_nonzero(gl <= edge) for edge in UTILITY_EDGES]
     return float(np.dot(np.diff(at_or_below, prepend=0, append=gl.size), UTILITY_VALUES))
 
@@ -293,7 +293,7 @@ def _draw_exogenous(seeds: Sequence[int], total: int, with_insulin: bool):
                 if truncated:
                     rejected |= block.min(axis=1) < 0.0
             for j in np.flatnonzero(rejected):
-                _draw_row(make_rng(seeds[lo + j]), blocks[:, j])
+                _draw_row(_make_rng(seeds[lo + j]), blocks[:, j])
             # Each hour keeps the draw of its event and zeroes the others, by
             # multiplying with 0/1 masks. That is exact: the truncated draws
             # are finite and non-negative, so x * 1 = x, x * 0 = +0.0 and
@@ -369,7 +369,7 @@ def glucose_simulate(
         ex=ex,
         di=di,
         insulin=insulin.astype(np.int64),
-        y=utility_from_glucose(gl),
+        y=_utility(gl),
         behavior_prob=_behavior_prob(insulin),
         target_action=wants.astype(np.int64),
         policy_kind=policy_kind,
@@ -378,19 +378,16 @@ def glucose_simulate(
     )
 
 
-def glucose_rewards_and_ratios(
+def _rewards_and_ratios(
     T: int, burn_in: int, seeds: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Behavior-policy batch: rewards and per-hour importance ratios,
-    shape (len(seeds), T) each. Chunked by ``chunk_ranges`` to bound memory."""
-    T = _integer("T", T, 1)
-    burn_in = _integer("burn_in", burn_in, 0)
-    ys = np.empty((len(seeds), T))
-    rhos = np.empty((len(seeds), T))
-    for start, stop in chunk_ranges(len(seeds), T + burn_in):
-        gl, _, _, insulin, wants = _simulate_arrays(T, burn_in, "behavior", seeds[start:stop])
-        ys[start:stop] = utility_from_glucose(gl).T
-        rhos[start:stop] = _ratios(insulin, wants, _behavior_prob(insulin)).T
+    """Behavior-policy batch: rewards and per-hour importance ratios, each a
+    C-contiguous (len(seeds), T) array, the layout whose memory order the
+    estimator engine's sums follow. Simulates every seed it is given; the
+    harness sizes the batch."""
+    gl, _, _, insulin, wants = _simulate_arrays(T, burn_in, "behavior", seeds)
+    ys = np.ascontiguousarray(_utility(gl).T)
+    rhos = np.ascontiguousarray(_ratios(insulin, wants, _behavior_prob(insulin)).T)
     return ys, rhos
 
 

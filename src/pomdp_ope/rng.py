@@ -11,7 +11,7 @@ NumPy's ``bit_generator.pyx``: hashmix and mix rounds over a 4-word uint32
 pool, then the output hash) over whole arrays of seeds at once. Its hash
 multipliers do not depend on the data, so every round is a few uint32 array
 operations across the batch, and every result is bit-identical to
-``np.random.SeedSequence``'s. ``derive_seed`` and ``make_rng`` are its
+``np.random.SeedSequence``'s. ``derive_seed`` and ``_make_rng`` are its
 one-seed forms.
 """
 
@@ -204,7 +204,7 @@ class _Seeded(ISpawnableSeedSequence):
 
 
 def _make_rngs(seeds) -> Iterator[np.random.Generator]:
-    """``make_rng`` for every seed (flattened). The seeds are checked and
+    """``_make_rng`` for every seed (flattened). The seeds are checked and
     their state words computed in one pass of the core; each generator is
     built when the iterator reaches it, so a batch never holds them all."""
     seeds = np.ravel(_integers(seeds))
@@ -224,7 +224,7 @@ def derive_seed(master_seed: int, *path: int) -> int:
     return int(seed)
 
 
-def make_rng(seed: int) -> np.random.Generator:
+def _make_rng(seed: int) -> np.random.Generator:
     """Generator for a derived 64-bit seed."""
     (rng,) = _make_rngs(seed)
     return rng

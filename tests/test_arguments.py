@@ -30,12 +30,12 @@ from pomdp_ope import (
     phiw_estimate,
     run_lepski_study,
     run_sweep,
-    select_window_from_intervals,
     simulate,
     stationary_distribution,
 )
 from pomdp_ope import harness
 from pomdp_ope.cli import main
+from pomdp_ope.estimators import select_window_from_intervals
 from pomdp_ope.harness import hard_params
 from pomdp_ope.instances import toy_model
 from pomdp_ope.instances.glucose import glucose_simulate, target_value_oracle

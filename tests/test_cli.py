@@ -123,6 +123,22 @@ def test_sweep_writes_csv_and_json(tmp_path, capsys):
     assert companion["spec"]["replications"] == 16
 
 
+def test_sweep_refuses_an_out_its_json_companion_would_overwrite(tmp_path, capsys):
+    # The JSON goes to --out with a .json suffix, so a .json --out once had
+    # its CSV overwritten by the JSON, exit 0.
+    out_path = tmp_path / "sweep.json"
+    code, out, err = run_cli(
+        capsys,
+        "sweep", "--env", "toy", "--k-set=-1,0,1", "--T-set", "60",
+        "--replications", "4", "--out", str(out_path),
+    )
+    assert code == 2
+    assert out == ""
+    assert "--out" in err
+    assert not out_path.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_instance_emits_model_round_trip(tmp_path, capsys):
     out_path = tmp_path / "toy.json"
     code, _, _ = run_cli(capsys, "instance", "--env", "toy", "--out", str(out_path))

@@ -21,7 +21,6 @@ from pomdp_ope import (
     Policy,
     PomdpModel,
     Trajectory,
-    dobrushin_coefficient,
     mixing_overlap_report,
     policy_transition_matrix,
     policy_value_exact,
@@ -29,7 +28,7 @@ from pomdp_ope import (
     stationary_distribution,
 )
 from pomdp_ope import core
-from pomdp_ope.core import _run_jobs, _simulate_arrays
+from pomdp_ope.core import _dobrushin_coefficient, _run_jobs, _simulate_arrays
 from pomdp_ope.instances.toy import CONTROL_KERNEL, TREAT_KERNEL
 
 
@@ -386,7 +385,7 @@ def test_dobrushin_bounds_one_step_contraction(seed):
     # For any f, f': ||f' M - f M||_1 <= dobrushin(M) ||f' - f||_1.
     rng = np.random.default_rng(seed)
     M = rng.dirichlet(np.ones(4), size=4)
-    coeff = dobrushin_coefficient(M)
+    coeff = _dobrushin_coefficient(M)
     for _ in range(10):
         f = rng.dirichlet(np.ones(4))
         g = rng.dirichlet(np.ones(4))

@@ -37,12 +37,11 @@ from pomdp_ope import (
     importance_ratios,
     lepski_select,
     mixing_overlap_report,
-    parzen_kernel,
     phiw_estimate,
-    select_window_from_intervals,
     simulate,
 )
 from pomdp_ope import estimators as est_mod
+from pomdp_ope.estimators import parzen_kernel, select_window_from_intervals
 from pomdp_ope.harness import FiniteEnvironment
 
 

@@ -16,29 +16,29 @@ from pomdp_ope.instances import glucose
 from pomdp_ope.instances.glucose import (
     GLUCOSE_REST,
     GlucoseState,
+    _rewards_and_ratios,
+    _utility,
     glucose_mean_update,
-    glucose_rewards_and_ratios,
     glucose_simulate,
     target_rule,
     target_value_oracle,
-    utility_from_glucose,
 )
-from pomdp_ope.rng import make_rng
+from pomdp_ope.rng import _make_rng
 from pomdp_ope.serialization import trajectory_to_csv
 
 FIELDS = ("gl", "ex", "di", "insulin", "y", "behavior_prob", "target_action")
 
 
 def test_utility_thresholds():
-    assert utility_from_glucose(100.0) == 0
-    assert utility_from_glucose(60.0) == -3
-    assert utility_from_glucose(130.0) == -1
-    assert utility_from_glucose(160.0) == -2
+    assert _utility(100.0) == 0
+    assert _utility(60.0) == -3
+    assert _utility(130.0) == -1
+    assert _utility(160.0) == -2
     # Band edges: 70 is hypoglycemic, 80 borderline, 120 normal, 150 borderline.
-    assert utility_from_glucose(70.0) == -3
-    assert utility_from_glucose(80.0) == -1
-    assert utility_from_glucose(120.0) == 0
-    assert utility_from_glucose(150.0) == -1
+    assert _utility(70.0) == -3
+    assert _utility(80.0) == -1
+    assert _utility(120.0) == 0
+    assert _utility(150.0) == -1
 
 
 def test_target_rule_thresholds():
@@ -104,7 +104,7 @@ def test_importance_ratios_values():
 
 
 def test_batch_matches_single_runs():
-    ys, rhos = glucose_rewards_and_ratios(T=50, burn_in=10, seeds=[3, 4])
+    ys, rhos = _rewards_and_ratios(T=50, burn_in=10, seeds=[3, 4])
     for i, seed in enumerate((3, 4)):
         traj = glucose_simulate(T=50, burn_in=10, policy_kind="behavior", seed=seed)
         np.testing.assert_array_equal(ys[i], traj.y)
@@ -122,7 +122,7 @@ def test_oracle_cached_and_reproducible():
 
 def test_target_policy_beats_behavior_on_average():
     v_target, _ = target_value_oracle(runs=300, hours=500, seed=99)
-    ys, _ = glucose_rewards_and_ratios(T=500, burn_in=50, seeds=list(range(300)))
+    ys, _ = _rewards_and_ratios(T=500, burn_in=50, seeds=list(range(300)))
     assert v_target > ys.mean() + 0.3
 
 
@@ -179,13 +179,17 @@ def test_simulate_matches_reference(policy_kind, T, burn_in, seed):
         assert_same(getattr(traj, name), ref[name])
 
 
-def test_rewards_and_ratios_match_reference_across_chunks(monkeypatch):
+def test_rewards_and_ratios_match_reference_across_chunks():
+    # The simulator takes the seeds it is given, so each chunk is its own
+    # call: one call for all, then 5 rows and 1 row at a time, joined.
     T, burn_in, seeds = 40, 10, list(range(20, 37))
     want_y, want_rho = reference_rewards_and_ratios(T, burn_in, seeds)
     for chunk_rows in (None, 5, 1):
-        if chunk_rows is not None:
-            monkeypatch.setattr(core, "CHUNK_STEPS", chunk_rows * (T + burn_in))
-        ys, rhos = glucose_rewards_and_ratios(T, burn_in, seeds)
+        ranges = core.chunk_ranges(len(seeds), T + burn_in, chunk_rows)
+        chunks = [_rewards_and_ratios(T, burn_in, seeds[a:b]) for a, b in ranges]
+        # C order: the estimator engine's sums follow memory order.
+        assert all(arr.flags.c_contiguous for chunk in chunks for arr in chunk)
+        ys, rhos = (np.concatenate(column) for column in zip(*chunks))
         assert_same(ys, want_y)
         assert_same(rhos, want_rho)
 
@@ -215,12 +219,12 @@ def test_forced_rejection_matches_reference(monkeypatch):
             assert_same(getattr(traj, name), ref[name])
     # The first mild block of seed 13 (after 65 noise normals and 65
     # uniforms) does hold negative draws.
-    rng = make_rng(13)
+    rng = _make_rng(13)
     rng.standard_normal(65)
     rng.random(65)
     assert (rng.normal(1.0, glucose.MILD_ACTIVITY_SD, 65) < 0.0).any()
     want_y, want_rho = reference_rewards_and_ratios(30, 5, [1, 2, 3])
-    ys, rhos = glucose_rewards_and_ratios(30, 5, [1, 2, 3])
+    ys, rhos = _rewards_and_ratios(30, 5, [1, 2, 3])
     assert_same(ys, want_y)
     assert_same(rhos, want_rho)
     assert target_value_oracle(runs=3, hours=30, burn_in=5, seed=2)[0] == reference_oracle(
@@ -230,7 +234,7 @@ def test_forced_rejection_matches_reference(monkeypatch):
 
 def test_outputs_pinned():
     # Any change to the draw order or the glucose arithmetic shows here.
-    ys, rhos = glucose_rewards_and_ratios(T=200, burn_in=50, seeds=list(range(64)))
+    ys, rhos = _rewards_and_ratios(T=200, burn_in=50, seeds=list(range(64)))
     assert hashlib.sha256(ys.tobytes() + rhos.tobytes()).hexdigest() == (
         "97828f55f851cee3f17e9807337ab98c300876ba9e8c8e938b3872b652fb445d"
     )
@@ -289,7 +293,7 @@ def test_group_size_does_not_change_outputs(monkeypatch, group):
     for policy_kind in ("behavior", "target"):
         assert_arrays_match_reference(T, burn_in, policy_kind, seeds)
     want_y, want_rho = reference_rewards_and_ratios(T, burn_in, seeds)
-    ys, rhos = glucose_rewards_and_ratios(T, burn_in, seeds)
+    ys, rhos = _rewards_and_ratios(T, burn_in, seeds)
     assert_same(ys, want_y)
     assert_same(rhos, want_rho)
     value, _ = target_value_oracle(runs=11, hours=T, burn_in=burn_in, seed=43)
@@ -306,9 +310,9 @@ def test_mixed_group_rejection_matches_reference(monkeypatch):
 
     def recording_make_rng(seed):
         redrawn.append(int(seed))
-        return make_rng(seed)
+        return _make_rng(seed)
 
-    monkeypatch.setattr(glucose, "make_rng", recording_make_rng)
+    monkeypatch.setattr(glucose, "_make_rng", recording_make_rng)
     seeds = list(range(100, 100 + glucose._GROUP_SEEDS))  # one group
     for policy_kind in ("behavior", "target"):
         redrawn.clear()
@@ -324,12 +328,12 @@ def test_band_counts_sum_utilities():
     near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
     spread = np.random.default_rng(5).normal(110.0, 40.0, 996)
     for gl in [near, spread, np.concatenate([near, spread]).reshape(-1, 16)]:
-        assert glucose._utility_sum(gl) == utility_from_glucose(gl).sum()
+        assert glucose._utility_sum(gl) == _utility(gl).sum()
     for edge in edges:
         for value in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
             gl = np.array([value])
-            assert glucose._utility_sum(gl) == utility_from_glucose(gl).sum()
-    values = utility_from_glucose(near)
+            assert glucose._utility_sum(gl) == _utility(gl).sum()
+    values = _utility(near)
     below = np.searchsorted(edges, near)
     assert values.tolist() == [glucose.UTILITY_VALUES[i] for i in below]
 
@@ -367,7 +371,7 @@ def test_split_draws_match_reference(monkeypatch, workers, n):
     for policy_kind in ("behavior", "target"):
         assert_arrays_match_reference(T, burn_in, policy_kind, seeds)
     want_y, want_rho = reference_rewards_and_ratios(T, burn_in, seeds)
-    ys, rhos = glucose_rewards_and_ratios(T, burn_in, seeds)
+    ys, rhos = _rewards_and_ratios(T, burn_in, seeds)
     assert_same(ys, want_y)
     assert_same(rhos, want_rho)
     value, _ = target_value_oracle(runs=n, hours=T, burn_in=burn_in, seed=47)
@@ -384,9 +388,9 @@ def test_split_redraws_in_the_helper_match_reference(monkeypatch):
 
     def recording_make_rng(seed):
         on_helper.append(threading.current_thread() is not threading.main_thread())
-        return make_rng(seed)
+        return _make_rng(seed)
 
-    monkeypatch.setattr(glucose, "make_rng", recording_make_rng)
+    monkeypatch.setattr(glucose, "_make_rng", recording_make_rng)
     seeds = list(range(100, 133))
     for policy_kind in ("behavior", "target"):
         on_helper.clear()
@@ -403,7 +407,7 @@ def test_split_failure_reaches_the_caller_after_the_join(monkeypatch, bad_seed):
     # generator of one of them.
     split_draws(monkeypatch, workers=2)
     monkeypatch.setattr(glucose, "MILD_ACTIVITY_MEAN", 1.0)
-    bad_state = make_rng(bad_seed).bit_generator.state
+    bad_state = _make_rng(bad_seed).bit_generator.state
     draw_row = glucose._draw_row
 
     def failing_draw_row(rng, rows):

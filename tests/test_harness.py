@@ -237,7 +237,7 @@ def test_glucose_sweeps_chunk_by_the_memory_budget(monkeypatch):
     from pomdp_ope import core
 
     assert GlucoseEnvironment.chunk_steps == core.CHUNK_STEPS
-    assert FiniteEnvironment.chunk_steps == core.CACHE_STEPS < 700 * 250
+    assert make_environment("toy").chunk_steps == core.CACHE_STEPS < 700 * 250
     calls = _spy_chunk_ranges(monkeypatch)
     monkeypatch.setattr(GlucoseEnvironment, "oracle", lambda self: (-0.7, {}))
     spec = _small_spec(
@@ -245,6 +245,27 @@ def test_glucose_sweeps_chunk_by_the_memory_budget(monkeypatch):
     )
     run_sweep(spec)
     assert calls == [[(0, 700)]]
+
+
+def test_wide_hard_sweeps_chunk_by_table_cells(tmp_path, monkeypatch):
+    # A 40-state hard instance fills 40 table cells per simulated step, so
+    # the cache budget of 98,304 steps would take 3.9M cells; its budget is
+    # capped at CHUNK_STEPS cells instead. The simulator takes the harness's
+    # chunks as they are, so they alone bound its memory.
+    from pomdp_ope import core
+
+    env_id = "hard:Q=40,t0=1,zeta=0.69,M1=1,M2=2"
+    env = make_environment(env_id)
+    assert env.model.num_states == 40
+    assert env.chunk_steps == core.CHUNK_STEPS // 40 < core.CACHE_STEPS
+    spec = _small_spec(environment=env_id, T_values=(400,), burn_in=100, replications=120)
+    calls = _spy_chunk_ranges(monkeypatch)
+    auto = _sweep_and_study_bytes(spec, tmp_path, None)
+    assert calls == [[(0, 100), (100, 120)]] * 2
+    for ranges in calls:
+        for start, stop in ranges:
+            assert (stop - start) * (400 + 100) * 40 <= core.CHUNK_STEPS
+    assert _sweep_and_study_bytes(spec, tmp_path, 3) == auto
 
 
 # A toy sweep and study whose outputs' SHA-256 digests were recorded before
@@ -558,29 +579,41 @@ def test_finite_environment_refuses_a_policy_of_another_shape(role):
 
 
 def test_chunk_boundaries_do_not_change_simulators(monkeypatch, toy):
-    # A tiny step budget splits every call below into chunks of 3 rows with a
-    # short last chunk; results must equal the one-chunk runs exactly.
+    # Chunks of 3 rows with a short last chunk: the batch simulators take the
+    # seeds they are given, so their chunks are split by hand into separate
+    # calls, and a tiny step budget splits the oracle's own runs. Results
+    # must equal the one-chunk runs exactly, and the finite rows the
+    # one-seed trajectories of ``simulate``.
     from pomdp_ope import core
     from pomdp_ope.instances import glucose
 
     model, behavior, _ = toy
     seeds = list(range(10))
 
-    def run_all():
+    def run_all(finite_ranges, glucose_ranges):
         monkeypatch.setattr(glucose, "_oracle_cache", {})
-        trajs = [simulate(model, behavior, 40, 10, seed) for seed in seeds]
-        ys, rhos = glucose.glucose_rewards_and_ratios(30, 10, seeds)
+        finite = [
+            core._simulate_arrays(model, behavior, 40, 10, seeds[a:b]) for a, b in finite_ranges
+        ]
+        cells, y = (np.concatenate(column) for column in zip(*finite))
+        states, w = np.divmod(cells, model.num_actions)
+        x, h = np.divmod(states, model.num_h)
+        trajs = [dict(x=x[r], h=h[r], w=w[r], y=y[r]) for r in range(len(seeds))]
+        chunks = [glucose._rewards_and_ratios(30, 10, seeds[a:b]) for a, b in glucose_ranges]
+        ys, rhos = (np.concatenate(column) for column in zip(*chunks))
         value, _ = glucose.target_value_oracle(runs=10, hours=30, burn_in=10, seed=7)
         return trajs, ys, rhos, value
 
-    one = run_all()
+    one = run_all([(0, 10)], [(0, 10)])
     monkeypatch.setattr(core, "CHUNK_STEPS", 150)
     assert core.chunk_ranges(10, 50) == [(0, 3), (3, 6), (6, 9), (9, 10)]
     assert core.chunk_ranges(10, 40) == [(0, 3), (3, 6), (6, 9), (9, 10)]
-    many = run_all()
-    for a, b in zip(one[0], many[0]):
+    many = run_all(core.chunk_ranges(10, 50), core.chunk_ranges(10, 40))
+    singles = [simulate(model, behavior, 40, 10, seed) for seed in seeds]
+    for a, b, single in zip(one[0], many[0], singles):
         for name in ("x", "h", "w", "y"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            np.testing.assert_array_equal(a[name], b[name])
+            np.testing.assert_array_equal(getattr(single, name), b[name])
     np.testing.assert_array_equal(one[1], many[1])
     np.testing.assert_array_equal(one[2], many[2])
     assert one[3] == many[3]

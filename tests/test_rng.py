@@ -12,7 +12,7 @@ from oracles import seed_reference
 
 from pomdp_ope.errors import ConfigurationError
 from pomdp_ope.instances.glucose import target_value_oracle
-from pomdp_ope.rng import _derive_seeds, _generate_state, _make_rngs, derive_seed, make_rng
+from pomdp_ope.rng import _derive_seeds, _generate_state, _make_rng, _make_rngs, derive_seed
 from pomdp_ope.serialization import json_text
 
 # Word-count edges: one word, the last one-word value, two words, the last
@@ -56,7 +56,7 @@ def test_derive_seeds_broadcast_the_path():
 
 @pytest.mark.parametrize("seed", EDGES + (1, 202406, 2**200 + 5))
 def test_make_rng_draws_match_default_rng(seed):
-    got, want = make_rng(seed), np.random.default_rng(seed)
+    got, want = _make_rng(seed), np.random.default_rng(seed)
     assert got.bit_generator.state == want.bit_generator.state
     np.testing.assert_array_equal(got.random(5), want.random(5))
     np.testing.assert_array_equal(got.standard_normal(5), want.standard_normal(5))
@@ -71,14 +71,14 @@ def test_batch_generators_match_default_rng():
 
 @pytest.mark.parametrize("seed", [0, 13, 2**64 - 1])
 def test_spawned_children_match_numpy(seed):
-    got, want = make_rng(seed), np.random.default_rng(seed)
+    got, want = _make_rng(seed), np.random.default_rng(seed)
     for _ in range(2):  # the second spawn continues the children's count
         for g, w in zip(got.spawn(2), want.spawn(2), strict=True):
             np.testing.assert_array_equal(g.random(4), w.random(4))
 
 
 def test_other_state_requests_match_numpy():
-    seed_seq = make_rng(99).bit_generator.seed_seq
+    seed_seq = _make_rng(99).bit_generator.seed_seq
     want = np.random.SeedSequence(99)
     for n_words, dtype in [(4, np.uint64), (3, np.uint32), (6, np.uint64)]:
         np.testing.assert_array_equal(
@@ -96,7 +96,7 @@ def test_numpy_integers_are_seeds():
 @pytest.mark.parametrize("bad", [1.5, float("nan"), np.float64(2.0), "7", None])
 @pytest.mark.parametrize(
     "call",
-    [lambda s: derive_seed(s, 2), lambda s: derive_seed(2, s), make_rng],
+    [lambda s: derive_seed(s, 2), lambda s: derive_seed(2, s), _make_rng],
     ids=["master", "path", "make_rng"],
 )
 def test_non_integer_seed_is_named(call, bad):

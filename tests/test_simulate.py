@@ -177,14 +177,17 @@ def test_follow_matches_per_step_loop(data):
     np.testing.assert_array_equal(got, want)
 
 
-def test_simulate_batch_chunks_match_reference(toy, monkeypatch):
+def test_simulate_batch_chunks_match_reference(toy):
     model, behavior, _ = toy
     seeds = list(range(7))
     _, _, whole_w, whole_y = _batch_columns(model, behavior, 40, 10, seeds)
     # 50 steps x 4 states per seed: 3 seeds per chunk, the last chunk short.
-    monkeypatch.setattr(core, "CHUNK_STEPS", 600)
-    assert core.chunk_ranges(len(seeds), 50 * model.num_states) == [(0, 3), (3, 6), (6, 7)]
-    _, _, w, y = _assert_matches_reference(model, behavior, 40, 10, seeds)
+    ranges = core.chunk_ranges(len(seeds), 50 * model.num_states, budget=600)
+    assert ranges == [(0, 3), (3, 6), (6, 7)]
+    # The simulator takes the seeds it is given, so its caller's chunks are
+    # separate calls, joined here.
+    chunks = [_assert_matches_reference(model, behavior, 40, 10, seeds[a:b]) for a, b in ranges]
+    _, _, w, y = (np.concatenate(column) for column in zip(*chunks))
     np.testing.assert_array_equal(whole_y, y)
     np.testing.assert_array_equal(whole_w, w)
 
@@ -302,7 +305,7 @@ def test_draw_blocks_match_reference_loop(env_id, T, burn_in, n, group_seeds, bl
 
 
 @pytest.mark.parametrize("env_id", ["toy", HARD_Q20, "sparse1", "sparse2"])
-def test_rewards_and_ratios_equal_stacked_trajectories(env_id, monkeypatch):
+def test_rewards_and_ratios_equal_stacked_trajectories(env_id):
     if env_id.startswith("sparse"):
         env = _sparse_environment(int(env_id[len("sparse") :]))
     else:
@@ -314,10 +317,13 @@ def test_rewards_and_ratios_equal_stacked_trajectories(env_id, monkeypatch):
     if env_id.startswith("sparse"):
         assert (want_rho == 0.0).any()
 
-    # 3 seeds per chunk, the last chunk short.
-    monkeypatch.setattr(core, "CHUNK_STEPS", 3 * (T + burn_in) * env.model.num_states)
-    assert core.chunk_ranges(len(seeds), (T + burn_in) * env.model.num_states)[-1] == (6, 7)
-    y, rho = env.rewards_and_ratios(T, burn_in, seeds)
-    for got, want in ((y, want_y), (rho, want_rho)):
+    # 3 seeds per chunk, the last chunk short, each chunk its own call.
+    cells = (T + burn_in) * env.model.num_states
+    ranges = core.chunk_ranges(len(seeds), cells, budget=3 * cells)
+    assert ranges[-1] == (6, 7)
+    chunks = [env.rewards_and_ratios(T, burn_in, seeds[a:b]) for a, b in ranges]
+    y, rho = (np.concatenate(column) for column in zip(*chunks))
+    whole_y, whole_rho = env.rewards_and_ratios(T, burn_in, seeds)
+    for got, want in ((y, want_y), (rho, want_rho), (whole_y, y), (whole_rho, rho)):
         assert got.dtype == want.dtype and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
