@@ -311,10 +311,18 @@ _COMMANDS = {
 }
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse, before any work, an --out that cannot be written as a file."""
+    if out is not None and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+        problem = "is a directory" if Path(out).is_dir() else "is not in an existing directory"
+        raise ConfigurationError(f"--out {out} {problem}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return _COMMANDS[args.command](args)
     except json.JSONDecodeError as exc:
         print(

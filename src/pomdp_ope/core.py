@@ -27,11 +27,15 @@ normal per step. The uniforms are drawn a block at a time (a group of seeds
 and a span of steps, ``GROUP_STEPS`` draws at most) into a small scratch
 and written straight into time-major tables; the normals are drawn last, a
 group at a time once the path is known, and turned into rewards in place.
-Whole-array comparisons against the cumulative policy and transition rows
-build two tables over every (seed, step): the action drawn if the
-covariate is x, and the next state reached from state s.
+Each step's two uniforms are classified once, into a step code: its action
+bucket counts the policy's distinct thresholds at or below the action
+uniform, its move bucket those of all transition rows merged at or below
+the move uniform, and (code, state) tables built per call give each state's
+next state and cell in one gather each. A model with more codes than the
+batch's (T + burn_in - 1) n next-state rows (a dense one) keeps the action
+bucket as its code and counts each (state, action) row per state instead.
 ``_follow`` then follows the state through the next-state table. When a
-step's row is narrow (at most ``SCAN_LANES`` (state, seed) lanes) it runs a
+step's row is narrow (at most ``SCAN_LANES`` (seed, state) lanes) it runs a
 blocked scan: it composes the steps inside blocks of about sqrt(steps) with
 wide gathers, carries the state from block to block, and fills each block's
 rows in one gather, so about 2 sqrt(steps) numpy calls replace one per step.
@@ -94,7 +98,7 @@ GROUP_STEPS = 32_768
 # the streams of long series are drawn in spans of steps instead.
 GROUP_SEEDS = 16
 
-# Widest step row, in (state, seed) lanes, that ``_follow`` scans in blocks.
+# Widest step row, in (seed, state) lanes, that ``_follow`` scans in blocks.
 # Per-step gathers cost a fixed call overhead per step; the scan's cost
 # grows with steps x lanes. They broke even near 200 lanes (S = 3, 4 and 20
 # states, 2-core Xeon VM, numpy 2.4).
@@ -546,6 +550,17 @@ def _add_count_at_or_below(
         out += hit if repeat == 1 else hit * out.dtype.type(repeat)
 
 
+def _bucket_counts(cum: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(..., len(values) + 1) table of #{j : cum[..., j] <= u} for the draws u
+    of each bucket b, those with b of the sorted distinct ``values`` <= u.
+    Every entry of ``cum`` below 1.0 must be one of ``values``."""
+    m = len(values) + 1
+    first = (np.searchsorted(values, cum) + 1).reshape(-1, cum.shape[-1])
+    hist = np.zeros((len(first), m + 1), dtype=np.intp)
+    np.add.at(hist, (np.arange(len(first))[:, None], first), 1)
+    return hist.cumsum(axis=1)[:, :m].reshape(cum.shape[:-1] + (m,))
+
+
 def _draw_blocks(n: int, total: int) -> tuple[list[tuple[int, int]], int]:
     """The (start, stop) seed groups of a batch of n seeds of ``total``
     steps, and the steps per span each group's streams are drawn in: a
@@ -566,12 +581,11 @@ def _simulate_arrays(
     """The (state, action) cells s * num_actions + w (int64) and the rewards
     (float64) of one trajectory per seed, each as a (len(seeds), T) array.
 
-    The seeds are simulated from two tables built with whole-array
-    operations: the action each covariate would draw and the next state each
-    state would reach, at every (seed, step). ``_follow`` then follows the
-    state through the next-state table: in about 2 sqrt(steps) numpy calls
-    by a blocked scan for batches of at most ``SCAN_LANES`` (state, seed)
-    lanes, one gather per step for wider ones. The tables take
+    Each step's code (see the module docstring) gives the next state every
+    state would reach at that (seed, step), and ``_follow`` follows the
+    state through that next-state table: in about 2 sqrt(steps) numpy calls
+    by a blocked scan for batches of at most ``SCAN_LANES`` (seed, state)
+    lanes, one gather per step for wider ones. The table takes
     (T + burn_in) * num_states cells per seed; the batch's owner sizes it
     with ``chunk_ranges``, and this simulates all the seeds it is given.
     """
@@ -606,46 +620,67 @@ def _simulate_arrays(
             u_move[t0:t1, start:stop] = drawn[:, : total - 1 - t0, 1].T
     del scratch, drawn
 
-    # act[x, t, r]: the action drawn at step t of seed r if the covariate is x.
+    # Each step's two uniforms are classified once, into a step code: the
+    # action bucket counts the policy's distinct thresholds at or below u_act,
+    # the move bucket the distinct thresholds of all transition rows at or
+    # below u_move, and every state's action and move at that step follow
+    # from the code. The last step's move is never used.
     cum_pol = _thresholds(behavior.probs)
-    act = np.zeros((model.num_x, total, n), dtype=np.min_scalar_type(model.num_actions - 1))
-    for x in range(model.num_x):
-        _add_count_at_or_below(act[x], cum_pol[x], u_act)
-    del u_act
-
-    # nxt[t, s, r]: where state s moves at step t of seed r, stored as the flat
-    # index s' * n + r into the (state, seed) block of step t + 1. The last
-    # step's move is never used.
     cum_trans = _thresholds(model.transition)
+    # Plain np.unique imports numpy.ma on first use (15 ms, numpy 2.4); this does not.
+    act_values = np.unique(cum_pol[cum_pol < 1.0], return_counts=True)[0]
+    move_values = np.unique(cum_trans[cum_trans < 1.0], return_counts=True)[0]
+    moves = len(move_values) + 1
+    codes = (len(act_values) + 1) * moves
+    # With more codes than next-state rows (dense models), a step's code is
+    # its action bucket alone, and each state counts its own rows' thresholds.
+    per_row = codes > (total - 1) * n
+    code = np.zeros((total, n), dtype=np.min_scalar_type(len(act_values) if per_row else codes))
+    _add_count_at_or_below(code, act_values, u_act)
+    del u_act
     x_of_state = model.x_of_state
-    index_dtype = np.min_scalar_type(num_s * n)  # holds n itself too
-    nxt = np.empty((total - 1, num_s, n), dtype=index_dtype)
-    count = np.empty(u_move.shape, dtype=index_dtype)
-    for s in range(num_s):
-        chosen = act[x_of_state[s], : total - 1]
-        count[...] = 0
-        for a in range(model.num_actions):
-            _add_count_at_or_below(count, cum_trans[a, s], u_move, where=chosen == a)
-        nxt[:, s] = count
-    nxt *= index_dtype.type(n)
-    nxt += np.arange(n, dtype=index_dtype)
-    del u_move, count
+    # act_by_x[x, b] and act_of[b, s]: the action of covariate x, state s in bucket b.
+    act_by_x = _bucket_counts(cum_pol, act_values).astype(np.min_scalar_type(model.num_actions))
+    act_of = act_by_x[x_of_state].T
+    cell_of = np.arange(num_s) * model.num_actions + act_of
 
-    path = _follow(nxt.reshape(total - 1, num_s * n), state * n + np.arange(n))
+    # nxt[t, r, s]: where state s moves at step t of seed r, stored as the
+    # flat index r * num_s + s' into the (seed, state) lanes of step t + 1.
+    index_dtype = np.min_scalar_type(num_s * n)
+    if per_row:
+        acts = [row.take(code[:-1]) for row in act_by_x]
+        nxt = np.empty((total - 1, num_s, n), dtype=index_dtype)
+        count = np.empty(u_move.shape, dtype=index_dtype)
+        for s in range(num_s):
+            count[...] = 0
+            for a in range(model.num_actions):
+                _add_count_at_or_below(count, cum_trans[a, s], u_move, acts[x_of_state[s]] == a)
+            nxt[:, s] = count
+        nxt = np.ascontiguousarray(nxt.transpose(0, 2, 1))
+        del acts, count
+    else:
+        code *= moves
+        _add_count_at_or_below(code[:-1], move_values, u_move)
+        # (code, state) tables: the next state and the recorded cell.
+        move_of = _bucket_counts(cum_trans, move_values)[act_of, np.arange(num_s)]
+        nxt_of = move_of.transpose(0, 2, 1).reshape(codes, num_s).astype(index_dtype)
+        cell_of = np.repeat(cell_of, moves, axis=0)
+        nxt = nxt_of.take(code[:-1], axis=0)
+    del u_move
+    lanes = np.arange(0, n * num_s, num_s, dtype=index_dtype)
+    nxt += lanes[:, None]
+
+    path = _follow(nxt.reshape(total - 1, n * num_s), state + lanes)
     del nxt
 
-    # The recorded cells, a group of seeds at a time: the state and the
-    # action its covariate drew at that step, read off the path time-major
-    # and written into seed rows.
+    # The recorded cells, a group of seeds at a time: each step's state and
+    # code, read off time-major, pick the cell, written into seed rows.
     for start, stop in groups:
-        seen = path[burn_in:, start:stop]
-        states = np.floor_divide(seen, n, dtype=np.int64)
-        drew = act[:, burn_in:, start:stop]
-        acts = np.take_along_axis(drew, x_of_state.take(states)[None], axis=0)[0]
-        states *= model.num_actions
-        states += acts
-        cells[start:stop] = states.T
-    del path, act
+        at = np.multiply(code[burn_in:, start:stop], num_s, dtype=np.intp)
+        at += path[burn_in:, start:stop]
+        at -= lanes[start:stop]
+        cells[start:stop] = cell_of.ravel().take(at, mode="clip").T
+    del path, code
 
     # Each stream's reward normals come last in it: mean[cell] + sd[cell] * z,
     # evaluated in place a group at a time; every cell is in range.

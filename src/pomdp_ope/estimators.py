@@ -25,9 +25,11 @@ and the environments' ``rewards_and_ratios`` for seeded batches.
 All estimators run on one core, ``_estimate_windows``. It evaluates every
 requested window on a (G, n, T) batch, G estimates of n units each, in one
 pass: ``_window_terms`` builds each window's products from the previous
-window's, the lag window is evaluated once per call, each lag's cross
-products are summed across all units at once, and the normal quantile
-z_{1-alpha/2} is computed once, by ``_ndtri``, a plain-Python port of the
+window's, the lag window is evaluated once per call, and each lag's cross
+products are summed across all units at once into one (lags + 1, rows)
+buffer, weighted in one multiply and added in lag order. Clamping,
+half-widths, intervals and flags are computed once per call, after the
+last window, with z_{1-alpha/2} from ``_ndtri``, a plain-Python port of the
 Cephes library's inverse normal CDF ``ndtri`` (the package needs numpy
 alone). The public estimators pass their units as one estimate; Monte Carlo
 studies pass each replication as an estimate of one unit. Window selection
@@ -297,6 +299,14 @@ def _windows(name: str, ks, T: int | None = None, ascending: bool = False) -> li
     return windows
 
 
+def _smallest_positive(RHO: np.ndarray) -> np.ndarray:
+    """Each row's smallest positive entry of (m, T) ratios >= 0, or 0.0 for a
+    row of zeros, without branches: positive doubles order as their bit
+    patterns, and one less than a zero's wraps to the top of uint64."""
+    bits = np.subtract(RHO.view(np.uint64), np.uint64(1))
+    return (bits.min(axis=1) + np.uint64(1)).view(np.float64)
+
+
 def _window_terms(
     Y: np.ndarray, RHO: np.ndarray, ks: Sequence[int]
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -312,7 +322,7 @@ def _window_terms(
     # A row's largest |log rho| is at its largest or its smallest positive
     # ratio; a row with no positive ratio has only zero windows.
     hi = RHO.max(axis=1)
-    lo = np.where(RHO > 0.0, RHO, np.inf).min(axis=1)
+    lo = _smallest_positive(RHO)
     none = ~(hi > 0.0)
     hi[none] = lo[none] = 1.0
     max_log = np.maximum(np.abs(np.log(hi)), np.abs(np.log(lo)))
@@ -392,36 +402,43 @@ def _estimate_windows(
     _positive("bandwidth", bandwidth)
     G, n, T = Y.shape
     windows = sorted(set(_windows("k", ks, T)))
-    est = np.empty((G, len(ks), 4))
-    flags = np.zeros((G, len(ks), len(_FLAGS)), dtype=bool)
     z = _ndtri(1.0 - alpha / 2.0)
     lag_cap = min(int(math.floor(bandwidth)), T - 1)
     psi = parzen_kernel(np.arange(1, lag_cap + 1) / bandwidth)
-    for k, terms in _window_terms(Y.reshape(G * n, T), RHO.reshape(G * n, T), windows):
+    # Lag 0 and the lags of nonzero weight, with their weights 2 Psi(j/B).
+    lags = np.concatenate(([0], np.flatnonzero(psi) + 1))
+    weights = 2.0 * psi[lags[1:] - 1, None]
+    sums = np.empty((len(lags), G * n))
+    value, variance = np.empty((2, len(windows), G))
+    by_window = _window_terms(Y.reshape(G * n, T), RHO.reshape(G * n, T), windows)
+    for w, (k, terms) in enumerate(by_window):
         L = terms.shape[1]
+        used = np.searchsorted(lags, L - 1, side="right")  # lags below L
         # Infinite summands make inf - inf here; every estimate they reach
         # is flagged "non_finite" below instead of warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            value = terms.mean(axis=1).reshape(G, n).mean(axis=1)
+            value[w] = terms.mean(axis=1).reshape(G, n).mean(axis=1)
             # With one unit the pooled mean is that unit's mean.
-            center = value if n == 1 else terms.reshape(G, n * L).mean(axis=1)
+            center = value[w] if n == 1 else terms.reshape(G, n * L).mean(axis=1)
             center = np.repeat(center, n)[:, None]
             # The rewards (k = -1) are the caller's; window summands are
             # fresh, so they are centred in place.
             yt = terms - center if k == -1 else np.subtract(terms, center, out=terms)
-            acc = np.vecdot(yt, yt)
-            for j in range(1, min(lag_cap, L - 1) + 1):
-                if psi[j - 1] != 0.0:
-                    acc += 2.0 * psi[j - 1] * np.vecdot(yt[:, :-j], yt[:, j:])
-            variance = (acc / L).reshape(G, n).mean(axis=1)
-        clamped = variance < 0.0
-        variance[clamped] = 0.0
-        half = z * np.sqrt(variance / (n * L))
-        cols = [c for c, kc in enumerate(ks) if kc == k]
-        est[:, cols] = np.stack([value, variance, value - half, value + half], axis=1)[:, None]
-        flags[:, cols, 0] = clamped[:, None]
+            for i, j in enumerate(lags[:used]):
+                np.vecdot(yt[:, : L - j], yt[:, j:], out=sums[i])
+            sums[1:used] *= weights[: used - 1]
+            # Added in lag order, as a running sum would: a reduce would sum
+            # one row's lags pairwise.
+            acc = np.add.accumulate(sums[:used], axis=0)[-1]
+            variance[w] = (acc / L).reshape(G, n).mean(axis=1)
         del terms, yt  # so the next window's summands need no second buffer
-    flags[..., 1] = ~np.isfinite(est).all(axis=2)
+    clamped = variance < 0.0
+    variance[clamped] = 0.0
+    used_T = T - np.maximum(windows, 0)
+    half = z * np.sqrt(variance / (n * used_T)[:, None])
+    cols = [windows.index(k) for k in ks]
+    est = np.stack([value, variance, value - half, value + half], axis=2)[cols].transpose(1, 0, 2)
+    flags = np.stack([clamped[cols].T, ~np.isfinite(est).all(axis=2)], axis=2)
     return est, flags
 
 

@@ -67,13 +67,14 @@ def interior_policy(rng: np.random.Generator, num_x: int = 2, num_actions: int =
     return Policy(probs=probs)
 
 
-def run_python(code: str) -> str:
-    """Stdout of ``code`` run in a fresh interpreter that imports this package."""
+def run_python(code: str, **environ: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports this package,
+    with ``environ`` added to its environment."""
     import pomdp_ope
 
     src = str(Path(pomdp_ope.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    env = dict(os.environ, **environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import run_python
 
 from pomdp_ope import SweepSpec, run_sweep, sweep_result_to_json
 from pomdp_ope.cli import main
@@ -137,6 +138,43 @@ def test_sweep_refuses_an_out_its_json_companion_would_overwrite(tmp_path, capsy
     assert "--out" in err
     assert not out_path.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--env", "toy", "--k-set=0", "--T-set=20", "--replications", "2"),
+        ("lepski", "--env", "toy", "--T", "50"),
+        ("simulate", "--env", "toy", "--T", "20"),
+    ],
+    ids=["sweep", "lepski", "simulate"],
+)
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_out_that_cannot_be_written_exits_2_before_any_work(tmp_path, capsys, argv, where):
+    # Each once ran to the end and then raised IsADirectoryError or
+    # FileNotFoundError (exit 1).
+    target = tmp_path / "run"
+    target.mkdir()
+    out = target if where == "directory" else target / "missing" / "x.csv"
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert f"--out {out}" in err
+    assert list(target.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_lepski_bytes_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a dot product of more than 10,000 elements over its
+    # threads, which can change a lag sum's last bits (T = 10,002 does); a
+    # series of 10,000 steps stays within one thread's share.
+    code = (
+        "from pomdp_ope.cli import main; main(['lepski', '--env', 'toy', '--T', '10000', "
+        "'--k-set=-1,0,1,2,3,4,5,6,7', '--seed', '5'])"
+    )
+    one, two = (run_python(code, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
+    assert json.loads(one)["reports"]
+    assert one == two
 
 
 def test_instance_emits_model_round_trip(tmp_path, capsys):

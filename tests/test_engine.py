@@ -141,3 +141,44 @@ def test_engine_rejects_short_series_and_negative_windows():
         _estimate_windows(Y, np.ones((2, 1, 5)), [4], ALPHA, 2.0)
     with pytest.raises(ConfigurationError):
         _estimate_windows(Y, np.ones((2, 1, 5)), [-2], ALPHA, 2.0)
+
+
+def test_lag_sums_are_added_in_lag_order_on_one_row():
+    # Lag 0 and 26 weighted lags of one series: a pairwise sum of them
+    # (numpy's reduction over more than 8 contiguous values) would differ in
+    # the last bits from the running sum the engine keeps.
+    T, bandwidth = 20_000, 27.0
+    rng = np.random.default_rng(27)
+    Y = rng.normal(size=(1, 1, T)) + 0.2 * rng.standard_cauchy(size=(1, 1, T))
+    out, _ = _estimate_windows(Y, np.ones_like(Y), [-1], ALPHA, bandwidth)
+    y = Y[0]
+    yt = y - y.mean(axis=1).reshape(1, 1).mean(axis=1)[:, None]
+    acc = float(np.vecdot(yt, yt)[0])
+    psi = est_mod.parzen_kernel(np.arange(1, 27) / bandwidth)
+    for j in range(1, 27):
+        acc += float(2.0 * psi[j - 1] * np.vecdot(yt[:, :-j], yt[:, j:])[0])
+    assert out[0, 0, 1] == acc / T
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [0.0, 0.0, 0.0],
+        [0.0, 0.0, 2.5],
+        [3.0, 0.0, 0.0],
+        [0.0, np.inf, 2.0],
+        [np.inf, 0.0, 0.0],
+        [np.inf, np.inf, np.inf],
+        [5e-324, 1.0, 0.0],
+        [1e300, np.exp(-40.0), 0.0, 1e-300],
+    ],
+    ids=["zeros", "one-last", "one-first", "inf-and-finite", "inf-alone", "all-inf",
+         "subnormal", "log-space"],
+)
+def test_smallest_positive_ratio_of_each_row(row):
+    RHO = np.array([row, np.ones(len(row)), row[::-1]])
+    positive = RHO > 0.0
+    want = np.where(positive.any(axis=1), np.where(positive, RHO, np.inf).min(axis=1), 0.0)
+    got = est_mod._smallest_positive(RHO)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, want)

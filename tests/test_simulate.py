@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import interior_policy, random_model
 from oracles import simulate_reference
 
 from pomdp_ope import (
@@ -102,9 +103,7 @@ def test_simulate_batch_matches_reference_at_edge_lengths(toy, T, burn_in):
     _assert_matches_reference(model, behavior, T, burn_in, [0, 9, 2**40])
 
 
-def test_simulate_batch_matches_reference_with_one_state_and_many_seeds():
-    # 256 seeds x 1 state: the flat (state, seed) index needs a wider type
-    # than the state alone.
+def _one_state_model():
     model = PomdpModel(
         num_x=1,
         num_h=1,
@@ -112,22 +111,20 @@ def test_simulate_batch_matches_reference_with_one_state_and_many_seeds():
         transition=np.ones((2, 1, 1)),
         reward=((Gaussian(1.0, 0.5), PointMass(2.0)),),
     )
-    behavior = Policy(probs=np.array([[0.3, 0.7]]))
-    _assert_matches_reference(model, behavior, 6, 2, list(range(256)))
+    return model, Policy(probs=np.array([[0.3, 0.7]]))
+
+
+def test_simulate_batch_matches_reference_with_one_state_and_many_seeds():
+    # 256 seeds x 1 state: the flat (seed, state) index needs a wider type
+    # than the state alone.
+    _assert_matches_reference(*_one_state_model(), 6, 2, list(range(256)))
 
 
 @pytest.mark.parametrize("env_id", ["toy", HARD_Q20, "one-state"])
 def test_long_single_trajectory_matches_reference(env_id):
     # One seed: the state is followed by the blocked scan.
     if env_id == "one-state":
-        model = PomdpModel(
-            num_x=1,
-            num_h=1,
-            num_actions=2,
-            transition=np.ones((2, 1, 1)),
-            reward=((Gaussian(1.0, 0.5), PointMass(2.0)),),
-        )
-        behavior = Policy(probs=np.array([[0.3, 0.7]]))
+        model, behavior = _one_state_model()
     else:
         env = make_environment(env_id)
         model, behavior = env.model, env.behavior
@@ -213,9 +210,94 @@ def test_rounding_shortfall_goes_to_last_positive_entry():
     probs = np.array([[0.5, 0.5 - 1e-13, 0.0], [0.0, 0.0, 1.0]])
     cum = core._thresholds(probs)
     np.testing.assert_array_equal(cum, [[0.5, 1.0, 1.0], [0.0, 0.0, 1.0]])
+    u = np.array([0.2, 0.5, 1.0 - 1e-14])
     count = np.zeros(3, dtype=np.uint8)
-    core._add_count_at_or_below(count, cum[0], np.array([0.2, 0.5, 1.0 - 1e-14]))
+    core._add_count_at_or_below(count, cum[0], u)
     np.testing.assert_array_equal(count, [0, 1, 1])
+    # The same counts read from the bucket table of the step codes.
+    values = np.unique(cum[cum < 1.0])
+    buckets = np.searchsorted(values, u, side="right")
+    table = core._bucket_counts(cum, values)
+    np.testing.assert_array_equal(table[0, buckets], [0, 1, 1])
+    np.testing.assert_array_equal(table[1, buckets], [2, 2, 2])
+
+
+def _record_paths(monkeypatch) -> dict:
+    """Spy on ``_simulate_arrays``'s two regimes: the shapes whose bucket
+    tables are built (a transition tensor's only for the (code, state)
+    tables) and whether any row is counted per state (a ``where`` mask)."""
+    seen = {"tables": [], "per_row": False}
+    bucket_counts, add_count = core._bucket_counts, core._add_count_at_or_below
+
+    def tables(cum, values):
+        seen["tables"].append(cum.shape)
+        return bucket_counts(cum, values)
+
+    def count(out, thresholds, u, where=None):
+        seen["per_row"] |= where is not None
+        add_count(out, thresholds, u, where)
+
+    monkeypatch.setattr(core, "_bucket_counts", tables)
+    monkeypatch.setattr(core, "_add_count_at_or_below", count)
+    return seen
+
+
+def _shortfall_model(rng: np.random.Generator):
+    """A sparse model and policy whose rows fall short of 1 by rounding."""
+    model, behavior = _sparse_model(rng, 2, 3)
+    model = PomdpModel(
+        num_x=model.num_x,
+        num_h=model.num_h,
+        num_actions=model.num_actions,
+        transition=model.transition * (1.0 - 4e-13),
+        reward=model.reward,
+    )
+    return model, Policy(probs=behavior.probs * (1.0 - 4e-13))
+
+
+@pytest.mark.parametrize("case", ["toy", "hard-Q40", "one-state", "sparse-shortfall"])
+def test_step_codes_match_reference(case, monkeypatch):
+    if case == "one-state":
+        model, behavior = _one_state_model()
+    elif case == "sparse-shortfall":
+        model, behavior = _shortfall_model(np.random.default_rng(8))
+        assert (model.transition == 0.0).any() and (behavior.probs == 0.0).any()
+        assert (model.transition.sum(axis=2) < 1.0).all()
+    else:
+        env = make_environment("toy" if case == "toy" else "hard:Q=40,t0=1,zeta=0.69,M1=1,M2=2")
+        model, behavior = env.model, env.behavior
+    if case == "toy":
+        # Two thresholds one ulp apart are two move buckets.
+        cum = core._thresholds(model.transition)
+        assert 0.3 in cum and 0.30000000000000004 in cum
+    seen = _record_paths(monkeypatch)
+    _assert_matches_reference(model, behavior, 150, 40, [3, 1, 4, 1, 5, 9])
+    assert not seen["per_row"]
+    assert seen["tables"][-1] == model.transition.shape
+
+
+def test_per_row_counting_matches_reference(monkeypatch):
+    # S = 30 dense rows have more step codes than one seed's 149 next-state
+    # rows, so each state counts its own rows.
+    rng = np.random.default_rng(30)
+    model = random_model(rng, num_x=10, num_h=3, num_actions=3)
+    behavior = interior_policy(rng, num_x=10, num_actions=3)
+    seen = _record_paths(monkeypatch)
+    _assert_matches_reference(model, behavior, 50, 100, [6])
+    assert seen["per_row"]
+    assert model.transition.shape not in seen["tables"]
+
+
+def test_dense_batch_builds_no_code_tables(monkeypatch):
+    # A random S = 100, A = 4 model has about 3.0 M step codes, far more than
+    # a chunk's next-state rows, so no (code, state) table is built.
+    rng = np.random.default_rng(0)
+    model = random_model(rng, num_x=25, num_h=4, num_actions=4)
+    behavior = interior_policy(rng, num_x=25, num_actions=4)
+    seen = _record_paths(monkeypatch)
+    core._simulate_arrays(model, behavior, 50, 10, [0, 1])
+    assert seen["per_row"]
+    assert seen["tables"] == [behavior.probs.shape]
 
 
 def _sparse_environment(seed: int) -> FiniteEnvironment:
