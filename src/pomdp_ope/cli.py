@@ -199,7 +199,7 @@ def _cmd_lepski(args) -> int:
 def _cmd_sweep(args) -> int:
     if not args.env:
         raise ConfigurationError("sweep requires --env")
-    if args.out and Path(args.out).suffix == ".json":
+    if args.out and Path(args.out).suffix.lower() == ".json":
         raise ConfigurationError(
             f"--out {args.out} would be overwritten by the sweep's JSON companion, "
             "which takes its name with a .json suffix; give the CSV another suffix"

@@ -2,7 +2,6 @@
 mobile-health simulator, and the worst-case ladder instance family."""
 
 from .glucose import (
-    GlucoseState,
     GlucoseTrajectory,
     glucose_simulate,
     target_value_oracle,
@@ -21,7 +20,6 @@ from .toy import toy_model
 
 __all__ = [
     "ConditionReport",
-    "GlucoseState",
     "GlucoseTrajectory",
     "HardInstanceParams",
     "check_conditions",

@@ -31,10 +31,13 @@ is its own, so the values do not depend on the thread count. The hour
 loop runs on the caller's thread alone.
 A seed whose truncated normals hold a negative draw is drawn again by the
 exact sequential path, with the rejections in-stream, so every seed's
-values are those of drawing it alone. Only glucose and the two insulin
-decisions are stored. Rewards, logging probabilities and ratios are
-computed from those arrays afterwards, and the Monte Carlo oracle sums
-utilities from counts of glucose readings per utility band.
+values are those of drawing it alone. The hour loop adds each hour's mean
+update onto that hour's row of the noise array, which so becomes the
+glucose array, and carries the seven lags as views of earlier rows; the
+only array it allocates holds the evaluation rule's decisions. Rewards,
+logging probabilities and ratios are computed from those arrays
+afterwards, and the Monte Carlo oracle sums utilities from counts of
+glucose readings per utility band, one chunk's arrays at a time.
 The behavior policy's uniform u_insulin is the last draw of a stream and is
 drawn only for behavior runs, so target runs see the same values either way.
 """
@@ -91,21 +94,6 @@ DEFAULT_ORACLE_SEED = 202406
 # (2-core Xeon VM, numpy 2.4); at 16, a group's 7-8 scratch blocks of that
 # length (about 1 MB) stay inside a 2 MB L2.
 _GROUP_SEEDS = 16
-
-
-@dataclass(frozen=True)
-class GlucoseState:
-    """Lagged inputs the recursion needs: last glucose reading, two hours of
-    dietary intake, activity counts, and insulin indicators. Fields are
-    floats for one patient or equal-shape arrays for a batch."""
-
-    gl_prev: float = GLUCOSE_REST
-    di_lag1: float = 0.0
-    di_lag2: float = 0.0
-    ex_lag1: float = 0.0
-    ex_lag2: float = 0.0
-    in_lag1: float = 0.0
-    in_lag2: float = 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,17 +154,20 @@ def _ratios(insulin, target_action, behavior_prob) -> np.ndarray:
     return (insulin == target_action).astype(float) / behavior_prob
 
 
-def glucose_mean_update(state: GlucoseState):
-    """Noise-free part of the glucose recursion, elementwise over the state."""
+def glucose_mean_update(gl_prev, di_lag1, di_lag2, ex_lag1, ex_lag2, in_lag1, in_lag2):
+    """Noise-free part of the glucose recursion, elementwise: the last
+    glucose reading and two hours of dietary intake, activity counts and
+    insulin indicators, each a float for one patient or an array for a
+    batch."""
     return (
         GL_INTERCEPT
-        + GL_CARRY * state.gl_prev
-        + GL_DIET * state.di_lag1
-        + GL_DIET * state.di_lag2
-        + GL_ACTIVITY * state.ex_lag1
-        + GL_ACTIVITY * state.ex_lag2
-        + GL_INSULIN_LAG1 * state.in_lag1
-        + GL_INSULIN_LAG2 * state.in_lag2
+        + GL_CARRY * gl_prev
+        + GL_DIET * di_lag1
+        + GL_DIET * di_lag2
+        + GL_ACTIVITY * ex_lag1
+        + GL_ACTIVITY * ex_lag2
+        + GL_INSULIN_LAG1 * in_lag1
+        + GL_INSULIN_LAG2 * in_lag2
     )
 
 
@@ -333,20 +324,18 @@ def _simulate_arrays(T: int, burn_in: int, policy_kind: str, seeds: Sequence[int
     if policy_kind not in ("behavior", "target"):
         raise ConfigurationError(f"policy_kind must be behavior|target, got {policy_kind!r}")
     behavior = policy_kind == "behavior"
-    noise, ex, di, insulin = _draw_exogenous(seeds, T + burn_in, behavior)
-    total, n = noise.shape
-    gl = np.empty((total, n))
-    wants = np.empty((total, n), dtype=bool)
+    # Each hour's glucose is its noise plus the mean update, added in place:
+    # gl is the noise array, and the lags are views of earlier rows.
+    gl, ex, di, insulin = _draw_exogenous(seeds, T + burn_in, behavior)
+    wants = np.empty(gl.shape, dtype=bool)
     if not behavior:
         insulin = wants
-    zeros = np.zeros(n)
-    state = GlucoseState(np.full(n, GLUCOSE_REST), zeros, zeros, zeros, zeros, zeros, zeros)
-    for t in range(total):
-        np.add(glucose_mean_update(state), noise[t], out=gl[t])
-        wants[t] = target_rule(gl[t], ex[t], state.ex_lag1)
-        state = GlucoseState(
-            gl[t], di[t], state.di_lag1, ex[t], state.ex_lag1, insulin[t], state.in_lag1
-        )
+    gl_prev = np.full(gl.shape[1], GLUCOSE_REST)
+    di1 = di2 = ex1 = ex2 = in1 = in2 = 0.0
+    for t in range(len(gl)):
+        gl[t] += glucose_mean_update(gl_prev, di1, di2, ex1, ex2, in1, in2)
+        wants[t] = target_rule(gl[t], ex[t], ex1)
+        gl_prev, di1, di2, ex1, ex2, in1, in2 = gl[t], di[t], di1, ex[t], ex1, insulin[t], in1
     return gl[burn_in:], ex[burn_in:], di[burn_in:], insulin[burn_in:], wants[burn_in:]
 
 
@@ -416,12 +405,11 @@ def target_value_oracle(
     key = (runs, hours, burn_in, seed)
     if key not in _oracle_cache:
         total = 0.0
-        count = 0
         seeds = _derive_seeds(seed, np.arange(runs))
         for start, stop in chunk_ranges(runs, hours + burn_in):
-            gl = _simulate_arrays(hours, burn_in, "target", seeds[start:stop])[0]
-            total += _utility_sum(gl)
-            count += gl.size
+            # No name holds a chunk's glucose, so it is freed before the
+            # next chunk is drawn.
+            total += _utility_sum(_simulate_arrays(hours, burn_in, "target", seeds[start:stop])[0])
         provenance = {
             "kind": "monte-carlo",
             "runs": runs,
@@ -431,5 +419,5 @@ def target_value_oracle(
             # and a NumPy integer would not serialize.
             "seed": int(seed),
         }
-        _oracle_cache[key] = (total / count, provenance)
+        _oracle_cache[key] = (total / (runs * hours), provenance)
     return _oracle_cache[key]

@@ -94,7 +94,7 @@ COUNTS = [
     ("hard_params", "Q", lambda v: hard_params(f"Q={v},{HARD}"), ALL[:4]),
     ("theorem2_design", "T", lambda v: theorem2_design(v, 4.0, 1.0, 1.0, 2.0), ALL),
     ("corollary_window", "n", lambda v: corollary_window(v, 10, 1.0, 0.5), ALL),
-    ("corollary_window", "T", lambda v: corollary_window(1, v, 1.0, 0.5), ALL),
+    ("corollary_window", "T", lambda v: corollary_window(1, v, 1.0, 0.5), ALL + (1,)),
     ("run_sweep", "chunk size", lambda v: run_sweep(_spec(), chunk_size=v), NOT_NEGATIVE),
     ("run_sweep workers", "workers", lambda v: run_sweep(_spec(), workers=v), ("abc", -3, 1.5)),
     ("run_lepski_study workers", "workers", lambda v: run_lepski_study(_spec(), [0, 1], workers=v), (0,)),
@@ -232,14 +232,14 @@ def test_study_refuses_bad_candidates_before_it_runs(monkeypatch):
 
 @given(
     st.integers(1, 50),
-    st.integers(1, 10**6),
+    st.integers(2, 10**6),
     st.floats(0.01, 100.0),
     st.floats(0.0, 5.0),
     st.floats(0.01, 1e9),
 )
 def test_corollary_window_is_a_window_the_horizon_takes(n, T, t0, zeta, C0):
     k = corollary_window(n=n, T=T, t0=t0, zeta=zeta, C0=C0)
-    assert 0 <= k <= max(0, T - 2)
+    assert 0 <= k <= T - 2
 
 
 @pytest.mark.parametrize("index, point", [(0, (1.0, NAN)), (2, (INF, 1.0))])

@@ -32,6 +32,18 @@ def test_oracle_toy_behavior(capsys):
     assert json.loads(out)["value"] == pytest.approx(0.37, abs=5e-3)
 
 
+def test_oracle_refuses_a_horizon_no_window_takes(capsys):
+    # --T 1 once printed "calibrated_k": 0, a window that estimate refuses
+    # at that horizon.
+    code, out, err = run_cli(capsys, "oracle", "--env", "toy", "--T", "1")
+    assert code == 2
+    assert out == ""
+    assert "T must be >= 2, got 1" in err
+    code, out, _ = run_cli(capsys, "oracle", "--env", "toy", "--T", "2")
+    assert code == 0
+    assert json.loads(out)["calibrated_k"] == 0
+
+
 def test_estimate_byte_identical_runs(capsys):
     args = ("estimate", "--env", "toy", "--k", "2", "--T", "1400", "--seed", "7")
     code1, out1, _ = run_cli(capsys, *args)
@@ -126,18 +138,20 @@ def test_sweep_writes_csv_and_json(tmp_path, capsys):
 
 def test_sweep_refuses_an_out_its_json_companion_would_overwrite(tmp_path, capsys):
     # The JSON goes to --out with a .json suffix, so a .json --out once had
-    # its CSV overwritten by the JSON, exit 0.
-    out_path = tmp_path / "sweep.json"
-    code, out, err = run_cli(
-        capsys,
-        "sweep", "--env", "toy", "--k-set=-1,0,1", "--T-set", "60",
-        "--replications", "4", "--out", str(out_path),
-    )
-    assert code == 2
-    assert out == ""
-    assert "--out" in err
-    assert not out_path.exists()
-    assert list(tmp_path.iterdir()) == []
+    # its CSV overwritten by the JSON, exit 0. On a case-insensitive
+    # filesystem a .JSON --out names the same file as its companion.
+    for name in ("sweep.json", "sweep.JSON"):
+        out_path = tmp_path / name
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--env", "toy", "--k-set=-1,0,1", "--T-set", "60",
+            "--replications", "4", "--out", str(out_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert "--out" in err
+        assert not out_path.exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

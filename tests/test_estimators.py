@@ -781,7 +781,7 @@ def test_lepski_requires_sorted_candidates(toy):
 
 
 def test_corollary_window_log_one_is_zero():
-    assert corollary_window(n=1, T=1, t0=2.0, zeta=0.5, C0=1.0) == 0
+    assert corollary_window(n=1, T=2, t0=2.0, zeta=0.5, C0=0.5) == 0
 
 
 def test_corollary_window_direct_substitution():

@@ -4,6 +4,7 @@ import hashlib
 import io
 import sys
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,6 @@ from pomdp_ope.errors import ConfigurationError
 from pomdp_ope.instances import glucose
 from pomdp_ope.instances.glucose import (
     GLUCOSE_REST,
-    GlucoseState,
     _rewards_and_ratios,
     _utility,
     glucose_mean_update,
@@ -51,7 +51,7 @@ def test_target_rule_thresholds():
 def test_noise_free_recursion_converges_to_rest():
     gl = 250.0
     for _ in range(200):
-        gl = glucose_mean_update(GlucoseState(gl_prev=gl))
+        gl = glucose_mean_update(gl, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     assert gl == pytest.approx(GLUCOSE_REST, abs=1e-6)
 
 
@@ -203,6 +203,23 @@ def test_oracle_matches_reference_across_chunks(monkeypatch):
     monkeypatch.setattr(core, "CHUNK_STEPS", 3 * 35)
     value, _ = target_value_oracle(runs=7, hours=30, burn_in=5, seed=41)
     assert value == want
+
+
+def test_oracle_holds_one_chunk_at_a_time(monkeypatch):
+    # Three chunks of 1,000 runs x 250 hours. A chunk's draws hold three
+    # float arrays (glucose on the noise rows, activity, diet) and the
+    # rule's bool array; a second glucose buffer, or the previous chunk's
+    # glucose kept alive while the next one is drawn, adds one array each.
+    monkeypatch.setattr(glucose, "_oracle_cache", {})
+    monkeypatch.setattr(core, "CHUNK_STEPS", 1_000 * 250)
+    chunk_array = 1_000 * 250 * 8
+    tracemalloc.start()
+    try:
+        target_value_oracle(runs=3000, hours=200, burn_in=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * chunk_array, f"peak {peak / chunk_array:.2f} chunk arrays"
 
 
 def test_forced_rejection_matches_reference(monkeypatch):
