@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Thin adapters only: every subcommand parses flags, calls into the library,
-and serializes the result. ``_load_environment`` is the only code that
+and serializes the result. Only the subcommand being run gets its arguments
+added to the parser; ``pomdp-ope`` alone, ``--help`` and an unknown command
+build every subcommand's, so their help and usage errors are unchanged. ``_load_environment`` is the only code that
 decides which kind of environment ``--env`` or the
 ``--model/--behavior/--target`` files name (the two sources are exclusive);
 each subcommand then asks the loaded environment for its default burn-in,
@@ -98,27 +100,20 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output path (default stdout)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pomdp-ope",
-        description="Off-policy evaluation in finite POMDPs: simulation, "
-        "partial-history importance weighting, adaptive window selection, "
-        "Monte Carlo sweeps, and exact chain oracles.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="simulate one behavior-policy trajectory to CSV")
+def _args_simulate(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--T", type=int, required=True)
 
-    p = sub.add_parser("estimate", help="point estimate with confidence interval")
+
+def _args_estimate(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--bandwidth-exp", type=float, default=1.0 / 3.0)
 
-    p = sub.add_parser("lepski", help="adaptive window selection on one trajectory")
+
+def _args_lepski(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--T", type=int, required=True)
     p.add_argument(
@@ -130,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--bandwidth-exp", type=float, default=1.0 / 3.0)
 
-    p = sub.add_parser("sweep", help="Monte Carlo MSE sweep over (k, T)")
+
+def _args_sweep(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--k-set", type=_int_list, required=True)
     p.add_argument("--T-set", type=_int_list, required=True)
@@ -138,11 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--bandwidth-exp", type=float, default=1.0 / 3.0)
 
-    p = sub.add_parser(
-        "instance",
-        help="emit an environment's model JSON (finite), a trajectory CSV "
-        "(glucose), or check hard-instance conditions",
-    )
+
+def _args_instance(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--hard", help="hard-instance parameters Q=..,t0=..,zeta=..,M1=..,M2=..[,Delta=..]")
     p.add_argument("--check", action="store_true", default=None, help="check instance-family conditions (hard instances)")
@@ -150,10 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     # Only the glucose trajectory is seeded; a seed given elsewhere is refused.
     p.set_defaults(seed=None)
 
-    p = sub.add_parser(
-        "oracle",
-        help="exact (or cached Monte Carlo) policy value, with chain diagnostics",
-    )
+
+def _args_oracle(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--policy", choices=["target", "behavior"], default="target")
     p.add_argument("--T", type=int, default=None, help="also report the calibrated window for this horizon")
@@ -163,6 +154,22 @@ def build_parser() -> argparse.ArgumentParser:
     # Only the glucose oracle is seeded; a seed given elsewhere is refused.
     p.set_defaults(seed=None)
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``pomdp-ope`` parser. Every subcommand is registered with its
+    name and help, but only ``command`` gets its arguments (every subcommand
+    if None)."""
+    parser = argparse.ArgumentParser(
+        prog="pomdp-ope",
+        description="Off-policy evaluation in finite POMDPs: simulation, "
+        "partial-history importance weighting, adaptive window selection, "
+        "Monte Carlo sweeps, and exact chain oracles.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_arguments(p)
     return parser
 
 
@@ -301,13 +308,24 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+# Each subcommand's help, the function that adds its arguments, and the
+# function that runs it.
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "estimate": _cmd_estimate,
-    "lepski": _cmd_lepski,
-    "sweep": _cmd_sweep,
-    "instance": _cmd_instance,
-    "oracle": _cmd_oracle,
+    "simulate": ("simulate one behavior-policy trajectory to CSV", _args_simulate, _cmd_simulate),
+    "estimate": ("point estimate with confidence interval", _args_estimate, _cmd_estimate),
+    "lepski": ("adaptive window selection on one trajectory", _args_lepski, _cmd_lepski),
+    "sweep": ("Monte Carlo MSE sweep over (k, T)", _args_sweep, _cmd_sweep),
+    "instance": (
+        "emit an environment's model JSON (finite), a trajectory CSV "
+        "(glucose), or check hard-instance conditions",
+        _args_instance,
+        _cmd_instance,
+    ),
+    "oracle": (
+        "exact (or cached Monte Carlo) policy value, with chain diagnostics",
+        _args_oracle,
+        _cmd_oracle,
+    ),
 }
 
 
@@ -319,11 +337,14 @@ def _check_out(out: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A run of one subcommand builds only that subcommand's arguments; the
+    # bare program, --help and an unknown command get the whole parser.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         _check_out(args.out)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except json.JSONDecodeError as exc:
         print(
             f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",

@@ -34,15 +34,16 @@ the move uniform, and (code, state) tables built per call give each state's
 next state and cell in one gather each. A model with more codes than the
 batch's (T + burn_in - 1) n next-state rows (a dense one) keeps the action
 bucket as its code and counts each (state, action) row per state instead.
-``_follow`` then follows the state through the next-state table. When a
-step's row is narrow (at most ``SCAN_LANES`` (seed, state) lanes) it runs a
-blocked scan: it composes the steps inside blocks of about sqrt(steps) with
-wide gathers, carries the state from block to block, and fills each block's
-rows in one gather, so about 2 sqrt(steps) numpy calls replace one per step.
-Wider rows keep one gather per step. The cells are read off the state path
-time-major, a group of seeds at a time, into seed rows; the rewards' means
-and standard deviations are gathered from them. Each stage's arrays are
-freed when it ends.
+``_follow`` then follows the state through the next-state table by a
+recursive blocked scan: it composes the steps inside blocks of
+``FOLLOW_BLOCK`` steps with wide gathers, follows the composed table (one
+step per block) the same way to find each block's start, and fills each
+block's rows in one gather. A level makes a fixed few dozen numpy calls
+and passes on a table 16 times shorter, so the calls grow with log(steps),
+not with steps. The cells are read off the state path time-major, a group
+of seeds at a time, into seed rows; the rewards' means and standard
+deviations are gathered from them. Each stage's arrays are freed when it
+ends.
 
 Each batch is chunked once, by its owner: the harness and the glucose
 oracle split their seeds with ``chunk_ranges``, and the simulators take the
@@ -56,7 +57,6 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
-from math import isqrt
 from typing import Sequence, Union
 
 import numpy as np
@@ -98,11 +98,12 @@ GROUP_STEPS = 32_768
 # the streams of long series are drawn in spans of steps instead.
 GROUP_SEEDS = 16
 
-# Widest step row, in (seed, state) lanes, that ``_follow`` scans in blocks.
-# Per-step gathers cost a fixed call overhead per step; the scan's cost
-# grows with steps x lanes. They broke even near 200 lanes (S = 3, 4 and 20
-# states, 2-core Xeon VM, numpy 2.4).
-SCAN_LANES = 200
+# Steps per block of ``_follow``'s scan. Each level of the scan makes
+# FOLLOW_BLOCK - 1 composing gathers and one fill, and passes a table
+# FOLLOW_BLOCK times shorter to the next. Over tables of 4 to 1,000 lanes
+# (one toy trajectory up to fig3's 250 seeds; 2-core Xeon VM, numpy 2.4)
+# blocks of 8 or 32 steps ran no faster overall.
+FOLLOW_BLOCK = 16
 
 
 # Threads that share a batch's work by default, capped at the usable cores:
@@ -583,11 +584,11 @@ def _simulate_arrays(
 
     Each step's code (see the module docstring) gives the next state every
     state would reach at that (seed, step), and ``_follow`` follows the
-    state through that next-state table: in about 2 sqrt(steps) numpy calls
-    by a blocked scan for batches of at most ``SCAN_LANES`` (seed, state)
-    lanes, one gather per step for wider ones. The table takes
-    (T + burn_in) * num_states cells per seed; the batch's owner sizes it
-    with ``chunk_ranges``, and this simulates all the seeds it is given.
+    state through that next-state table by a recursive blocked scan, whose
+    numpy calls grow with log(steps), whatever the (seed, state) lanes. The
+    table takes (T + burn_in) * num_states cells per seed; the batch's owner
+    sizes it with ``chunk_ranges``, and this simulates all the seeds it is
+    given.
     """
     _check_dimensions(model, behavior)
     T = _integer("T", T, 1)
@@ -698,35 +699,43 @@ def _follow(table: np.ndarray, start: np.ndarray) -> np.ndarray:
     """The (m + 1, n) path through an (m, lanes) next-state table: row 0 is
     ``start`` and row t + 1 is ``table[t]`` gathered at row t.
 
-    Works in blocks of B steps: B = isqrt(m) when ``lanes`` is at most
-    ``SCAN_LANES``, else 1. First, each pass composes one more step into every
-    block at once, so comp[j, b] is the lane reached at step b B + j + 1 from
-    each lane at step b B (a last partial block is padded with identity
-    steps). Then the path is carried from block start to block start, one
-    gather of width n per block. Last, one gather fills the rows inside every
-    block. At B = 1 the first and last stages are empty and the middle one is
-    a gather per step. Every index is in range by construction
-    (``_thresholds`` keeps each count below num_states), and "clip" skips the
-    buffered bounds check of the default mode.
+    A table of at most B = ``FOLLOW_BLOCK`` steps is followed one gather per
+    step. A longer one is padded with identity steps to whole blocks of B
+    steps, and B - 1 wide gathers compose the steps inside every block at
+    once, so comp[j, b] is the lane reached at step b B + j + 1 from each
+    lane at step b B. The last of these, one step per block, is itself a
+    next-state table, and ``_follow`` on it gives the lane at every block's
+    start. One gather then fills the rows inside every block. Every index is
+    in range by construction (``_thresholds`` keeps each count below
+    num_states), and "clip" skips the buffered bounds check of the default
+    mode.
     """
     m, lanes = table.shape
     n = len(start)
-    B = max(isqrt(m), 1) if lanes <= SCAN_LANES else 1
+    B = FOLLOW_BLOCK
+    if m <= B:
+        path = np.empty((m + 1, n), dtype=table.dtype)
+        path[0] = start
+        for row, cur, new in zip(table, path, path[1:]):
+            row.take(cur, out=new, mode="clip")
+        return path
     blocks = -(-m // B)
     pad = blocks * B - m
     if pad:
         identity = np.broadcast_to(np.arange(lanes, dtype=table.dtype), (pad, lanes))
         table = np.concatenate([table, identity])
-    # A copy for B > 1, a view of the table for B = 1.
     comp = np.ascontiguousarray(table.reshape(blocks, B, lanes).transpose(1, 0, 2))
     offsets = np.arange(0, blocks * lanes, lanes)[:, None]
+    # Each lane's block offset, as a whole (blocks, lanes) array: adding the
+    # (blocks, 1) column by broadcasting made the scan 10-15% slower (toy
+    # tables of 4 to 1,000 lanes).
+    lane_offsets = np.repeat(offsets, lanes, axis=1)
+    at = np.empty((blocks, lanes), dtype=np.intp)
     for prev, row in zip(comp, comp[1:]):
-        row[:] = row.take(prev + offsets, mode="clip")
+        row[:] = row.take(np.add(prev, lane_offsets, out=at), mode="clip")
+    starts = _follow(comp[-1], start)
     path = np.empty((blocks * B + 1, n), dtype=table.dtype)
     path[0] = start
-    for last, cur, new in zip(comp[-1], path[::B], path[B::B]):
-        last.take(cur, out=new, mode="clip")
-    if B > 1:
-        inner = comp[:-1][:, np.arange(blocks)[:, None], path[:-1:B]]
-        path[1:].reshape(blocks, B, n)[:, :-1] = inner.transpose(1, 0, 2)
+    inner = comp.reshape(B, blocks * lanes).take(starts[:-1] + offsets, axis=1, mode="clip")
+    path[1:].reshape(blocks, B, n)[:] = inner.transpose(1, 0, 2)
     return path[: m + 1]

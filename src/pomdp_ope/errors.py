@@ -26,6 +26,16 @@ def _integer(name: str, value, minimum: int | None = None) -> int:
     return count
 
 
+def _distinct(name: str, values) -> None:
+    """ConfigurationError naming ``name`` and the first entry of ``values``
+    that repeats an earlier one, if any does."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ConfigurationError(f"{name} must not repeat, got {value!r}")
+        seen.add(value)
+
+
 def _positive(name: str, value):
     """``value`` unchanged if it is a finite real > 0 (a bandwidth, a
     tolerance, a time constant); else ConfigurationError naming ``name``."""

@@ -47,7 +47,14 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import Policy, Trajectory, _check_finite, _raise_at_first
-from .errors import ConfigurationError, OverlapViolationError, _integer, _level, _positive
+from .errors import (
+    ConfigurationError,
+    OverlapViolationError,
+    _distinct,
+    _integer,
+    _level,
+    _positive,
+)
 
 # Switch window products to log space once the worst-case product magnitude
 # could overflow or lose precision; below this, direct multiplication is exact
@@ -285,11 +292,12 @@ def _units(
 
 def _windows(name: str, ks, T: int | None = None, ascending: bool = False) -> list[int]:
     """The windows ``ks`` as Python ints: at least one, each an integer >= -1
-    (a bad one is named ``name``), at most T - 2 given the series length T,
-    and sorted if ``ascending``."""
+    (a bad one is named ``name``), none repeated, at most T - 2 given the
+    series length T, and sorted if ``ascending``."""
     windows = [_integer(name, k, -1) for k in ks]
     if not windows:
         raise ConfigurationError(f"need at least one {name}")
+    _distinct(name, windows)
     if ascending and windows != sorted(windows):
         raise ConfigurationError(f"windows must be sorted ascending, got {windows}")
     if T is not None and max(windows) > T - 2:
@@ -401,7 +409,8 @@ def _estimate_windows(
     _level("alpha", alpha)
     _positive("bandwidth", bandwidth)
     G, n, T = Y.shape
-    windows = sorted(set(_windows("k", ks, T)))
+    # The engine takes repeated windows and computes each distinct one once.
+    windows = sorted(_windows("k", dict.fromkeys(ks), T))
     z = _ndtri(1.0 - alpha / 2.0)
     lag_cap = min(int(math.floor(bandwidth)), T - 1)
     psi = parzen_kernel(np.arange(1, lag_cap + 1) / bandwidth)

@@ -60,7 +60,7 @@ from .core import (
     policy_value_exact,
     simulate,
 )
-from .errors import ConfigurationError, _integer, _level
+from .errors import ConfigurationError, _distinct, _integer, _level
 from .estimators import (
     BandwidthRule,
     DEFAULT_BANDWIDTH_RULE,
@@ -199,9 +199,10 @@ class SweepSpec:
 
     ``burn_in`` left as None becomes the environment's own default when the
     spec is built. Counts and windows must be integers (NumPy integers
-    included), ``k_values`` windows the shortest horizon takes; all are
-    stored as Python ints, so the spec's echo always serializes. The
-    bandwidth rule must give every horizon a bandwidth."""
+    included), ``k_values`` windows the shortest horizon takes, and no
+    window or horizon may repeat; all are stored as Python ints, so the
+    spec's echo always serializes. The bandwidth rule must give every
+    horizon a bandwidth."""
 
     environment: str
     k_values: tuple[int, ...]
@@ -216,6 +217,7 @@ class SweepSpec:
         T_values = tuple(_integer("T_values entry", T, 1) for T in self.T_values)
         if not T_values:
             raise ConfigurationError("need at least one T_values entry")
+        _distinct("T_values entry", T_values)
         k_values = tuple(_windows("k_values entry", self.k_values, min(T_values)))
         object.__setattr__(self, "T_values", T_values)
         object.__setattr__(self, "k_values", k_values)

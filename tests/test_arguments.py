@@ -99,6 +99,9 @@ COUNTS = [
     ("run_sweep workers", "workers", lambda v: run_sweep(_spec(), workers=v), ("abc", -3, 1.5)),
     ("run_lepski_study workers", "workers", lambda v: run_lepski_study(_spec(), [0, 1], workers=v), (0,)),
     ("SweepSpec", "T_values entry", lambda v: _spec(k_values=(-1,), T_values=(v,)), (-1,)),
+    # Each horizon draws its own streams, so a repeated one gave two cells
+    # with different values.
+    ("SweepSpec repeated", "T_values entry", lambda v: _spec(T_values=(v, 40, v)), (30,)),
 ]
 
 
@@ -171,7 +174,8 @@ def test_bad_level_is_named(call, name, value):
     _assert_refused(call, name, value)
 
 
-# Windows: integers >= -1, at least one, sorted where a scan runs over them.
+# Windows: integers >= -1, at least one, none repeated, sorted where a scan
+# runs over them.
 WINDOW = (1.5, NAN, INF, "3", -2)
 WINDOWS = [
     ("phiw_estimate", "k", lambda v: phiw_estimate(RHO, Y, v), WINDOW),
@@ -186,6 +190,15 @@ WINDOWS = [
     ),
     ("run_lepski_study", "candidates entry", lambda v: run_lepski_study(_spec(), [v, 0]), (-2,)),
     ("SweepSpec", "k_values entry", lambda v: _spec(k_values=(v, 0)), (-2,)),
+    ("SweepSpec repeated", "k_values entry", lambda v: _spec(k_values=(v, -1, v)), (0,)),
+    ("lepski_select repeated", "candidates entry", lambda v: lepski_select(RHO, Y, [0, v, v]), (1,)),
+    (
+        "select_window_from_intervals repeated",
+        "candidates entry",
+        lambda v: select_window_from_intervals([v, v], [(0.0, 1.0), (0.0, 1.0)]),
+        (0,),
+    ),
+    ("run_lepski_study repeated", "candidates entry", lambda v: run_lepski_study(_spec(), [v, v]), (0,)),
 ]
 
 
@@ -283,6 +296,20 @@ def test_cli_names_a_bad_argument_with_exit_2(capsys, argv):
     code, captured = _cli(capsys, *argv)
     assert code == 2
     assert re.match(r"error: (bandwidth|Q) ", captured.err)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("sweep", "--env", "toy", "--k-set=0", "--T-set=30,30", "--replications", "3"), "T_values entry must not repeat, got 30"),
+        (("sweep", "--env", "toy", "--k-set=0,0", "--T-set=30", "--replications", "3"), "k_values entry must not repeat, got 0"),
+        (("lepski", "--env", "toy", "--T", "60", "--k-set=1,1,2"), "candidates entry must not repeat, got 1"),
+    ],
+    ids=["sweep-repeated-T", "sweep-repeated-k", "lepski-repeated-k"],
+)
+def test_cli_names_a_repeated_window_or_horizon_with_exit_2(capsys, argv, message):
+    code, captured = _cli(capsys, *argv)
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
 
 def test_cli_calibrated_window_is_one_estimate_takes(capsys):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from conftest import run_python
 
-from pomdp_ope import SweepSpec, run_sweep, sweep_result_to_json
-from pomdp_ope.cli import main
+from pomdp_ope import SweepSpec, cli, run_sweep, sweep_result_to_json
+from pomdp_ope.cli import build_parser, main
 from pomdp_ope.serialization import json_text
 
 
@@ -497,3 +497,57 @@ def test_estimate_requires_policies_with_model(tmp_path, capsys):
     )
     assert code == 2
     assert "--behavior" in err
+
+
+# A representative command line of each subcommand, with some options left
+# at their defaults.
+COMMAND_LINES = {
+    "simulate": ["simulate", "--env", "toy", "--T", "40", "--seed", "3"],
+    "estimate": ["estimate", "--env", "toy", "--T", "100", "--k", "1", "--alpha", "0.1"],
+    "lepski": ["lepski", "--env", "toy", "--T", "60", "--burn-in", "5"],
+    "sweep": ["sweep", "--env", "toy", "--k-set=-1,0", "--T-set=60,120", "--replications", "3", "--out", "s.csv"],
+    "instance": ["instance", "--hard", "Q=3,t0=1,zeta=0.69,M1=1,M2=2", "--check"],
+    "oracle": ["oracle", "--env", "toy", "--policy", "behavior", "--T", "500"],
+}
+
+
+@pytest.mark.parametrize("argv", COMMAND_LINES.values(), ids=COMMAND_LINES)
+def test_parser_of_one_command_parses_as_the_whole_parser(argv):
+    whole = build_parser().parse_args(argv)
+    assert build_parser(argv[0]).parse_args(argv) == whole
+    if argv[0] == "lepski":
+        assert whole.k_set == list(range(-1, 8))
+    if argv[0] in ("instance", "oracle"):
+        assert whole.seed is None
+
+
+def test_main_builds_only_the_arguments_of_the_command_it_runs(monkeypatch, capsys):
+    built = []
+
+    def spy(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert main(["oracle", "--env", "toy"]) == 0
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert built == ["oracle", None]
+
+
+def _parse_output(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--help"], ["-h"], ["nosuch"], *([command, "--help"] for command in COMMAND_LINES)],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_help_and_usage_errors_are_those_of_the_whole_parser(argv, capsys):
+    want = _parse_output(build_parser().parse_args, argv, capsys)
+    assert _parse_output(main, argv, capsys) == want
+    assert want[0] == (0 if argv and argv[-1] in ("-h", "--help") else 2)

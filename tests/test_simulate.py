@@ -122,13 +122,12 @@ def test_simulate_batch_matches_reference_with_one_state_and_many_seeds():
 
 @pytest.mark.parametrize("env_id", ["toy", HARD_Q20, "one-state"])
 def test_long_single_trajectory_matches_reference(env_id):
-    # One seed: the state is followed by the blocked scan.
+    # One seed: the state is followed through three levels of the scan.
     if env_id == "one-state":
         model, behavior = _one_state_model()
     else:
         env = make_environment(env_id)
         model, behavior = env.model, env.behavior
-    assert model.num_states <= core.SCAN_LANES
     _assert_matches_reference(model, behavior, 5_000, 100, [77])
 
 
@@ -140,38 +139,49 @@ def _follow_by_step(table: np.ndarray, start: np.ndarray) -> np.ndarray:
     return path
 
 
+def _assert_follows(table: np.ndarray, start: np.ndarray) -> None:
+    table.setflags(write=False)
+    got = core._follow(table, start)
+    want = _follow_by_step(table, start)
+    assert got.dtype == want.dtype and got.shape == (len(table) + 1, len(start))
+    np.testing.assert_array_equal(got, want)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_follow_matches_per_step_loop(data):
-    n = data.draw(st.integers(1, 8), label="n")
-    wide = data.draw(st.booleans(), label="wide")
-    # Lanes on both sides of the cut between the blocked scan and the
-    # per-step loop.
-    narrow_states = core.SCAN_LANES // n
-    num_s = data.draw(
-        st.integers(narrow_states + 1, narrow_states + 20) if wide else st.integers(1, narrow_states),
-        label="num_s",
+    # Row widths up to ~1,200 lanes, among them fig3's chunk widths (260,
+    # 560 and 1,000 lanes) and the one-byte index limit.
+    lanes = data.draw(
+        st.sampled_from([1, 4, 255, 256, 257, 260, 560, 1000]) | st.integers(1, 1200),
+        label="lanes",
     )
-    lanes = num_s * n
-    assert (lanes > core.SCAN_LANES) == wide
-    # Empty tables (T = 1, no burn-in), perfect squares, one short of and one
-    # past them, and anything else up to ~500 steps.
-    root = data.draw(st.integers(0, 22), label="root")
+    n = data.draw(st.integers(1, 300), label="n")
+    # The simulator's index type for these lanes, or the narrowest that
+    # holds every lane (one byte at 256 lanes).
+    dtype = data.draw(
+        st.sampled_from([np.min_scalar_type(lanes), np.min_scalar_type(lanes - 1)]),
+        label="dtype",
+    )
+    # Empty tables (T = 1, no burn-in), one block of steps and one step
+    # either side of it, of a second level and of a third, and anything else
+    # up to ~5,000 steps.
     m = data.draw(
-        st.sampled_from([root * root, max(root * root - 1, 0), root * root + 1])
-        | st.integers(0, 500),
+        st.sampled_from([0, 1, 15, 16, 17, 255, 256, 257, 4095, 4096, 4097])
+        | st.integers(0, 5000),
         label="m",
     )
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     rng = np.random.default_rng(seed)
-    dtype = np.min_scalar_type(lanes)
     table = rng.integers(0, lanes, size=(m, lanes)).astype(dtype)
-    start = rng.integers(0, lanes, size=n)
-    table.setflags(write=False)
-    got = core._follow(table, start)
-    want = _follow_by_step(table, start)
-    assert got.dtype == want.dtype and got.shape == (m + 1, n)
-    np.testing.assert_array_equal(got, want)
+    _assert_follows(table, rng.integers(0, lanes, size=n))
+
+
+def test_follow_matches_per_step_loop_on_one_long_trajectory():
+    # cli-lepski's shape: one toy seed (4 lanes), T = 20,000 plus burn-in 100.
+    rng = np.random.default_rng(20_099)
+    table = rng.integers(0, 4, size=(20_099, 4)).astype(np.uint8)
+    _assert_follows(table, np.array([2]))
 
 
 def test_simulate_batch_chunks_match_reference(toy):
