@@ -42,8 +42,16 @@ block's rows in one gather. A level makes a fixed few dozen numpy calls
 and passes on a table 16 times shorter, so the calls grow with log(steps),
 not with steps. The cells are read off the state path time-major, a group
 of seeds at a time, into seed rows; the rewards' means and standard
-deviations are gathered from them. Each stage's arrays are freed when it
-ends.
+deviations are gathered from them.
+
+Each stage takes its large arrays from a workspace where it starts and
+gives them back where it ends. A ``_Workspace`` lends buffers and takes
+them back for reuse: the harness gives each runner thread of a sweep or
+study call one, so the stages of a chunk share buffers by lifetime and
+every later chunk on that thread reuses them instead of faulting in memory
+that malloc gave back to the OS. It lives only for that call. Every other
+caller gets ``_FRESH``, which makes a new array per take and keeps nothing,
+so nothing returned to it shares memory with another call's arrays.
 
 Each batch is chunked once, by its owner: the harness and the glucose
 oracle split their seeds with ``chunk_ranges``, and the simulators take the
@@ -54,6 +62,8 @@ finite-environment sweeps and studies.
 
 from __future__ import annotations
 
+import bisect
+import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -176,6 +186,65 @@ def _run_jobs(run, jobs: Sequence, threads: int) -> None:
             helper.join()
     if error is not None:
         raise error
+
+
+class _FreshArrays:
+    """What a caller that passes no workspace gets: every ``take`` is a new
+    array and ``give`` keeps nothing, so no returned array shares memory
+    with any other call's."""
+
+    def take(self, shape, dtype=np.float64) -> np.ndarray:
+        """An array of the ``shape`` tuple and ``dtype``, contents undefined."""
+        return np.empty(shape, dtype)
+
+    def give(self, *arrays: np.ndarray) -> None:
+        """Hand arrays back once nothing reads them any more."""
+
+
+_FRESH = _FreshArrays()
+
+
+class _Workspace(_FreshArrays):
+    """Scratch memory that every chunk one runner thread simulates and
+    estimates shares, for one sweep or study call.
+
+    A stage takes its arrays where it starts and gives them back where it
+    ends, so a later stage or the next chunk reuses the pages instead of
+    malloc giving them back to the OS and faulting them in again. ``take``
+    lends the smallest free buffer that holds the array; if none does, it
+    drops the largest free one and makes a buffer of the size asked, so the
+    workspace keeps about as many buffers as one chunk has arrays live at
+    once. A taken array holds whatever its buffer last held. ``give`` takes
+    back only the buffers this workspace lent, so giving back an array that
+    came from elsewhere, or giving one back twice, does nothing.
+    """
+
+    def __init__(self):
+        self._lent: dict[int, np.ndarray] = {}  # buffers in use, by id
+        self._free: list[np.ndarray] = []  # the others, smallest first
+        self._sizes: list[int] = []  # their sizes in bytes
+
+    def take(self, shape, dtype=np.float64) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        i = bisect.bisect_left(self._sizes, nbytes)
+        if i < len(self._free):
+            del self._sizes[i]
+            buf = self._free.pop(i)
+        else:
+            if self._free:
+                del self._sizes[-1], self._free[-1]
+            buf = np.empty(nbytes, np.uint8)
+        self._lent[id(buf)] = buf
+        return np.ndarray(shape, dtype, buf)
+
+    def give(self, *arrays: np.ndarray) -> None:
+        for arr in arrays:
+            buf = arr if arr.base is None else arr.base
+            if self._lent.pop(id(buf), None) is buf:
+                i = bisect.bisect_left(self._sizes, len(buf))
+                self._sizes.insert(i, len(buf))
+                self._free.insert(i, buf)
 
 
 def chunk_ranges(
@@ -578,6 +647,7 @@ def _simulate_arrays(
     T: int,
     burn_in: int,
     seeds: Sequence[int],
+    workspace: _FreshArrays = _FRESH,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (state, action) cells s * num_actions + w (int64) and the rewards
     (float64) of one trajectory per seed, each as a (len(seeds), T) array.
@@ -588,14 +658,16 @@ def _simulate_arrays(
     numpy calls grow with log(steps), whatever the (seed, state) lanes. The
     table takes (T + burn_in) * num_states cells per seed; the batch's owner
     sizes it with ``chunk_ranges``, and this simulates all the seeds it is
-    given.
+    given. Its large arrays come from ``workspace``, and all but the two
+    returned go back to it.
     """
     _check_dimensions(model, behavior)
     T = _integer("T", T, 1)
     burn_in = _integer("burn_in", burn_in, 0)
     n = len(seeds)
-    cells = np.empty((n, T), dtype=np.int64)
-    ys = np.empty((n, T))
+    ws = workspace
+    cells = ws.take((n, T), np.int64)
+    ys = ws.take((n, T))
     total = T + burn_in
     num_s = model.num_states
     rngs = list(_make_rngs(seeds))
@@ -603,12 +675,13 @@ def _simulate_arrays(
     # The tables are built in (step, seed) layout, so each step's block is
     # one contiguous row of the table ``_follow`` walks. The uniforms go
     # through a small scratch, a group of seeds and a span of steps at a
-    # time, straight into those rows, and each stage's inputs are dropped
-    # once it is done, which keeps peak memory near that of a per-step loop.
-    u_act = np.empty((total, n))
-    u_move = np.empty((total - 1, n))
+    # time, straight into those rows, and each stage's inputs go back to the
+    # workspace and lose their names once it is done (without a workspace
+    # that frees them), which keeps peak memory near that of a per-step loop.
+    u_act = ws.take((total, n))
+    u_move = ws.take((total - 1, n))
     state = np.empty(n, dtype=np.int64)
-    scratch = np.empty((groups[0][1], span, 2))
+    scratch = ws.take((groups[0][1], span, 2))
     for start, stop in groups:
         for t0 in range(0, total, span):
             t1 = min(t0 + span, total)
@@ -619,7 +692,8 @@ def _simulate_arrays(
                 rngs[r].random(out=uu)
             u_act[t0:t1, start:stop] = drawn[:, :, 0].T
             u_move[t0:t1, start:stop] = drawn[:, : total - 1 - t0, 1].T
-    del scratch, drawn
+    ws.give(scratch)
+    del scratch, drawn, uu
 
     # Each step's two uniforms are classified once, into a step code: the
     # action bucket counts the policy's distinct thresholds at or below u_act,
@@ -636,8 +710,10 @@ def _simulate_arrays(
     # With more codes than next-state rows (dense models), a step's code is
     # its action bucket alone, and each state counts its own rows' thresholds.
     per_row = codes > (total - 1) * n
-    code = np.zeros((total, n), dtype=np.min_scalar_type(len(act_values) if per_row else codes))
+    code = ws.take((total, n), np.min_scalar_type(len(act_values) if per_row else codes))
+    code[...] = 0
     _add_count_at_or_below(code, act_values, u_act)
+    ws.give(u_act)
     del u_act
     x_of_state = model.x_of_state
     # act_by_x[x, b] and act_of[b, s]: the action of covariate x, state s in bucket b.
@@ -666,22 +742,32 @@ def _simulate_arrays(
         move_of = _bucket_counts(cum_trans, move_values)[act_of, np.arange(num_s)]
         nxt_of = move_of.transpose(0, 2, 1).reshape(codes, num_s).astype(index_dtype)
         cell_of = np.repeat(cell_of, moves, axis=0)
-        nxt = nxt_of.take(code[:-1], axis=0)
+        nxt = ws.take((total - 1, n, num_s), index_dtype)
+        nxt_of.take(code[:-1], axis=0, out=nxt, mode="clip")
+    ws.give(u_move)
     del u_move
     lanes = np.arange(0, n * num_s, num_s, dtype=index_dtype)
     nxt += lanes[:, None]
 
-    path = _follow(nxt.reshape(total - 1, n * num_s), state + lanes)
+    path = _follow(nxt.reshape(total - 1, n * num_s), state + lanes, ws)
+    ws.give(nxt)
     del nxt
 
     # The recorded cells, a group of seeds at a time: each step's state and
-    # code, read off time-major, pick the cell, written into seed rows.
+    # code, read off time-major, pick the cell, written into seed rows. The
+    # first group is the largest, so its cell index and gathered cells hold
+    # every group's.
+    at_all = ws.take((T * groups[0][1],), np.intp)
+    picked_all = ws.take((T * groups[0][1],), cell_of.dtype)
     for start, stop in groups:
-        at = np.multiply(code[burn_in:, start:stop], num_s, dtype=np.intp)
+        at = at_all[: T * (stop - start)].reshape(T, stop - start)
+        np.multiply(code[burn_in:, start:stop], num_s, out=at, dtype=np.intp)
         at += path[burn_in:, start:stop]
         at -= lanes[start:stop]
-        cells[start:stop] = cell_of.ravel().take(at, mode="clip").T
-    del path, code
+        picked = picked_all[: T * (stop - start)].reshape(T, stop - start)
+        cells[start:stop] = cell_of.ravel().take(at, out=picked, mode="clip").T
+    ws.give(path, code, at_all, picked_all)
+    del path, code, at_all, picked_all, at, picked
 
     # Each stream's reward normals come last in it: mean[cell] + sd[cell] * z,
     # evaluated in place a group at a time; every cell is in range.
@@ -695,47 +781,61 @@ def _simulate_arrays(
     return cells, ys
 
 
-def _follow(table: np.ndarray, start: np.ndarray) -> np.ndarray:
+def _follow(
+    table: np.ndarray, start: np.ndarray, workspace: _FreshArrays = _FRESH
+) -> np.ndarray:
     """The (m + 1, n) path through an (m, lanes) next-state table: row 0 is
     ``start`` and row t + 1 is ``table[t]`` gathered at row t.
 
-    A table of at most B = ``FOLLOW_BLOCK`` steps is followed one gather per
-    step. A longer one is padded with identity steps to whole blocks of B
-    steps, and B - 1 wide gathers compose the steps inside every block at
-    once, so comp[j, b] is the lane reached at step b B + j + 1 from each
-    lane at step b B. The last of these, one step per block, is itself a
-    next-state table, and ``_follow`` on it gives the lane at every block's
-    start. One gather then fills the rows inside every block. Every index is
-    in range by construction (``_thresholds`` keeps each count below
-    num_states), and "clip" skips the buffered bounds check of the default
-    mode.
+    A table of at most 2 B steps, B = ``FOLLOW_BLOCK``, is followed one
+    gather per step. A longer one is cut into blocks of B steps, the last
+    filled up with identity steps, and B - 1 wide gathers compose the steps
+    inside every block at once, so comp[j, b] is the lane reached at step
+    b B + j + 1 from each lane at step b B. The last of these, one step per
+    block, is itself a next-state table, and ``_follow`` on it gives the
+    lane at every block's start. One gather then fills the rows inside every
+    block. Every index is in range by construction (``_thresholds`` keeps
+    each count below num_states), and "clip" skips the buffered bounds check
+    of the default mode. The path and every buffer come from ``workspace``;
+    the buffers go back to it.
     """
     m, lanes = table.shape
     n = len(start)
     B = FOLLOW_BLOCK
-    if m <= B:
-        path = np.empty((m + 1, n), dtype=table.dtype)
+    if m <= 2 * B:
+        path = workspace.take((m + 1, n), table.dtype)
         path[0] = start
         for row, cur, new in zip(table, path, path[1:]):
             row.take(cur, out=new, mode="clip")
         return path
     blocks = -(-m // B)
-    pad = blocks * B - m
-    if pad:
-        identity = np.broadcast_to(np.arange(lanes, dtype=table.dtype), (pad, lanes))
-        table = np.concatenate([table, identity])
-    comp = np.ascontiguousarray(table.reshape(blocks, B, lanes).transpose(1, 0, 2))
+    last = m - (blocks - 1) * B  # steps of the last block
+    comp = workspace.take((B, blocks, lanes), table.dtype)
+    comp[:, :-1] = table[: m - last].reshape(blocks - 1, B, lanes).transpose(1, 0, 2)
+    comp[:last, -1] = table[m - last :]
+    comp[last:, -1] = np.arange(lanes, dtype=table.dtype)
     offsets = np.arange(0, blocks * lanes, lanes)[:, None]
     # Each lane's block offset, as a whole (blocks, lanes) array: adding the
     # (blocks, 1) column by broadcasting made the scan 10-15% slower (toy
     # tables of 4 to 1,000 lanes).
-    lane_offsets = np.repeat(offsets, lanes, axis=1)
-    at = np.empty((blocks, lanes), dtype=np.intp)
+    lane_offsets = workspace.take((blocks, lanes), np.intp)
+    lane_offsets[...] = offsets
+    at = workspace.take((blocks, lanes), np.intp)
     for prev, row in zip(comp, comp[1:]):
         row[:] = row.take(np.add(prev, lane_offsets, out=at), mode="clip")
-    starts = _follow(comp[-1], start)
-    path = np.empty((blocks * B + 1, n), dtype=table.dtype)
+    workspace.give(lane_offsets, at)
+    del lane_offsets
+    starts = _follow(comp[-1], start, workspace)
+    at = np.add(starts[:-1], offsets, out=workspace.take((blocks, n), np.intp))
+    workspace.give(starts)
+    del starts
+    inner = comp.reshape(B, blocks * lanes).take(
+        at, axis=1, mode="clip", out=workspace.take((B, blocks, n), table.dtype)
+    )
+    workspace.give(at, comp)
+    del at, comp
+    path = workspace.take((blocks * B + 1, n), table.dtype)
     path[0] = start
-    inner = comp.reshape(B, blocks * lanes).take(starts[:-1] + offsets, axis=1, mode="clip")
     path[1:].reshape(blocks, B, n)[:] = inner.transpose(1, 0, 2)
+    workspace.give(inner)
     return path[: m + 1]

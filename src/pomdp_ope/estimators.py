@@ -46,7 +46,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import Policy, Trajectory, _check_finite, _raise_at_first
+from .core import _FRESH, Policy, Trajectory, _FreshArrays, _check_finite, _raise_at_first
 from .errors import (
     ConfigurationError,
     OverlapViolationError,
@@ -209,12 +209,13 @@ def _policy_ratios(
     target: Policy,
     behavior: Policy,
     env: str | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Ratios pi_a(x) / e_a(x) gathered from one table at the flat cells
     row * num_actions + a of an array of any shape with time on the last
     axis, where table row r stands for covariate ``covariates[r]``: one row
     per covariate for (x, w) pairs, one per state for a simulator's
-    (state, action) cells.
+    (state, action) cells. Written into ``out`` if given.
 
     Raises OverlapViolationError at the first violation in row-major order.
     """
@@ -228,7 +229,10 @@ def _policy_ratios(
         raise OverlapViolationError(t=idx[-1] + 1, x=int(covariates[row]), a=a, env=env)
     table = np.zeros_like(pi)
     table[ok] = pi[ok] / e[ok]
-    return table.take(cells)
+    # Every cell is in range (``importance_ratios`` checks its columns, and
+    # the simulator makes them so), and "clip" writes into ``out`` without
+    # the buffered copy of the default mode.
+    return table.take(cells, out=out, mode="clip")
 
 
 def importance_ratios(traj: Trajectory, target: Policy, behavior: Policy) -> np.ndarray:
@@ -307,30 +311,38 @@ def _windows(name: str, ks, T: int | None = None, ascending: bool = False) -> li
     return windows
 
 
-def _smallest_positive(RHO: np.ndarray) -> np.ndarray:
+def _smallest_positive(RHO: np.ndarray, workspace: _FreshArrays = _FRESH) -> np.ndarray:
     """Each row's smallest positive entry of (m, T) ratios >= 0, or 0.0 for a
     row of zeros, without branches: positive doubles order as their bit
     patterns, and one less than a zero's wraps to the top of uint64."""
-    bits = np.subtract(RHO.view(np.uint64), np.uint64(1))
-    return (bits.min(axis=1) + np.uint64(1)).view(np.float64)
+    bits = workspace.take(RHO.shape, np.uint64)
+    np.subtract(RHO.view(np.uint64), np.uint64(1), out=bits)
+    smallest = (bits.min(axis=1) + np.uint64(1)).view(np.float64)
+    workspace.give(bits)
+    return smallest
 
 
 def _window_terms(
-    Y: np.ndarray, RHO: np.ndarray, ks: Sequence[int]
+    Y: np.ndarray, RHO: np.ndarray, ks: Sequence[int], workspace: _FreshArrays = _FRESH
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (k, summands) for each window in the ascending, distinct ``ks``
     (-1 <= k < T) on (m, T) rewards ``Y`` and ratios ``RHO``, one series per
     row. Products grow left to right from the previous window's; a row whose
     worst-case log magnitude (k+1) max|log rho| passes _LOG_SPACE_THRESHOLD
     takes them from log sums grown the same way, kept only for the rows that
-    pass it at the largest k. An overflowing weight is inf, silently."""
+    pass it at the largest k. An overflowing weight is inf, silently.
+
+    The summands of k >= 0 and the products come from ``workspace``; the
+    caller may write into the summands and gives them back once it is done
+    with them (k = -1 yields ``Y`` itself), and the products go back when
+    the last window has been yielded."""
     if ks[0] == -1:
         yield -1, Y
     T = RHO.shape[1]
     # A row's largest |log rho| is at its largest or its smallest positive
     # ratio; a row with no positive ratio has only zero windows.
     hi = RHO.max(axis=1)
-    lo = _smallest_positive(RHO)
+    lo = _smallest_positive(RHO, workspace)
     none = ~(hi > 0.0)
     hi[none] = lo[none] = 1.0
     max_log = np.maximum(np.abs(np.log(hi)), np.abs(np.log(lo)))
@@ -344,7 +356,7 @@ def _window_terms(
         # summands are replaced below.
         with np.errstate(over="ignore", invalid="ignore"):
             if k == 1:
-                W = RHO[:, :-1] * RHO[:, 1:]
+                W = np.multiply(RHO[:, :-1], RHO[:, 1:], out=workspace.take((len(RHO), T - 1)))
             elif k > 1:
                 # Later products overwrite the first one's buffer.
                 W = np.multiply(W[:, : T - k], RHO[:, k:], out=W[:, : T - k])
@@ -353,13 +365,15 @@ def _window_terms(
                 Z = Z[:, :-1] | zero[:, k:]
             if k not in ks:
                 continue
-            terms = W * Y[:, k:]
+            terms = np.multiply(W, Y[:, k:], out=workspace.take(W.shape))
             past = (k + 1) * max_log[logged] > _LOG_SPACE_THRESHOLD
             if past.any():
                 rows = logged[past]
                 terms[rows] = np.where(Z[past], 0.0, np.exp(L[past])) * Y[rows, k:]
         yield k, terms
         del terms  # freed before the next window's, once the caller drops it too
+    if W is not RHO:
+        workspace.give(W)
 
 
 def phiw_estimate(
@@ -394,10 +408,16 @@ _FLAGS = ("hac_clamped", "non_finite")
 
 
 def _estimate_windows(
-    Y: np.ndarray, RHO: np.ndarray, ks: Sequence[int], alpha: float, bandwidth: float
+    Y: np.ndarray,
+    RHO: np.ndarray,
+    ks: Sequence[int],
+    alpha: float,
+    bandwidth: float,
+    workspace: _FreshArrays = _FRESH,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every window in ``ks`` on (G, n, T) rewards ``Y`` and ratios ``RHO``:
-    G estimates of n units each, with L summands per unit.
+    G estimates of n units each, with L summands per unit. The window
+    products and summands come from ``workspace`` and go back to it.
 
     An estimate is the mean of its units' means. Its variance averages the
     units' lag sums sum_t e_t^2 + 2 sum_{j>=1} Psi(j/B) sum_t e_t e_{t+j}
@@ -419,7 +439,7 @@ def _estimate_windows(
     weights = 2.0 * psi[lags[1:] - 1, None]
     sums = np.empty((len(lags), G * n))
     value, variance = np.empty((2, len(windows), G))
-    by_window = _window_terms(Y.reshape(G * n, T), RHO.reshape(G * n, T), windows)
+    by_window = _window_terms(Y.reshape(G * n, T), RHO.reshape(G * n, T), windows, workspace)
     for w, (k, terms) in enumerate(by_window):
         L = terms.shape[1]
         used = np.searchsorted(lags, L - 1, side="right")  # lags below L
@@ -431,8 +451,8 @@ def _estimate_windows(
             center = value[w] if n == 1 else terms.reshape(G, n * L).mean(axis=1)
             center = np.repeat(center, n)[:, None]
             # The rewards (k = -1) are the caller's; window summands are
-            # fresh, so they are centred in place.
-            yt = terms - center if k == -1 else np.subtract(terms, center, out=terms)
+            # this call's, so they are centred in place.
+            yt = np.subtract(terms, center, out=workspace.take(terms.shape) if k == -1 else terms)
             for i, j in enumerate(lags[:used]):
                 np.vecdot(yt[:, : L - j], yt[:, j:], out=sums[i])
             sums[1:used] *= weights[: used - 1]
@@ -440,6 +460,7 @@ def _estimate_windows(
             # one row's lags pairwise.
             acc = np.add.accumulate(sums[:used], axis=0)[-1]
             variance[w] = (acc / L).reshape(G, n).mean(axis=1)
+        workspace.give(yt)
         del terms, yt  # so the next window's summands need no second buffer
     clamped = variance < 0.0
     variance[clamped] = 0.0

@@ -23,7 +23,11 @@ budget is ``CHUNK_STEPS``, always runs alone and splits its seed draws
 instead (``glucose._draw_exogenous``). Finite environments read
 the array simulator ``core._simulate_arrays`` directly and gather ratios
 at its (state, action) cells from one policy-ratio table, so no
-``Trajectory`` is built on the way.
+``Trajectory`` is built on the way. Each runner thread of one
+``_evaluate_windows`` call has a ``core._Workspace`` that every chunk it
+runs reuses: the simulator's tables, the ratio gather and the engine's
+window buffers come from it and go back to it, and it ends with the call.
+Glucose chunks allocate their own simulation arrays.
 Output is bit-identical for a given spec whatever the chunk size and the
 worker count.
 
@@ -39,6 +43,7 @@ and the command line asks the same objects, so both burn in alike.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Sequence, Union
@@ -49,8 +54,11 @@ from .core import (
     CACHE_STEPS,
     CHUNK_STEPS,
     DEFAULT_BURN_IN,
+    _FRESH,
     Policy,
     PomdpModel,
+    _FreshArrays,
+    _Workspace,
     _check_dimensions,
     _check_finite,
     _run_jobs,
@@ -103,10 +111,14 @@ class FiniteEnvironment:
         return min(CACHE_STEPS, CHUNK_STEPS // self.model.num_states)
 
     def rewards_and_ratios(
-        self, T: int, burn_in: int, seeds: Sequence[int]
+        self, T: int, burn_in: int, seeds: Sequence[int], workspace: _FreshArrays = _FRESH
     ) -> tuple[np.ndarray, np.ndarray]:
-        cells, y = _simulate_arrays(self.model, self.behavior, T, burn_in, seeds)
-        rho = _policy_ratios(cells, self.model.x_of_state, self.target, self.behavior, self.name)
+        cells, y = _simulate_arrays(self.model, self.behavior, T, burn_in, seeds, workspace)
+        rho = _policy_ratios(
+            cells, self.model.x_of_state, self.target, self.behavior, self.name,
+            out=workspace.take(cells.shape),
+        )
+        workspace.give(cells)
         return y, rho
 
     def oracle(self) -> tuple[float, dict]:
@@ -125,8 +137,9 @@ class GlucoseEnvironment:
     chunk_steps = CHUNK_STEPS
 
     def rewards_and_ratios(
-        self, T: int, burn_in: int, seeds: Sequence[int]
+        self, T: int, burn_in: int, seeds: Sequence[int], workspace: _FreshArrays = _FRESH
     ) -> tuple[np.ndarray, np.ndarray]:
+        # The glucose simulator allocates its own arrays.
         return glucose._rewards_and_ratios(T, burn_in, seeds)
 
     def oracle(self) -> tuple[float, dict]:
@@ -286,7 +299,9 @@ def _evaluate_windows(
     chunk, estimates it and writes only its own rows; ``core._run_jobs``
     runs the jobs on ``workers`` threads, at most as many as ``CHUNK_STEPS``
     holds of the largest job or of the environment's budget, whichever is
-    larger, and the first job to fail in job order raises its error.
+    larger, and the first job to fail in job order raises its error. Each
+    runner thread makes a ``core._Workspace`` at its first job and reuses
+    it for every later one; nothing the call returns lives in one.
     """
     R = spec.replications
     outs = [np.empty((R, len(ks), 4)) for _ in spec.T_values]
@@ -298,12 +313,19 @@ def _evaluate_windows(
         for start, stop in chunk_ranges(R, T + spec.burn_in, chunk_size, env.chunk_steps):
             jobs.append((ti, T, bandwidth, seeds[start:stop], slice(start, stop)))
 
+    # Each runner thread's workspace; it lives only as long as this call.
+    workspaces = threading.local()
+
     def run(job) -> None:
         ti, T, bandwidth, seeds, rows = job
-        Y, RHO = env.rewards_and_ratios(T, spec.burn_in, seeds)
+        ws = getattr(workspaces, "ws", None)
+        if ws is None:
+            ws = workspaces.ws = _Workspace()
+        Y, RHO = env.rewards_and_ratios(T, spec.burn_in, seeds, ws)
         outs[ti][rows], flags[ti][rows] = _estimate_windows(
-            Y[:, None], RHO[:, None], ks, spec.alpha, bandwidth
+            Y[:, None], RHO[:, None], ks, spec.alpha, bandwidth, ws
         )
+        ws.give(Y, RHO)
 
     # Chunks in flight hold at most CHUNK_STEPS simulated steps, as one
     # automatic chunk did when they ran one at a time; a glucose chunk, whose

@@ -19,6 +19,7 @@ from pomdp_ope import (
     SweepSpec,
     corollary_window,
     fit_rate,
+    importance_ratios,
     make_environment,
     mixing_overlap_report,
     run_lepski_study,
@@ -311,12 +312,12 @@ def _finishing_in_reverse(monkeypatch) -> tuple[list[int], list[int]]:
     started: list[int] = []
     finished: list[int] = []
 
-    def slow(self, T, burn_in, seeds):
+    def slow(self, T, burn_in, seeds, workspace):
         with lock:
             index = len(started)
             started.append(index)
         time.sleep(0.1 * 0.5**index)
-        out = simulate(self, T, burn_in, seeds)
+        out = simulate(self, T, burn_in, seeds, workspace)
         with lock:
             finished.append(index)
         return out
@@ -361,6 +362,67 @@ def test_more_workers_than_cores_with_fast_switching_are_deterministic(tmp_path)
     assert json_text(lepski_study_to_json(studies[0])) == json_text(lepski_study_to_json(studies[1]))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("T_values", [(1400, 200, 600), (200, 1400, 600)])
+def test_workspace_reuse_gives_the_bytes_of_fresh_arrays(
+    T_values, workers, tmp_path, monkeypatch
+):
+    # Chunks of 5 replications put several chunks of every horizon on each
+    # runner thread, and the horizons shrink and grow, so most chunks reuse
+    # buffers that a longer or shorter chunk filled before. The output must
+    # match, byte for byte, a run in which every array a workspace lends is
+    # new and filled with 0xFF bytes (NaN as a float, an out-of-range value
+    # as an index), so no stage reads a value it did not write this chunk.
+    from pomdp_ope import core
+
+    spec = _small_spec(T_values=T_values, replications=23)
+
+    def outputs() -> tuple[bytes, str, str]:
+        path = tmp_path / "sweep.csv"
+        sweep = run_sweep(spec, workers=workers, chunk_size=5)
+        sweep_result_to_csv(sweep, path)
+        study = run_lepski_study(spec, [-1, 0, 1, 2], workers=workers, chunk_size=5)
+        return (
+            path.read_bytes(),
+            json_text(sweep_result_to_json(sweep)),
+            json_text(lepski_study_to_json(study)),
+        )
+
+    reused = outputs()
+
+    def fresh(self, shape, dtype=np.float64):
+        arr = np.empty(shape, dtype)
+        arr.view(np.uint8)[...] = 0xFF
+        return arr
+
+    monkeypatch.setattr(core._Workspace, "take", fresh)
+    assert outputs() == reused
+
+
+def test_workspace_arrays_do_not_alias_later_calls():
+    # Public callers get arrays of their own: nothing a call returns shares
+    # memory with what a later call on the same thread returns, and a sweep
+    # in between changes none of it, nor an earlier sweep's result.
+    env = make_environment("toy")
+    trajs = [simulate(env.model, env.behavior, 300, 20, seed=s) for s in (1, 2)]
+    returned = [
+        [t.x, t.h, t.w, t.y, importance_ratios(t, env.target, env.behavior)] for t in trajs
+    ]
+    for i, seed in enumerate((3, 4)):
+        returned[i] += env.rewards_and_ratios(300, 20, [seed])
+    for a in returned[0]:
+        assert not any(np.shares_memory(a, b) for b in returned[1])
+    kept = [[a.copy() for a in arrays] for arrays in returned]
+    spec = _small_spec(T_values=(300, 60), replications=12, burn_in=20)
+    first = run_sweep(spec, chunk_size=5)
+    before = json_text(sweep_result_to_json(first))
+    run_sweep(_small_spec(T_values=(300, 60), replications=12, master_seed=9), chunk_size=5)
+    assert json_text(sweep_result_to_json(first)) == before
+    for arrays, copies in zip(returned, kept):
+        for a, copy in zip(arrays, copies):
+            np.testing.assert_array_equal(a, copy)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_first_failing_chunk_raises_and_threads_end(workers, monkeypatch):
     # Chunks 2 and 4 (one replication each) fail with different errors;
@@ -372,14 +434,14 @@ def test_first_failing_chunk_raises_and_threads_end(workers, monkeypatch):
     index = {int(s): r for r, s in enumerate(_derive_seeds(spec.master_seed, 0, np.arange(6)))}
     simulate = FiniteEnvironment.rewards_and_ratios
 
-    def failing(self, T, burn_in, seeds):
+    def failing(self, T, burn_in, seeds, workspace):
         chunk = index[int(seeds[0])]
         if chunk == 2:
             time.sleep(0.05)
             raise ValueError("chunk 2 failed")
         if chunk == 4:
             raise KeyError("chunk 4 failed")
-        return simulate(self, T, burn_in, seeds)
+        return simulate(self, T, burn_in, seeds, workspace)
 
     monkeypatch.setattr(FiniteEnvironment, "rewards_and_ratios", failing)
     baseline = threading.active_count()
@@ -398,14 +460,14 @@ def test_glucose_chunks_run_one_at_a_time(monkeypatch):
     most = [0]
     calls = []
 
-    def spy(self, T, burn_in, seeds):
+    def spy(self, T, burn_in, seeds, workspace):
         with lock:
             in_flight[0] += 1
             most[0] = max(most[0], in_flight[0])
             calls.append(len(seeds))
         try:
             time.sleep(0.01)
-            return simulate(self, T, burn_in, seeds)
+            return simulate(self, T, burn_in, seeds, workspace)
         finally:
             with lock:
                 in_flight[0] -= 1
@@ -480,7 +542,7 @@ def test_chunks_in_flight_hold_at_most_chunk_steps(
     in_flight = [0, 0]  # chunks, steps
     most = [0, 0]
 
-    def spy(self, T, burn_in, seeds):
+    def spy(self, T, burn_in, seeds, workspace):
         steps = len(seeds) * (T + burn_in)
         with lock:
             in_flight[0] += 1
@@ -488,7 +550,7 @@ def test_chunks_in_flight_hold_at_most_chunk_steps(
             most[:] = [max(m, f) for m, f in zip(most, in_flight)]
         try:
             time.sleep(0.01)
-            return simulate(self, T, burn_in, seeds)
+            return simulate(self, T, burn_in, seeds, workspace)
         finally:
             with lock:
                 in_flight[0] -= 1
@@ -634,8 +696,8 @@ def test_lepski_study_selects_among_finite_estimates(monkeypatch):
     # scan leaves those out and keeps the sample mean instead of aborting.
     simulate = FiniteEnvironment.rewards_and_ratios
 
-    def overflowing(self, T, burn_in, seeds):
-        rewards, ratios = simulate(self, T, burn_in, seeds)
+    def overflowing(self, T, burn_in, seeds, workspace):
+        rewards, ratios = simulate(self, T, burn_in, seeds, workspace)
         return rewards, ratios * 1e200
 
     monkeypatch.setattr(FiniteEnvironment, "rewards_and_ratios", overflowing)
@@ -658,8 +720,8 @@ def test_study_aggregates_of_overflowing_estimates_do_not_warn(monkeypatch):
     # aggregates without a numpy warning.
     simulate = FiniteEnvironment.rewards_and_ratios
 
-    def overflowing(self, T, burn_in, seeds):
-        rewards, ratios = simulate(self, T, burn_in, seeds)
+    def overflowing(self, T, burn_in, seeds, workspace):
+        rewards, ratios = simulate(self, T, burn_in, seeds, workspace)
         return rewards, ratios * 1e200
 
     monkeypatch.setattr(FiniteEnvironment, "rewards_and_ratios", overflowing)
