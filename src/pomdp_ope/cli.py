@@ -9,7 +9,8 @@ decides which kind of environment ``--env`` or the
 each subcommand then asks the loaded environment for its default burn-in,
 its trajectory CSV and its rewards and ratios, and refuses, naming it, an
 option that does not apply to that kind. Exit codes: 0 success, 2
-configuration error (including malformed JSON, reported with line and
+configuration error (including a model or policy file that cannot be read
+or is malformed, named, and malformed JSON, reported with line and
 column), 3 overlap violation, 4 mixing failure.
 """
 

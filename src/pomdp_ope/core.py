@@ -274,6 +274,20 @@ def _raise_at_first(name: str, arr: np.ndarray, bad: np.ndarray, requirement: st
         )
 
 
+def _float_array(name: str, values) -> np.ndarray:
+    """``values`` as a float array; ConfigurationError naming ``name`` if
+    they are not a rectangular array of numbers."""
+    try:
+        arr = np.asarray(values)
+        # Text would convert where it spells a number; a document's array
+        # holds numbers.
+        if arr.dtype.kind not in "US":
+            return arr.astype(float, copy=False)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigurationError(f"{name} must be a rectangular array of numbers")
+
+
 def _check_finite(name: str, values) -> None:
     """Raise ConfigurationError naming the first non-finite entry of values."""
     arr = np.asarray(values, dtype=float)
@@ -315,8 +329,9 @@ class PomdpModel:
     """Finite POMDP with per-action transition tensor and per-(state, action)
     reward law.
 
-    transition has shape (num_actions, S, S) with S = num_x * num_h; every
-    row transition[a][s] is a probability vector. reward[s][a] is a
+    num_x and num_h are integers >= 1 and num_actions one >= 2. transition
+    has shape (num_actions, S, S) with S = num_x * num_h; every row
+    transition[a][s] is a probability vector. reward[s][a] is a
     ``Gaussian`` or ``PointMass``.
     """
 
@@ -329,12 +344,10 @@ class PomdpModel:
     reward_sd: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.num_x < 1 or self.num_h < 1:
-            raise ConfigurationError("num_x and num_h must be >= 1")
-        if self.num_actions < 2:
-            raise ConfigurationError("num_actions must be >= 2")
+        for name, minimum in (("num_x", 1), ("num_h", 1), ("num_actions", 2)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
         s = self.num_states
-        trans = np.asarray(self.transition, dtype=float)
+        trans = _float_array("transition", self.transition)
         _check_finite("transition", trans)
         if trans.shape != (self.num_actions, s, s):
             raise ConfigurationError(
@@ -385,7 +398,7 @@ class Policy:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+        p = _float_array("policy probs", self.probs)
         if p.ndim != 2:
             raise ConfigurationError(f"policy probs must be 2-D, got shape {p.shape}")
         _check_finite("policy probs", p)

@@ -32,8 +32,10 @@ half-widths, intervals and flags are computed once per call, after the
 last window, with z_{1-alpha/2} from ``_ndtri``, a plain-Python port of the
 Cephes library's inverse normal CDF ``ndtri`` (the package needs numpy
 alone). The public estimators pass their units as one estimate; Monte Carlo
-studies pass each replication as an estimate of one unit. Window selection
-leaves out the windows whose estimates are flagged "non_finite".
+studies pass each replication as an estimate of one unit. One array rule on
+the engine's interval ends, ``select_window_from_intervals``, selects the
+window for the CLI, ``lepski_select`` and the window-selection study alike,
+leaving out the windows whose estimates are flagged "non_finite".
 """
 
 from __future__ import annotations
@@ -472,12 +474,12 @@ def _estimate_windows(
     return est, flags
 
 
-def _reports(
-    RHO: np.ndarray, Y: np.ndarray, ks: Sequence[int], alpha: float, bandwidth: float
+def _as_reports(
+    ks: Sequence[int], shape: tuple[int, int], est: np.ndarray, flags: np.ndarray
 ) -> list[EstimateReport]:
-    """One report per window in ``ks``, the (n, T) units forming one estimate."""
-    n, T = Y.shape
-    est, flags = _estimate_windows(Y[None], RHO[None], ks, alpha, bandwidth)
+    """One report per window in ``ks`` from the engine's (1, K, 4) estimates
+    and (1, K, len(_FLAGS)) mask of one estimate of (n, T) units."""
+    n, T = shape
     return [
         EstimateReport(
             *(float(x) for x in row),
@@ -488,6 +490,13 @@ def _reports(
         )
         for k, row, mask in zip(ks, est[0], flags[0])
     ]
+
+
+def _reports(
+    RHO: np.ndarray, Y: np.ndarray, ks: Sequence[int], alpha: float, bandwidth: float
+) -> list[EstimateReport]:
+    """One report per window in ``ks``, the (n, T) units forming one estimate."""
+    return _as_reports(ks, Y.shape, *_estimate_windows(Y[None], RHO[None], ks, alpha, bandwidth))
 
 
 def hac_variance(
@@ -530,36 +539,19 @@ def estimate_with_ci(
 
 
 def select_window_from_intervals(
-    candidates: Sequence[int], intervals: Sequence[tuple[float, float]]
-) -> int:
-    """Backward scan over candidate windows: keep intersecting confidence
-    intervals from the largest candidate down; when the running intersection
-    first becomes empty at candidate k, return the next candidate above k.
-    If the intersection never empties, return the smallest candidate. A NaN
-    endpoint raises ConfigurationError naming its candidate."""
-    cands = _windows("candidates entry", candidates, ascending=True)
-    if len(intervals) != len(cands):
-        raise ConfigurationError("need one interval per candidate")
-    for c, (c_lo, c_hi) in zip(cands, intervals):
-        if math.isnan(c_lo) or math.isnan(c_hi):
-            raise ConfigurationError(
-                f"interval for candidate {c} must not be NaN, got ({c_lo}, {c_hi})"
-            )
-    lo, hi = -np.inf, np.inf
-    for idx in range(len(cands) - 1, -1, -1):
-        c_lo, c_hi = intervals[idx]
-        lo = max(lo, c_lo)
-        hi = min(hi, c_hi)
-        if lo > hi:
-            return cands[idx + 1]
-    return cands[0]
-
-
-def _select_finite(candidates: Sequence[int], intervals, non_finite: Sequence[bool]) -> int:
-    """``select_window_from_intervals`` over the candidates whose estimates
-    are finite; the smallest candidate if none is."""
-    kept = [(c, iv) for c, iv, bad in zip(candidates, intervals, non_finite) if not bad]
-    return select_window_from_intervals(*zip(*kept)) if kept else candidates[0]
+    lo: np.ndarray, hi: np.ndarray, skip: np.ndarray
+) -> np.ndarray:
+    """Lepski's rule on each row of (m, K) interval ends, lo <= hi, over
+    ascending candidates: the index of the smallest candidate not flagged in ``skip``
+    whose interval meets the intervals of every larger unflagged candidate
+    at once, or 0 if every candidate is flagged. A flagged entry counts as
+    (-inf, inf), so it leaves the running max of ``lo`` and min of ``hi``,
+    taken from the largest candidate down, unchanged."""
+    low = np.maximum.accumulate(np.where(skip, -np.inf, lo)[:, ::-1], axis=1)[:, ::-1]
+    high = np.minimum.accumulate(np.where(skip, np.inf, hi)[:, ::-1], axis=1)[:, ::-1]
+    # The intersections that meet are a suffix of each row.
+    ok = (low <= high) & ~skip
+    return ok.argmax(axis=1)
 
 
 def lepski_select(
@@ -572,21 +564,19 @@ def lepski_select(
     """Adaptive window choice by interval intersection.
 
     Builds a confidence interval for every candidate window (ascending order
-    required; -1 and 0 are allowed) and scans from the largest window down,
-    returning the smallest window whose interval still meets the intersection
-    of all larger ones. A candidate whose estimate is flagged "non_finite"
-    is left out of the scan; if every one is, the smallest is selected. The
-    bandwidth follows the unit length. Deterministic given the reports.
+    required; -1 and 0 are allowed) and selects the smallest window whose
+    interval meets the intervals of all larger ones at once, by the rule the
+    window-selection study applies to every replication:
+    ``select_window_from_intervals`` on the engine's interval ends. A
+    candidate whose estimate is flagged "non_finite" is left out; if every
+    one is, the smallest is selected. The bandwidth follows the unit length.
     """
     RHO, Y = _units(ratios, rewards)
     candidates = _windows("candidates entry", candidates, ascending=True)
-    reports = _reports(RHO, Y, candidates, alpha, bandwidth_rule.bandwidth(Y.shape[1]))
-    selected = _select_finite(
-        candidates,
-        [(rep.ci_lo, rep.ci_hi) for rep in reports],
-        ["non_finite" in rep.flags for rep in reports],
-    )
-    return LepskiResult(selected_k=selected, reports=tuple(reports))
+    bandwidth = bandwidth_rule.bandwidth(Y.shape[1])
+    est, flags = _estimate_windows(Y[None], RHO[None], candidates, alpha, bandwidth)
+    selected = select_window_from_intervals(est[..., 2], est[..., 3], flags[..., 1])[0]
+    return LepskiResult(candidates[selected], tuple(_as_reports(candidates, Y.shape, est, flags)))
 
 
 def corollary_window(n: int, T: int, t0: float, zeta: float, C0: float = 1.0) -> int:

@@ -74,8 +74,8 @@ from .estimators import (
     DEFAULT_BANDWIDTH_RULE,
     _estimate_windows,
     _policy_ratios,
-    _select_finite,
     _windows,
+    select_window_from_intervals,
 )
 from .instances import glucose
 from .instances.glucose import glucose_simulate, target_value_oracle
@@ -438,14 +438,11 @@ def run_lepski_study(
     env = make_environment(spec.environment)
     oracle, provenance = env.oracle()
     rows: list[LepskiRow] = []
-    R = spec.replications
     results = _evaluate_windows(env, spec, candidates, workers, chunk_size)
     for T, (out, clamped, non_finite) in zip(spec.T_values, results):
         est = out[:, :, 0]
-        intervals = zip(out[:, :, 2:].tolist(), non_finite.tolist())
-        sel = np.array([_select_finite(candidates, *iv) for iv in intervals], dtype=np.int64)
-        sel_idx = np.searchsorted(np.asarray(candidates), sel)
-        sel_est = est[np.arange(R), sel_idx]
+        sel = select_window_from_intervals(out[:, :, 2], out[:, :, 3], non_finite)
+        sel_est = est[np.arange(spec.replications), sel]
         # As in run_sweep, a squared error past the float range is inf, unwarned.
         with np.errstate(over="ignore"):
             mse_by_k = {
@@ -456,9 +453,7 @@ def run_lepski_study(
         rows.append(
             LepskiRow(
                 T=T,
-                selection_freq={
-                    k: float((sel == k).mean()) for k in candidates
-                },
+                selection_freq={k: float((sel == i).mean()) for i, k in enumerate(candidates)},
                 mse_by_k=mse_by_k,
                 mse_selected=mse_selected,
                 n_clamped=int(clamped.sum()),

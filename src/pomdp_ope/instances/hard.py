@@ -116,7 +116,10 @@ def hard_instance_pair(
 
 def kl_bound(params: HardInstanceParams, T: int, t0: float) -> float:
     """Upper bound on the KL divergence between length-T observed-data laws
-    of the two instances: 2 T Delta^2 / (M2 - M1^2) * exp(-(Q-1)(1/t0 + zeta))."""
+    of the two instances: 2 T Delta^2 / (M2 - M1^2) * exp(-(Q-1)(1/t0 + zeta)).
+    T is a count >= 1 and t0 a finite real > 0."""
+    T = _integer("T", T, 1)
+    _positive("t0", t0)
     return (
         2.0
         * T
@@ -224,7 +227,9 @@ class ConditionReport:
 
 
 def check_conditions(params: HardInstanceParams, tol: float = 1e-9) -> ConditionReport:
-    """Evaluate the instance-family constraints on the built pair."""
+    """Evaluate the instance-family constraints on the built pair, each to
+    within ``tol``, a finite real > 0."""
+    _positive("tol", tol)
     hi, lo, behavior, target = hard_instance_pair(params)
     t0 = params.mixing_time
     report = mixing_overlap_report(hi, target, behavior)

@@ -27,12 +27,27 @@ def _reward_to_dict(spec: RewardSpec) -> dict:
     return {"kind": "pointmass", "mean": float(spec.value), "sd": 0.0}
 
 
+def _object(kind: str, doc) -> dict:
+    """``doc`` if it is a JSON object; else ConfigurationError naming ``kind``."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{kind} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _number(d: dict, key: str) -> float:
+    """Field ``key`` of a reward entry as a float, if it is a JSON number."""
+    value = d[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"reward {key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _reward_from_dict(d: dict) -> RewardSpec:
-    kind = d.get("kind")
+    kind = _object("reward entry", d).get("kind")
     if kind == "gaussian":
-        return Gaussian(mean=float(d["mean"]), sd=float(d["sd"]))
+        return Gaussian(mean=_number(d, "mean"), sd=_number(d, "sd"))
     if kind == "pointmass":
-        return PointMass(value=float(d["mean"]))
+        return PointMass(value=_number(d, "mean"))
     raise ConfigurationError(f"unknown reward kind {kind!r}")
 
 
@@ -47,15 +62,19 @@ def model_to_dict(model: PomdpModel) -> dict:
 
 
 def model_from_dict(d: dict) -> PomdpModel:
+    """The model of a document: counts, the transition array and the reward
+    rows are checked by ``PomdpModel``, the document's shape here."""
     try:
+        _object("model document", d)
+        reward = d["reward"]
+        if not (isinstance(reward, list) and all(isinstance(row, list) for row in reward)):
+            raise ConfigurationError("model reward must be a list of rows of reward entries")
         return PomdpModel(
-            num_x=int(d["num_x"]),
-            num_h=int(d["num_h"]),
-            num_actions=int(d["num_actions"]),
-            transition=np.asarray(d["transition"], dtype=float),
-            reward=tuple(
-                tuple(_reward_from_dict(spec) for spec in row) for row in d["reward"]
-            ),
+            num_x=d["num_x"],
+            num_h=d["num_h"],
+            num_actions=d["num_actions"],
+            transition=d["transition"],
+            reward=tuple(tuple(_reward_from_dict(spec) for spec in row) for row in reward),
         )
     except KeyError as exc:
         raise ConfigurationError(f"model document missing field {exc}") from exc
@@ -67,7 +86,7 @@ def policy_to_dict(policy: Policy) -> dict:
 
 def policy_from_dict(d: dict) -> Policy:
     try:
-        return Policy(probs=np.asarray(d["probs"], dtype=float))
+        return Policy(probs=_object("policy document", d)["probs"])
     except KeyError as exc:
         raise ConfigurationError(f"policy document missing field {exc}") from exc
 
@@ -101,8 +120,16 @@ def dump_json(obj: Any, path: PathLike) -> None:
 
 
 def load_json(path: PathLike) -> Any:
-    # json.JSONDecodeError (with line/column) propagates to the caller.
-    return json.loads(Path(path).read_text())
+    """The document at ``path``. A path that cannot be read as text raises
+    ConfigurationError naming it; json.JSONDecodeError (with line and
+    column) propagates to the caller."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"cannot read {path}: not {exc.encoding} text") from None
+    return json.loads(text)
 
 
 def save_model(model: PomdpModel, path: PathLike) -> None:

@@ -177,6 +177,26 @@ def naive_estimate(ratios, rewards, k: int, bandwidth: float, kernel) -> tuple[f
     return float(np.mean([t.mean() for t in terms])), float(variance)
 
 
+def lepski_scan_reference(candidates, intervals, skip) -> int:
+    """The candidate Lepski's rule selects, by a scalar scan: over the
+    candidates not flagged in ``skip``, intersect the closed intervals from
+    the largest candidate down; when the running intersection first becomes
+    empty at one, return the next kept candidate above it. If it never
+    empties, return the smallest kept candidate, and the smallest candidate
+    if every one is flagged."""
+    kept = [(c, iv) for c, iv, bad in zip(candidates, intervals, skip) if not bad]
+    if not kept:
+        return candidates[0]
+    lo, hi = -np.inf, np.inf
+    for idx in range(len(kept) - 1, -1, -1):
+        c_lo, c_hi = kept[idx][1]
+        lo = max(lo, c_lo)
+        hi = min(hi, c_hi)
+        if lo > hi:
+            return kept[idx + 1][0]
+    return kept[0][0]
+
+
 def simulate_reference(model, behavior, T: int, burn_in: int, seeds) -> list[tuple]:
     """(x, h, w, y) arrays per seed, one step at a time for one seed at a time.
 

@@ -35,11 +35,16 @@ from pomdp_ope import (
 )
 from pomdp_ope import harness
 from pomdp_ope.cli import main
-from pomdp_ope.estimators import select_window_from_intervals
 from pomdp_ope.harness import hard_params
 from pomdp_ope.instances import toy_model
 from pomdp_ope.instances.glucose import glucose_simulate, target_value_oracle
-from pomdp_ope.instances.hard import HardInstanceParams, params_from_mixing_time, theorem2_design
+from pomdp_ope.instances.hard import (
+    HardInstanceParams,
+    check_conditions,
+    kl_bound,
+    params_from_mixing_time,
+    theorem2_design,
+)
 
 NAN, INF = float("nan"), float("inf")
 MODEL, BEHAVIOR, _ = toy_model()
@@ -93,6 +98,7 @@ COUNTS = [
     ("HardInstanceParams", "Q", lambda v: _params(Q=v), ALL),
     ("hard_params", "Q", lambda v: hard_params(f"Q={v},{HARD}"), ALL[:4]),
     ("theorem2_design", "T", lambda v: theorem2_design(v, 4.0, 1.0, 1.0, 2.0), ALL),
+    ("kl_bound", "T", lambda v: kl_bound(_params(), v, 1.0), ALL),
     ("corollary_window", "n", lambda v: corollary_window(v, 10, 1.0, 0.5), ALL),
     ("corollary_window", "T", lambda v: corollary_window(1, v, 1.0, 0.5), ALL + (1,)),
     ("run_sweep", "chunk size", lambda v: run_sweep(_spec(), chunk_size=v), NOT_NEGATIVE),
@@ -131,6 +137,8 @@ POSITIVE = [
     ("theorem2_design", "t0", lambda v: theorem2_design(100, v, 1.0, 1.0, 2.0), ALL[1:]),
     ("theorem2_design", "zeta", lambda v: theorem2_design(100, 4.0, v, 1.0, 2.0), ALL[1:]),
     ("theorem2_design", "M1", lambda v: theorem2_design(100, 4.0, 1.0, v, 2.0), ALL[1:]),
+    ("kl_bound", "t0", lambda v: kl_bound(_params(), 5, v), ALL[1:]),
+    ("check_conditions", "tol", lambda v: check_conditions(_params(), tol=v), ALL[1:]),
 ]
 
 
@@ -182,22 +190,10 @@ WINDOWS = [
     ("hac_variance", "k", lambda v: hac_variance(RHO, Y, v, 3.0), WINDOW),
     ("EstimatorConfig", "k", lambda v: EstimatorConfig(k=v), WINDOW),
     ("lepski_select", "candidates entry", lambda v: lepski_select(RHO, Y, [v, 2]), WINDOW),
-    (
-        "select_window_from_intervals",
-        "candidates entry",
-        lambda v: select_window_from_intervals([v, 2], [(0.0, 1.0), (0.0, 1.0)]),
-        WINDOW,
-    ),
     ("run_lepski_study", "candidates entry", lambda v: run_lepski_study(_spec(), [v, 0]), (-2,)),
     ("SweepSpec", "k_values entry", lambda v: _spec(k_values=(v, 0)), (-2,)),
     ("SweepSpec repeated", "k_values entry", lambda v: _spec(k_values=(v, -1, v)), (0,)),
     ("lepski_select repeated", "candidates entry", lambda v: lepski_select(RHO, Y, [0, v, v]), (1,)),
-    (
-        "select_window_from_intervals repeated",
-        "candidates entry",
-        lambda v: select_window_from_intervals([v, v], [(0.0, 1.0), (0.0, 1.0)]),
-        (0,),
-    ),
     ("run_lepski_study repeated", "candidates entry", lambda v: run_lepski_study(_spec(), [v, v]), (0,)),
 ]
 

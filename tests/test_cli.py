@@ -108,6 +108,18 @@ def test_trajectory_csv_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_lepski_bytes_are_pinned(capsys):
+    # SHA-256 of one trajectory's window selection: the reports of nine
+    # windows and the window the selection rule picks from them.
+    code, out, _ = run_cli(
+        capsys, "lepski", "--env", "toy", "--T", "5000", "--k-set=-1,0,1,2,3,4,5,6,7", "--seed", "5"
+    )
+    assert code == 0
+    assert json.loads(out)["selected_k"] == 1
+    digest = "f3a1a24a521e238c2a8d92dda505b28bd6be448e2ed895998eed80201b1c849b"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_lepski_subcommand(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -460,6 +472,70 @@ def test_malformed_json_exits_2_with_position(tmp_path, capsys):
     )
     assert code == 2
     assert "line 1" in err and "column" in err
+
+
+def _toy_documents():
+    from pomdp_ope.instances import toy_model
+    from pomdp_ope.serialization import model_to_dict, policy_to_dict
+
+    model, behavior, _ = toy_model()
+    return model_to_dict(model), policy_to_dict(behavior)
+
+
+def _with_first_reward(model, entry):
+    return {**model, "reward": [[entry, *model["reward"][0][1:]], *model["reward"][1:]]}
+
+
+# (model document, policy document, text the error names): a document is
+# a JSON value, raw bytes, a path that does not exist (None) or a
+# directory ("dir").
+_MODEL, _POLICY = _toy_documents()
+_BAD_INPUT_FILES = {
+    "missing-path": (None, _POLICY, "No such file"),
+    "directory": ("dir", _POLICY, "Is a directory"),
+    "not-text": (b"\xff\xfe", _POLICY, "m.json: not "),
+    "fractional-count": ({**_MODEL, "num_x": 1.5}, _POLICY, "num_x must be an integer, got 1.5"),
+    "text-count": ({**_MODEL, "num_x": "a"}, _POLICY, "num_x must be an integer, got 'a'"),
+    "ragged-transition": (
+        {**_MODEL, "transition": [_MODEL["transition"][0], _MODEL["transition"][1][:-1]]},
+        _POLICY,
+        "transition must be a rectangular array",
+    ),
+    "reward-number": ({**_MODEL, "reward": 5}, _POLICY, "model reward must be a list"),
+    "reward-entry-number": (_with_first_reward(_MODEL, 1.0), _POLICY, "reward entry must be a JSON object"),
+    "reward-sd-text": (
+        _with_first_reward(_MODEL, {"kind": "gaussian", "mean": 0.0, "sd": "x"}),
+        _POLICY,
+        "reward sd must be a number, got 'x'",
+    ),
+    "model-list": ([_MODEL], _POLICY, "model document must be a JSON object, got list"),
+    "policy-list": (_MODEL, [_POLICY], "policy document must be a JSON object, got list"),
+    "probs-text": (_MODEL, {"probs": "ab"}, "policy probs must be a rectangular array"),
+    "probs-ragged": (_MODEL, {"probs": [[0.5, 0.5], [1.0]]}, "policy probs must be a rectangular array"),
+}
+
+
+@pytest.mark.parametrize(
+    "model, policy, named", list(_BAD_INPUT_FILES.values()), ids=list(_BAD_INPUT_FILES)
+)
+def test_malformed_input_file_exits_2_naming_it(tmp_path, capsys, model, policy, named):
+    paths = []
+    for name, doc in (("m.json", model), ("p.json", policy)):
+        path = tmp_path / name
+        if doc == "dir":
+            path.mkdir()
+        elif isinstance(doc, bytes):
+            path.write_bytes(doc)
+        elif doc is not None:
+            path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    code, out, err = run_cli(
+        capsys,
+        "estimate", "--model", paths[0], "--behavior", paths[1], "--target", paths[1],
+        "--T", "50", "--k", "0",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and named in err
 
 
 def test_bad_hard_spec_exits_2(capsys):

@@ -7,7 +7,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import ndtri
@@ -15,6 +15,7 @@ from scipy.special import ndtri
 from conftest import interior_policy, random_model, random_policy, run_python, streams
 from oracles import (
     iter_paths_with_probability,
+    lepski_scan_reference,
     naive_estimate,
     naive_hac,
     naive_phiw,
@@ -675,17 +676,23 @@ def test_ci_width_halves_when_T_quadruples(toy):
 # Window selection
 
 
+def _select(cands, intervals):
+    """The candidate the array rule selects on one row of unflagged intervals."""
+    lo, hi = np.array(intervals, dtype=float).T[:, None]
+    return cands[select_window_from_intervals(lo, hi, np.zeros(lo.shape, dtype=bool))[0]]
+
+
 def test_all_overlapping_intervals_select_smallest():
     cands = [-1, 0, 1, 2, 3]
     intervals = [(0.0, 1.0)] * len(cands)
-    assert select_window_from_intervals(cands, intervals) == -1
+    assert _select(cands, intervals) == -1
 
 
 def test_disjoint_top_intervals_select_largest():
     cands = [0, 1, 2, 3]
     intervals = [(0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (5.0, 6.0)]
     # k=2's interval misses k=3's: scan stops immediately and keeps k=3.
-    assert select_window_from_intervals(cands, intervals) == 3
+    assert _select(cands, intervals) == 3
 
 
 def test_selection_uses_running_intersection():
@@ -693,7 +700,7 @@ def test_selection_uses_running_intersection():
     # Pairwise neighbors overlap, but the running intersection [2, 2] of
     # candidates {1, 2} misses candidate 0's interval.
     intervals = [(0.0, 1.5), (2.0, 3.0), (1.0, 2.0)]
-    assert select_window_from_intervals(cands, intervals) == 1
+    assert _select(cands, intervals) == 1
 
 
 def test_selection_depends_only_on_interval_order():
@@ -701,15 +708,41 @@ def test_selection_depends_only_on_interval_order():
     # interval, so the scan settles on the middle candidate under either
     # labeling.
     intervals = [(0.0, 1.0), (0.9, 2.0), (1.8, 3.0)]
-    a = select_window_from_intervals([-1, 0, 1], intervals)
-    b = select_window_from_intervals([5, 7, 9], intervals)
+    a = _select([-1, 0, 1], intervals)
+    b = _select([5, 7, 9], intervals)
     assert (a, b) == (0, 7)
 
 
-def test_nan_interval_raises_naming_candidate():
-    intervals = [(0.0, 1.0), (np.nan, np.nan), (5.0, 6.0)]
-    with pytest.raises(ConfigurationError, match="candidate 1"):
-        select_window_from_intervals([0, 1, 2], intervals)
+# Rows of (centre, radius, flagged) entries. Small integer endpoints make
+# touching intervals common and keep every comparison exact.
+_ENTRY = st.tuples(st.integers(-5, 5), st.integers(0, 3), st.booleans())
+_ROWS = st.integers(1, 8).flatmap(
+    lambda K: st.lists(st.lists(_ENTRY, min_size=K, max_size=K), min_size=1, max_size=6)
+)
+
+
+@given(_ROWS)
+# Every candidate flagged, beside a row with none flagged.
+@example([[(0, 1, True)] * 3, [(0, 1, False)] * 3])
+# One candidate, flagged or not.
+@example([[(2, 0, False)], [(2, 0, True)]])
+# Intervals that touch at one endpoint meet; a flagged one between them
+# leaves the scan unchanged.
+@example(
+    [[(0, 1, False), (5, 0, True), (2, 1, False)], [(0, 1, False), (3, 1, False), (2, 1, False)]]
+)
+def test_selection_rule_matches_the_scalar_scan(rows):
+    centre, radius, skip = np.moveaxis(np.array(rows), 2, 0)
+    lo, hi = (centre - radius).astype(float), (centre + radius).astype(float)
+    skip = skip.astype(bool)
+    # A flagged estimate may be NaN, as the engine's non-finite ones are.
+    lo[skip] = hi[skip] = np.nan
+    cands = list(range(-1, lo.shape[1] - 1))
+    picked = select_window_from_intervals(lo, hi, skip)
+    assert picked.shape == (len(rows),)
+    for i in range(len(rows)):
+        intervals = list(zip(lo[i], hi[i]))
+        assert cands[picked[i]] == lepski_scan_reference(cands, intervals, skip[i])
 
 
 def test_lepski_leaves_non_finite_candidates_out_of_the_scan():
@@ -743,13 +776,13 @@ def test_selection_scan_invariants(spans, first, shift):
     # makes cannot change by rounding.
     intervals = [(float(c - r), float(c + r)) for c, r in spans]
     cands = list(range(first, first + len(intervals)))
-    s = cands.index(select_window_from_intervals(cands, intervals))
+    s = cands.index(_select(cands, intervals))
     # The selected interval meets all larger windows' intervals at once ...
     assert _meet(intervals[s:])
     # ... and no smaller window's does.
     assert not any(_meet(intervals[j:]) for j in range(s))
     shifted = [(lo + shift, hi + shift) for lo, hi in intervals]
-    assert select_window_from_intervals(cands, shifted) == cands[s]
+    assert _select(cands, shifted) == cands[s]
 
 
 def test_lepski_single_candidate(toy):
