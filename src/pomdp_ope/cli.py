@@ -138,10 +138,8 @@ def _args_sweep(p: argparse.ArgumentParser) -> None:
 
 def _args_instance(p: argparse.ArgumentParser) -> None:
     _add_common(p)
-    p.add_argument("--hard", help="hard-instance parameters Q=..,t0=..,zeta=..,M1=..,M2=..[,Delta=..]")
     p.add_argument("--check", action="store_true", default=None, help="check instance-family conditions (hard instances)")
-    p.add_argument("--T", type=int, default=None, help="trajectory length for glucose output (default 1000)")
-    # Only the glucose trajectory is seeded; a seed given elsewhere is refused.
+    # A model document is not seeded; a seed given is refused.
     p.set_defaults(seed=None)
 
 
@@ -235,20 +233,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_instance(args) -> int:
-    source = "--hard" if args.hard else f"--env {args.env}" if args.env else "--model"
-    if args.hard:
-        _refuse(args, source, "--env", "--model", "--behavior", "--target")
-    env = None if args.hard else _load_environment(args)
+    source = f"--env {args.env}" if args.env else "--model"
+    env = _load_environment(args)
     if isinstance(env, GlucoseEnvironment):
-        _refuse(args, source, "--check")
-        T = 1000 if args.T is None else args.T
-        seed = 0 if args.seed is None else args.seed
-        env.write_trajectory(T, _burn_in(args, env), seed, args.out or sys.stdout)
-        return EXIT_OK
+        raise ConfigurationError(
+            "glucose has no model document; for a trajectory CSV run simulate --env glucose"
+        )
     # A finite instance prints as model JSON, so no trajectory option applies.
-    _refuse(args, source, "--seed", "--T", "--burn-in")
-    if args.hard or (args.env and args.env.startswith("hard:")):
-        params = hard_params(args.hard or args.env[len("hard:") :])
+    _refuse(args, source, "--seed", "--burn-in")
+    if args.env and args.env.startswith("hard:"):
+        params = hard_params(args.env[len("hard:") :])
         if args.check:
             report = check_conditions(params)
             _emit("\n".join(report.lines()) + "\n", args.out)
@@ -317,8 +311,7 @@ _COMMANDS = {
     "lepski": ("adaptive window selection on one trajectory", _args_lepski, _cmd_lepski),
     "sweep": ("Monte Carlo MSE sweep over (k, T)", _args_sweep, _cmd_sweep),
     "instance": (
-        "emit an environment's model JSON (finite), a trajectory CSV "
-        "(glucose), or check hard-instance conditions",
+        "emit a finite environment's model JSON, or check hard-instance conditions",
         _args_instance,
         _cmd_instance,
     ),

@@ -33,7 +33,7 @@ uniform, its move bucket those of all transition rows merged at or below
 the move uniform, and (code, state) tables built per call give each state's
 next state and cell in one gather each. A model with more codes than the
 batch's (T + burn_in - 1) n next-state rows (a dense one) keeps the action
-bucket as its code and counts each (state, action) row per state instead.
+bucket as its code and searches each (state, action) row once instead.
 ``_follow`` then follows the state through the next-state table by a
 recursive blocked scan: it composes the steps inside blocks of
 ``FOLLOW_BLOCK`` steps with wide gathers, follows the composed table (one
@@ -71,7 +71,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, MixingFailureError, _integer, _positive
+from .errors import ConfigurationError, MixingFailureError, _finite, _integer, _positive
 from .rng import _make_rngs
 
 ROW_SUM_TOL = 1e-12
@@ -302,8 +302,8 @@ class Gaussian:
     sd: float
 
     def __post_init__(self):
-        if self.sd < 0:
-            raise ConfigurationError(f"reward sd must be >= 0, got {self.sd}")
+        _finite("reward mean", self.mean)
+        _finite("reward sd", self.sd, 0)
 
 
 @dataclass(frozen=True)
@@ -311,6 +311,9 @@ class PointMass:
     """Deterministic reward."""
 
     value: float
+
+    def __post_init__(self):
+        _finite("reward value", self.value)
 
 
 RewardSpec = Union[Gaussian, PointMass]
@@ -371,8 +374,6 @@ class PomdpModel:
         for i, row in enumerate(reward):
             for a, spec in enumerate(row):
                 means[i, a], sds[i, a] = _reward_mean_sd(spec)
-        _check_finite("reward mean", means)
-        _check_finite("reward sd", sds)
         trans.setflags(write=False)
         means.setflags(write=False)
         sds.setflags(write=False)
@@ -607,10 +608,12 @@ def _thresholds(probs: np.ndarray) -> np.ndarray:
     """Cumulative sums along the last axis of probability rows, with every
     entry from the row's last positive column on raised to 1.0.
 
-    A draw u in [0, 1) picks index #{j : cum[j] <= u}. Entries >= 1.0 never
-    count, so raising the tail changes nothing unless rounding left the row
-    total below 1, where the count could run past the last index; then the
-    last positive column takes the leftover mass instead.
+    A draw u in [0, 1) picks index #{j : cum[j] <= u}, a prefix of the row
+    even where rounding lifts an entry above 1.0: every entry from the first
+    >= 1.0 on is >= 1.0 and never counts. So raising the tail changes nothing
+    unless rounding left the row total below 1, where the count could run
+    past the last index; then the last positive column takes the leftover
+    mass instead.
     """
     cum = np.cumsum(probs, axis=-1)
     k = probs.shape[-1]
@@ -619,18 +622,11 @@ def _thresholds(probs: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _add_count_at_or_below(
-    out: np.ndarray, thresholds: np.ndarray, u: np.ndarray, where: np.ndarray | None = None
-) -> None:
-    """out += #{j : thresholds[j] <= u} elementwise over u (only where
-    ``where`` is set, if given), for one row of ``_thresholds``. Each distinct
-    value below 1.0 is compared once and weighted by how often it repeats."""
-    values, repeats = np.unique(thresholds[thresholds < 1.0], return_counts=True)
-    for value, repeat in zip(values, repeats):
-        hit = u >= value
-        if where is not None:
-            hit &= where
-        out += hit if repeat == 1 else hit * out.dtype.type(repeat)
+def _add_count_at_or_below(out: np.ndarray, values: np.ndarray, u: np.ndarray) -> None:
+    """out += #{j : values[j] <= u} elementwise over u, one compare-and-add
+    pass per value (the sorted distinct thresholds below 1.0 of a step code)."""
+    for value in values:
+        out += u >= value
 
 
 def _bucket_counts(cum: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -721,7 +717,8 @@ def _simulate_arrays(
     moves = len(move_values) + 1
     codes = (len(act_values) + 1) * moves
     # With more codes than next-state rows (dense models), a step's code is
-    # its action bucket alone, and each state counts its own rows' thresholds.
+    # its action bucket alone, and each (state, action) row is searched once
+    # (side="right": those <= u_move, a prefix of the row; see ``_thresholds``).
     per_row = codes > (total - 1) * n
     code = ws.take((total, n), np.min_scalar_type(len(act_values) if per_row else codes))
     code[...] = 0
@@ -739,15 +736,13 @@ def _simulate_arrays(
     index_dtype = np.min_scalar_type(num_s * n)
     if per_row:
         acts = [row.take(code[:-1]) for row in act_by_x]
-        nxt = np.empty((total - 1, num_s, n), dtype=index_dtype)
-        count = np.empty(u_move.shape, dtype=index_dtype)
+        nxt = ws.take((total - 1, n, num_s), index_dtype)
         for s in range(num_s):
-            count[...] = 0
+            act, nxt_s = acts[x_of_state[s]], nxt[:, :, s]
             for a in range(model.num_actions):
-                _add_count_at_or_below(count, cum_trans[a, s], u_move, acts[x_of_state[s]] == a)
-            nxt[:, s] = count
-        nxt = np.ascontiguousarray(nxt.transpose(0, 2, 1))
-        del acts, count
+                hit = act == a
+                nxt_s[hit] = cum_trans[a, s].searchsorted(u_move[hit], side="right")
+        del acts, act, nxt_s, hit
     else:
         code *= moves
         _add_count_at_or_below(code[:-1], move_values, u_move)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 
@@ -41,6 +42,17 @@ def _positive(name: str, value):
     tolerance, a time constant); else ConfigurationError naming ``name``."""
     if not (isinstance(value, numbers.Real) and 0.0 < value < np.inf):
         raise ConfigurationError(f"{name} must be finite and > 0, got {value!r}")
+    return value
+
+
+def _finite(name: str, value, minimum: float | None = None):
+    """``value`` unchanged if it is a finite real, at least ``minimum`` if
+    given (a reward law's numbers, a bandwidth exponent); else
+    ConfigurationError naming ``name``. A bool is no number here."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and (minimum is None or value >= minimum)):
+        bound = "" if minimum is None else f" >= {minimum:g}"
+        raise ConfigurationError(f"{name} must be a finite real{bound}, got {value!r}")
     return value
 
 

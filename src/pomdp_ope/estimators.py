@@ -41,7 +41,6 @@ leaving out the windows whose estimates are flagged "non_finite".
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -53,6 +52,7 @@ from .errors import (
     ConfigurationError,
     OverlapViolationError,
     _distinct,
+    _finite,
     _integer,
     _level,
     _positive,
@@ -143,10 +143,8 @@ class BandwidthRule:
             raise ConfigurationError(f"unknown bandwidth rule kind {self.kind!r}")
         if self.kind == "fixed":
             _positive("fixed bandwidth", self.value)
-        elif not (isinstance(self.value, numbers.Real) and math.isfinite(self.value)):
-            raise ConfigurationError(
-                f"bandwidth exponent must be a finite real, got {self.value!r}"
-            )
+        else:
+            _finite("bandwidth exponent", self.value)
 
     def bandwidth(self, T: int) -> float:
         if self.kind == "power":

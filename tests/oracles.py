@@ -197,15 +197,18 @@ def lepski_scan_reference(candidates, intervals, skip) -> int:
     return kept[0][0]
 
 
-def simulate_reference(model, behavior, T: int, burn_in: int, seeds) -> list[tuple]:
+def simulate_reference(
+    model, behavior, T: int, burn_in: int, seeds, make_rng=np.random.default_rng
+) -> list[tuple]:
     """(x, h, w, y) arrays per seed, one step at a time for one seed at a time.
 
-    Each seed's stream is consumed in a fixed order: the initial state, then
-    an (action, transition) uniform pair per step, then a reward normal per
-    step. At each step the action is the number of cumulative behavior
-    probabilities at or below the first uniform, the reward is mean + sd * z
-    for the (state, action) pair, and the next state is the number of
-    cumulative transition probabilities at or below the second uniform.
+    Each seed's stream comes from ``make_rng(seed)`` and is consumed in a
+    fixed order: the initial state, then an (action, transition) uniform
+    pair per step, then a reward normal per step. At each step the action
+    is the number of cumulative behavior probabilities at or below the
+    first uniform, the reward is mean + sd * z for the (state, action) pair,
+    and the next state is the number of cumulative transition probabilities
+    at or below the second uniform.
     """
     cum_pol = [np.cumsum(row).tolist() for row in behavior.probs]
     cum_trans = [[np.cumsum(row).tolist() for row in per_action] for per_action in model.transition]
@@ -213,7 +216,7 @@ def simulate_reference(model, behavior, T: int, burn_in: int, seeds) -> list[tup
     sd = model.reward_sd.tolist()
     out = []
     for seed in seeds:
-        rng = np.random.default_rng(seed)
+        rng = make_rng(seed)
         state = int(rng.integers(0, model.num_x * model.num_h))
         uu = rng.random((T + burn_in, 2)).tolist()
         zz = rng.standard_normal(T + burn_in).tolist()

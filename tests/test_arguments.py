@@ -3,8 +3,8 @@ refuses a bad count, positive real, interval level or window with a
 ConfigurationError that names the argument and reports the value it got.
 
 Each rule has one owner: counts ``errors._integer``, positive reals
-``errors._positive``, interval levels ``errors._level`` and windows
-``estimators._windows``.
+``errors._positive``, finite reals ``errors._finite``, interval levels
+``errors._level`` and windows ``estimators._windows``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from pomdp_ope import (
     BandwidthRule,
     ConfigurationError,
     EstimatorConfig,
+    Gaussian,
+    PointMass,
     SweepSpec,
     corollary_window,
     estimate_with_ci,
@@ -147,9 +149,16 @@ def test_bad_positive_real_is_named(call, name, value):
     _assert_refused(call, name, value)
 
 
-# Finite reals: a power bandwidth's exponent, checked when the rule is built.
+# Finite reals: a power bandwidth's exponent and a reward law's numbers,
+# checked when the rule or law is built; an sd is also >= 0 (a negative one,
+# -inf among them, is test_core's case). A bool is no number, as in a model
+# file.
+NOT_FINITE = (NAN, INF, "3", True)
 FINITE = [
-    ("BandwidthRule-power", "bandwidth exponent", lambda v: BandwidthRule("power", v), (NAN, INF, "3")),
+    ("BandwidthRule-power", "bandwidth exponent", lambda v: BandwidthRule("power", v), NOT_FINITE),
+    ("Gaussian mean", "reward mean", lambda v: Gaussian(v, 1.0), NOT_FINITE + (-INF,)),
+    ("Gaussian sd", "reward sd", lambda v: Gaussian(0.0, v), NOT_FINITE),
+    ("PointMass", "reward value", lambda v: PointMass(v), NOT_FINITE + (-INF,)),
 ]
 
 
@@ -277,8 +286,8 @@ def _cli(capsys, *argv):
         ("estimate", "--env", "toy", "--T", "100", "--k", "1", "--bandwidth-exp", "nan"),
         ("estimate", "--env", "toy", "--T", "100000", "--k", "1", "--bandwidth-exp", "1000"),
         ("sweep", "--env", "toy", "--k-set=0", "--T-set=50", "--replications", "2", "--bandwidth-exp", "inf"),
-        ("instance", "--hard", f"Q=2.5,{HARD}", "--check"),
-        ("instance", "--hard", f"Q=nan,{HARD}", "--check"),
+        ("instance", "--env", f"hard:Q=2.5,{HARD}", "--check"),
+        ("instance", "--env", f"hard:Q=nan,{HARD}", "--check"),
     ],
     ids=[
         "estimate-nan-bandwidth",

@@ -94,11 +94,11 @@ def test_simulate_glucose_csv(tmp_path, capsys):
             "689e7d5d14113ba8765d0031bdf0221b6391238e3a164b5f063f0847a90dfc04",
         ),
         (
-            ("instance", "--env", "glucose", "--seed", "3"),
+            ("simulate", "--env", "glucose", "--T", "1000", "--seed", "3"),
             "32db582c94b3b0e9fbe9cbdeb61e8c6443f0e902c10d70843c365a3aa084bb95",
         ),
     ],
-    ids=["simulate-toy", "simulate-hard", "simulate-glucose", "instance-glucose"],
+    ids=["simulate-toy", "simulate-hard", "simulate-glucose", "simulate-glucose-1000"],
 )
 def test_trajectory_csv_bytes_are_pinned(capsys, argv, digest):
     # SHA-256 of each environment's trajectory CSV: any change to the
@@ -220,7 +220,7 @@ def test_instance_emits_model_round_trip(tmp_path, capsys):
 def test_instance_hard_check_passes(capsys):
     code, out, _ = run_cli(
         capsys,
-        "instance", "--hard", "Q=3,t0=1,zeta=0.69,M1=1,M2=2,Delta=0.5", "--check",
+        "instance", "--env", "hard:Q=3,t0=1,zeta=0.69,M1=1,M2=2,Delta=0.5", "--check",
     )
     assert code == 0
     lines = out.strip().split("\n")
@@ -231,7 +231,7 @@ def test_instance_hard_check_passes(capsys):
 
 def test_instance_hard_emits_pair(capsys):
     code, out, _ = run_cli(
-        capsys, "instance", "--hard", "Q=2,t0=1,zeta=0.5,M1=1,M2=2,Delta=0.25"
+        capsys, "instance", "--env", "hard:Q=2,t0=1,zeta=0.5,M1=1,M2=2,Delta=0.25"
     )
     assert code == 0
     doc = json.loads(out)
@@ -255,18 +255,6 @@ def test_lepski_glucose(capsys):
     )
     assert code == 0
     assert len(json.loads(out)["reports"]) == 7
-
-
-def test_instance_glucose_emits_trajectory_csv(tmp_path, capsys):
-    out_path = tmp_path / "gl.csv"
-    code, _, _ = run_cli(
-        capsys, "instance", "--env", "glucose", "--T", "20", "--seed", "8",
-        "--out", str(out_path),
-    )
-    assert code == 0
-    lines = out_path.read_text().strip().split("\n")
-    assert lines[0] == "t,gl,ex,di,in,y,behavior_prob,target_action"
-    assert len(lines) == 21
 
 
 def test_mixing_failure_exits_4(tmp_path, capsys):
@@ -394,14 +382,11 @@ def test_oracle_refuses_options_that_do_not_apply(capsys, env, option):
 @pytest.mark.parametrize(
     "argv, named",
     [
-        (("--env", "toy", "--seed", "5", "--T", "3", "--burn-in", "2"), "--seed, --T, --burn-in"),
+        (("--env", "toy", "--seed", "5", "--burn-in", "2"), "--seed, --burn-in"),
         (("--env", "hard:Q=3,t0=1,zeta=0.69,M1=1,M2=2", "--seed", "5"), "--seed"),
-        (("--hard", "Q=3,t0=1,zeta=0.69,M1=1,M2=2", "--env", "glucose"), "--env"),
-        (("--hard", "Q=3,t0=1,zeta=0.69,M1=1,M2=2", "--T", "3"), "--T"),
         (("--env", "toy", "--check"), "--check"),
-        (("--env", "glucose", "--check", "--T", "3"), "--check"),
     ],
-    ids=["toy-trajectory-options", "hard-env-seed", "hard-with-env", "hard-T", "toy-check", "glucose-check"],
+    ids=["toy-trajectory-options", "hard-env-seed", "toy-check"],
 )
 def test_instance_refuses_options_that_do_not_apply(capsys, argv, named):
     code, out, err = run_cli(capsys, "instance", *argv)
@@ -410,13 +395,44 @@ def test_instance_refuses_options_that_do_not_apply(capsys, argv, named):
     assert f"error: {named} not allowed with" in err
 
 
+def test_instance_glucose_emits_trajectory_csv(tmp_path, capsys):
+    # glucose has no model document: instance exits 2 and names
+    # simulate --env glucose, which writes the trajectory CSV.
+    code, out, err = run_cli(capsys, "instance", "--env", "glucose", "--seed", "8")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "simulate --env glucose" in err
+    out_path = tmp_path / "gl.csv"
+    code, _, _ = run_cli(
+        capsys, "simulate", "--env", "glucose", "--T", "20", "--seed", "8",
+        "--out", str(out_path),
+    )
+    assert code == 0
+    lines = out_path.read_text().strip().split("\n")
+    assert lines[0] == "t,gl,ex,di,in,y,behavior_prob,target_action"
+    assert len(lines) == 21
+
+
 def test_instance_glucose_defaults_to_seed_0_and_1000_hours(capsys):
-    code, out, _ = run_cli(capsys, "instance", "--env", "glucose")
+    # The trajectory instance --env glucose printed by default (seed 0,
+    # 1000 hours) is simulate --env glucose --T 1000, whose seed defaults to 0.
+    code, out, err = run_cli(capsys, "instance", "--env", "glucose")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "simulate --env glucose" in err
+    code, out, _ = run_cli(capsys, "simulate", "--env", "glucose", "--T", "1000")
     assert code == 0
     code, want, _ = run_cli(capsys, "simulate", "--env", "glucose", "--T", "1000", "--seed", "0")
     assert code == 0
     assert out == want
     assert len(out.strip().split("\n")) == 1001
+
+
+@pytest.mark.parametrize("option", [("--hard", "Q=3,t0=1,zeta=0.69,M1=1,M2=2"), ("--T", "3")])
+def test_instance_has_no_hard_or_T_option(capsys, option):
+    # A hard instance is --env hard:.., and a trajectory is simulate's.
+    with pytest.raises(SystemExit) as exc:
+        main(["instance", "--env", "toy", *option])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -539,7 +555,7 @@ def test_malformed_input_file_exits_2_naming_it(tmp_path, capsys, model, policy,
 
 
 def test_bad_hard_spec_exits_2(capsys):
-    code, _, err = run_cli(capsys, "instance", "--hard", "Q=3,bogus=1", "--check")
+    code, _, err = run_cli(capsys, "instance", "--env", "hard:Q=3,bogus=1", "--check")
     assert code == 2
     assert "bogus" in err
 
@@ -582,7 +598,7 @@ COMMAND_LINES = {
     "estimate": ["estimate", "--env", "toy", "--T", "100", "--k", "1", "--alpha", "0.1"],
     "lepski": ["lepski", "--env", "toy", "--T", "60", "--burn-in", "5"],
     "sweep": ["sweep", "--env", "toy", "--k-set=-1,0", "--T-set=60,120", "--replications", "3", "--out", "s.csv"],
-    "instance": ["instance", "--hard", "Q=3,t0=1,zeta=0.69,M1=1,M2=2", "--check"],
+    "instance": ["instance", "--env", "hard:Q=3,t0=1,zeta=0.69,M1=1,M2=2", "--check"],
     "oracle": ["oracle", "--env", "toy", "--policy", "behavior", "--T", "500"],
 }
 

@@ -86,12 +86,14 @@ def test_model_rejects_non_finite_transition():
 
 
 def test_model_rejects_non_finite_reward_law():
+    # The law refuses a non-finite number, by field, when it is built, so
+    # no model holds one.
     trans = np.stack([CONTROL_KERNEL, TREAT_KERNEL])
-    cases = ((Gaussian(np.inf, 1.0), "reward mean"), (Gaussian(0.0, np.nan), "reward sd"))
-    for bad, field in cases:
+    cases = ((np.inf, 1.0, "reward mean"), (0.0, np.nan, "reward sd"))
+    for mean, sd, field in cases:
         reward = [[PointMass(0.0)] * 2 for _ in range(4)]
-        reward[3][1] = bad
-        with pytest.raises(ConfigurationError, match=rf"{field} .*index \(3, 1\)"):
+        with pytest.raises(ConfigurationError, match=rf"^{field} must be a finite real"):
+            reward[3][1] = Gaussian(mean, sd)
             PomdpModel(num_x=2, num_h=2, num_actions=2, transition=trans, reward=reward)
 
 

@@ -860,8 +860,7 @@ def test_cli_runs_with_scipy_import_blocked():
         ["sweep", "--env", "toy", "--k-set=-1,0,1", "--T-set=60", "--replications", "3"],
         ["sweep", "--env", "glucose", "--k-set=-1,0", "--T-set=30", "--replications", "2"],
         ["instance", "--env", "toy"],
-        ["instance", "--env", "glucose", "--T", "30"],
-        ["instance", "--hard", "Q=3,t0=1,zeta=0.69,M1=1,M2=2", "--check"],
+        ["instance", "--env", "hard:Q=3,t0=1,zeta=0.69,M1=1,M2=2", "--check"],
         ["oracle", "--env", "toy"],
         ["oracle", "--env", "glucose", "--oracle-runs", "3", "--oracle-hours", "20"],
     ]

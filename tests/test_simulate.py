@@ -37,9 +37,9 @@ def _batch_columns(model, behavior, T, burn_in, seeds):
     return x, h, w, y
 
 
-def _assert_matches_reference(model, behavior, T, burn_in, seeds):
+def _assert_matches_reference(model, behavior, T, burn_in, seeds, make_rng=np.random.default_rng):
     batch = _batch_columns(model, behavior, T, burn_in, seeds)
-    expected = simulate_reference(model, behavior, T, burn_in, seeds)
+    expected = simulate_reference(model, behavior, T, burn_in, seeds, make_rng)
     assert all(len(column) == len(expected) for column in batch)
     for r, columns in enumerate(expected):
         for got, want in zip((column[r] for column in batch), columns):
@@ -221,9 +221,8 @@ def test_rounding_shortfall_goes_to_last_positive_entry():
     cum = core._thresholds(probs)
     np.testing.assert_array_equal(cum, [[0.5, 1.0, 1.0], [0.0, 0.0, 1.0]])
     u = np.array([0.2, 0.5, 1.0 - 1e-14])
-    count = np.zeros(3, dtype=np.uint8)
-    core._add_count_at_or_below(count, cum[0], u)
-    np.testing.assert_array_equal(count, [0, 1, 1])
+    # The per-row rule of dense models: one sorted search of the row.
+    np.testing.assert_array_equal(cum[0].searchsorted(u, side="right"), [0, 1, 1])
     # The same counts read from the bucket table of the step codes.
     values = np.unique(cum[cum < 1.0])
     buckets = np.searchsorted(values, u, side="right")
@@ -232,23 +231,21 @@ def test_rounding_shortfall_goes_to_last_positive_entry():
     np.testing.assert_array_equal(table[1, buckets], [2, 2, 2])
 
 
-def _record_paths(monkeypatch) -> dict:
+def _record_paths(monkeypatch, model) -> dict:
     """Spy on ``_simulate_arrays``'s two regimes: the shapes whose bucket
-    tables are built (a transition tensor's only for the (code, state)
-    tables) and whether any row is counted per state (a ``where`` mask)."""
-    seen = {"tables": [], "per_row": False}
-    bucket_counts, add_count = core._bucket_counts, core._add_count_at_or_below
+    tables are built, and whether every row was counted per state. Only
+    the (code, state) tables of step codes need a bucket table of the
+    transition tensor's shape, so the per-row regime is a run that builds
+    none."""
+    seen = {"tables": [], "per_row": True}
+    bucket_counts = core._bucket_counts
 
     def tables(cum, values):
         seen["tables"].append(cum.shape)
+        seen["per_row"] &= cum.shape != model.transition.shape
         return bucket_counts(cum, values)
 
-    def count(out, thresholds, u, where=None):
-        seen["per_row"] |= where is not None
-        add_count(out, thresholds, u, where)
-
     monkeypatch.setattr(core, "_bucket_counts", tables)
-    monkeypatch.setattr(core, "_add_count_at_or_below", count)
     return seen
 
 
@@ -280,7 +277,7 @@ def test_step_codes_match_reference(case, monkeypatch):
         # Two thresholds one ulp apart are two move buckets.
         cum = core._thresholds(model.transition)
         assert 0.3 in cum and 0.30000000000000004 in cum
-    seen = _record_paths(monkeypatch)
+    seen = _record_paths(monkeypatch, model)
     _assert_matches_reference(model, behavior, 150, 40, [3, 1, 4, 1, 5, 9])
     assert not seen["per_row"]
     assert seen["tables"][-1] == model.transition.shape
@@ -288,14 +285,22 @@ def test_step_codes_match_reference(case, monkeypatch):
 
 def test_per_row_counting_matches_reference(monkeypatch):
     # S = 30 dense rows have more step codes than one seed's 149 next-state
-    # rows, so each state counts its own rows.
+    # rows, so each state counts its own rows. So do 24 sparse states at
+    # T = 30 and two seeds: their rows hold zero entries (repeated
+    # thresholds), and some fall short of 1.0 by rounding.
     rng = np.random.default_rng(30)
-    model = random_model(rng, num_x=10, num_h=3, num_actions=3)
-    behavior = interior_policy(rng, num_x=10, num_actions=3)
-    seen = _record_paths(monkeypatch)
-    _assert_matches_reference(model, behavior, 50, 100, [6])
-    assert seen["per_row"]
-    assert model.transition.shape not in seen["tables"]
+    dense = random_model(rng, num_x=10, num_h=3, num_actions=3)
+    dense_behavior = interior_policy(rng, num_x=10, num_actions=3)
+    sparse, sparse_behavior = _sparse_model(np.random.default_rng(3), 6, 4)
+    assert (sparse.transition == 0.0).any()
+    assert (sparse.transition.sum(axis=2) < 1.0).any()
+    runs = ((dense, dense_behavior, 50, 100, [6]), (sparse, sparse_behavior, 30, 5, [3, 103]))
+    for model, behavior, T, burn_in, seeds in runs:
+        seen = _record_paths(monkeypatch, model)
+        _assert_matches_reference(model, behavior, T, burn_in, seeds)
+        assert seen["per_row"]
+        assert model.transition.shape not in seen["tables"]
+        assert seen["tables"] == [behavior.probs.shape]
 
 
 def test_dense_batch_builds_no_code_tables(monkeypatch):
@@ -304,10 +309,61 @@ def test_dense_batch_builds_no_code_tables(monkeypatch):
     rng = np.random.default_rng(0)
     model = random_model(rng, num_x=25, num_h=4, num_actions=4)
     behavior = interior_policy(rng, num_x=25, num_actions=4)
-    seen = _record_paths(monkeypatch)
+    seen = _record_paths(monkeypatch, model)
     core._simulate_arrays(model, behavior, 50, 10, [0, 1])
     assert seen["per_row"]
     assert seen["tables"] == [behavior.probs.shape]
+
+
+class _Eighths:
+    """A seed's generator whose uniforms are rounded down to eighths, so
+    that draws land exactly on thresholds made of eighths."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def integers(self, low, high):
+        return self._rng.integers(low, high)
+
+    def random(self, size=None, out=None):
+        u = self._rng.random(size, out=out)
+        u *= 8.0
+        np.floor(u, out=u)
+        u /= 8.0
+        return u
+
+    def standard_normal(self, size=None, out=None):
+        return self._rng.standard_normal(size, out=out)
+
+
+def _eighths_model():
+    """A model and policy with probabilities in eighths, zero entries among
+    them, and one transition row lifted above 1.0 by rounding before its
+    last positive entry."""
+    rng = np.random.default_rng(8)
+    transition = rng.multinomial(8, np.full(4, 0.25), size=(3, 4)) / 8.0
+    transition[2, 3] = [0.5, 0.5 + 2e-13, 1e-13, 0.0]
+    model = PomdpModel(
+        num_x=2,
+        num_h=2,
+        num_actions=3,
+        transition=transition,
+        reward=tuple((PointMass(float(s)), Gaussian(0.0, 1.0), PointMass(-1.0)) for s in range(4)),
+    )
+    return model, Policy(probs=np.array([[1.0, 3.0, 4.0], [0.0, 2.0, 6.0]]) / 8.0)
+
+
+@pytest.mark.parametrize("T, per_row", [(8, True), (200, False)], ids=["per-row", "step-codes"])
+def test_draws_equal_to_a_threshold_count_it(T, per_row, monkeypatch):
+    # A draw equal to a threshold counts that threshold, as in the reference
+    # loop: every draw is a multiple of 1/8, as is every threshold below 1.0.
+    model, behavior = _eighths_model()
+    assert (core._thresholds(model.transition) > 1.0).any()
+    assert (model.transition == 0.0).any() and (behavior.probs == 0.0).any()
+    monkeypatch.setattr(core, "_make_rngs", lambda seeds: map(_Eighths, seeds))
+    seen = _record_paths(monkeypatch, model)
+    _assert_matches_reference(model, behavior, T, 2, [0, 1, 2, 3], _Eighths)
+    assert seen["per_row"] is per_row
 
 
 def _sparse_environment(seed: int) -> FiniteEnvironment:
