@@ -279,9 +279,9 @@ def _float_array(name: str, values) -> np.ndarray:
     they are not a rectangular array of numbers."""
     try:
         arr = np.asarray(values)
-        # Text would convert where it spells a number; a document's array
-        # holds numbers.
-        if arr.dtype.kind not in "US":
+        # Text would convert where it spells a number, and bools to 0 and 1;
+        # a document's array holds numbers.
+        if arr.dtype.kind not in "USb":
             return arr.astype(float, copy=False)
     except (TypeError, ValueError):
         pass
@@ -291,7 +291,16 @@ def _float_array(name: str, values) -> np.ndarray:
 def _check_finite(name: str, values) -> None:
     """Raise ConfigurationError naming the first non-finite entry of values."""
     arr = np.asarray(values, dtype=float)
-    _raise_at_first(name, arr, ~np.isfinite(arr), "finite")
+    _raise_at_first(name, arr, np.isnan(arr) | np.isinf(arr), "finite")
+
+
+def _probability_rows(name: str, arr: np.ndarray, tol: float = ROW_SUM_TOL) -> None:
+    """ConfigurationError naming the first non-finite or negative entry of
+    arr, else the first row (last axis) whose sum is off 1 by more than tol."""
+    _check_finite(name, arr)
+    _raise_at_first(name, arr, arr < 0, ">= 0")
+    sums = arr.sum(axis=-1)
+    _raise_at_first(f"{name} row sum", sums, np.abs(sums - 1.0) > tol, f"1 within {tol:g}")
 
 
 @dataclass(frozen=True)
@@ -351,19 +360,11 @@ class PomdpModel:
             object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
         s = self.num_states
         trans = _float_array("transition", self.transition)
-        _check_finite("transition", trans)
         if trans.shape != (self.num_actions, s, s):
             raise ConfigurationError(
                 f"transition shape {trans.shape} != {(self.num_actions, s, s)}"
             )
-        if (trans < 0).any():
-            raise ConfigurationError("transition entries must be >= 0")
-        rowsum = trans.sum(axis=2)
-        if np.abs(rowsum - 1.0).max() > ROW_SUM_TOL:
-            worst = float(np.abs(rowsum - 1.0).max())
-            raise ConfigurationError(
-                f"transition rows must sum to 1 within {ROW_SUM_TOL}, worst deviation {worst:.3e}"
-            )
+        _probability_rows("transition", trans)
         reward = tuple(tuple(row) for row in self.reward)
         if len(reward) != s or any(len(row) != self.num_actions for row in reward):
             raise ConfigurationError(
@@ -402,11 +403,7 @@ class Policy:
         p = _float_array("policy probs", self.probs)
         if p.ndim != 2:
             raise ConfigurationError(f"policy probs must be 2-D, got shape {p.shape}")
-        _check_finite("policy probs", p)
-        if (p < 0).any() or (p > 1 + ROW_SUM_TOL).any():
-            raise ConfigurationError("policy probabilities must lie in [0, 1]")
-        if np.abs(p.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
-            raise ConfigurationError(f"policy rows must sum to 1 within {ROW_SUM_TOL}")
+        _probability_rows("policy probs", p)
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
@@ -490,8 +487,8 @@ def policy_transition_matrix(model: PomdpModel, policy: Policy) -> np.ndarray:
 def stationary_distribution(
     kernel: np.ndarray, tol: float = 1e-12, max_iter: int = 10**6
 ) -> np.ndarray:
-    """Stationary distribution of a row-stochastic kernel by power iteration
-    from the uniform distribution.
+    """Stationary distribution of a kernel whose rows are probability
+    vectors (within 1e-9) by power iteration from the uniform distribution.
 
     Returns d with ||d @ kernel - d||_1 <= tol. Raises MixingFailureError
     (carrying the last iterate and residual) if max_iter is exhausted. An
@@ -505,8 +502,7 @@ def stationary_distribution(
         raise ConfigurationError(f"kernel must be square, got shape {M.shape}")
     _positive("tol", tol)
     _integer("max_iter", max_iter, 1)
-    if (M < 0).any() or np.abs(M.sum(axis=1) - 1.0).max() > 1e-9:
-        raise ConfigurationError("kernel must be row-stochastic")
+    _probability_rows("kernel", M, 1e-9)
     d = np.full(M.shape[0], 1.0 / M.shape[0])
     residual = np.inf
     saved, saved_at = d.tobytes(), 0

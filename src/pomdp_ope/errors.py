@@ -14,10 +14,17 @@ class ConfigurationError(ValueError):
     that do not sum to one, out-of-range parameters, unknown environments)."""
 
 
+def _real(value) -> bool:
+    """Whether ``value`` is a real number; a bool is none."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _integer(name: str, value, minimum: int | None = None) -> int:
-    """``value`` as a Python int, at least ``minimum`` if given; else
-    ConfigurationError naming ``name`` and the value."""
+    """``value`` as a Python int (not a bool), at least ``minimum`` if
+    given; else ConfigurationError naming ``name`` and the value."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         count = operator.index(value)
     except TypeError:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
@@ -40,7 +47,7 @@ def _distinct(name: str, values) -> None:
 def _positive(name: str, value):
     """``value`` unchanged if it is a finite real > 0 (a bandwidth, a
     tolerance, a time constant); else ConfigurationError naming ``name``."""
-    if not (isinstance(value, numbers.Real) and 0.0 < value < np.inf):
+    if not (_real(value) and 0.0 < value < np.inf):
         raise ConfigurationError(f"{name} must be finite and > 0, got {value!r}")
     return value
 
@@ -48,9 +55,8 @@ def _positive(name: str, value):
 def _finite(name: str, value, minimum: float | None = None):
     """``value`` unchanged if it is a finite real, at least ``minimum`` if
     given (a reward law's numbers, a bandwidth exponent); else
-    ConfigurationError naming ``name``. A bool is no number here."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and math.isfinite(value) and (minimum is None or value >= minimum)):
+    ConfigurationError naming ``name``."""
+    if not (_real(value) and math.isfinite(value) and (minimum is None or value >= minimum)):
         bound = "" if minimum is None else f" >= {minimum:g}"
         raise ConfigurationError(f"{name} must be a finite real{bound}, got {value!r}")
     return value
@@ -59,7 +65,7 @@ def _finite(name: str, value, minimum: float | None = None):
 def _level(name: str, value):
     """``value`` unchanged if it is a real in (0, 1) (an interval's alpha);
     else ConfigurationError naming ``name``."""
-    if not (isinstance(value, numbers.Real) and 0.0 < value < 1.0):
+    if not (_real(value) and 0.0 < value < 1.0):
         raise ConfigurationError(f"{name} must lie in (0, 1), got {value!r}")
     return value
 

@@ -580,7 +580,8 @@ def lepski_select(
 def corollary_window(n: int, T: int, t0: float, zeta: float, C0: float = 1.0) -> int:
     """Theoretically calibrated window length
     round(t0 / (t0 zeta + 2) * ln(C0 n T)), clamped to [0, T-2]. T must be
-    at least 2, the shortest horizon that takes a window.
+    at least 2, the shortest horizon that takes a window, and zeta a finite
+    real >= 0: an infinite overlap constant calibrates no window.
 
     Nondecreasing in n*T for fixed (t0, zeta, C0).
     """
@@ -588,7 +589,6 @@ def corollary_window(n: int, T: int, t0: float, zeta: float, C0: float = 1.0) ->
     _positive("C0", C0)
     _integer("n", n, 1)
     _integer("T", T, 2)
-    if not zeta >= 0:
-        raise ConfigurationError("zeta must be >= 0")
+    _finite("zeta", zeta, 0)
     k = int(np.round(t0 / (t0 * zeta + 2.0) * math.log(C0 * n * T)))
     return max(0, min(k, T - 2))

@@ -288,21 +288,24 @@ class SweepResult:
 
 
 def _evaluate_windows(
-    env, spec: SweepSpec, ks: Sequence[int], workers: int, chunk_size: int | None
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Every window in ks on every replication of every horizon, each
-    replication an estimate of one unit.
+    spec: SweepSpec, ks: Sequence[int], workers: int | None, chunk_size: int | None
+) -> tuple[float, dict, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """The environment's oracle value and provenance, and every window in
+    ks on every replication of every horizon, each replication one unit:
+    per horizon, the (R, K, 4) array of (value, variance, ci_lo, ci_hi) and
+    the (R, K) masks of clamped variances and of non-finite estimates.
 
-    Returns, per horizon, the (R, K, 4) array of (value, variance, ci_lo,
-    ci_hi) and the (R, K) masks of clamped variances and of non-finite
-    estimates. One job per (horizon, chunk of replications) simulates its
-    chunk, estimates it and writes only its own rows; ``core._run_jobs``
-    runs the jobs on ``workers`` threads, at most as many as ``CHUNK_STEPS``
-    holds of the largest job or of the environment's budget, whichever is
-    larger, and the first job to fail in job order raises its error. Each
-    runner thread makes a ``core._Workspace`` at its first job and reuses
-    it for every later one; nothing the call returns lives in one.
+    One job per (horizon, chunk of replications) simulates its chunk,
+    estimates it and writes only its own rows; ``core._run_jobs`` runs the
+    jobs on ``workers`` threads, at most as many as ``CHUNK_STEPS`` holds of
+    the largest job or of the environment's budget, whichever is larger,
+    and the first job to fail in job order raises its error. Each runner
+    thread makes a ``core._Workspace`` at its first job and reuses it for
+    every later one; nothing the call returns lives in one.
     """
+    workers = _worker_count(workers)
+    env = make_environment(spec.environment)
+    oracle, provenance = env.oracle()
     R = spec.replications
     outs = [np.empty((R, len(ks), 4)) for _ in spec.T_values]
     flags = [np.empty((R, len(ks), 2), dtype=bool) for _ in spec.T_values]
@@ -332,7 +335,7 @@ def _evaluate_windows(
     # budget is CHUNK_STEPS, always runs alone.
     largest = max((rows.stop - rows.start) * (T + spec.burn_in) for _, T, _, _, rows in jobs)
     _run_jobs(run, jobs, min(workers, max(1, CHUNK_STEPS // max(env.chunk_steps, largest))))
-    return [(out, flag[..., 0], flag[..., 1]) for out, flag in zip(outs, flags)]
+    return oracle, provenance, [(out, f[..., 0], f[..., 1]) for out, f in zip(outs, flags)]
 
 
 def run_sweep(
@@ -353,16 +356,12 @@ def run_sweep(
     ``CHUNK_STEPS`` simulated steps, so glucose chunks always run one at a
     time; each glucose chunk's seed draws use the default thread count.
     """
-    workers = _worker_count(workers)
-    env = make_environment(spec.environment)
-    oracle, provenance = env.oracle()
-    ks = spec.k_values
     cells: list[SweepCell] = []
-    results = _evaluate_windows(env, spec, ks, workers, chunk_size)
+    oracle, provenance, results = _evaluate_windows(spec, spec.k_values, workers, chunk_size)
     for T, (out, clamped, _) in zip(spec.T_values, results):
         est = out[:, :, 0]
         cover = (out[:, :, 2] <= oracle) & (oracle <= out[:, :, 3])
-        for ki, k in enumerate(ks):
+        for ki, k in enumerate(spec.k_values):
             col = est[:, ki]
             mean_est = float(col.mean())
             bias = mean_est - oracle
@@ -434,11 +433,8 @@ def run_lepski_study(
     candidates = tuple(
         _windows("candidates entry", candidates, min(spec.T_values), ascending=True)
     )
-    workers = _worker_count(workers)
-    env = make_environment(spec.environment)
-    oracle, provenance = env.oracle()
     rows: list[LepskiRow] = []
-    results = _evaluate_windows(env, spec, candidates, workers, chunk_size)
+    oracle, provenance, results = _evaluate_windows(spec, candidates, workers, chunk_size)
     for T, (out, clamped, non_finite) in zip(spec.T_values, results):
         est = out[:, :, 0]
         sel = select_window_from_intervals(out[:, :, 2], out[:, :, 3], non_finite)

@@ -30,7 +30,7 @@ from ..core import (
     Policy,
     mixing_overlap_report,
 )
-from ..errors import ConfigurationError, _integer, _positive
+from ..errors import ConfigurationError, _finite, _integer, _level, _positive
 
 CONTROL, TREAT = 0, 1
 
@@ -57,12 +57,10 @@ class HardInstanceParams:
 
     def __post_init__(self):
         _integer("Q", self.Q, 1)
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigurationError("delta must lie in (0, 1)")
+        _level("delta", self.delta)
         _positive("zeta", self.zeta)
         for name in ("M1", "M2", "Delta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
+            _finite(name, getattr(self, name))
         if self.M2 <= self.M1**2:
             raise ConfigurationError("need M2 > M1^2 (positive reward variance)")
         if not 0.0 <= self.Delta <= self.M1 / 2.0 + 1e-12:
@@ -143,6 +141,7 @@ def theorem2_design(
     _integer("T", T, 1)
     for name, value in (("t0", t0), ("zeta", zeta), ("M1", M1)):
         _positive(name, value)
+    _finite("M2", M2)
     if M2 <= M1**2:
         raise ConfigurationError("need M2 > M1^2")
     clamped = False
@@ -234,12 +233,8 @@ def check_conditions(params: HardInstanceParams, tol: float = 1e-9) -> Condition
     t0 = params.mixing_time
     report = mixing_overlap_report(hi, target, behavior)
     means = np.concatenate([hi.reward_mean.ravel(), lo.reward_mean.ravel()])
-    second = np.concatenate(
-        [
-            (hi.reward_sd**2 + hi.reward_mean**2).ravel(),
-            (lo.reward_sd**2 + lo.reward_mean**2).ravel(),
-        ]
-    )
+    sds = np.concatenate([hi.reward_sd.ravel(), lo.reward_sd.ravel()])
+    second = sds**2 + means**2
     contraction_bound = math.exp(-1.0 / t0)
     return ConditionReport(
         overlap_ok=bool(report.overlap_zeta <= params.zeta + tol),

@@ -16,7 +16,7 @@ from typing import IO, Any, Union
 import numpy as np
 
 from .core import Gaussian, PointMass, PomdpModel, Policy, RewardSpec
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _real
 
 PathLike = Union[str, Path]
 
@@ -37,18 +37,22 @@ def _object(kind: str, doc) -> dict:
 def _number(d: dict, key: str) -> float:
     """Field ``key`` of a reward entry as a float, if it is a JSON number."""
     value = d[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _real(value):
         raise ConfigurationError(f"reward {key} must be a number, got {value!r}")
     return float(value)
 
 
-def _reward_from_dict(d: dict) -> RewardSpec:
-    kind = _object("reward entry", d).get("kind")
-    if kind == "gaussian":
-        return Gaussian(mean=_number(d, "mean"), sd=_number(d, "sd"))
-    if kind == "pointmass":
-        return PointMass(value=_number(d, "mean"))
-    raise ConfigurationError(f"unknown reward kind {kind!r}")
+def _reward_from_dict(d: dict, s: int, a: int) -> RewardSpec:
+    """Reward entry (s, a) of a model document; a refusal names the entry."""
+    try:
+        kind = _object("reward entry", d).get("kind")
+        if kind == "gaussian":
+            return Gaussian(mean=_number(d, "mean"), sd=_number(d, "sd"))
+        if kind == "pointmass":
+            return PointMass(value=_number(d, "mean"))
+        raise ConfigurationError(f"unknown reward kind {kind!r}")
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"reward entry ({s}, {a}): {exc}") from None
 
 
 def model_to_dict(model: PomdpModel) -> dict:
@@ -74,7 +78,10 @@ def model_from_dict(d: dict) -> PomdpModel:
             num_h=d["num_h"],
             num_actions=d["num_actions"],
             transition=d["transition"],
-            reward=tuple(tuple(_reward_from_dict(spec) for spec in row) for row in reward),
+            reward=[
+                [_reward_from_dict(spec, s, a) for a, spec in enumerate(row)]
+                for s, row in enumerate(reward)
+            ],
         )
     except KeyError as exc:
         raise ConfigurationError(f"model document missing field {exc}") from exc

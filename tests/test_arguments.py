@@ -1,10 +1,13 @@
 """Scalar argument rules, one table per rule: every public entry point
 refuses a bad count, positive real, interval level or window with a
 ConfigurationError that names the argument and reports the value it got.
+No rule takes a bool as a number.
 
 Each rule has one owner: counts ``errors._integer``, positive reals
 ``errors._positive``, finite reals ``errors._finite``, interval levels
-``errors._level`` and windows ``estimators._windows``.
+``errors._level`` and windows ``estimators._windows``. Probability rows
+(transitions, policies, kernels) have ``core._probability_rows``, whose
+cases are in tests/test_core.py and tests/test_cli.py.
 """
 
 from __future__ import annotations
@@ -81,9 +84,9 @@ def _assert_refused(call, name, value):
         call(value)
 
 
-ALL = (1.5, NAN, INF, -1, "3")
+ALL = (1.5, NAN, INF, -1, "3", True)
 # For counts whose negative values their own tests already cover.
-NOT_NEGATIVE = (1.5, NAN, INF, "3")
+NOT_NEGATIVE = (1.5, NAN, INF, "3", True)
 
 # Counts: integers, at least a minimum.
 COUNTS = [
@@ -103,6 +106,7 @@ COUNTS = [
     ("kl_bound", "T", lambda v: kl_bound(_params(), v, 1.0), ALL),
     ("corollary_window", "n", lambda v: corollary_window(v, 10, 1.0, 0.5), ALL),
     ("corollary_window", "T", lambda v: corollary_window(1, v, 1.0, 0.5), ALL + (1,)),
+    ("SweepSpec replications", "replications", lambda v: _spec(replications=v), ALL),
     ("run_sweep", "chunk size", lambda v: run_sweep(_spec(), chunk_size=v), NOT_NEGATIVE),
     ("run_sweep workers", "workers", lambda v: run_sweep(_spec(), workers=v), ("abc", -3, 1.5)),
     ("run_lepski_study workers", "workers", lambda v: run_lepski_study(_spec(), [0, 1], workers=v), (0,)),
@@ -149,16 +153,22 @@ def test_bad_positive_real_is_named(call, name, value):
     _assert_refused(call, name, value)
 
 
-# Finite reals: a power bandwidth's exponent and a reward law's numbers,
-# checked when the rule or law is built; an sd is also >= 0 (a negative one,
-# -inf among them, is test_core's case). A bool is no number, as in a model
-# file.
+# Finite reals: a power bandwidth's exponent, a reward law's numbers, a hard
+# instance's moments and an overlap constant, checked when the rule, law or
+# instance is built; an sd and a zeta are also >= 0 (a negative sd, -inf
+# among them, is test_core's case).
 NOT_FINITE = (NAN, INF, "3", True)
 FINITE = [
     ("BandwidthRule-power", "bandwidth exponent", lambda v: BandwidthRule("power", v), NOT_FINITE),
     ("Gaussian mean", "reward mean", lambda v: Gaussian(v, 1.0), NOT_FINITE + (-INF,)),
     ("Gaussian sd", "reward sd", lambda v: Gaussian(0.0, v), NOT_FINITE),
     ("PointMass", "reward value", lambda v: PointMass(v), NOT_FINITE + (-INF,)),
+    ("HardInstanceParams M1", "M1", lambda v: _params(M1=v), NOT_FINITE),
+    ("HardInstanceParams M2", "M2", lambda v: _params(M2=v), NOT_FINITE),
+    ("HardInstanceParams Delta", "Delta", lambda v: _params(Delta=v), NOT_FINITE),
+    ("theorem2_design M2", "M2", lambda v: theorem2_design(100, 4.0, 1.0, 1.0, v), NOT_FINITE),
+    # An infinite overlap constant calibrates no window.
+    ("corollary_window zeta", "zeta", lambda v: corollary_window(1, 10, 1.0, v), NOT_FINITE + (-1.0,)),
 ]
 
 
@@ -176,13 +186,15 @@ def test_power_bandwidth_out_of_the_float_range_is_named(exponent):
         BandwidthRule("power", exponent).bandwidth(100_000)
 
 
-# Interval levels: alpha, a real strictly between 0 and 1. lepski_select
-# hands its alpha to the estimator core, whose check is the one it meets.
+# Interval levels: alpha and a hard instance's reset probability delta, a
+# real strictly between 0 and 1. lepski_select hands its alpha to the
+# estimator core, whose check is the one it meets.
 LEVEL = ALL + (0.0, 1.0)
 LEVELS = [
     ("EstimatorConfig", "alpha", lambda v: EstimatorConfig(k=1, alpha=v), LEVEL),
     ("SweepSpec", "alpha", lambda v: _spec(alpha=v), LEVEL),
     ("lepski_select", "alpha", lambda v: lepski_select(RHO, Y, [0, 1], alpha=v), LEVEL),
+    ("HardInstanceParams delta", "delta", lambda v: _params(delta=v), LEVEL),
 ]
 
 
@@ -193,7 +205,7 @@ def test_bad_level_is_named(call, name, value):
 
 # Windows: integers >= -1, at least one, none repeated, sorted where a scan
 # runs over them.
-WINDOW = (1.5, NAN, INF, "3", -2)
+WINDOW = (1.5, NAN, INF, "3", -2, True)
 WINDOWS = [
     ("phiw_estimate", "k", lambda v: phiw_estimate(RHO, Y, v), WINDOW),
     ("hac_variance", "k", lambda v: hac_variance(RHO, Y, v, 3.0), WINDOW),
@@ -266,13 +278,6 @@ def test_rate_fit_refuses_a_non_finite_point(index, point):
     points[index] = point
     with pytest.raises(ConfigurationError, match=rf"finite, got (nan|inf) at index \({index}, "):
         fit_rate(points)
-
-
-@pytest.mark.parametrize("field", ["M1", "M2", "Delta"])
-@pytest.mark.parametrize("value", [NAN, INF])
-def test_hard_params_refuse_non_finite_fields(field, value):
-    with pytest.raises(ConfigurationError, match=f"^{field} must be finite, got {value}$"):
-        _params(**{field: value})
 
 
 def _cli(capsys, *argv):

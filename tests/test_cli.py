@@ -498,8 +498,16 @@ def _toy_documents():
     return model_to_dict(model), policy_to_dict(behavior)
 
 
-def _with_first_reward(model, entry):
-    return {**model, "reward": [[entry, *model["reward"][0][1:]], *model["reward"][1:]]}
+def _edited(doc, path, value):
+    """A copy of doc whose entry at path (a sequence of keys and indices)
+    is value."""
+    doc = json.loads(json.dumps(doc))
+    *outer, last = path
+    node = doc
+    for key in outer:
+        node = node[key]
+    node[last] = value
+    return doc
 
 
 # (model document, policy document, text the error names): a document is
@@ -512,22 +520,40 @@ _BAD_INPUT_FILES = {
     "not-text": (b"\xff\xfe", _POLICY, "m.json: not "),
     "fractional-count": ({**_MODEL, "num_x": 1.5}, _POLICY, "num_x must be an integer, got 1.5"),
     "text-count": ({**_MODEL, "num_x": "a"}, _POLICY, "num_x must be an integer, got 'a'"),
+    "bool-count": ({**_MODEL, "num_x": True}, _POLICY, "num_x must be an integer, got True"),
     "ragged-transition": (
         {**_MODEL, "transition": [_MODEL["transition"][0], _MODEL["transition"][1][:-1]]},
         _POLICY,
         "transition must be a rectangular array",
     ),
     "reward-number": ({**_MODEL, "reward": 5}, _POLICY, "model reward must be a list"),
-    "reward-entry-number": (_with_first_reward(_MODEL, 1.0), _POLICY, "reward entry must be a JSON object"),
+    "reward-entry-number": (_edited(_MODEL, ("reward", 0, 0), 1.0), _POLICY, "reward entry must be a JSON object"),
     "reward-sd-text": (
-        _with_first_reward(_MODEL, {"kind": "gaussian", "mean": 0.0, "sd": "x"}),
+        _edited(_MODEL, ("reward", 0, 0), {"kind": "gaussian", "mean": 0.0, "sd": "x"}),
         _POLICY,
         "reward sd must be a number, got 'x'",
+    ),
+    "reward-sd-negative": (
+        _edited(_MODEL, ("reward", 2, 1), {"kind": "gaussian", "mean": 0.0, "sd": -1.0}),
+        _POLICY,
+        "reward entry (2, 1): reward sd must be a finite real >= 0, got -1.0",
+    ),
+    # Row (1, 2) is [0.05, 0.1, 0.15, 0.7]; its first entry becomes 0.15.
+    "transition-row-sum": (
+        _edited(_MODEL, ("transition", 1, 2, 0), 0.15),
+        _POLICY,
+        "transition row sum must be 1 within 1e-12, got 1.1 at index (1, 2)",
     ),
     "model-list": ([_MODEL], _POLICY, "model document must be a JSON object, got list"),
     "policy-list": (_MODEL, [_POLICY], "policy document must be a JSON object, got list"),
     "probs-text": (_MODEL, {"probs": "ab"}, "policy probs must be a rectangular array"),
     "probs-ragged": (_MODEL, {"probs": [[0.5, 0.5], [1.0]]}, "policy probs must be a rectangular array"),
+    "probs-bool": (_MODEL, {"probs": [[True, False], [False, True]]}, "policy probs must be a rectangular array"),
+    "probs-negative": (
+        _MODEL,
+        {"probs": [[1.5, -0.5], [0.5, 0.5]]},
+        "policy probs must be >= 0, got -0.5 at index (0, 1)",
+    ),
 }
 
 

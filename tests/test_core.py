@@ -40,7 +40,7 @@ def test_model_rejects_bad_rows():
     trans = np.stack([CONTROL_KERNEL, TREAT_KERNEL]).copy()
     trans[0, 0, 0] += 1e-6
     reward = tuple(tuple(PointMass(0.0) for _ in range(2)) for _ in range(4))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=r"^transition row sum .* at index \(0, 0\)$"):
         PomdpModel(num_x=2, num_h=2, num_actions=2, transition=trans, reward=reward)
 
 
@@ -49,7 +49,7 @@ def test_model_rejects_negative_entries():
     trans[:, :, 0] = 1.5
     trans[:, :, 1] = -0.5
     reward = tuple(tuple(PointMass(0.0) for _ in range(2)) for _ in range(2))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=r"^transition must be >= 0, got -0.5 at index \(0, 0, 1\)$"):
         PomdpModel(num_x=1, num_h=2, num_actions=2, transition=trans, reward=reward)
 
 
@@ -59,9 +59,9 @@ def test_gaussian_rejects_negative_sd():
 
 
 def test_policy_rejects_bad_rows():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=r"^policy probs row sum .*, got 1.2 at index 0$"):
         Policy(probs=np.array([[0.6, 0.6]]))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=r"^policy probs must be >= 0, got -0.2 at index \(0, 1\)$"):
         Policy(probs=np.array([[1.2, -0.2]]))
 
 
@@ -185,8 +185,15 @@ def test_stationary_is_fixed_point_on_random_kernels():
 
 
 def test_stationary_rejects_non_stochastic():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=r"^kernel row sum .*, got 1.4 at index 0$"):
         stationary_distribution(np.array([[0.7, 0.7], [0.5, 0.5]]))
+
+
+def test_stationary_rejects_non_finite_kernel():
+    # A NaN row sum compares false against the tolerance, so this kernel
+    # once ran the whole iteration budget and failed to mix.
+    with pytest.raises(ConfigurationError, match=r"^kernel must be finite, got nan at index \(0, 0\)$"):
+        stationary_distribution(np.array([[np.nan, 1.0], [0.5, 0.5]]))
 
 
 def test_stationary_mixing_failure_carries_iterate():
