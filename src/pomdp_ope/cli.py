@@ -5,10 +5,11 @@ and serializes the result. Only the subcommand being run gets its arguments
 added to the parser; ``pomdp-ope`` alone, ``--help`` and an unknown command
 build every subcommand's, so their help and usage errors are unchanged. ``_load_environment`` is the only code that
 decides which kind of environment ``--env`` or the
-``--model/--behavior/--target`` files name (the two sources are exclusive);
-each subcommand then asks the loaded environment for its default burn-in,
-its trajectory CSV and its rewards and ratios, and refuses, naming it, an
-option that does not apply to that kind. Exit codes: 0 success, 2
+``--model/--behavior/--target`` files name (the two sources are exclusive),
+and builds the run's one environment; each subcommand then asks it for its
+burn-in, trajectory CSV, rewards and ratios, model or hard-pair parameters
+(``sweep`` hands it to its ``SweepSpec``, so model files sweep too), and
+refuses, naming it, an option that does not apply to that kind. Exit codes: 0 success, 2
 configuration error (including a model or policy file that cannot be read
 or is malformed, named, and malformed JSON, reported with line and
 column), 3 overlap violation, 4 mixing failure.
@@ -36,15 +37,15 @@ from .estimators import (
 from .harness import (
     FiniteEnvironment,
     GlucoseEnvironment,
+    HardEnvironment,
     SweepSpec,
-    hard_params,
     make_environment,
     run_sweep,
     sweep_result_to_csv,
     sweep_result_to_json,
 )
 from .instances.glucose import target_value_oracle
-from .instances.hard import check_conditions, hard_instance_pair
+from .instances.hard import check_conditions
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -203,20 +204,17 @@ def _cmd_lepski(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if not args.env:
-        raise ConfigurationError("sweep requires --env")
     if args.out and Path(args.out).suffix.lower() == ".json":
         raise ConfigurationError(
             f"--out {args.out} would be overwritten by the sweep's JSON companion, "
             "which takes its name with a .json suffix; give the CSV another suffix"
         )
-    env = _load_environment(args)
     spec = SweepSpec(
-        environment=args.env,
+        environment=_load_environment(args),
         k_values=tuple(args.k_set),
         T_values=tuple(args.T_set),
         replications=args.replications,
-        burn_in=_burn_in(args, env),
+        burn_in=args.burn_in,
         master_seed=args.seed,
         bandwidth=BandwidthRule("power", args.bandwidth_exp),
         alpha=args.alpha,
@@ -241,27 +239,18 @@ def _cmd_instance(args) -> int:
         )
     # A finite instance prints as model JSON, so no trajectory option applies.
     _refuse(args, source, "--seed", "--burn-in")
-    if args.env and args.env.startswith("hard:"):
-        params = hard_params(args.env[len("hard:") :])
+    if isinstance(env, HardEnvironment):
         if args.check:
-            report = check_conditions(params)
+            report = check_conditions(env.params)
             _emit("\n".join(report.lines()) + "\n", args.out)
             return EXIT_OK if report.all_ok else 1
-        hi, lo, behavior, target = hard_instance_pair(params)
-        doc = {
-            "instance_hi": serialization.model_to_dict(hi),
-            "instance_lo": serialization.model_to_dict(lo),
-            "behavior": serialization.policy_to_dict(behavior),
-            "target": serialization.policy_to_dict(target),
-        }
-        _emit(serialization.json_text(doc), args.out)
-        return EXIT_OK
-    _refuse(args, source, "--check")
-    doc = {
-        "model": serialization.model_to_dict(env.model),
-        "behavior": serialization.policy_to_dict(env.behavior),
-        "target": serialization.policy_to_dict(env.target),
-    }
+        models = {"instance_hi": env.model, "instance_lo": env.lo}
+    else:
+        _refuse(args, source, "--check")
+        models = {"model": env.model}
+    doc = {key: serialization.model_to_dict(model) for key, model in models.items()}
+    doc["behavior"] = serialization.policy_to_dict(env.behavior)
+    doc["target"] = serialization.policy_to_dict(env.target)
     _emit(serialization.json_text(doc), args.out)
     return EXIT_OK
 

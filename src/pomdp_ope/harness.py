@@ -36,9 +36,9 @@ An environment object is the one place that knows its kind and defaults:
 burn-in (``core.DEFAULT_BURN_IN`` for finite POMDPs,
 ``glucose.DEFAULT_BURN_IN`` for the glucose simulator) and its chunk
 budget, simulates rewards and ratios, answers its value oracle and writes
-its own trajectory CSV.
-A ``SweepSpec`` built without ``burn_in`` takes its environment's default,
-and the command line asks the same objects, so both burn in alike.
+its own trajectory CSV. A ``SweepSpec`` holds its run's one environment,
+given or built once from its id, and its default burn-in; the command line
+hands the spec the one it loaded, so model files sweep too.
 """
 
 from __future__ import annotations
@@ -151,6 +151,15 @@ class GlucoseEnvironment:
         trajectory_to_csv(glucose_simulate(T, burn_in, "behavior", seed), out)
 
 
+class HardEnvironment(FiniteEnvironment):
+    """A hard pair's high-mean instance, with its parameters and low-mean instance."""
+
+    def __init__(self, name: str, params: HardInstanceParams):
+        hi, self.lo, behavior, target = hard_instance_pair(params)
+        super().__init__(name, hi, behavior, target)
+        self.params = params
+
+
 def hard_params(text: str) -> HardInstanceParams:
     """Hard-instance parameters from a 'Q=3,t0=1,zeta=0.69,M1=1,M2=2' spec,
     optionally with ',Delta=0.5'; Delta defaults to M1 / 2."""
@@ -195,9 +204,7 @@ def make_environment(env_id: str):
     if env_id == "glucose":
         return GlucoseEnvironment()
     if env_id.startswith("hard:"):
-        params = hard_params(env_id[len("hard:") :])
-        hi, _lo, behavior, target = hard_instance_pair(params)
-        return FiniteEnvironment(env_id, hi, behavior, target)
+        return HardEnvironment(env_id, hard_params(env_id[len("hard:") :]))
     raise ConfigurationError(f"unknown environment {env_id!r}")
 
 
@@ -210,14 +217,16 @@ class SweepSpec:
     """What to run: environment, windows, horizons, replication count, and
     the shared randomness / inference settings.
 
-    ``burn_in`` left as None becomes the environment's own default when the
-    spec is built. Counts and windows must be integers (NumPy integers
-    included), ``k_values`` windows the shortest horizon takes, and no
-    window or horizon may repeat; all are stored as Python ints, so the
-    spec's echo always serializes. The bandwidth rule must give every
-    horizon a bandwidth."""
+    ``environment`` is an environment object, or an id built once here: the
+    spec keeps the object as ``env`` (outside init, repr and comparison) and
+    takes its name as ``environment`` and, for a None ``burn_in``, its
+    default. Counts and windows must be integers (NumPy integers included),
+    ``k_values`` windows the shortest horizon takes, and no window or
+    horizon may repeat; all are stored as Python ints, so the spec's echo
+    always serializes. The bandwidth rule must give every horizon a
+    bandwidth."""
 
-    environment: str
+    environment: str | FiniteEnvironment | GlucoseEnvironment
     k_values: tuple[int, ...]
     T_values: tuple[int, ...]
     replications: int
@@ -225,6 +234,7 @@ class SweepSpec:
     master_seed: int = 0
     bandwidth: BandwidthRule = DEFAULT_BANDWIDTH_RULE
     alpha: float = 0.05
+    env: FiniteEnvironment | GlucoseEnvironment = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         T_values = tuple(_integer("T_values entry", T, 1) for T in self.T_values)
@@ -236,10 +246,12 @@ class SweepSpec:
         object.__setattr__(self, "k_values", k_values)
         for T in T_values:
             self.bandwidth.bandwidth(T)
+        env = self.environment
+        env = make_environment(env) if isinstance(env, str) else env
+        object.__setattr__(self, "env", env)
+        object.__setattr__(self, "environment", env.name)
         if self.burn_in is None:
-            object.__setattr__(
-                self, "burn_in", make_environment(self.environment).default_burn_in
-            )
+            object.__setattr__(self, "burn_in", env.default_burn_in)
         for name, minimum in (("replications", 1), ("burn_in", 0), ("master_seed", 0)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
         _level("alpha", self.alpha)
@@ -304,7 +316,7 @@ def _evaluate_windows(
     every later one; nothing the call returns lives in one.
     """
     workers = _worker_count(workers)
-    env = make_environment(spec.environment)
+    env = spec.env
     oracle, provenance = env.oracle()
     R = spec.replications
     outs = [np.empty((R, len(ks), 4)) for _ in spec.T_values]
@@ -511,11 +523,15 @@ def fit_rate(points: Sequence[tuple[float, float]]) -> RateFit:
 
 def sweep_result_to_csv(result: SweepResult, path: Union[str, Path]) -> None:
     """CSV with header env,k,T,replications,mse,bias,variance,mean_estimate,
-    ci_coverage,oracle; one row per (k, T) cell in spec order."""
+    ci_coverage,oracle; one row per (k, T) cell in spec order, the env cell
+    quoted (RFC 4180) when it holds a comma, a quote or a line break."""
     lines = ["env,k,T,replications,mse,bias,variance,mean_estimate,ci_coverage,oracle"]
+    env = result.spec.environment
+    if any(c in env for c in ',"\r\n'):
+        env = '"' + env.replace('"', '""') + '"'
     for cell in result.cells:
         lines.append(
-            f"{result.spec.environment},{cell.k},{cell.T},{cell.n_replications},"
+            f"{env},{cell.k},{cell.T},{cell.n_replications},"
             f"{cell.mse:.17g},{cell.bias:.17g},{cell.variance:.17g},"
             f"{cell.mean_estimate:.17g},{cell.ci_coverage:.17g},{result.oracle:.17g}"
         )

@@ -402,7 +402,8 @@ def target_value_oracle(
     runs = _integer("runs", runs, 1)
     hours = _integer("hours", hours, 1)
     burn_in = _integer("burn_in", burn_in, 0)
-    key = (runs, hours, burn_in, seed)
+    # The seed's type too: a bool or float equal to a cached seed is still checked.
+    key = (runs, hours, burn_in, type(seed), seed)
     if key not in _oracle_cache:
         total = 0.0
         seeds = _derive_seeds(seed, np.arange(runs))

@@ -41,15 +41,17 @@ _XSHIFT = 16
 def _integers(values) -> np.ndarray:
     """``values`` (a scalar or any array-like) as an integer array of the
     same shape. Integer arrays pass as they are; anything else goes element
-    by element through ``operator.index``, so a float, NaN or string fails
-    by name instead of being truncated. Python ints become uint64 when all
-    fit, else stay Python ints (object dtype)."""
+    by element through ``operator.index``, so a float, NaN, string or bool
+    (which it would take as 0 or 1) fails by name. Python ints become
+    uint64 when all fit, else stay Python ints (object dtype)."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
         return values
     items = np.asarray(values, dtype=object)
     ints = []
     for value in items.flat:
         try:
+            if isinstance(value, bool):
+                raise TypeError
             ints.append(operator.index(value))
         except TypeError:
             raise ConfigurationError(f"seeds must be integers, got {value!r}") from None

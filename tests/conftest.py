@@ -55,6 +55,23 @@ def random_model(
     )
 
 
+@pytest.fixture
+def environment_builds(monkeypatch):
+    """A list that gets the class name of every environment built while the
+    test runs (a hard environment counts once, as the finite one it is)."""
+    from pomdp_ope.harness import FiniteEnvironment, GlucoseEnvironment
+
+    builds: list[str] = []
+    for cls in (FiniteEnvironment, GlucoseEnvironment):
+
+        def counting(self, *args, _init=cls.__init__):
+            builds.append(type(self).__name__)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return builds
+
+
 def random_policy(rng: np.random.Generator, num_x: int = 2, num_actions: int = 2) -> Policy:
     return Policy(probs=rng.dirichlet(np.ones(num_actions), size=num_x))
 

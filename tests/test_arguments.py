@@ -28,6 +28,7 @@ from pomdp_ope import (
     PointMass,
     SweepSpec,
     corollary_window,
+    derive_seed,
     estimate_with_ci,
     fit_rate,
     hac_variance,
@@ -57,6 +58,7 @@ RHO, Y = [np.full(50, 2.0)], [np.arange(50.0)]
 KERNEL = np.array([[0.9, 0.1], [0.2, 0.8]])
 HARD = "t0=1,zeta=0.69,M1=1,M2=2"
 GLUCOSE = harness.make_environment("glucose")
+TOY = harness.make_environment("toy")
 
 
 def _params(**overrides) -> HardInstanceParams:
@@ -67,6 +69,11 @@ def _params(**overrides) -> HardInstanceParams:
 def _spec(**overrides) -> SweepSpec:
     base = dict(environment="toy", k_values=(0,), T_values=(20,), replications=2, burn_in=5)
     return SweepSpec(**{**base, **overrides})
+
+
+def _cached_oracle(cached, seed):
+    target_value_oracle(runs=2, hours=3, seed=cached)
+    return target_value_oracle(runs=2, hours=3, seed=seed)
 
 
 def _table(rows):
@@ -114,6 +121,14 @@ COUNTS = [
     # Each horizon draws its own streams, so a repeated one gave two cells
     # with different values.
     ("SweepSpec repeated", "T_values entry", lambda v: _spec(T_values=(v, 40, v)), (30,)),
+    # Seeds: operator.index takes True as 1, so a bool seed once ran as seed 1.
+    ("simulate seed", "seeds", lambda v: simulate(MODEL, BEHAVIOR, 5, seed=v), (True,)),
+    ("glucose_simulate seed", "seeds", lambda v: glucose_simulate(5, seed=v), (True,)),
+    ("derive_seed master", "seeds", lambda v: derive_seed(v, 1), (True, False)),
+    ("derive_seed path", "seeds", lambda v: derive_seed(1, v), (True, False)),
+    ("seed array", "seeds", lambda v: TOY.rewards_and_ratios(5, 0, np.array([v, v])), (True,)),
+    # Seed 1 cached first: an equal bool must not be served from the cache.
+    ("target_value_oracle seed", "seeds", lambda v: _cached_oracle(1, v), (True,)),
 ]
 
 
@@ -250,10 +265,11 @@ def test_spec_refuses_a_window_the_shortest_horizon_cannot_take():
 def test_study_refuses_bad_candidates_before_it_runs(monkeypatch):
     spec = _spec()
 
-    def unreachable(env_id):
+    def unreachable(*args):
         raise AssertionError("the study started")
 
-    monkeypatch.setattr(harness, "make_environment", unreachable)
+    # Every study runs its jobs through the runner.
+    monkeypatch.setattr(harness, "_run_jobs", unreachable)
     with pytest.raises(ConfigurationError, match="sorted ascending"):
         run_lepski_study(spec, [1, 0])
     with pytest.raises(ConfigurationError, match="length 20 too short for window k=19"):

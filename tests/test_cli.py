@@ -448,17 +448,7 @@ def test_instance_has_no_hard_or_T_option(capsys, option):
     ids=lambda argv: argv[0],
 )
 def test_env_and_model_files_are_exclusive(tmp_path, capsys, argv):
-    from pomdp_ope.instances import toy_model
-    from pomdp_ope.serialization import save_model, save_policy
-
-    model, behavior, target = toy_model()
-    save_model(model, tmp_path / "m.json")
-    save_policy(behavior, tmp_path / "b.json")
-    save_policy(target, tmp_path / "t.json")
-    code, out, err = run_cli(
-        capsys, *argv, "--env", "toy", "--model", str(tmp_path / "m.json"),
-        "--behavior", str(tmp_path / "b.json"), "--target", str(tmp_path / "t.json"),
-    )
+    code, out, err = run_cli(capsys, *argv, "--env", "toy", *_toy_files(tmp_path))
     assert code == 2
     assert out == ""
     assert "--env" in err and "--model" in err
@@ -476,6 +466,80 @@ def test_sweep_without_burn_in_matches_the_library(capsys, env):
     )
     assert code == 0
     assert out == library
+
+
+def _toy_files(tmp_path) -> list[str]:
+    """--model/--behavior/--target arguments naming toy's saved documents."""
+    from pomdp_ope.instances import toy_model
+    from pomdp_ope.serialization import save_model, save_policy
+
+    model, behavior, target = toy_model()
+    save_model(model, tmp_path / "toy_model.json")
+    save_policy(behavior, tmp_path / "toy_behavior.json")
+    save_policy(target, tmp_path / "toy_target.json")
+    return [
+        "--model", str(tmp_path / "toy_model.json"),
+        "--behavior", str(tmp_path / "toy_behavior.json"),
+        "--target", str(tmp_path / "toy_target.json"),
+    ]
+
+
+_SWEEP = ("sweep", "--k-set=-1,0,1", "--T-set", "40,80", "--replications", "6", "--seed", "3")
+
+
+def test_sweep_from_model_files_matches_the_built_in_environment(tmp_path, capsys):
+    import csv
+
+    files = _toy_files(tmp_path)
+    docs, tables = [], []
+    for i, source in enumerate((["--env", "toy"], files)):
+        code, out, err = run_cli(capsys, *_SWEEP, *source)
+        assert code == 0, err
+        docs.append(json.loads(out))
+        csv_path = tmp_path / f"sweep_{i}.csv"
+        assert run_cli(capsys, *_SWEEP, *source, "--out", str(csv_path))[0] == 0
+        assert json.loads(csv_path.with_suffix(".json").read_text()) == docs[-1]
+        with open(csv_path, newline="") as f:
+            tables.append(list(csv.reader(f)))
+    by_id, by_files = docs
+    # The environment label is the model path; every other value is equal.
+    assert by_id["spec"].pop("environment") == "toy"
+    assert by_files["spec"].pop("environment") == files[1]
+    assert by_files == by_id
+    assert [row[0] for row in tables[1][1:]] == [files[1]] * 6
+    assert [row[1:] for row in tables[1]] == [row[1:] for row in tables[0]]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [["--env", "toy"], ["--env", "hard:Q=3,t0=1,zeta=0.69,M1=1,M2=2"], ["--env", "glucose"], "files"],
+    ids=["toy", "hard", "glucose", "files"],
+)
+def test_cli_sweep_builds_its_environment_once(tmp_path, capsys, environment_builds, source):
+    source = _toy_files(tmp_path) if source == "files" else source
+    code, _, err = run_cli(capsys, *_SWEEP, *source)
+    assert code == 0, err
+    assert len(environment_builds) == 1
+
+
+def test_instance_builds_the_hard_pair_once(capsys, monkeypatch):
+    from pomdp_ope import harness
+    from pomdp_ope.serialization import model_to_dict
+
+    pair, calls = harness.hard_instance_pair, []
+
+    def counting(params):
+        calls.append(params)
+        return pair(params)
+
+    # Wherever the command line could reach the pair builder.
+    for module in (harness, cli):
+        monkeypatch.setattr(module, "hard_instance_pair", counting, raising=False)
+    code, out, _ = run_cli(capsys, "instance", "--env", "hard:Q=3,t0=1,zeta=0.69,M1=1,M2=2")
+    assert code == 0
+    assert len(calls) == 1
+    _, lo, _, _ = pair(calls[0])
+    assert json.loads(out)["instance_lo"] == json.loads(json_text(model_to_dict(lo)))
 
 
 def test_malformed_json_exits_2_with_position(tmp_path, capsys):
@@ -587,18 +651,8 @@ def test_bad_hard_spec_exits_2(capsys):
 
 
 def test_model_files_workflow(tmp_path, capsys):
-    from pomdp_ope.instances import toy_model
-    from pomdp_ope.serialization import save_model, save_policy
-
-    model, behavior, target = toy_model()
-    save_model(model, tmp_path / "m.json")
-    save_policy(behavior, tmp_path / "b.json")
-    save_policy(target, tmp_path / "t.json")
     code, out, _ = run_cli(
-        capsys,
-        "estimate", "--model", str(tmp_path / "m.json"),
-        "--behavior", str(tmp_path / "b.json"), "--target", str(tmp_path / "t.json"),
-        "--k", "1", "--T", "200", "--seed", "2",
+        capsys, "estimate", *_toy_files(tmp_path), "--k", "1", "--T", "200", "--seed", "2"
     )
     assert code == 0
     assert json.loads(out)["k"] == 1

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import sys
@@ -22,6 +23,7 @@ from pomdp_ope import (
     importance_ratios,
     make_environment,
     mixing_overlap_report,
+    policy_value_exact,
     run_lepski_study,
     run_sweep,
     simulate,
@@ -118,8 +120,6 @@ def test_sweep_zero_mse_when_policies_match():
     # Point-mass rewards and target == behavior: the estimate equals the
     # truth for every k >= 0 on every replication.
     from pomdp_ope import PointMass, PomdpModel, Policy
-    from pomdp_ope.harness import FiniteEnvironment
-    import pomdp_ope.harness as harness_mod
 
     kernel = np.array([[0.5, 0.5], [0.5, 0.5]])
     reward = tuple(tuple(PointMass(1.5) for _ in range(2)) for _ in range(2))
@@ -128,24 +128,15 @@ def test_sweep_zero_mse_when_policies_match():
     )
     policy = Policy(probs=np.array([[0.5, 0.5]]))
     env = FiniteEnvironment("constreward", model, policy, policy)
-
-    def fake_make(env_id, **kw):
-        return env
-
-    original = harness_mod.make_environment
-    harness_mod.make_environment = fake_make
-    try:
-        spec = SweepSpec(
-            environment="constreward",
-            k_values=(0, 1, 3),
-            T_values=(40,),
-            replications=1,
-            burn_in=5,
-            master_seed=1,
-        )
-        result = run_sweep(spec)
-    finally:
-        harness_mod.make_environment = original
+    spec = SweepSpec(
+        environment=env,
+        k_values=(0, 1, 3),
+        T_values=(40,),
+        replications=1,
+        burn_in=5,
+        master_seed=1,
+    )
+    result = run_sweep(spec)
     for cell in result.cells:
         assert cell.mse == 0.0
 
@@ -793,6 +784,78 @@ def test_spec_burn_in_defaults_to_the_environments(env_id, burn_in):
     spec = SweepSpec(environment=env_id, k_values=(0,), T_values=(20,), replications=1)
     assert spec.burn_in == make_environment(env_id).default_burn_in == burn_in
     assert spec.to_dict()["burn_in"] == burn_in
+
+
+def test_spec_holds_the_environment_it_was_given():
+    env = make_environment("toy")
+    given = SweepSpec(environment=env, k_values=(0,), T_values=(20,), replications=1)
+    named = SweepSpec(environment="toy", k_values=(0,), T_values=(20,), replications=1)
+    assert given.env is env and given.environment == named.environment == "toy"
+    assert named.env is not env and isinstance(named.env, FiniteEnvironment)
+    # The object takes no part in the spec's comparison, echo or repr.
+    assert given == named and hash(given) == hash(named)
+    assert given.to_dict() == named.to_dict() and repr(given) == repr(named)
+    assert json_text(sweep_result_to_json(run_sweep(given))) == json_text(
+        sweep_result_to_json(run_sweep(named))
+    )
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda spec: run_sweep(spec),
+        lambda spec: run_lepski_study(spec, [0, 1]),
+    ],
+    ids=["run_sweep", "run_lepski_study"],
+)
+@pytest.mark.parametrize(
+    "env_id", ["toy", "hard:Q=3,t0=1,zeta=0.69,M1=1,M2=2", "glucose"], ids=["toy", "hard", "glucose"]
+)
+def test_a_run_from_a_name_builds_its_environment_once(environment_builds, run, env_id):
+    # Without burn_in the spec needs the environment's default; the run
+    # then uses the environment the spec built.
+    spec = SweepSpec(environment=env_id, k_values=(0, 1), T_values=(20,), replications=2)
+    run(spec)
+    assert len(environment_builds) == 1
+    run(spec)
+    assert len(environment_builds) == 1
+
+
+def test_random_dense_model_sweeps_against_its_exact_value():
+    from conftest import interior_policy, random_model
+
+    rng = np.random.default_rng(31)
+    model = random_model(rng, num_x=3, num_h=4, num_actions=3)
+    behavior, target = interior_policy(rng, 3, 3), interior_policy(rng, 3, 3)
+    env = FiniteEnvironment("dense", model, behavior, target)
+    spec = SweepSpec(environment=env, k_values=(-1, 0, 1, 2), T_values=(200,), replications=40)
+    result = run_sweep(spec, workers=2)
+    assert result.oracle == policy_value_exact(model, target)
+    assert result.oracle_provenance == {"kind": "exact", "tol": 1e-12}
+    assert result.spec.environment == "dense" and result.spec.burn_in == 100
+    assert sweep_result_to_json(result)["spec"]["environment"] == "dense"
+    for cell in result.cells:
+        assert np.isfinite([cell.mse, cell.bias, cell.variance]).all()
+        assert cell.mse == pytest.approx(cell.bias**2 + cell.variance, rel=1e-9)
+    assert run_sweep(spec, workers=1, chunk_size=7) == result
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["hard:Q=3,t0=1,zeta=0.69,M1=1,M2=2", 'runs/a "b",c.json', "runs/line\nbreak.json"],
+    ids=["hard-id", "comma-and-quote", "newline"],
+)
+def test_sweep_csv_quotes_an_env_cell_that_needs_it(tmp_path, name):
+    toy = make_environment("toy")
+    env = FiniteEnvironment(name, toy.model, toy.behavior, toy.target)
+    spec = SweepSpec(environment=env, k_values=(-1, 0), T_values=(20,), replications=2, burn_in=5)
+    path = tmp_path / "sweep.csv"
+    sweep_result_to_csv(run_sweep(spec), path)
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    assert len(rows) == 3 and rows[0][0] == "env"
+    assert all(len(row) == len(rows[0]) == 10 for row in rows)
+    assert [row[0] for row in rows[1:]] == [name, name]
 
 
 def test_lepski_study_shapes_and_determinism():

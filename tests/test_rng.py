@@ -116,6 +116,13 @@ def test_fractional_oracle_seed_is_refused():
         target_value_oracle(runs=2, hours=3, seed=1.7)
 
 
+def test_whole_float_oracle_seed_is_refused_after_its_int_is_cached():
+    # 3.0 == 3 and both hash alike, so a key of the value alone served it.
+    target_value_oracle(runs=2, hours=3, seed=3)
+    with pytest.raises(ConfigurationError, match=r"integers, got 3\.0$"):
+        target_value_oracle(runs=2, hours=3, seed=3.0)
+
+
 def test_oracle_provenance_records_a_plain_int_seed():
     value, provenance = target_value_oracle(runs=2, hours=3, seed=np.int64(11))
     assert type(provenance["seed"]) is int and provenance["seed"] == 11
