@@ -31,18 +31,18 @@ Each step's two uniforms are classified once, into a step code: its action
 bucket counts the policy's distinct thresholds at or below the action
 uniform, its move bucket those of all transition rows merged at or below
 the move uniform, and (code, state) tables built per call give each state's
-next state and cell in one gather each. A model with more codes than the
-batch's (T + burn_in - 1) n next-state rows (a dense one) keeps the action
-bucket as its code and searches each (state, action) row once instead.
-``_follow`` then follows the state through the next-state table by a
-recursive blocked scan: it composes the steps inside blocks of
-``FOLLOW_BLOCK`` steps with wide gathers, follows the composed table (one
-step per block) the same way to find each block's start, and fills each
-block's rows in one gather. A level makes a fixed few dozen numpy calls
-and passes on a table 16 times shorter, so the calls grow with log(steps),
-not with steps. The cells are read off the state path time-major, a group
-of seeds at a time, into seed rows; the rewards' means and standard
-deviations are gathered from them.
+next state and cell in one gather each. Each code maps every state to its
+next, so every run of steps is one map S -> S, and the maps the codes make
+from the identity form a monoid. When a one-byte id holds it (a batch's
+owner builds it once, ``_step_monoid``), ``_follow_maps`` composes one id
+per (step, seed) inside blocks of ``FOLLOW_BLOCK`` steps and follows the
+block maps to each block's start; otherwise ``_follow`` follows the state
+through the next-state table of every (seed, state) lane by a recursive
+blocked scan, whose numpy calls grow with log(steps). A model with more
+codes than the batch's (T + burn_in - 1) n moves (a dense one) keeps the
+action bucket as its code and searches each (state, action) row once. The
+cells are read off the state path time-major, a group of seeds at a time,
+into seed rows; the rewards' means and sds are gathered from them.
 
 Each stage takes its large arrays from a workspace where it starts and
 gives them back where it ends. A ``_Workspace`` lends buffers and takes
@@ -108,11 +108,11 @@ GROUP_STEPS = 32_768
 # the streams of long series are drawn in spans of steps instead.
 GROUP_SEEDS = 16
 
-# Steps per block of ``_follow``'s scan. Each level of the scan makes
-# FOLLOW_BLOCK - 1 composing gathers and one fill, and passes a table
-# FOLLOW_BLOCK times shorter to the next. Over tables of 4 to 1,000 lanes
-# (one toy trajectory up to fig3's 250 seeds; 2-core Xeon VM, numpy 2.4)
-# blocks of 8 or 32 steps ran no faster overall.
+# Steps per block of the scans: ``_follow_maps`` composes that many step-map
+# ids per block, and each level of ``_follow`` makes FOLLOW_BLOCK - 1
+# composing gathers and one fill and passes a table FOLLOW_BLOCK times
+# shorter to the next. Over tables of 4 to 1,000 lanes (2-core Xeon VM,
+# numpy 2.4) blocks of 8 or 32 steps ran no faster overall.
 FOLLOW_BLOCK = 16
 
 
@@ -279,9 +279,10 @@ def _float_array(name: str, values) -> np.ndarray:
     they are not a rectangular array of numbers."""
     try:
         arr = np.asarray(values)
-        # Text would convert where it spells a number, and bools to 0 and 1;
-        # a document's array holds numbers.
-        if arr.dtype.kind not in "USb":
+        # Text would convert where it spells a number, and bools to 0 and 1,
+        # also among numbers in a list; a document's array holds numbers.
+        listed = np.asarray(values, object).flat if isinstance(values, (list, tuple)) else ()
+        if arr.dtype.kind not in "USb" and not any(isinstance(v, (bool, np.bool_)) for v in listed):
             return arr.astype(float, copy=False)
     except (TypeError, ValueError):
         pass
@@ -636,6 +637,37 @@ def _bucket_counts(cum: np.ndarray, values: np.ndarray) -> np.ndarray:
     return hist.cumsum(axis=1)[:, :m].reshape(cum.shape[:-1] + (m,))
 
 
+def _step_monoid(nxt_of: np.ndarray):
+    """The maps S -> S that the rows of the (code, state) next-state table
+    generate from the identity, if a one-byte id holds them: (maps, step,
+    identity), maps[i] the map of id i, step[i, c] the id of code c after
+    map i. None past 255 maps, or where their pairwise products would take
+    more than ``CHUNK_STEPS`` cells. A set of every product of up to 2^j
+    codes gives with its pairwise products every product of up to 2^(j+1),
+    so eight squarings reach any map of a monoid of 255."""
+    num_s = nxt_of.shape[1]
+    nxt_of = nxt_of.astype(np.min_scalar_type(num_s - 1))
+    # Maps f sort by the hash sum_s f(s) H^(s+1) mod 2^64, and every map a
+    # hash finds is checked entry by entry: a collision can only cost the scan.
+    weights = np.cumprod(np.full(num_s, np.uint64(0x9E3779B97F4A7C15)))
+    rows, of_code = np.unique(nxt_of @ weights, return_index=True, return_inverse=True)[1:]
+    gens = nxt_of[rows]  # the distinct code maps; code c's is gens[of_code[c]]
+    ident = np.arange(num_s, dtype=gens.dtype)
+    maps = np.concatenate([ident[None], gens])
+    for _ in range(9):
+        keys, first = np.unique(maps @ weights, return_index=True)
+        maps = maps[first]
+        if len(maps) > 255 or len(maps) ** 2 * num_s > CHUNK_STEPS:
+            return None
+        after = gens[:, maps].transpose(1, 0, 2)  # generator g after map i at [i, g]
+        step = np.searchsorted(keys, after @ weights).clip(max=len(maps) - 1)
+        identity = min(np.searchsorted(keys, ident @ weights), len(maps) - 1)
+        if (maps[step] == after).all() and (maps[identity] == ident).all():
+            return maps, step[:, of_code].astype(np.uint8), int(identity)
+        maps = np.concatenate([maps, maps[:, maps].reshape(-1, num_s)])
+    return None
+
+
 def _draw_blocks(n: int, total: int) -> tuple[list[tuple[int, int]], int]:
     """The (start, stop) seed groups of a batch of n seeds of ``total``
     steps, and the steps per span each group's streams are drawn in: a
@@ -653,15 +685,16 @@ def _simulate_arrays(
     burn_in: int,
     seeds: Sequence[int],
     workspace: _FreshArrays = _FRESH,
+    step_monoid=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (state, action) cells s * num_actions + w (int64) and the rewards
     (float64) of one trajectory per seed, each as a (len(seeds), T) array.
 
     Each step's code (see the module docstring) gives the next state every
-    state would reach at that (seed, step), and ``_follow`` follows the
-    state through that next-state table by a recursive blocked scan, whose
-    numpy calls grow with log(steps), whatever the (seed, state) lanes. The
-    table takes (T + burn_in) * num_states cells per seed; the batch's owner
+    state would reach at that (seed, step). ``step_monoid``, if given, maps
+    the (code, state) next-state table to its ``_step_monoid``, and the paths
+    follow its ids; without one, or past its cap, ``_follow`` follows a
+    table of (T + burn_in) * num_states cells per seed. The batch's owner
     sizes it with ``chunk_ranges``, and this simulates all the seeds it is
     given. Its large arrays come from ``workspace``, and all but the two
     returned go back to it.
@@ -716,8 +749,10 @@ def _simulate_arrays(
     # its action bucket alone, and each (state, action) row is searched once
     # (side="right": those <= u_move, a prefix of the row; see ``_thresholds``).
     per_row = codes > (total - 1) * n
-    code = ws.take((total, n), np.min_scalar_type(len(act_values) if per_row else codes))
-    code[...] = 0
+    rows = max(total, -(-(total - 1) // FOLLOW_BLOCK) * FOLLOW_BLOCK)  # whole blocks
+    padded = ws.take((rows, n), np.min_scalar_type(len(act_values) if per_row else codes))
+    padded[...] = 0  # rows past the last step hold code 0
+    code = padded[:total]
     _add_count_at_or_below(code, act_values, u_act)
     ws.give(u_act)
     del u_act
@@ -730,6 +765,8 @@ def _simulate_arrays(
     # nxt[t, r, s]: where state s moves at step t of seed r, stored as the
     # flat index r * num_s + s' into the (seed, state) lanes of step t + 1.
     index_dtype = np.min_scalar_type(num_s * n)
+    lanes = np.arange(0, n * num_s, num_s, dtype=index_dtype)
+    monoid = None
     if per_row:
         acts = [row.take(code[:-1]) for row in act_by_x]
         nxt = ws.take((total - 1, n, num_s), index_dtype)
@@ -744,18 +781,21 @@ def _simulate_arrays(
         _add_count_at_or_below(code[:-1], move_values, u_move)
         # (code, state) tables: the next state and the recorded cell.
         move_of = _bucket_counts(cum_trans, move_values)[act_of, np.arange(num_s)]
-        nxt_of = move_of.transpose(0, 2, 1).reshape(codes, num_s).astype(index_dtype)
+        nxt_of = move_of.transpose(0, 2, 1).reshape(codes, num_s)
         cell_of = np.repeat(cell_of, moves, axis=0)
-        nxt = ws.take((total - 1, n, num_s), index_dtype)
-        nxt_of.take(code[:-1], axis=0, out=nxt, mode="clip")
+        monoid = step_monoid(nxt_of) if step_monoid else None
+        if monoid is None:
+            nxt = ws.take((total - 1, n, num_s), index_dtype)
+            nxt_of.astype(index_dtype).take(code[:-1], axis=0, out=nxt, mode="clip")
     ws.give(u_move)
     del u_move
-    lanes = np.arange(0, n * num_s, num_s, dtype=index_dtype)
-    nxt += lanes[:, None]
-
-    path = _follow(nxt.reshape(total - 1, n * num_s), state + lanes, ws)
-    ws.give(nxt)
-    del nxt
+    if monoid:
+        path = _follow_maps(padded, total - 1, state, monoid, lanes, ws)
+    else:
+        nxt += lanes[:, None]
+        path = _follow(nxt.reshape(total - 1, n * num_s), state + lanes, ws)
+        ws.give(nxt)
+        del nxt
 
     # The recorded cells, a group of seeds at a time: each step's state and
     # code, read off time-major, pick the cell, written into seed rows. The
@@ -767,11 +807,12 @@ def _simulate_arrays(
         at = at_all[: T * (stop - start)].reshape(T, stop - start)
         np.multiply(code[burn_in:, start:stop], num_s, out=at, dtype=np.intp)
         at += path[burn_in:, start:stop]
-        at -= lanes[start:stop]
+        if not monoid:  # lanes, not states
+            at -= lanes[start:stop]
         picked = picked_all[: T * (stop - start)].reshape(T, stop - start)
         cells[start:stop] = cell_of.ravel().take(at, out=picked, mode="clip").T
-    ws.give(path, code, at_all, picked_all)
-    del path, code, at_all, picked_all, at, picked
+    ws.give(path, padded, at_all, picked_all)
+    del path, code, padded, at_all, picked_all, at, picked
 
     # Each stream's reward normals come last in it: mean[cell] + sd[cell] * z,
     # evaluated in place a group at a time; every cell is in range.
@@ -789,7 +830,8 @@ def _follow(
     table: np.ndarray, start: np.ndarray, workspace: _FreshArrays = _FRESH
 ) -> np.ndarray:
     """The (m + 1, n) path through an (m, lanes) next-state table: row 0 is
-    ``start`` and row t + 1 is ``table[t]`` gathered at row t.
+    ``start`` and row t + 1 is ``table[t]`` gathered at row t. The lane scan
+    of paths whose step maps no one-byte id holds, and of block starts.
 
     A table of at most 2 B steps, B = ``FOLLOW_BLOCK``, is followed one
     gather per step. A longer one is cut into blocks of B steps, the last
@@ -842,4 +884,36 @@ def _follow(
     path[0] = start
     path[1:].reshape(blocks, B, n)[:] = inner.transpose(1, 0, 2)
     workspace.give(inner)
+    return path[: m + 1]
+
+
+def _follow_maps(code, m: int, start, monoid, lanes, workspace: _FreshArrays = _FRESH) -> np.ndarray:
+    """The (m + 1, n) states from ``start`` through the moves in the first m
+    rows of the ``FOLLOW_BLOCK``-row blocks of step codes ``code``, by ids in
+    ``monoid`` (``_step_monoid``): B - 1 gathers compose one id per (step,
+    seed) inside every block at once, ``_follow`` follows the (seed, state)
+    ``lanes`` through each block's last map, and one gather fills the rows."""
+    maps, step, identity = monoid
+    n, num_s, B = len(start), maps.shape[1], FOLLOW_BLOCK
+    blocks = -(-m // B)
+    moves = code[: blocks * B].reshape(blocks, B, n)
+    # ids[j, b]: the map from block b's start to step b B + j + 1.
+    ids = workspace.take((B, blocks, n), np.uint8)
+    step[identity].take(moves[:, 0], out=ids[0], mode="clip")
+    # Flat indexes in the narrowest type: composing ran 25% faster than in intp on toy.
+    at = workspace.take((blocks, n), np.min_scalar_type(step.size))
+    for j in range(1, B):
+        np.multiply(ids[j - 1], step.shape[1], out=at, dtype=at.dtype)
+        at += moves[:, j]
+        step.take(at, out=ids[j], mode="clip")
+    table = np.add(maps.take(ids[-1], axis=0), lanes[:, None], dtype=lanes.dtype)
+    starts = _follow(table.reshape(blocks, n * num_s), start + lanes, workspace)
+    fill = workspace.take((blocks, B, n), np.min_scalar_type(maps.size))
+    np.multiply(ids.transpose(1, 0, 2), num_s, out=fill, dtype=fill.dtype)
+    fill += (starts[:-1] - lanes)[:, None]
+    workspace.give(at, ids, starts)
+    path = workspace.take((blocks * B + 1, n), maps.dtype)
+    path[0] = start
+    maps.take(fill, out=path[1:].reshape(blocks, B, n), mode="clip")
+    workspace.give(fill)
     return path[: m + 1]

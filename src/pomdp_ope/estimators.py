@@ -330,7 +330,9 @@ def _window_terms(
     row. Products grow left to right from the previous window's; a row whose
     worst-case log magnitude (k+1) max|log rho| passes _LOG_SPACE_THRESHOLD
     takes them from log sums grown the same way, kept only for the rows that
-    pass it at the largest k. An overflowing weight is inf, silently.
+    pass it at the largest k, none if no row does. An overflowing weight is
+    inf, unwarned under the caller's ``np.errstate(over="ignore",
+    invalid="ignore")``; the summands of rows in log space are replaced.
 
     The summands of k >= 0 and the products come from ``workspace``; the
     caller may write into the summands and gives them back once it is done
@@ -347,25 +349,24 @@ def _window_terms(
     hi[none] = lo[none] = 1.0
     max_log = np.maximum(np.abs(np.log(hi)), np.abs(np.log(lo)))
     logged = np.flatnonzero((ks[-1] + 1) * max_log > _LOG_SPACE_THRESHOLD)
-    positive = RHO[logged] > 0.0
-    log_rho = np.log(np.where(positive, RHO[logged], 1.0))
-    zero = ~positive
-    W, L, Z = RHO, log_rho, zero
+    if logged.size:
+        positive = RHO[logged] > 0.0
+        L = log_rho = np.log(np.where(positive, RHO[logged], 1.0))
+        Z = zero = ~positive
+    W = RHO
     for k in range(ks[-1] + 1):
-        # Rows in log space may overflow or meet inf * 0 here; their
-        # summands are replaced below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if k == 1:
-                W = np.multiply(RHO[:, :-1], RHO[:, 1:], out=workspace.take((len(RHO), T - 1)))
-            elif k > 1:
-                # Later products overwrite the first one's buffer.
-                W = np.multiply(W[:, : T - k], RHO[:, k:], out=W[:, : T - k])
-            if k > 0:
-                L = L[:, :-1] + log_rho[:, k:]
-                Z = Z[:, :-1] | zero[:, k:]
-            if k not in ks:
-                continue
-            terms = np.multiply(W, Y[:, k:], out=workspace.take(W.shape))
+        if k == 1:
+            W = np.multiply(RHO[:, :-1], RHO[:, 1:], out=workspace.take((len(RHO), T - 1)))
+        elif k > 1:
+            # Later products overwrite the first one's buffer.
+            W = np.multiply(W[:, : T - k], RHO[:, k:], out=W[:, : T - k])
+        if logged.size and k > 0:
+            L = L[:, :-1] + log_rho[:, k:]
+            Z = Z[:, :-1] | zero[:, k:]
+        if k not in ks:
+            continue
+        terms = np.multiply(W, Y[:, k:], out=workspace.take(W.shape))
+        if logged.size:
             past = (k + 1) * max_log[logged] > _LOG_SPACE_THRESHOLD
             if past.any():
                 rows = logged[past]
@@ -440,15 +441,16 @@ def _estimate_windows(
     sums = np.empty((len(lags), G * n))
     value, variance = np.empty((2, len(windows), G))
     by_window = _window_terms(Y.reshape(G * n, T), RHO.reshape(G * n, T), windows, workspace)
-    for w, (k, terms) in enumerate(by_window):
-        L = terms.shape[1]
-        used = np.searchsorted(lags, L - 1, side="right")  # lags below L
-        # Infinite summands make inf - inf here; every estimate they reach
-        # is flagged "non_finite" below instead of warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            value[w] = terms.mean(axis=1).reshape(G, n).mean(axis=1)
+    # Infinite summands make inf - inf here; every estimate they reach is
+    # flagged "non_finite" below instead of warning. Means are sums over
+    # counts, as ndarray.mean takes them, without its per-call wrapper.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w, (k, terms) in enumerate(by_window):
+            L = terms.shape[1]
+            used = np.searchsorted(lags, L - 1, side="right")  # lags below L
+            value[w] = np.add.reduce((np.add.reduce(terms, axis=1) / L).reshape(G, n), axis=1) / n
             # With one unit the pooled mean is that unit's mean.
-            center = value[w] if n == 1 else terms.reshape(G, n * L).mean(axis=1)
+            center = value[w] if n == 1 else np.add.reduce(terms.reshape(G, n * L), axis=1) / (n * L)
             center = np.repeat(center, n)[:, None]
             # The rewards (k = -1) are the caller's; window summands are
             # this call's, so they are centred in place.
@@ -459,9 +461,9 @@ def _estimate_windows(
             # Added in lag order, as a running sum would: a reduce would sum
             # one row's lags pairwise.
             acc = np.add.accumulate(sums[:used], axis=0)[-1]
-            variance[w] = (acc / L).reshape(G, n).mean(axis=1)
-        workspace.give(yt)
-        del terms, yt  # so the next window's summands need no second buffer
+            variance[w] = np.add.reduce((acc / L).reshape(G, n), axis=1) / n
+            workspace.give(yt)
+            del terms, yt  # so the next window's summands need no second buffer
     clamped = variance < 0.0
     variance[clamped] = 0.0
     used_T = T - np.maximum(windows, 0)

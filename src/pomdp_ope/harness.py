@@ -63,6 +63,7 @@ from .core import (
     _check_finite,
     _run_jobs,
     _simulate_arrays,
+    _step_monoid,
     _worker_count,
     chunk_ranges,
     policy_value_exact,
@@ -93,6 +94,7 @@ class FiniteEnvironment:
     """Finite POMDP with exact value oracle."""
 
     default_burn_in = DEFAULT_BURN_IN
+    _monoid_lock = threading.Lock()  # shared, so an environment still pickles
 
     def __init__(self, name: str, model: PomdpModel, behavior: Policy, target: Policy):
         # The ratio table has a row per state, read from both policies.
@@ -113,13 +115,22 @@ class FiniteEnvironment:
     def rewards_and_ratios(
         self, T: int, burn_in: int, seeds: Sequence[int], workspace: _FreshArrays = _FRESH
     ) -> tuple[np.ndarray, np.ndarray]:
-        cells, y = _simulate_arrays(self.model, self.behavior, T, burn_in, seeds, workspace)
+        # A batch follows step-map ids; one seed's few lanes cost less than their build.
+        monoid = self._step_monoid if len(seeds) > 1 else None
+        cells, y = _simulate_arrays(self.model, self.behavior, T, burn_in, seeds, workspace, monoid)
         rho = _policy_ratios(
             cells, self.model.x_of_state, self.target, self.behavior, self.name,
             out=workspace.take(cells.shape),
         )
         workspace.give(cells)
         return y, rho
+
+    def _step_monoid(self, nxt_of: np.ndarray):
+        """``core._step_monoid`` of the simulator's (code, state) table, built on the first call."""
+        with self._monoid_lock:
+            if not hasattr(self, "_monoid"):
+                self._monoid = _step_monoid(nxt_of)
+        return self._monoid
 
     def oracle(self) -> tuple[float, dict]:
         return policy_value_exact(self.model, self.target), {"kind": "exact", "tol": 1e-12}
@@ -198,6 +209,8 @@ def make_environment(env_id: str):
     Hard-instance sweeps simulate and evaluate the first (high-mean)
     instance of the pair.
     """
+    if not isinstance(env_id, str):
+        raise ConfigurationError(f"environment must be an id or an environment object, got {env_id!r:.80}")
     if env_id == "toy":
         model, behavior, target = toy_model()
         return FiniteEnvironment("toy", model, behavior, target)
@@ -247,7 +260,8 @@ class SweepSpec:
         for T in T_values:
             self.bandwidth.bandwidth(T)
         env = self.environment
-        env = make_environment(env) if isinstance(env, str) else env
+        if not isinstance(env, (FiniteEnvironment, GlucoseEnvironment)):
+            env = make_environment(env)
         object.__setattr__(self, "env", env)
         object.__setattr__(self, "environment", env.name)
         if self.burn_in is None:

@@ -26,6 +26,8 @@ from pomdp_ope import (
     EstimatorConfig,
     Gaussian,
     PointMass,
+    Policy,
+    PomdpModel,
     SweepSpec,
     corollary_window,
     derive_seed,
@@ -274,6 +276,45 @@ def test_study_refuses_bad_candidates_before_it_runs(monkeypatch):
         run_lepski_study(spec, [1, 0])
     with pytest.raises(ConfigurationError, match="length 20 too short for window k=19"):
         run_lepski_study(spec, [0, 19])
+
+
+# Environments: an id or an environment object, and nothing else.
+@pytest.mark.parametrize("value", [5, None, MODEL], ids=["int", "None", "PomdpModel"])
+@pytest.mark.parametrize(
+    "call",
+    [harness.make_environment, lambda v: _spec(environment=v)],
+    ids=["make_environment", "SweepSpec"],
+)
+def test_non_environment_is_named(call, value):
+    pattern = rf"^environment must be an id or an environment object, got {re.escape(repr(value)[:40])}"
+    with pytest.raises(ConfigurationError, match=pattern):
+        call(value)
+
+
+def _model(transition) -> PomdpModel:
+    return PomdpModel(num_x=2, num_h=2, num_actions=2, transition=transition, reward=MODEL.reward)
+
+
+TRUE_IN_ROW = MODEL.transition.tolist()
+TRUE_IN_ROW[1][2][3] = True
+
+
+# Arrays of numbers: a bool is no number, among numbers or alone, in a list,
+# a tuple or an array.
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: Policy(probs=[[True, 0.0], [0.5, 0.5]]), "policy probs"),
+        (lambda: Policy(probs=((0.5, 0.5), (np.False_, 1.0))), "policy probs"),
+        (lambda: Policy(probs=[[True, False], [False, True]]), "policy probs"),
+        (lambda: Policy(probs=np.eye(2, dtype=bool)), "policy probs"),
+        (lambda: _model(TRUE_IN_ROW), "transition"),
+    ],
+    ids=["policy-list", "policy-tuple", "policy-all-bool", "policy-bool-array", "transition-list"],
+)
+def test_bools_in_an_array_of_numbers_are_refused(call, name):
+    with pytest.raises(ConfigurationError, match=rf"^{name} must be a rectangular array of numbers$"):
+        call()
 
 
 @given(

@@ -613,6 +613,11 @@ _BAD_INPUT_FILES = {
     "probs-text": (_MODEL, {"probs": "ab"}, "policy probs must be a rectangular array"),
     "probs-ragged": (_MODEL, {"probs": [[0.5, 0.5], [1.0]]}, "policy probs must be a rectangular array"),
     "probs-bool": (_MODEL, {"probs": [[True, False], [False, True]]}, "policy probs must be a rectangular array"),
+    "transition-bool": (
+        _edited(_MODEL, ("transition", 0, 1, 2), True),
+        _POLICY,
+        "transition must be a rectangular array",
+    ),
     "probs-negative": (
         _MODEL,
         {"probs": [[1.5, -0.5], [0.5, 0.5]]},

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import pickle
 import sys
 import threading
 import time
@@ -819,6 +820,52 @@ def test_a_run_from_a_name_builds_its_environment_once(environment_builds, run, 
     assert len(environment_builds) == 1
     run(spec)
     assert len(environment_builds) == 1
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda spec, **kw: run_sweep(spec, **kw),
+        lambda spec, **kw: run_lepski_study(spec, [0, 1], **kw),
+    ],
+    ids=["run_sweep", "run_lepski_study"],
+)
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_a_run_builds_its_step_monoid_once(run, workers, monkeypatch):
+    # Every chunk of both horizons, on every runner thread, follows its
+    # paths by the ids of one step-map monoid, built at the first chunk;
+    # the last chunk of each, one seed, follows its lanes. A slow build
+    # with threads switching every microsecond: a second build would show.
+    from pomdp_ope import core, harness as harness_mod
+
+    builds, scans = [], []
+    build, follow_maps = harness_mod._step_monoid, core._follow_maps
+
+    def slow_build(nxt_of):
+        builds.append(nxt_of)
+        time.sleep(0.01)
+        return build(nxt_of)
+
+    monkeypatch.setattr(harness_mod, "_step_monoid", slow_build)
+    monkeypatch.setattr(core, "_follow_maps", lambda *a: scans.append(a[1]) or follow_maps(*a))
+    spec = SweepSpec(environment="toy", k_values=(0, 1), T_values=(40, 60), replications=7, burn_in=5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run(spec, workers=workers, chunk_size=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(builds) == 1
+    assert sorted(scans) == [44, 44, 64, 64]
+
+
+def test_a_spec_pickles_after_its_run():
+    # The monoid's lock belongs to the class, so an environment that has
+    # built its monoid still pickles, and the copy runs to the same cells.
+    spec = SweepSpec(environment="toy", k_values=(0, 1), T_values=(40,), replications=5, burn_in=5)
+    result = run_sweep(spec)
+    assert spec.env._monoid is not None
+    assert run_sweep(pickle.loads(pickle.dumps(spec))).cells == result.cells
 
 
 def test_random_dense_model_sweeps_against_its_exact_value():

@@ -475,3 +475,93 @@ def test_rewards_and_ratios_equal_stacked_trajectories(env_id):
     for got, want in ((y, want_y), (rho, want_rho), (whole_y, y), (whole_rho, rho)):
         assert got.dtype == want.dtype and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
+
+
+def _random_pair(seed: int, num_h: int):
+    rng = np.random.default_rng(seed)
+    return random_model(rng, num_h=num_h), interior_policy(rng)
+
+
+def _scan_case(case: str):
+    """(model, behavior, maps in its step-map monoid or None past the cap)."""
+    if case == "random-S4":
+        return (*_random_pair(1, 2), 140)
+    if case == "random-S6":
+        return (*_random_pair(1, 3), None)
+    env = make_environment({"toy": "toy", "hard-Q3": HARD_Q3, "hard-Q20": HARD_Q20}[case])
+    return env.model, env.behavior, {"toy": 57, "hard-Q3": 5, "hard-Q20": 39}[case]
+
+
+def _code_table(model, behavior) -> np.ndarray:
+    """The (code, state) next-state table a batch builds its monoid from."""
+    tables = []
+    core._simulate_arrays(model, behavior, 300, 0, [0, 1], step_monoid=tables.append)
+    (table,) = tables
+    return table
+
+
+def _record_scans(monkeypatch) -> list:
+    """Spy on the step-map scan: one entry per call, its step count."""
+    calls = []
+    follow_maps = core._follow_maps
+
+    def spy(code, m, *args):
+        calls.append(m)
+        return follow_maps(code, m, *args)
+
+    monkeypatch.setattr(core, "_follow_maps", spy)
+    return calls
+
+
+SCAN_CASES = ["toy", "hard-Q3", "hard-Q20", "random-S4", "random-S6"]
+
+
+@pytest.mark.parametrize("case", SCAN_CASES)
+def test_step_monoid_is_closed_and_holds_the_identity(case):
+    model, behavior, size = _scan_case(case)
+    nxt_of = _code_table(model, behavior)
+    monoid = core._step_monoid(nxt_of)
+    if size is None:
+        assert monoid is None
+        return
+    maps, step, identity = monoid
+    assert maps.shape == (size, model.num_states) and step.shape == (size, len(nxt_of))
+    assert step.dtype == np.uint8
+    np.testing.assert_array_equal(maps[identity], np.arange(model.num_states))
+    # Every code after every map is the map its id names.
+    np.testing.assert_array_equal(maps[step], nxt_of[:, maps].transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("case", SCAN_CASES)
+@pytest.mark.parametrize(
+    "T, burn_in, n",
+    [
+        # Moves: two whole blocks, one above, a part block of 8 more, fewer
+        # than one block, none, and three levels of blocks; one seed and
+        # wide batches.
+        (30, 3, 1), (31, 3, 40), (50, 7, 3), (5, 2, 9), (1, 0, 4), (4_900, 100, 1), (300, 20, 250),
+    ],
+)
+def test_step_map_scan_matches_reference(case, T, burn_in, n, monkeypatch):
+    model, behavior, size = _scan_case(case)
+    calls = _record_scans(monkeypatch)
+    seeds = list(range(500, 500 + n))
+    cells, y = core._simulate_arrays(model, behavior, T, burn_in, seeds, step_monoid=core._step_monoid)
+    expected = simulate_reference(model, behavior, T, burn_in, seeds)
+    x, h, w, want_y = (np.stack(column) for column in zip(*expected))
+    np.testing.assert_array_equal(cells, (x * model.num_h + h) * model.num_actions + w)
+    np.testing.assert_array_equal(y, want_y)
+    # A model past the cap, or whose codes outnumber the moves, scans lanes.
+    fits = size is not None and len(_code_table(model, behavior)) <= (T + burn_in - 1) * n
+    assert calls == ([T + burn_in - 1] if fits else [])
+
+
+@pytest.mark.parametrize("case", SCAN_CASES)
+def test_environment_scans_step_maps_for_a_batch_and_lanes_for_one_seed(case, monkeypatch):
+    model, behavior, size = _scan_case(case)
+    env = FiniteEnvironment(case, model, behavior, behavior)
+    calls = _record_scans(monkeypatch)
+    env.rewards_and_ratios(400, 20, [7])
+    assert calls == []
+    env.rewards_and_ratios(400, 20, [7, 8, 9])
+    assert calls == ([419] if size is not None else [])
