@@ -26,7 +26,7 @@ import numpy as np
 
 from . import serialization
 from .core import mixing_overlap_report, policy_value_exact
-from .errors import ConfigurationError, MixingFailureError, OverlapViolationError
+from .errors import ConfigurationError, MixingFailureError, OverlapViolationError, _positive
 from .estimators import (
     BandwidthRule,
     EstimatorConfig,
@@ -266,6 +266,9 @@ def _cmd_oracle(args) -> int:
         _emit(serialization.json_text({"value": value, "provenance": provenance}), args.out)
         return EXIT_OK
     _refuse(args, "the exact oracle", "--oracle-runs", "--oracle-hours", "--seed", "--burn-in")
+    if args.C0 is not None and args.T is None:
+        raise ConfigurationError("--C0 not allowed without --T")
+    C0 = 1.0 if args.C0 is None else _positive("C0", args.C0)
     policy = env.target if args.policy == "target" else env.behavior
     value = policy_value_exact(env.model, policy)
     target_rep = mixing_overlap_report(env.model, env.target, env.behavior)
@@ -284,10 +287,7 @@ def _cmd_oracle(args) -> int:
     }
     t0 = max(target_rep.mixing_time, behavior_rep.mixing_time)
     if args.T is not None and np.isfinite(t0) and t0 > 0 and not target_rep.overlap_violated:
-        doc["calibrated_k"] = corollary_window(
-            n=1, T=args.T, t0=t0, zeta=target_rep.overlap_zeta,
-            C0=1.0 if args.C0 is None else args.C0,
-        )
+        doc["calibrated_k"] = corollary_window(n=1, T=args.T, t0=t0, zeta=target_rep.overlap_zeta, C0=C0)
     _emit(serialization.json_text(doc), args.out)
     return EXIT_OK
 

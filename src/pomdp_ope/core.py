@@ -33,8 +33,8 @@ uniform, its move bucket those of all transition rows merged at or below
 the move uniform, and (code, state) tables built per call give each state's
 next state and cell in one gather each. Each code maps every state to its
 next, so every run of steps is one map S -> S, and the maps the codes make
-from the identity form a monoid. When a one-byte id holds it (a batch's
-owner builds it once, ``_step_monoid``), ``_follow_maps`` composes one id
+from the identity form a monoid. When a one-byte id holds it (built once
+per table and process, ``_table_monoid``), ``_follow_maps`` composes one id
 per (step, seed) inside blocks of ``FOLLOW_BLOCK`` steps and follows the
 block maps to each block's start; otherwise ``_follow`` follows the state
 through the next-state table of every (seed, state) lane by a recursive
@@ -46,12 +46,12 @@ into seed rows; the rewards' means and sds are gathered from them.
 
 Each stage takes its large arrays from a workspace where it starts and
 gives them back where it ends. A ``_Workspace`` lends buffers and takes
-them back for reuse: the harness gives each runner thread of a sweep or
-study call one, so the stages of a chunk share buffers by lifetime and
-every later chunk on that thread reuses them instead of faulting in memory
-that malloc gave back to the OS. It lives only for that call. Every other
-caller gets ``_FRESH``, which makes a new array per take and keeps nothing,
-so nothing returned to it shares memory with another call's arrays.
+them back for reuse: ``_run_jobs`` gives each of its threads one for the
+call, so the stages of a sweep or study chunk share buffers by lifetime
+and every later chunk on that thread reuses them instead of faulting in
+memory that malloc gave back to the OS. Every other caller gets
+``_FRESH``, which makes a new array per take and keeps nothing, so nothing
+returned to it shares memory with another call's arrays.
 
 Each batch is chunked once, by its owner: the harness and the glucose
 oracle split their seeds with ``chunk_ranges``, and the simulators take the
@@ -141,8 +141,9 @@ def _worker_count(workers: int | None) -> int:
 
 
 def _run_jobs(run, jobs: Sequence, threads: int) -> None:
-    """Call ``run(job)`` for every job, on the caller's thread and up to
-    ``threads - 1`` helper threads (none for one thread or one job).
+    """Call ``run(job, workspace)`` for every job, on the caller's thread and
+    up to ``threads - 1`` helper threads (none for one thread or one job),
+    each passing its own ``_Workspace``, which lives for this call.
 
     Thread i starts with job i, the caller with job 0; then each takes the
     next job not yet started. No job starts once an earlier job in job order
@@ -159,6 +160,7 @@ def _run_jobs(run, jobs: Sequence, threads: int) -> None:
 
     def work(i: int | None) -> None:
         nonlocal taken, failed, error
+        workspace = _Workspace()
         while True:
             with lock:
                 if i is None:
@@ -166,7 +168,7 @@ def _run_jobs(run, jobs: Sequence, threads: int) -> None:
                 if i >= failed:
                     return
             try:
-                run(jobs[i])
+                run(jobs[i], workspace)
             except BaseException as exc:
                 with lock:
                     if i < failed:
@@ -205,8 +207,8 @@ _FRESH = _FreshArrays()
 
 
 class _Workspace(_FreshArrays):
-    """Scratch memory that every chunk one runner thread simulates and
-    estimates shares, for one sweep or study call.
+    """Scratch memory that the jobs one thread of a ``_run_jobs`` call runs
+    share: the chunks of a sweep or study, or a glucose chunk's seed draws.
 
     A stage takes its arrays where it starts and gives them back where it
     ends, so a later stage or the next chunk reuses the pages instead of
@@ -668,6 +670,24 @@ def _step_monoid(nxt_of: np.ndarray):
     return None
 
 
+# The step-map monoids of the last eight (code, state) tables built, by shape,
+# dtype and bytes: every run and environment of one model and policy shares one.
+_monoids: dict = {}
+_monoid_lock = threading.Lock()
+
+
+def _table_monoid(nxt_of: np.ndarray):
+    """``_step_monoid(nxt_of)`` from the cache, built there if missing; a
+    thread that asks while another builds waits for that build."""
+    key = (nxt_of.shape, nxt_of.dtype.str, nxt_of.tobytes())
+    with _monoid_lock:
+        if key not in _monoids:
+            if len(_monoids) == 8:
+                del _monoids[next(iter(_monoids))]
+            _monoids[key] = _step_monoid(nxt_of)
+        return _monoids[key]
+
+
 def _draw_blocks(n: int, total: int) -> tuple[list[tuple[int, int]], int]:
     """The (start, stop) seed groups of a batch of n seeds of ``total``
     steps, and the steps per span each group's streams are drawn in: a
@@ -685,16 +705,15 @@ def _simulate_arrays(
     burn_in: int,
     seeds: Sequence[int],
     workspace: _FreshArrays = _FRESH,
-    step_monoid=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (state, action) cells s * num_actions + w (int64) and the rewards
     (float64) of one trajectory per seed, each as a (len(seeds), T) array.
 
     Each step's code (see the module docstring) gives the next state every
-    state would reach at that (seed, step). ``step_monoid``, if given, maps
-    the (code, state) next-state table to its ``_step_monoid``, and the paths
-    follow its ids; without one, or past its cap, ``_follow`` follows a
-    table of (T + burn_in) * num_states cells per seed. The batch's owner
+    state would reach at that (seed, step). The paths follow the ids of the
+    (code, state) next-state table's monoid (``_table_monoid``); past its
+    cap, or for a dense model, ``_follow`` follows a table of
+    (T + burn_in) * num_states cells per seed. The batch's owner
     sizes it with ``chunk_ranges``, and this simulates all the seeds it is
     given. Its large arrays come from ``workspace``, and all but the two
     returned go back to it.
@@ -783,7 +802,7 @@ def _simulate_arrays(
         move_of = _bucket_counts(cum_trans, move_values)[act_of, np.arange(num_s)]
         nxt_of = move_of.transpose(0, 2, 1).reshape(codes, num_s)
         cell_of = np.repeat(cell_of, moves, axis=0)
-        monoid = step_monoid(nxt_of) if step_monoid else None
+        monoid = _table_monoid(nxt_of)
         if monoid is None:
             nxt = ws.take((total - 1, n, num_s), index_dtype)
             nxt_of.astype(index_dtype).take(code[:-1], axis=0, out=nxt, mode="clip")

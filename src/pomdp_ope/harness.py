@@ -15,21 +15,17 @@ simulators take the seeds they are given. Finite environments budget
 ``core.CACHE_STEPS``, so the engine's passes over a chunk stay in cache,
 but never more than ``core.CHUNK_STEPS`` cells of the simulator's (step,
 state) tables; glucose budgets ``core.CHUNK_STEPS``, the memory bound.
-The jobs run on up to ``workers`` threads through ``core._run_jobs``;
-the estimator's array passes release the GIL, so one chunk's estimate
-overlaps another's simulation. The chunks in flight hold at most
-``CHUNK_STEPS`` simulated steps between them, so a glucose chunk, whose
-budget is ``CHUNK_STEPS``, always runs alone and splits its seed draws
-instead (``glucose._draw_exogenous``). Finite environments read
-the array simulator ``core._simulate_arrays`` directly and gather ratios
-at its (state, action) cells from one policy-ratio table, so no
-``Trajectory`` is built on the way. Each runner thread of one
-``_evaluate_windows`` call has a ``core._Workspace`` that every chunk it
-runs reuses: the simulator's tables, the ratio gather and the engine's
-window buffers come from it and go back to it, and it ends with the call.
-Glucose chunks allocate their own simulation arrays.
-Output is bit-identical for a given spec whatever the chunk size and the
-worker count.
+The harness only lists the jobs: ``core._run_jobs`` runs them on up to
+``workers`` threads and hands each job its thread's ``core._Workspace``,
+which the simulator's tables, the ratio gather and the engine's window
+buffers come from and go back to (glucose chunks allocate their own
+simulation arrays). The estimator's array passes release the GIL, so one
+chunk's estimate overlaps another's simulation; the chunks in flight hold
+at most ``CHUNK_STEPS`` simulated steps between them, so a glucose chunk
+runs alone and splits its seed draws instead. Finite environments gather
+ratios at the (state, action) cells of ``core._simulate_arrays`` from one
+policy-ratio table, so no ``Trajectory`` is built on the way. Output is
+bit-identical for a given spec whatever the chunk size and worker count.
 
 An environment object is the one place that knows its kind and defaults:
 ``make_environment`` maps an id to one, and each carries its default
@@ -43,7 +39,6 @@ hands the spec the one it loaded, so model files sweep too.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Sequence, Union
@@ -58,12 +53,10 @@ from .core import (
     Policy,
     PomdpModel,
     _FreshArrays,
-    _Workspace,
     _check_dimensions,
     _check_finite,
     _run_jobs,
     _simulate_arrays,
-    _step_monoid,
     _worker_count,
     chunk_ranges,
     policy_value_exact,
@@ -94,7 +87,6 @@ class FiniteEnvironment:
     """Finite POMDP with exact value oracle."""
 
     default_burn_in = DEFAULT_BURN_IN
-    _monoid_lock = threading.Lock()  # shared, so an environment still pickles
 
     def __init__(self, name: str, model: PomdpModel, behavior: Policy, target: Policy):
         # The ratio table has a row per state, read from both policies.
@@ -115,22 +107,13 @@ class FiniteEnvironment:
     def rewards_and_ratios(
         self, T: int, burn_in: int, seeds: Sequence[int], workspace: _FreshArrays = _FRESH
     ) -> tuple[np.ndarray, np.ndarray]:
-        # A batch follows step-map ids; one seed's few lanes cost less than their build.
-        monoid = self._step_monoid if len(seeds) > 1 else None
-        cells, y = _simulate_arrays(self.model, self.behavior, T, burn_in, seeds, workspace, monoid)
+        cells, y = _simulate_arrays(self.model, self.behavior, T, burn_in, seeds, workspace)
         rho = _policy_ratios(
             cells, self.model.x_of_state, self.target, self.behavior, self.name,
             out=workspace.take(cells.shape),
         )
         workspace.give(cells)
         return y, rho
-
-    def _step_monoid(self, nxt_of: np.ndarray):
-        """``core._step_monoid`` of the simulator's (code, state) table, built on the first call."""
-        with self._monoid_lock:
-            if not hasattr(self, "_monoid"):
-                self._monoid = _step_monoid(nxt_of)
-        return self._monoid
 
     def oracle(self) -> tuple[float, dict]:
         return policy_value_exact(self.model, self.target), {"kind": "exact", "tol": 1e-12}
@@ -185,6 +168,8 @@ def hard_params(text: str) -> HardInstanceParams:
         key = key.strip()
         if key not in ("Q", "t0", "zeta", "M1", "M2", "Delta"):
             raise ConfigurationError(f"unknown hard-instance parameter {key!r}")
+        if key in kv:
+            raise ConfigurationError(f"{key} must not repeat in a hard-instance spec")
         try:
             kv[key] = float(value)
         except ValueError as exc:
@@ -231,13 +216,14 @@ class SweepSpec:
     the shared randomness / inference settings.
 
     ``environment`` is an environment object, or an id built once here: the
-    spec keeps the object as ``env`` (outside init, repr and comparison) and
-    takes its name as ``environment`` and, for a None ``burn_in``, its
-    default. Counts and windows must be integers (NumPy integers included),
-    ``k_values`` windows the shortest horizon takes, and no window or
-    horizon may repeat; all are stored as Python ints, so the spec's echo
-    always serializes. The bandwidth rule must give every horizon a
-    bandwidth."""
+    spec keeps the object as ``env`` (outside repr and comparison) and takes
+    its name as ``environment`` and, for a None ``burn_in``, its default; an
+    ``env`` that ``environment`` names, as ``dataclasses.replace`` passes
+    them, is kept. Counts and windows must be integers (NumPy integers
+    included), ``k_values`` windows the shortest horizon takes, and no
+    window or horizon may repeat; all are stored as Python ints, so the
+    spec's echo always serializes. The bandwidth rule must give every
+    horizon a bandwidth."""
 
     environment: str | FiniteEnvironment | GlucoseEnvironment
     k_values: tuple[int, ...]
@@ -247,7 +233,7 @@ class SweepSpec:
     master_seed: int = 0
     bandwidth: BandwidthRule = DEFAULT_BANDWIDTH_RULE
     alpha: float = 0.05
-    env: FiniteEnvironment | GlucoseEnvironment = field(init=False, repr=False, compare=False)
+    env: FiniteEnvironment | GlucoseEnvironment | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         T_values = tuple(_integer("T_values entry", T, 1) for T in self.T_values)
@@ -259,9 +245,10 @@ class SweepSpec:
         object.__setattr__(self, "k_values", k_values)
         for T in T_values:
             self.bandwidth.bandwidth(T)
-        env = self.environment
-        if not isinstance(env, (FiniteEnvironment, GlucoseEnvironment)):
-            env = make_environment(env)
+        env, kinds = self.environment, (FiniteEnvironment, GlucoseEnvironment)
+        if not isinstance(env, kinds):
+            kept = isinstance(self.env, kinds) and self.env.name == env
+            env = self.env if kept else make_environment(env)
         object.__setattr__(self, "env", env)
         object.__setattr__(self, "environment", env.name)
         if self.burn_in is None:
@@ -325,9 +312,9 @@ def _evaluate_windows(
     estimates it and writes only its own rows; ``core._run_jobs`` runs the
     jobs on ``workers`` threads, at most as many as ``CHUNK_STEPS`` holds of
     the largest job or of the environment's budget, whichever is larger,
-    and the first job to fail in job order raises its error. Each runner
-    thread makes a ``core._Workspace`` at its first job and reuses it for
-    every later one; nothing the call returns lives in one.
+    and the first job to fail in job order raises its error. Each job
+    works in its runner thread's ``core._Workspace``; nothing the call
+    returns lives in one.
     """
     workers = _worker_count(workers)
     env = spec.env
@@ -342,14 +329,8 @@ def _evaluate_windows(
         for start, stop in chunk_ranges(R, T + spec.burn_in, chunk_size, env.chunk_steps):
             jobs.append((ti, T, bandwidth, seeds[start:stop], slice(start, stop)))
 
-    # Each runner thread's workspace; it lives only as long as this call.
-    workspaces = threading.local()
-
-    def run(job) -> None:
+    def run(job, ws) -> None:
         ti, T, bandwidth, seeds, rows = job
-        ws = getattr(workspaces, "ws", None)
-        if ws is None:
-            ws = workspaces.ws = _Workspace()
         Y, RHO = env.rewards_and_ratios(T, spec.burn_in, seeds, ws)
         outs[ti][rows], flags[ti][rows] = _estimate_windows(
             Y[:, None], RHO[:, None], ks, spec.alpha, bandwidth, ws

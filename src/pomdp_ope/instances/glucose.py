@@ -19,16 +19,16 @@ Glucose starts at the noise-free resting level 100 with empty lag history,
 and a burn-in period (default 50 hours) is discarded before recording.
 
 A batch of seeds is simulated time-major. The batch's seeds are cut into
-contiguous runs of whole groups, drawn side by side by ``core._run_jobs``
-on the default thread count; NumPy's random fills release the GIL, so the
-runs overlap. Each run's generators are seeded in one vectorized pass and
-drawn in cache-sized groups of seeds: each seed's stream fills its rows of
-the group's blocks with standard normals and uniforms, the group scales
-the normals, applies the hour's events and writes its columns straight
-into ``(hours, seeds)`` arrays, so the hour loop reads and writes
-contiguous rows and no full-batch transpose is made. Every seed's stream
-is its own, so the values do not depend on the thread count. The hour
-loop runs on the caller's thread alone.
+contiguous runs of whole groups, drawn side by side by ``core._run_jobs`` on
+the default thread count; NumPy's random fills release the GIL, so the runs
+overlap. Each run's generators are seeded in one vectorized pass and drawn
+in cache-sized groups of seeds through a scratch from its thread's
+workspace: each seed's stream fills its rows of the group's blocks with
+standard normals and uniforms, the group scales the normals, applies the
+hour's events and writes its columns straight into ``(hours, seeds)``
+arrays, so the hour loop reads and writes contiguous rows and no full-batch
+transpose is made. Every seed's stream is its own, so the values do not
+depend on the thread count. The hour loop runs on the caller's thread alone.
 A seed whose truncated normals hold a negative draw is drawn again by the
 exact sequential path, with the rejections in-stream, so every seed's
 values are those of drawing it alone. The hour loop adds each hour's mean
@@ -230,17 +230,17 @@ def _draw_exogenous(seeds: Sequence[int], total: int, with_insulin: bool):
     per seed. ``insulin`` is the behavior policy's injection decision, drawn
     only when ``with_insulin`` (otherwise None).
 
-    The seeds are cut into contiguous runs of whole ``_GROUP_SEEDS``
-    groups, one run per thread (``core._worker_count(None)``, at most one
-    per group), which ``core._run_jobs`` draws side by side; NumPy's fills
-    release the GIL, so they overlap. A run's generators come from one
-    pass of the batch seed core, made on the caller's thread, and it keeps
-    its own scratch and writes only its own columns. Within a run, each
-    seed's stream fills that seed's row of the group's blocks in a fixed
-    order (noise, u_activity, mild, moderate, moderate's mild part, u_diet,
-    diet, then u_insulin), as standard normals and uniforms; the group
-    then scales each normal block to ``mean + sd * z``, which is how
-    ``Generator.normal`` computes it.
+    The seeds are cut into contiguous runs of whole ``_GROUP_SEEDS`` groups,
+    one run per thread (``core._worker_count(None)``, at most one per
+    group), which ``core._run_jobs`` draws side by side; NumPy's fills
+    release the GIL, so they overlap. A run's generators come from one pass
+    of the batch seed core, made on the caller's thread; it takes its
+    scratch from its thread's workspace and writes only its own columns.
+    Within a run, each seed's stream fills that seed's row of the group's
+    blocks in a fixed order (noise, u_activity, mild, moderate, moderate's
+    mild part, u_diet, diet, then u_insulin), as standard normals and
+    uniforms; the group then scales each normal block to ``mean + sd * z``,
+    which is how ``Generator.normal`` computes it.
     A row with no negative truncated draw consumed exactly the stream the
     sequential path would have; a row with one is drawn again from a fresh
     generator by that path (``_draw_row``). The group's events are then
@@ -255,8 +255,8 @@ def _draw_exogenous(seeds: Sequence[int], total: int, with_insulin: bool):
     cuts = [min(n, group * (groups * i // threads)) for i in range(threads + 1)]
     runs = [(lo, hi, _make_rngs(seeds[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
 
-    def draw_run(start: int, stop: int, rngs) -> None:
-        scratch = np.empty((8 if with_insulin else 7, group, total))
+    def draw_run(start: int, stop: int, rngs, workspace) -> None:
+        scratch = workspace.take((8 if with_insulin else 7, group, total))
         for lo in range(start, stop, group):
             hi = min(lo + group, stop)
             blocks = scratch[:, : hi - lo]
@@ -303,7 +303,7 @@ def _draw_exogenous(seeds: Sequence[int], total: int, with_insulin: bool):
             for u in u_insulin:
                 np.less(u.T, INSULIN_PROB, out=insulin[:, lo:hi])
 
-    _run_jobs(lambda run: draw_run(*run), runs, threads)
+    _run_jobs(lambda run, workspace: draw_run(*run, workspace), runs, threads)
     return noise, ex, di, insulin
 
 

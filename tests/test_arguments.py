@@ -350,6 +350,8 @@ def _cli(capsys, *argv):
         ("sweep", "--env", "toy", "--k-set=0", "--T-set=50", "--replications", "2", "--bandwidth-exp", "inf"),
         ("instance", "--env", f"hard:Q=2.5,{HARD}", "--check"),
         ("instance", "--env", f"hard:Q=nan,{HARD}", "--check"),
+        # A repeated key once ran its last value, while the env label showed both.
+        ("sweep", "--env", f"hard:Q=3,{HARD},Q=4", "--k-set=0", "--T-set=50", "--replications", "2"),
     ],
     ids=[
         "estimate-nan-bandwidth",
@@ -357,6 +359,7 @@ def _cli(capsys, *argv):
         "sweep-inf-bandwidth",
         "hard-fractional-Q",
         "hard-nan-Q",
+        "hard-repeated-Q",
     ],
 )
 def test_cli_names_a_bad_argument_with_exit_2(capsys, argv):

@@ -287,6 +287,28 @@ def test_mixing_failure_exits_4(tmp_path, capsys):
     ids=["dobrushin-1", "overlap-violated"],
 )
 def test_oracle_writes_infinite_diagnostics_as_null(tmp_path, capsys, target, behavior, key):
+    code, out, _ = run_cli(capsys, "oracle", *_stay_and_mix(tmp_path, target, behavior))
+    assert code == 0
+    doc = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
+    assert doc["diagnostics"][key] is None
+    assert doc["value"] == 0.5
+
+
+@pytest.mark.parametrize(
+    "target, behavior", [("stay", "mix"), ("mix", "stay")], ids=["dobrushin-1", "overlap-violated"]
+)
+def test_oracle_checks_C0_where_no_window_is_calibrated(tmp_path, capsys, target, behavior):
+    # With an infinite mixing time or overlap constant no window is
+    # calibrated, but a bad --C0 is refused all the same.
+    argv = _stay_and_mix(tmp_path, target, behavior)
+    code, out, _ = run_cli(capsys, "oracle", *argv, "--T", "100", "--C0", "2")
+    assert code == 0 and "calibrated_k" not in json.loads(out)
+    code, out, err = run_cli(capsys, "oracle", *argv, "--T", "100", "--C0", "-1")
+    assert (code, out, err) == (2, "", "error: C0 must be finite and > 0, got -1.0\n")
+
+
+def _stay_and_mix(tmp_path, target: str, behavior: str) -> tuple[str, ...]:
+    """The model-file options of a two-state model with the policies named."""
     from pomdp_ope import PointMass, Policy, PomdpModel
     from pomdp_ope.serialization import save_model, save_policy
 
@@ -302,16 +324,26 @@ def test_oracle_writes_infinite_diagnostics_as_null(tmp_path, capsys, target, be
     save_model(model, tmp_path / "m.json")
     save_policy(Policy(probs=np.array([[1.0, 0.0], [1.0, 0.0]])), tmp_path / "stay.json")
     save_policy(Policy(probs=np.full((2, 2), 0.5)), tmp_path / "mix.json")
-    code, out, _ = run_cli(
-        capsys,
-        "oracle", "--model", str(tmp_path / "m.json"),
+    return (
+        "--model", str(tmp_path / "m.json"),
         "--behavior", str(tmp_path / f"{behavior}.json"),
         "--target", str(tmp_path / f"{target}.json"),
     )
-    assert code == 0
-    doc = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
-    assert doc["diagnostics"][key] is None
-    assert doc["value"] == 0.5
+
+
+def test_lepski_runs_share_one_step_monoid_build(capsys, monkeypatch):
+    # Each run loads its own toy environment; the simulator's monoid cache
+    # builds the table's monoid once, at the first run.
+    from pomdp_ope import core
+
+    builds = []
+    build = core._step_monoid
+    monkeypatch.setattr(core, "_monoids", {})
+    monkeypatch.setattr(core, "_step_monoid", lambda nxt_of: builds.append(nxt_of) or build(nxt_of))
+    for seed in ("1", "2"):
+        assert main(["lepski", "--env", "toy", "--T", "2000", "--k-set=-1,0,1", "--seed", seed]) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
 
 
 def test_unknown_environment_exits_2(capsys):
@@ -366,8 +398,13 @@ def test_glucose_oracle_takes_seed_and_burn_in(capsys):
         ("toy", ("--oracle-hours", "20")),
         ("toy", ("--seed", "5")),
         ("toy", ("--burn-in", "0")),
+        # A constant of the calibrated window applies only with --T.
+        ("toy", ("--C0", "2")),
     ],
-    ids=["glucose-T", "glucose-C0", "toy-oracle-runs", "toy-oracle-hours", "toy-seed", "toy-burn-in"],
+    ids=[
+        "glucose-T", "glucose-C0", "toy-oracle-runs", "toy-oracle-hours", "toy-seed", "toy-burn-in",
+        "toy-C0-without-T",
+    ],
 )
 def test_oracle_refuses_options_that_do_not_apply(capsys, env, option):
     # The glucose cases keep the Monte Carlo run small, in case the option

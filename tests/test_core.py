@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import ast
 import sys
 import threading
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -421,13 +423,14 @@ def test_overlap_zeta_dominates_all_ratios(seed):
 
 
 def _recording(ran: list, fail=None):
-    """A job function that appends (job, thread) to ``ran`` as each job
-    starts, sleeps a millisecond, and then calls ``fail(job)``, if given."""
+    """A job function that appends (job, thread, workspace) to ``ran`` as
+    each job starts, sleeps a millisecond, and then calls ``fail(job)``, if
+    given."""
     lock = threading.Lock()
 
-    def run(job):
+    def run(job, workspace):
         with lock:
-            ran.append((job, threading.current_thread()))
+            ran.append((job, threading.current_thread(), workspace))
         time.sleep(0.001)
         if fail is not None:
             fail(job)
@@ -441,8 +444,22 @@ def test_run_jobs_runs_every_job_exactly_once(threads, n):
     ran = []
     baseline = threading.active_count()
     _run_jobs(_recording(ran), range(n), threads)
-    assert sorted(job for job, _ in ran) == list(range(n))
+    assert sorted(job for job, *_ in ran) == list(range(n))
     assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_run_jobs_gives_each_thread_one_workspace(threads):
+    # Every job a thread runs gets that thread's workspace, and no two
+    # threads share one.
+    ran = []
+    _run_jobs(_recording(ran), range(12), threads)
+    held = {}
+    for _, thread, workspace in ran:
+        assert isinstance(workspace, core._Workspace)
+        assert held.setdefault(thread, workspace) is workspace
+    assert len(held) == threads
+    assert len({id(workspace) for workspace in held.values()}) == threads
 
 
 def test_run_jobs_takes_each_job_once_under_fast_switching():
@@ -451,7 +468,7 @@ def test_run_jobs_takes_each_job_once_under_fast_switching():
     ran = []
     lock = threading.Lock()
 
-    def run(job):
+    def run(job, workspace):
         with lock:
             ran.append(job)
 
@@ -479,7 +496,7 @@ def test_run_jobs_caller_runs_job_0_and_helper_i_starts_with_job_i(threads, monk
     ran = []
     _run_jobs(_recording(ran), range(12), threads)
     first = {}
-    for job, thread in ran:
+    for job, thread, _ in ran:
         first.setdefault(thread, job)
     assert first[threading.current_thread()] == 0
     assert [first[helper] for helper in helpers] == list(range(1, threads))
@@ -526,5 +543,23 @@ def test_run_jobs_starts_no_job_after_a_failure(threads):
     baseline = threading.active_count()
     with pytest.raises(RuntimeError, match="job 2"):
         _run_jobs(_recording(ran, fail), range(8), threads)
-    assert sorted(job for job, _ in ran) == [0, 1, 2]
+    assert sorted(job for job, *_ in ran) == [0, 1, 2]
     assert threading.active_count() == baseline
+
+
+def test_only_core_imports_thread_code():
+    # core._run_jobs and the monoid cache's lock are the package's thread
+    # code; every other module hands its jobs to the runner.
+    package = Path(core.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).with_suffix("").as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for name in names:
+                threads = name.split(".")[0] == "threading" or name.startswith("concurrent")
+                assert module == "core" or not threads, f"{module} imports {name}"

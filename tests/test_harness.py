@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import pickle
@@ -801,6 +802,21 @@ def test_spec_holds_the_environment_it_was_given():
     )
 
 
+def test_a_spec_copy_keeps_its_environment_object():
+    # dataclasses.replace passes the name back with the object, so a spec of
+    # a model file, whose name is no id, copies to a spec of the same
+    # object with the echo of one built anew; a new id builds its own.
+    toy = make_environment("toy")
+    env = FiniteEnvironment("m.json", toy.model, toy.behavior, toy.target)
+    spec = SweepSpec(environment=env, k_values=(0,), T_values=(20,), replications=2)
+    copy = dataclasses.replace(spec, replications=3)
+    built = SweepSpec(environment=env, k_values=(0,), T_values=(20,), replications=3)
+    assert copy.env is env and copy == built
+    assert json_text(copy.to_dict()) == json_text(built.to_dict())
+    other = dataclasses.replace(spec, environment="toy")
+    assert other.env is not env and other.env.name == "toy"
+
+
 @pytest.mark.parametrize(
     "run",
     [
@@ -832,40 +848,50 @@ def test_a_run_from_a_name_builds_its_environment_once(environment_builds, run, 
 )
 @pytest.mark.parametrize("workers", [1, 2, 8])
 def test_a_run_builds_its_step_monoid_once(run, workers, monkeypatch):
-    # Every chunk of both horizons, on every runner thread, follows its
-    # paths by the ids of one step-map monoid, built at the first chunk;
-    # the last chunk of each, one seed, follows its lanes. A slow build
-    # with threads switching every microsecond: a second build would show.
-    from pomdp_ope import core, harness as harness_mod
+    # Every chunk of both horizons of two runs, each building its own
+    # environment, on every runner thread, one seed included, follows its
+    # paths by the ids of one step-map monoid, built at the first chunk
+    # that asks; the cache starts empty. A slow build with threads
+    # switching every microsecond: a second build would show.
+    from pomdp_ope import core
 
     builds, scans = [], []
-    build, follow_maps = harness_mod._step_monoid, core._follow_maps
+    build, follow_maps = core._step_monoid, core._follow_maps
 
     def slow_build(nxt_of):
         builds.append(nxt_of)
         time.sleep(0.01)
         return build(nxt_of)
 
-    monkeypatch.setattr(harness_mod, "_step_monoid", slow_build)
+    monkeypatch.setattr(core, "_monoids", {})
+    monkeypatch.setattr(core, "_step_monoid", slow_build)
     monkeypatch.setattr(core, "_follow_maps", lambda *a: scans.append(a[1]) or follow_maps(*a))
-    spec = SweepSpec(environment="toy", k_values=(0, 1), T_values=(40, 60), replications=7, burn_in=5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        run(spec, workers=workers, chunk_size=3)
+        for _ in range(2):
+            spec = SweepSpec(environment="toy", k_values=(0, 1), T_values=(40, 60), replications=7, burn_in=5)
+            run(spec, workers=workers, chunk_size=3)
     finally:
         sys.setswitchinterval(interval)
     assert len(builds) == 1
-    assert sorted(scans) == [44, 44, 64, 64]
+    assert sorted(scans) == [44] * 6 + [64] * 6
 
 
-def test_a_spec_pickles_after_its_run():
-    # The monoid's lock belongs to the class, so an environment that has
-    # built its monoid still pickles, and the copy runs to the same cells.
+def test_a_spec_pickles_after_its_run(monkeypatch):
+    # The monoid lives in core's cache, not in the environment, so a spec
+    # still pickles after its run, and the copy runs to the same cells from
+    # the same build.
+    from pomdp_ope import core
+
+    builds = []
+    build = core._step_monoid
+    monkeypatch.setattr(core, "_monoids", {})
+    monkeypatch.setattr(core, "_step_monoid", lambda nxt_of: builds.append(nxt_of) or build(nxt_of))
     spec = SweepSpec(environment="toy", k_values=(0, 1), T_values=(40,), replications=5, burn_in=5)
     result = run_sweep(spec)
-    assert spec.env._monoid is not None
     assert run_sweep(pickle.loads(pickle.dumps(spec))).cells == result.cells
+    assert len(builds) == len(core._monoids) == 1
 
 
 def test_random_dense_model_sweeps_against_its_exact_value():

@@ -495,7 +495,9 @@ def _scan_case(case: str):
 def _code_table(model, behavior) -> np.ndarray:
     """The (code, state) next-state table a batch builds its monoid from."""
     tables = []
-    core._simulate_arrays(model, behavior, 300, 0, [0, 1], step_monoid=tables.append)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_table_monoid", tables.append)  # no monoid, so lanes
+        core._simulate_arrays(model, behavior, 300, 0, [0, 1])
     (table,) = tables
     return table
 
@@ -546,7 +548,7 @@ def test_step_map_scan_matches_reference(case, T, burn_in, n, monkeypatch):
     model, behavior, size = _scan_case(case)
     calls = _record_scans(monkeypatch)
     seeds = list(range(500, 500 + n))
-    cells, y = core._simulate_arrays(model, behavior, T, burn_in, seeds, step_monoid=core._step_monoid)
+    cells, y = core._simulate_arrays(model, behavior, T, burn_in, seeds)
     expected = simulate_reference(model, behavior, T, burn_in, seeds)
     x, h, w, want_y = (np.stack(column) for column in zip(*expected))
     np.testing.assert_array_equal(cells, (x * model.num_h + h) * model.num_actions + w)
@@ -557,11 +559,11 @@ def test_step_map_scan_matches_reference(case, T, burn_in, n, monkeypatch):
 
 
 @pytest.mark.parametrize("case", SCAN_CASES)
-def test_environment_scans_step_maps_for_a_batch_and_lanes_for_one_seed(case, monkeypatch):
+def test_environment_scans_step_maps_for_one_seed_and_a_batch(case, monkeypatch):
     model, behavior, size = _scan_case(case)
     env = FiniteEnvironment(case, model, behavior, behavior)
     calls = _record_scans(monkeypatch)
     env.rewards_and_ratios(400, 20, [7])
-    assert calls == []
-    env.rewards_and_ratios(400, 20, [7, 8, 9])
     assert calls == ([419] if size is not None else [])
+    env.rewards_and_ratios(400, 20, [7, 8, 9])
+    assert calls == ([419, 419] if size is not None else [])
