@@ -26,7 +26,7 @@ import numpy as np
 
 from . import serialization
 from .core import mixing_overlap_report, policy_value_exact
-from .errors import ConfigurationError, MixingFailureError, OverlapViolationError, _positive
+from .errors import ConfigurationError, MixingFailureError, OverlapViolationError, _integer, _positive
 from .estimators import (
     BandwidthRule,
     EstimatorConfig,
@@ -204,11 +204,13 @@ def _cmd_lepski(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.out and Path(args.out).suffix.lower() == ".json":
+    companion = Path(args.out).with_suffix(".json") if args.out else None
+    if companion and Path(args.out).suffix.lower() == ".json":
         raise ConfigurationError(
             f"--out {args.out} would be overwritten by the sweep's JSON companion, "
             "which takes its name with a .json suffix; give the CSV another suffix"
         )
+    _check_out(companion, "the sweep's JSON companion")
     spec = SweepSpec(
         environment=_load_environment(args),
         k_values=tuple(args.k_set),
@@ -222,9 +224,7 @@ def _cmd_sweep(args) -> int:
     result = run_sweep(spec)
     if args.out:
         sweep_result_to_csv(result, args.out)
-        serialization.dump_json(
-            sweep_result_to_json(result), Path(args.out).with_suffix(".json")
-        )
+        serialization.dump_json(sweep_result_to_json(result), companion)
     else:
         _emit(serialization.json_text(sweep_result_to_json(result)), None)
     return EXIT_OK
@@ -269,6 +269,7 @@ def _cmd_oracle(args) -> int:
     if args.C0 is not None and args.T is None:
         raise ConfigurationError("--C0 not allowed without --T")
     C0 = 1.0 if args.C0 is None else _positive("C0", args.C0)
+    T = None if args.T is None else _integer("T", args.T, 2)
     policy = env.target if args.policy == "target" else env.behavior
     value = policy_value_exact(env.model, policy)
     target_rep = mixing_overlap_report(env.model, env.target, env.behavior)
@@ -286,8 +287,8 @@ def _cmd_oracle(args) -> int:
         },
     }
     t0 = max(target_rep.mixing_time, behavior_rep.mixing_time)
-    if args.T is not None and np.isfinite(t0) and t0 > 0 and not target_rep.overlap_violated:
-        doc["calibrated_k"] = corollary_window(n=1, T=args.T, t0=t0, zeta=target_rep.overlap_zeta, C0=C0)
+    if T is not None and np.isfinite(t0) and t0 > 0 and not target_rep.overlap_violated:
+        doc["calibrated_k"] = corollary_window(n=1, T=T, t0=t0, zeta=target_rep.overlap_zeta, C0=C0)
     _emit(serialization.json_text(doc), args.out)
     return EXIT_OK
 
@@ -312,11 +313,11 @@ _COMMANDS = {
 }
 
 
-def _check_out(out: str | None) -> None:
-    """Refuse, before any work, an --out that cannot be written as a file."""
+def _check_out(out: str | Path | None, name: str = "--out") -> None:
+    """Refuse, before any work, an output path that cannot be written as a file."""
     if out is not None and (Path(out).is_dir() or not Path(out).parent.is_dir()):
         problem = "is a directory" if Path(out).is_dir() else "is not in an existing directory"
-        raise ConfigurationError(f"--out {out} {problem}")
+        raise ConfigurationError(f"{name} {out} {problem}")
 
 
 def main(argv=None) -> int:

@@ -33,10 +33,12 @@ uniform, its move bucket those of all transition rows merged at or below
 the move uniform, and (code, state) tables built per call give each state's
 next state and cell in one gather each. Each code maps every state to its
 next, so every run of steps is one map S -> S, and the maps the codes make
-from the identity form a monoid. When a one-byte id holds it (built once
-per table and process, ``_table_monoid``), ``_follow_maps`` composes one id
-per (step, seed) inside blocks of ``FOLLOW_BLOCK`` steps and follows the
-block maps to each block's start; otherwise ``_follow`` follows the state
+from the identity form a monoid, found by exact closure (``_step_monoid``).
+When a one-byte id holds it (at most 255 maps; a hard ladder of Q rungs
+makes 2Q - 1, so Q up to 128 fits; built once per table and process,
+``_table_monoid``), ``_follow_maps`` composes one id per (step, seed) in
+blocks of ``FOLLOW_BLOCK`` steps and follows the block maps to each block's
+start; otherwise ``_follow`` follows the state
 through the next-state table of every (seed, state) lane by a recursive
 blocked scan, whose numpy calls grow with log(steps). A model with more
 codes than the batch's (T + burn_in - 1) n moves (a dense one) keeps the
@@ -641,33 +643,27 @@ def _bucket_counts(cum: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def _step_monoid(nxt_of: np.ndarray):
     """The maps S -> S that the rows of the (code, state) next-state table
-    generate from the identity, if a one-byte id holds them: (maps, step,
-    identity), maps[i] the map of id i, step[i, c] the id of code c after
-    map i. None past 255 maps, or where their pairwise products would take
-    more than ``CHUNK_STEPS`` cells. A set of every product of up to 2^j
-    codes gives with its pairwise products every product of up to 2^(j+1),
-    so eight squarings reach any map of a monoid of 255."""
+    generate from the identity, if a one-byte id holds them: (maps, step),
+    maps[i] the map of id i (the identity is id 0) and step[i, c] the id of
+    code c after map i; None past 255 maps. Found by exact closure: each
+    pass follows the next maps not yet followed (at most 256 // G + 1, G the
+    distinct code maps) by every code map, and a product not yet seen,
+    keyed by its bytes, takes the next id."""
     num_s = nxt_of.shape[1]
     nxt_of = nxt_of.astype(np.min_scalar_type(num_s - 1))
-    # Maps f sort by the hash sum_s f(s) H^(s+1) mod 2^64, and every map a
-    # hash finds is checked entry by entry: a collision can only cost the scan.
-    weights = np.cumprod(np.full(num_s, np.uint64(0x9E3779B97F4A7C15)))
-    rows, of_code = np.unique(nxt_of @ weights, return_index=True, return_inverse=True)[1:]
-    gens = nxt_of[rows]  # the distinct code maps; code c's is gens[of_code[c]]
-    ident = np.arange(num_s, dtype=gens.dtype)
-    maps = np.concatenate([ident[None], gens])
-    for _ in range(9):
-        keys, first = np.unique(maps @ weights, return_index=True)
-        maps = maps[first]
-        if len(maps) > 255 or len(maps) ** 2 * num_s > CHUNK_STEPS:
+    gens, of_code = np.unique(nxt_of, axis=0, return_inverse=True)
+    width, per_pass = gens[0].nbytes, 256 // len(gens) + 1
+    ids = {np.arange(num_s, dtype=gens.dtype).tobytes(): 0}  # map bytes -> id, in id order
+    step = []  # step[i * len(gens) + g]: the id of gens[g] after map i
+    while len(step) < len(ids) * len(gens):
+        done = len(step) // len(gens)
+        found = np.frombuffer(b"".join(list(ids)[done : done + per_pass]), gens.dtype)
+        after = gens[:, found.reshape(-1, num_s)].transpose(1, 0, 2).tobytes()
+        step += [ids.setdefault(after[at : at + width], len(ids)) for at in range(0, len(after), width)]
+        if len(ids) > 255:
             return None
-        after = gens[:, maps].transpose(1, 0, 2)  # generator g after map i at [i, g]
-        step = np.searchsorted(keys, after @ weights).clip(max=len(maps) - 1)
-        identity = min(np.searchsorted(keys, ident @ weights), len(maps) - 1)
-        if (maps[step] == after).all() and (maps[identity] == ident).all():
-            return maps, step[:, of_code].astype(np.uint8), int(identity)
-        maps = np.concatenate([maps, maps[:, maps].reshape(-1, num_s)])
-    return None
+    maps = np.frombuffer(b"".join(ids), gens.dtype).reshape(-1, num_s)
+    return maps, np.array(step, np.uint8).reshape(len(ids), -1)[:, of_code.reshape(-1)]
 
 
 # The step-map monoids of the last eight (code, state) tables built, by shape,
@@ -711,8 +707,8 @@ def _simulate_arrays(
 
     Each step's code (see the module docstring) gives the next state every
     state would reach at that (seed, step). The paths follow the ids of the
-    (code, state) next-state table's monoid (``_table_monoid``); past its
-    cap, or for a dense model, ``_follow`` follows a table of
+    (code, state) next-state table's monoid (``_table_monoid``); past 255
+    maps, or for a dense model, ``_follow`` follows a table of
     (T + burn_in) * num_states cells per seed. The batch's owner
     sizes it with ``chunk_ranges``, and this simulates all the seeds it is
     given. Its large arrays come from ``workspace``, and all but the two
@@ -909,16 +905,17 @@ def _follow(
 def _follow_maps(code, m: int, start, monoid, lanes, workspace: _FreshArrays = _FRESH) -> np.ndarray:
     """The (m + 1, n) states from ``start`` through the moves in the first m
     rows of the ``FOLLOW_BLOCK``-row blocks of step codes ``code``, by ids in
-    ``monoid`` (``_step_monoid``): B - 1 gathers compose one id per (step,
-    seed) inside every block at once, ``_follow`` follows the (seed, state)
-    ``lanes`` through each block's last map, and one gather fills the rows."""
-    maps, step, identity = monoid
+    ``monoid`` (``_step_monoid``; id 0 the identity): B - 1 gathers compose
+    one id per (step, seed) inside every block at once, ``_follow`` follows
+    the (seed, state) ``lanes`` through each block's last map, and one
+    gather fills the rows."""
+    maps, step = monoid
     n, num_s, B = len(start), maps.shape[1], FOLLOW_BLOCK
     blocks = -(-m // B)
     moves = code[: blocks * B].reshape(blocks, B, n)
     # ids[j, b]: the map from block b's start to step b B + j + 1.
     ids = workspace.take((B, blocks, n), np.uint8)
-    step[identity].take(moves[:, 0], out=ids[0], mode="clip")
+    step[0].take(moves[:, 0], out=ids[0], mode="clip")
     # Flat indexes in the narrowest type: composing ran 25% faster than in intp on toy.
     at = workspace.take((blocks, n), np.min_scalar_type(step.size))
     for j in range(1, B):

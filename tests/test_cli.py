@@ -166,6 +166,22 @@ def test_sweep_refuses_an_out_its_json_companion_would_overwrite(tmp_path, capsy
         assert list(tmp_path.iterdir()) == []
 
 
+def test_sweep_refuses_a_directory_in_its_json_companion_place(tmp_path, capsys, monkeypatch):
+    # The sweep once ran to the end, wrote the CSV and then raised
+    # IsADirectoryError (exit 1) on the companion.
+    (tmp_path / "c.json").mkdir()
+    runs = []
+    monkeypatch.setattr(cli, "run_sweep", lambda spec: runs.append(spec))
+    code, out, err = run_cli(
+        capsys, "sweep", "--env", "toy", "--k-set=0", "--T-set=20", "--replications", "2",
+        "--out", str(tmp_path / "c.csv"),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: the sweep's JSON companion {tmp_path / 'c.json'} is a directory\n"
+    assert runs == []
+    assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -305,6 +321,20 @@ def test_oracle_checks_C0_where_no_window_is_calibrated(tmp_path, capsys, target
     assert code == 0 and "calibrated_k" not in json.loads(out)
     code, out, err = run_cli(capsys, "oracle", *argv, "--T", "100", "--C0", "-1")
     assert (code, out, err) == (2, "", "error: C0 must be finite and > 0, got -1.0\n")
+
+
+@pytest.mark.parametrize("T", ["1", "0", "-5"])
+@pytest.mark.parametrize(
+    "target, behavior", [("stay", "mix"), ("mix", "stay")], ids=["dobrushin-1", "overlap-violated"]
+)
+def test_oracle_checks_T_where_no_window_is_calibrated(tmp_path, capsys, target, behavior, T):
+    # These once exited 0 and ignored --T, which toy refuses: one rule
+    # for every model.
+    argv = _stay_and_mix(tmp_path, target, behavior)
+    code, out, err = run_cli(capsys, "oracle", *argv, "--T", T)
+    assert (code, out, err) == (2, "", f"error: T must be >= 2, got {T}\n")
+    code, out, err = run_cli(capsys, "oracle", "--env", "toy", "--T", T)
+    assert (code, out, err) == (2, "", f"error: T must be >= 2, got {T}\n")
 
 
 def _stay_and_mix(tmp_path, target: str, behavior: str) -> tuple[str, ...]:

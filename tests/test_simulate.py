@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import interior_policy, random_model
+from conftest import interior_policy, random_model, run_python
 from oracles import simulate_reference
 
 from pomdp_ope import (
@@ -488,8 +488,11 @@ def _scan_case(case: str):
         return (*_random_pair(1, 2), 140)
     if case == "random-S6":
         return (*_random_pair(1, 3), None)
-    env = make_environment({"toy": "toy", "hard-Q3": HARD_Q3, "hard-Q20": HARD_Q20}[case])
-    return env.model, env.behavior, {"toy": 57, "hard-Q3": 5, "hard-Q20": 39}[case]
+    # A ladder of Q rungs makes 2Q - 1 maps, so one-byte ids hold Q <= 128.
+    ladders = {f"hard-Q{Q}": f"hard:Q={Q},t0=1,zeta=0.69,M1=1,M2=2" for Q in (80, 128, 129)}
+    env = make_environment({"toy": "toy", "hard-Q3": HARD_Q3, "hard-Q20": HARD_Q20, **ladders}[case])
+    sizes = {"toy": 57, "hard-Q3": 5, "hard-Q20": 39, "hard-Q80": 159, "hard-Q128": 255, "hard-Q129": None}
+    return env.model, env.behavior, sizes[case]
 
 
 def _code_table(model, behavior) -> np.ndarray:
@@ -515,10 +518,11 @@ def _record_scans(monkeypatch) -> list:
     return calls
 
 
-SCAN_CASES = ["toy", "hard-Q3", "hard-Q20", "random-S4", "random-S6"]
+# hard-Q80 checks the step-map scan on a wide monoid: 159 maps of 80 states.
+SCAN_CASES = ["toy", "hard-Q3", "hard-Q20", "hard-Q80", "random-S4", "random-S6"]
 
 
-@pytest.mark.parametrize("case", SCAN_CASES)
+@pytest.mark.parametrize("case", SCAN_CASES + ["hard-Q128", "hard-Q129"])
 def test_step_monoid_is_closed_and_holds_the_identity(case):
     model, behavior, size = _scan_case(case)
     nxt_of = _code_table(model, behavior)
@@ -526,10 +530,11 @@ def test_step_monoid_is_closed_and_holds_the_identity(case):
     if size is None:
         assert monoid is None
         return
-    maps, step, identity = monoid
+    maps, step = monoid
     assert maps.shape == (size, model.num_states) and step.shape == (size, len(nxt_of))
     assert step.dtype == np.uint8
-    np.testing.assert_array_equal(maps[identity], np.arange(model.num_states))
+    np.testing.assert_array_equal(maps[0], np.arange(model.num_states))
+    assert len({m.tobytes() for m in maps}) == size  # no map twice
     # Every code after every map is the map its id names.
     np.testing.assert_array_equal(maps[step], nxt_of[:, maps].transpose(1, 0, 2))
 
@@ -567,3 +572,16 @@ def test_environment_scans_step_maps_for_one_seed_and_a_batch(case, monkeypatch)
     assert calls == ([419] if size is not None else [])
     env.rewards_and_ratios(400, 20, [7, 8, 9])
     assert calls == ([419, 419] if size is not None else [])
+
+
+def test_toy_simulation_does_not_import_numpy_ma():
+    # numpy.ma costs about 15 ms to import; neither the step codes nor the
+    # step-map monoid's build need it.
+    out = run_python(
+        "import sys\n"
+        "from pomdp_ope import make_environment, simulate\n"
+        "env = make_environment('toy')\n"
+        "simulate(env.model, env.behavior, 200, 10, 3)\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    assert out == "False\n"
