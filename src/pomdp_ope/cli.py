@@ -1,23 +1,24 @@
 """Command-line front end.
 
 Thin adapters only: every subcommand parses flags, calls into the library,
-and serializes the result. Only the subcommand being run gets its arguments
-added to the parser; ``pomdp-ope`` alone, ``--help`` and an unknown command
-build every subcommand's, so their help and usage errors are unchanged. ``_load_environment`` is the only code that
-decides which kind of environment ``--env`` or the
-``--model/--behavior/--target`` files name (the two sources are exclusive),
-and builds the run's one environment; each subcommand then asks it for its
-burn-in, trajectory CSV, rewards and ratios, model or hard-pair parameters
-(``sweep`` hands it to its ``SweepSpec``, so model files sweep too), and
-refuses, naming it, an option that does not apply to that kind. Exit codes: 0 success, 2
-configuration error (including a model or policy file that cannot be read
-or is malformed, named, and malformed JSON, reported with line and
-column), 3 overlap violation, 4 mixing failure.
+and serializes the result. A run adds only its subcommand's arguments to a
+parser built once per command and process; ``pomdp-ope`` alone, ``--help``
+and an unknown command build every subcommand's, so their help and usage
+errors are unchanged. ``_load_environment`` alone decides which kind of
+environment ``--env`` or the ``--model/--behavior/--target`` files name (the
+two sources are exclusive), and builds the run's one environment; each
+subcommand then asks it for its burn-in, trajectory CSV, rewards and ratios,
+model or hard-pair parameters (``sweep`` hands it to its ``SweepSpec``, so
+model files sweep too), and refuses, naming it, an option that does not apply
+to that kind. Exit codes: 0 success, 2 configuration error (including a model
+or policy file that cannot be read or is malformed, named, and malformed
+JSON, reported with line and column), 3 overlap violation, 4 mixing failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -121,7 +122,7 @@ def _args_lepski(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--k-set",
         type=_int_list,
-        default=list(range(-1, 8)),
+        default="-1,0,1,2,3,4,5,6,7",  # text, so every parse makes its own list
         help="comma list; values starting with '-' need the --k-set=-1,0,... form",
     )
     p.add_argument("--alpha", type=float, default=0.05)
@@ -155,10 +156,11 @@ def _args_oracle(p: argparse.ArgumentParser) -> None:
     p.set_defaults(seed=None)
 
 
+@functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``pomdp-ope`` parser. Every subcommand is registered with its
-    name and help, but only ``command`` gets its arguments (every subcommand
-    if None)."""
+    """The ``pomdp-ope`` parser, built once per ``command`` and process.
+    Every subcommand is registered with its name and help, but only
+    ``command`` gets its arguments (every subcommand if None)."""
     parser = argparse.ArgumentParser(
         prog="pomdp-ope",
         description="Off-policy evaluation in finite POMDPs: simulation, "

@@ -30,21 +30,23 @@ group at a time once the path is known, and turned into rewards in place.
 Each step's two uniforms are classified once, into a step code: its action
 bucket counts the policy's distinct thresholds at or below the action
 uniform, its move bucket those of all transition rows merged at or below
-the move uniform, and (code, state) tables built per call give each state's
-next state and cell in one gather each. Each code maps every state to its
-next, so every run of steps is one map S -> S, and the maps the codes make
-from the identity form a monoid, found by exact closure (``_step_monoid``).
-When a one-byte id holds it (at most 255 maps; a hard ladder of Q rungs
-makes 2Q - 1, so Q up to 128 fits; built once per table and process,
-``_table_monoid``), ``_follow_maps`` composes one id per (step, seed) in
-blocks of ``FOLLOW_BLOCK`` steps and follows the block maps to each block's
-start; otherwise ``_follow`` follows the state
-through the next-state table of every (seed, state) lane by a recursive
-blocked scan, whose numpy calls grow with log(steps). A model with more
-codes than the batch's (T + burn_in - 1) n moves (a dense one) keeps the
-action bucket as its code and searches each (state, action) row once. The
-cells are read off the state path time-major, a group of seeds at a time,
-into seed rows; the rewards' means and sds are gathered from them.
+the move uniform, and (code, state) tables give each state's next state
+and cell in one gather each. Each code maps every state to its next, so
+every run of steps is one map S -> S, and the maps the codes make from the
+identity form a monoid, found by exact closure (``_step_monoid``). When a
+one-byte id holds it (at most 255 maps; a hard ladder of Q rungs makes
+2Q - 1, so Q up to 128 fits), ``_follow_maps`` composes one id per (step,
+seed) in blocks of ``FOLLOW_BLOCK`` steps and follows the block maps to
+each block's start; otherwise ``_follow`` follows the state through the
+next-state table of every (seed, state) lane by a recursive blocked scan,
+whose numpy calls grow with log(steps). A model with more codes than the
+batch's (T + burn_in - 1) n moves (a dense one) keeps the action bucket as
+its code and searches each (state, action) row once. The cells are read
+off the state path time-major, a group of seeds at a time, into seed rows;
+the rewards' means and sds are gathered from them. What the model and
+behavior policy alone fix is built once per process (``_step_tables``):
+the thresholds, buckets and actions at the first call, the (code, state)
+tables and monoid at the first that counts step codes.
 
 Each stage takes its large arrays from a workspace where it starts and
 gives them back where it ends. A ``_Workspace`` lends buffers and takes
@@ -666,22 +668,50 @@ def _step_monoid(nxt_of: np.ndarray):
     return maps, np.array(step, np.uint8).reshape(len(ids), -1)[:, of_code.reshape(-1)]
 
 
-# The step-map monoids of the last eight (code, state) tables built, by shape,
-# dtype and bytes: every run and environment of one model and policy shares one.
-_monoids: dict = {}
-_monoid_lock = threading.Lock()
+class _StepTables:
+    """What ``_simulate_arrays`` reads of one model and behavior policy (see
+    the module docstring); ``coded``, the (code, state) next-state and cell
+    tables and the former's ``_step_monoid``, is set by ``_step_tables``."""
+
+    def __init__(self, model: PomdpModel, behavior: Policy):
+        cum_pol, self.cum_trans = _thresholds(behavior.probs), _thresholds(model.transition)
+        # Plain np.unique imports numpy.ma on first use (15 ms, numpy 2.4); this does not.
+        self.act_values = np.unique(cum_pol[cum_pol < 1.0], return_counts=True)[0]
+        self.move_values = np.unique(self.cum_trans[self.cum_trans < 1.0], return_counts=True)[0]
+        self.moves = len(self.move_values) + 1
+        self.codes = (len(self.act_values) + 1) * self.moves
+        # act_by_x[x, b] and act_of[b, s]: the action of covariate x, state s in bucket b.
+        self.act_by_x = _bucket_counts(cum_pol, self.act_values).astype(np.min_scalar_type(model.num_actions))
+        self.act_of = self.act_by_x[model.x_of_state].T
+        self.cell_of = np.arange(model.num_states) * model.num_actions + self.act_of
+        self.coded = None
 
 
-def _table_monoid(nxt_of: np.ndarray):
-    """``_step_monoid(nxt_of)`` from the cache, built there if missing; a
-    thread that asks while another builds waits for that build."""
-    key = (nxt_of.shape, nxt_of.dtype.str, nxt_of.tobytes())
-    with _monoid_lock:
-        if key not in _monoids:
-            if len(_monoids) == 8:
-                del _monoids[next(iter(_monoids))]
-            _monoids[key] = _step_monoid(nxt_of)
-        return _monoids[key]
+_tables: dict = {}  # the ``_StepTables`` of the last eight pairs asked for
+_tables_lock = threading.Lock()
+
+
+def _step_tables(model: PomdpModel, behavior: Policy, rows: int):
+    """The ``_StepTables`` of (model, behavior) and its ``coded`` tables, from
+    a cache keyed by the shapes and bytes of the transition tensor, each
+    state's covariate and the policy, built there if missing; ``coded`` is
+    None, and not built, when the codes outnumber the call's ``rows``
+    next-state rows (a dense model). A thread that asks while another builds
+    waits for that build."""
+    key = tuple((a.shape, a.tobytes()) for a in (model.transition, model.x_of_state, behavior.probs))
+    with _tables_lock:
+        if key not in _tables:
+            if len(_tables) == 8:
+                del _tables[next(iter(_tables))]
+            _tables[key] = _StepTables(model, behavior)
+        tables = _tables[key]
+        if tables.codes > rows:
+            return tables, None
+        if tables.coded is None:
+            move_of = _bucket_counts(tables.cum_trans, tables.move_values)
+            nxt_of = move_of[tables.act_of, np.arange(model.num_states)].transpose(0, 2, 1).reshape(tables.codes, -1)
+            tables.coded = nxt_of, np.repeat(tables.cell_of, tables.moves, axis=0), _step_monoid(nxt_of)
+        return tables, tables.coded
 
 
 def _draw_blocks(n: int, total: int) -> tuple[list[tuple[int, int]], int]:
@@ -706,13 +736,13 @@ def _simulate_arrays(
     (float64) of one trajectory per seed, each as a (len(seeds), T) array.
 
     Each step's code (see the module docstring) gives the next state every
-    state would reach at that (seed, step). The paths follow the ids of the
-    (code, state) next-state table's monoid (``_table_monoid``); past 255
-    maps, or for a dense model, ``_follow`` follows a table of
-    (T + burn_in) * num_states cells per seed. The batch's owner
-    sizes it with ``chunk_ranges``, and this simulates all the seeds it is
-    given. Its large arrays come from ``workspace``, and all but the two
-    returned go back to it.
+    state would reach at that (seed, step), by tables built once per model,
+    behavior policy and process (``_step_tables``). The paths follow the
+    ids of the (code, state) next-state table's monoid; past 255 maps, or
+    for a dense model, ``_follow`` follows a table of (T + burn_in) *
+    num_states cells per seed. The batch's owner sizes it with
+    ``chunk_ranges``, and this simulates all the seeds it is given. Its
+    large arrays come from ``workspace``, all but the two returned go back.
     """
     _check_dimensions(model, behavior)
     T = _integer("T", T, 1)
@@ -753,52 +783,35 @@ def _simulate_arrays(
     # the move bucket the distinct thresholds of all transition rows at or
     # below u_move, and every state's action and move at that step follow
     # from the code. The last step's move is never used.
-    cum_pol = _thresholds(behavior.probs)
-    cum_trans = _thresholds(model.transition)
-    # Plain np.unique imports numpy.ma on first use (15 ms, numpy 2.4); this does not.
-    act_values = np.unique(cum_pol[cum_pol < 1.0], return_counts=True)[0]
-    move_values = np.unique(cum_trans[cum_trans < 1.0], return_counts=True)[0]
-    moves = len(move_values) + 1
-    codes = (len(act_values) + 1) * moves
-    # With more codes than next-state rows (dense models), a step's code is
-    # its action bucket alone, and each (state, action) row is searched once
-    # (side="right": those <= u_move, a prefix of the row; see ``_thresholds``).
-    per_row = codes > (total - 1) * n
+    tables, coded = _step_tables(model, behavior, (total - 1) * n)
+    # No code tables (a dense model): a step's code is its action bucket alone, and each (state,
+    # action) row is searched once (side="right": those <= u_move, a prefix; see ``_thresholds``).
     rows = max(total, -(-(total - 1) // FOLLOW_BLOCK) * FOLLOW_BLOCK)  # whole blocks
-    padded = ws.take((rows, n), np.min_scalar_type(len(act_values) if per_row else codes))
+    padded = ws.take((rows, n), np.min_scalar_type(len(tables.act_values) if coded is None else tables.codes))
     padded[...] = 0  # rows past the last step hold code 0
     code = padded[:total]
-    _add_count_at_or_below(code, act_values, u_act)
+    _add_count_at_or_below(code, tables.act_values, u_act)
     ws.give(u_act)
     del u_act
-    x_of_state = model.x_of_state
-    # act_by_x[x, b] and act_of[b, s]: the action of covariate x, state s in bucket b.
-    act_by_x = _bucket_counts(cum_pol, act_values).astype(np.min_scalar_type(model.num_actions))
-    act_of = act_by_x[x_of_state].T
-    cell_of = np.arange(num_s) * model.num_actions + act_of
 
     # nxt[t, r, s]: where state s moves at step t of seed r, stored as the
     # flat index r * num_s + s' into the (seed, state) lanes of step t + 1.
     index_dtype = np.min_scalar_type(num_s * n)
     lanes = np.arange(0, n * num_s, num_s, dtype=index_dtype)
-    monoid = None
-    if per_row:
-        acts = [row.take(code[:-1]) for row in act_by_x]
+    cell_of, monoid = tables.cell_of, None
+    if coded is None:
+        acts = [row.take(code[:-1]) for row in tables.act_by_x]
         nxt = ws.take((total - 1, n, num_s), index_dtype)
         for s in range(num_s):
-            act, nxt_s = acts[x_of_state[s]], nxt[:, :, s]
+            act, nxt_s = acts[s // model.num_h], nxt[:, :, s]
             for a in range(model.num_actions):
                 hit = act == a
-                nxt_s[hit] = cum_trans[a, s].searchsorted(u_move[hit], side="right")
+                nxt_s[hit] = tables.cum_trans[a, s].searchsorted(u_move[hit], side="right")
         del acts, act, nxt_s, hit
     else:
-        code *= moves
-        _add_count_at_or_below(code[:-1], move_values, u_move)
-        # (code, state) tables: the next state and the recorded cell.
-        move_of = _bucket_counts(cum_trans, move_values)[act_of, np.arange(num_s)]
-        nxt_of = move_of.transpose(0, 2, 1).reshape(codes, num_s)
-        cell_of = np.repeat(cell_of, moves, axis=0)
-        monoid = _table_monoid(nxt_of)
+        code *= tables.moves
+        _add_count_at_or_below(code[:-1], tables.move_values, u_move)
+        nxt_of, cell_of, monoid = coded
         if monoid is None:
             nxt = ws.take((total - 1, n, num_s), index_dtype)
             nxt_of.astype(index_dtype).take(code[:-1], axis=0, out=nxt, mode="clip")

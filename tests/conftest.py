@@ -72,6 +72,27 @@ def environment_builds(monkeypatch):
     return builds
 
 
+@pytest.fixture
+def step_tables(monkeypatch) -> dict:
+    """The simulator's cache of step tables, empty as the test starts, so
+    that a spy on a build sees the first one; the test's cache is dropped
+    after it."""
+    from pomdp_ope import core
+
+    monkeypatch.setattr(core, "_tables", {})
+    return core._tables
+
+
+@pytest.fixture
+def parsers():
+    """``cli.build_parser``'s cache, empty as the test starts and after it."""
+    from pomdp_ope import cli
+
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
 def random_policy(rng: np.random.Generator, num_x: int = 2, num_actions: int = 2) -> Policy:
     return Policy(probs=rng.dirichlet(np.ones(num_actions), size=num_x))
 

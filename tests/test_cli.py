@@ -361,19 +361,21 @@ def _stay_and_mix(tmp_path, target: str, behavior: str) -> tuple[str, ...]:
     )
 
 
-def test_lepski_runs_share_one_step_monoid_build(capsys, monkeypatch):
-    # Each run loads its own toy environment; the simulator's monoid cache
-    # builds the table's monoid once, at the first run.
+def test_lepski_runs_share_one_step_monoid_build(capsys, monkeypatch, step_tables):
+    # Each run loads its own toy environment; the simulator's table cache
+    # builds the step tables and their monoid once, at the first run: one
+    # bucket table of the policy, one of the transition tensor.
     from pomdp_ope import core
 
-    builds = []
-    build = core._step_monoid
-    monkeypatch.setattr(core, "_monoids", {})
+    builds, buckets = [], []
+    build, bucket_counts = core._step_monoid, core._bucket_counts
     monkeypatch.setattr(core, "_step_monoid", lambda nxt_of: builds.append(nxt_of) or build(nxt_of))
+    monkeypatch.setattr(core, "_bucket_counts", lambda cum, values: buckets.append(cum.shape) or bucket_counts(cum, values))
     for seed in ("1", "2"):
         assert main(["lepski", "--env", "toy", "--T", "2000", "--k-set=-1,0,1", "--seed", seed]) == 0
     capsys.readouterr()
-    assert len(builds) == 1
+    assert len(builds) == len(step_tables) == 1
+    assert buckets == [(2, 2), (2, 4, 4)]
 
 
 def test_unknown_environment_exits_2(capsys):
@@ -791,7 +793,45 @@ def _parse_output(parse, argv, capsys):
     [[], ["--help"], ["-h"], ["nosuch"], *([command, "--help"] for command in COMMAND_LINES)],
     ids=lambda argv: " ".join(argv) or "no-arguments",
 )
-def test_help_and_usage_errors_are_those_of_the_whole_parser(argv, capsys):
-    want = _parse_output(build_parser().parse_args, argv, capsys)
+def test_help_and_usage_errors_are_those_of_the_whole_parser(argv, capsys, parsers):
+    # The first run builds and caches its parser and the second reuses it;
+    # both print the bytes of a whole parser built afresh.
+    want = _parse_output(build_parser.__wrapped__().parse_args, argv, capsys)
+    assert _parse_output(main, argv, capsys) == want
     assert _parse_output(main, argv, capsys) == want
     assert want[0] == (0 if argv and argv[-1] in ("-h", "--help") else 2)
+
+
+def test_each_command_builds_its_parser_once(monkeypatch, capsys, parsers):
+    # Two runs of a command add its arguments once; --help and an unknown
+    # command build the whole parser, every command's arguments, once.
+    added = []
+    for name, (help_text, add_arguments, run) in cli._COMMANDS.items():
+        adder = lambda p, name=name, add=add_arguments: added.append(name) or add(p)
+        monkeypatch.setitem(cli._COMMANDS, name, (help_text, adder, run))
+    for _ in range(2):
+        assert main(["oracle", "--env", "toy"]) == 0
+        assert main(["lepski", "--env", "toy", "--T", "60", "--k-set=-1,0"]) == 0
+    assert added == ["oracle", "lepski"]
+    for argv in (["--help"], ["nosuch"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    capsys.readouterr()
+    assert added == ["oracle", "lepski", *cli._COMMANDS]
+
+
+def test_a_run_that_changes_its_k_set_leaves_the_default(monkeypatch, parsers):
+    # The cached parser serves every run: a run that grows its parsed
+    # --k-set in place must not reach the next run's default.
+    seen = []
+
+    def run(args):
+        seen.append(list(args.k_set))
+        args.k_set += [99]
+        return 0
+
+    help_text, add_arguments, _ = cli._COMMANDS["lepski"]
+    monkeypatch.setitem(cli._COMMANDS, "lepski", (help_text, add_arguments, run))
+    for _ in range(2):
+        assert main(["lepski", "--env", "toy", "--T", "60"]) == 0
+    assert seen == [list(range(-1, 8))] * 2

@@ -847,24 +847,26 @@ def test_a_run_from_a_name_builds_its_environment_once(environment_builds, run, 
     ids=["run_sweep", "run_lepski_study"],
 )
 @pytest.mark.parametrize("workers", [1, 2, 8])
-def test_a_run_builds_its_step_monoid_once(run, workers, monkeypatch):
+def test_a_run_builds_its_step_monoid_once(run, workers, monkeypatch, step_tables):
     # Every chunk of both horizons of two runs, each building its own
     # environment, on every runner thread, one seed included, follows its
     # paths by the ids of one step-map monoid, built at the first chunk
     # that asks; the cache starts empty. A slow build with threads
-    # switching every microsecond: a second build would show.
+    # switching every microsecond: a second build would show. The step
+    # tables are built once too: one bucket table of the policy, one of the
+    # transition tensor.
     from pomdp_ope import core
 
-    builds, scans = [], []
-    build, follow_maps = core._step_monoid, core._follow_maps
+    builds, scans, buckets = [], [], []
+    build, follow_maps, bucket_counts = core._step_monoid, core._follow_maps, core._bucket_counts
 
     def slow_build(nxt_of):
         builds.append(nxt_of)
         time.sleep(0.01)
         return build(nxt_of)
 
-    monkeypatch.setattr(core, "_monoids", {})
     monkeypatch.setattr(core, "_step_monoid", slow_build)
+    monkeypatch.setattr(core, "_bucket_counts", lambda cum, values: buckets.append(cum.shape) or bucket_counts(cum, values))
     monkeypatch.setattr(core, "_follow_maps", lambda *a: scans.append(a[1]) or follow_maps(*a))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -874,24 +876,24 @@ def test_a_run_builds_its_step_monoid_once(run, workers, monkeypatch):
             run(spec, workers=workers, chunk_size=3)
     finally:
         sys.setswitchinterval(interval)
-    assert len(builds) == 1
+    assert len(builds) == len(step_tables) == 1
+    assert buckets == [(2, 2), (2, 4, 4)]
     assert sorted(scans) == [44] * 6 + [64] * 6
 
 
-def test_a_spec_pickles_after_its_run(monkeypatch):
-    # The monoid lives in core's cache, not in the environment, so a spec
-    # still pickles after its run, and the copy runs to the same cells from
-    # the same build.
+def test_a_spec_pickles_after_its_run(monkeypatch, step_tables):
+    # The step tables and their monoid live in core's cache, not in the
+    # environment, so a spec still pickles after its run, and the copy runs
+    # to the same cells from the same build.
     from pomdp_ope import core
 
     builds = []
     build = core._step_monoid
-    monkeypatch.setattr(core, "_monoids", {})
     monkeypatch.setattr(core, "_step_monoid", lambda nxt_of: builds.append(nxt_of) or build(nxt_of))
     spec = SweepSpec(environment="toy", k_values=(0, 1), T_values=(40,), replications=5, burn_in=5)
     result = run_sweep(spec)
     assert run_sweep(pickle.loads(pickle.dumps(spec))).cells == result.cells
-    assert len(builds) == len(core._monoids) == 1
+    assert len(builds) == len(step_tables) == 1
 
 
 def test_random_dense_model_sweeps_against_its_exact_value():

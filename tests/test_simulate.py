@@ -4,6 +4,8 @@ and the harness's array path against the per-trajectory one."""
 from __future__ import annotations
 
 import hashlib
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -236,7 +238,8 @@ def _record_paths(monkeypatch, model) -> dict:
     tables are built, and whether every row was counted per state. Only
     the (code, state) tables of step codes need a bucket table of the
     transition tensor's shape, so the per-row regime is a run that builds
-    none."""
+    none. The tables are built once per model and process, so a test that
+    spies starts from an empty cache (the ``step_tables`` fixture)."""
     seen = {"tables": [], "per_row": True}
     bucket_counts = core._bucket_counts
 
@@ -263,7 +266,7 @@ def _shortfall_model(rng: np.random.Generator):
 
 
 @pytest.mark.parametrize("case", ["toy", "hard-Q40", "one-state", "sparse-shortfall"])
-def test_step_codes_match_reference(case, monkeypatch):
+def test_step_codes_match_reference(case, monkeypatch, step_tables):
     if case == "one-state":
         model, behavior = _one_state_model()
     elif case == "sparse-shortfall":
@@ -283,7 +286,7 @@ def test_step_codes_match_reference(case, monkeypatch):
     assert seen["tables"][-1] == model.transition.shape
 
 
-def test_per_row_counting_matches_reference(monkeypatch):
+def test_per_row_counting_matches_reference(monkeypatch, step_tables):
     # S = 30 dense rows have more step codes than one seed's 149 next-state
     # rows, so each state counts its own rows. So do 24 sparse states at
     # T = 30 and two seeds: their rows hold zero entries (repeated
@@ -303,7 +306,7 @@ def test_per_row_counting_matches_reference(monkeypatch):
         assert seen["tables"] == [behavior.probs.shape]
 
 
-def test_dense_batch_builds_no_code_tables(monkeypatch):
+def test_dense_batch_builds_no_code_tables(monkeypatch, step_tables):
     # A random S = 100, A = 4 model has about 3.0 M step codes, far more than
     # a chunk's next-state rows, so no (code, state) table is built.
     rng = np.random.default_rng(0)
@@ -313,6 +316,113 @@ def test_dense_batch_builds_no_code_tables(monkeypatch):
     core._simulate_arrays(model, behavior, 50, 10, [0, 1])
     assert seen["per_row"]
     assert seen["tables"] == [behavior.probs.shape]
+    # Nor is one kept: the cache holds the pair's tables without them.
+    (tables,) = step_tables.values()
+    assert tables.coded is None
+
+
+def test_equal_pairs_built_apart_share_one_cache_entry(step_tables):
+    # Two toy environments hold equal arrays in distinct objects, so every
+    # batch of either reads one set of step tables.
+    first, second = make_environment("toy"), make_environment("toy")
+    assert first.model is not second.model and first.behavior is not second.behavior
+    for env in (first, second):
+        core._simulate_arrays(env.model, env.behavior, 50, 5, [0, 1])
+    (tables,) = step_tables.values()
+    got, coded = core._step_tables(second.model, second.behavior, 98)
+    assert got is tables and coded is tables.coded is not None
+
+
+def _variants():
+    """A 2 x 2 model and policy, and pairs that differ from it only in one
+    transition entry, in one policy entry (each by 1e-13, within the row-sum
+    tolerance), or in the split of its 4 states into covariates and hidden
+    states (one covariate, whose policy row is the first)."""
+    rng = np.random.default_rng(12)
+    model, behavior = random_model(rng), interior_policy(rng)
+
+    def remodel(transition=model.transition, num_x=2, num_h=2):
+        return PomdpModel(num_x=num_x, num_h=num_h, num_actions=2, transition=transition, reward=model.reward)
+
+    transition, probs = model.transition.copy(), behavior.probs.copy()
+    transition[1, 2, 0] += 1e-13
+    probs[0, 1] += 1e-13
+    return [
+        (model, behavior),
+        (remodel(transition), behavior),
+        (model, Policy(probs=probs)),
+        (remodel(num_x=1, num_h=4), Policy(probs=behavior.probs[:1])),
+    ]
+
+
+def test_pairs_that_differ_in_one_entry_or_their_split_get_their_own_tables(step_tables):
+    for model, behavior in _variants():
+        _assert_matches_reference(model, behavior, 40, 5, [3, 4])
+    assert len(step_tables) == 4
+
+
+def test_the_cache_keeps_the_last_eight_pairs(step_tables):
+    rng = np.random.default_rng(5)
+    pairs = [(random_model(rng), interior_policy(rng)) for _ in range(9)]
+    for model, behavior in pairs[:8]:
+        core._simulate_arrays(model, behavior, 20, 2, [0])
+    held = list(step_tables.values())
+    assert len(held) == 8
+    # The ninth pair takes the place of the first.
+    core._simulate_arrays(*pairs[8], 20, 2, [0])
+    assert len(step_tables) == 8
+    assert list(step_tables.values())[:7] == held[1:]
+    assert held[0] not in step_tables.values()
+
+
+def test_code_tables_wait_for_the_first_step_code_batch(monkeypatch, step_tables):
+    # Eight steps of four seeds have fewer next-state rows than the pair has
+    # step codes, so they count per row and leave the (code, state) tables
+    # unbuilt; 200 steps build them and follow the step maps, and eight
+    # steps after that still count per row.
+    model, behavior = _eighths_model()
+    policy, transition = behavior.probs.shape, model.transition.shape
+    for T, built, coded in ((8, [policy], False), (200, [transition], True), (8, [], True)):
+        seen = _record_paths(monkeypatch, model)
+        scans = _record_scans(monkeypatch)
+        _assert_matches_reference(model, behavior, T, 2, [0, 1, 2, 3])
+        assert seen["tables"] == built
+        assert scans == ([] if T == 8 else [T + 1])
+        (tables,) = step_tables.values()
+        assert (tables.coded is not None) is coded
+
+
+def test_the_first_batches_of_two_threads_build_the_tables_once(monkeypatch, step_tables):
+    # Two runner threads ask for toy's tables at their first batches. A slow
+    # build with threads switching every microsecond: a second would show.
+    env = make_environment("toy")
+    buckets, monoids = [], []
+    bucket_counts, step_monoid = core._bucket_counts, core._step_monoid
+
+    def slow_counts(cum, values):
+        buckets.append(cum.shape)
+        time.sleep(0.01)
+        return bucket_counts(cum, values)
+
+    monkeypatch.setattr(core, "_bucket_counts", slow_counts)
+    monkeypatch.setattr(core, "_step_monoid", lambda nxt_of: monoids.append(nxt_of) or step_monoid(nxt_of))
+    got = {}
+
+    def run(seeds, workspace):
+        got[seeds] = core._simulate_arrays(env.model, env.behavior, 60, 5, list(seeds), workspace)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        core._run_jobs(run, [(0, 1), (2, 3)], 2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert buckets == [(2, 2), (2, 4, 4)]
+    assert len(monoids) == len(step_tables) == 1
+    for seeds, (cells, y) in got.items():
+        want_cells, want_y = core._simulate_arrays(env.model, env.behavior, 60, 5, list(seeds))
+        np.testing.assert_array_equal(cells, want_cells)
+        np.testing.assert_array_equal(y, want_y)
 
 
 class _Eighths:
@@ -354,7 +464,7 @@ def _eighths_model():
 
 
 @pytest.mark.parametrize("T, per_row", [(8, True), (200, False)], ids=["per-row", "step-codes"])
-def test_draws_equal_to_a_threshold_count_it(T, per_row, monkeypatch):
+def test_draws_equal_to_a_threshold_count_it(T, per_row, monkeypatch, step_tables):
     # A draw equal to a threshold counts that threshold, as in the reference
     # loop: every draw is a multiple of 1/8, as is every threshold below 1.0.
     model, behavior = _eighths_model()
@@ -499,7 +609,8 @@ def _code_table(model, behavior) -> np.ndarray:
     """The (code, state) next-state table a batch builds its monoid from."""
     tables = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(core, "_table_monoid", tables.append)  # no monoid, so lanes
+        patch.setattr(core, "_tables", {})  # built here, and kept out of the cache
+        patch.setattr(core, "_step_monoid", tables.append)  # no monoid, so lanes
         core._simulate_arrays(model, behavior, 300, 0, [0, 1])
     (table,) = tables
     return table
