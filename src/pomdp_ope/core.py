@@ -127,8 +127,13 @@ FOLLOW_BLOCK = 16
 # window-selection study about 20% faster than one in raw time while the
 # host lent the VM both cores, and up to a third slower while it stole
 # 20-40% of the VM's time, because the simulator holds the GIL for most of
-# its run (``BENCH_17.json``). The glucose draws, NumPy fills that release
-# the GIL, took a fifth to a third less time on two (``BENCH_19.json``).
+# its run (``BENCH_17.json``), and so do the estimator's per-lag
+# ``np.vecdot`` calls on a chunk of 500 rows or fewer: NumPy lets the GIL go
+# only in a ufunc loop of more than 500 iterations, and a vecdot loops once
+# per row (with one BLAS thread, a pure-Python thread beside one call stood
+# still at 65-500 rows and ran at 501 and 600). The glucose draws, NumPy
+# fills that release the GIL, took a fifth to a third less time on two
+# (``BENCH_19.json``).
 DEFAULT_WORKERS = 2
 
 

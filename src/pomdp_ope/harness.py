@@ -19,13 +19,17 @@ The harness only lists the jobs: ``core._run_jobs`` runs them on up to
 ``workers`` threads and hands each job its thread's ``core._Workspace``,
 which the simulator's tables, the ratio gather and the engine's window
 buffers come from and go back to (glucose chunks allocate their own
-simulation arrays). The estimator's array passes release the GIL, so one
-chunk's estimate overlaps another's simulation; the chunks in flight hold
-at most ``CHUNK_STEPS`` simulated steps between them, so a glucose chunk
-runs alone and splits its seed draws instead. Finite environments gather
-ratios at the (state, action) cells of ``core._simulate_arrays`` from one
-policy-ratio table, so no ``Trajectory`` is built on the way. Output is
-bit-identical for a given spec whatever the chunk size and worker count.
+simulation arrays). The estimator's elementwise passes release the GIL,
+but its per-lag ``np.vecdot`` calls hold it on a chunk of 500 rows or
+fewer, as every figure-3 and window-selection chunk is (NumPy lets it go
+only in a loop of more than 500 iterations, and a vecdot loops once per
+row); the simulators hold it for most of their run too. The chunks in
+flight hold at most ``CHUNK_STEPS`` simulated steps between them, so a
+glucose chunk runs alone and splits its seed draws instead. Finite
+environments gather ratios at the (state, action) cells of
+``core._simulate_arrays`` from one policy-ratio table, so no
+``Trajectory`` is built on the way. Output is bit-identical for a given
+spec whatever the chunk size and worker count.
 
 An environment object is the one place that knows its kind and defaults:
 ``make_environment`` maps an id to one, and each carries its default

@@ -157,6 +157,26 @@ def naive_hac(terms: np.ndarray, bandwidth: float, kernel) -> float:
     return acc / n
 
 
+def blocked_lag_sums_reference(y: np.ndarray, J: int, block: int) -> list[float]:
+    """sum_t y_t y_{t+j} over the in-range products of a 1-D series, for
+    j = 0..J: each lag's products are summed with one ``np.dot`` per block of
+    ``block`` steps t, first the blocks of the L - J steps every lag reaches,
+    then the blocks of the last J steps, and the block sums are added in
+    that order, one lag at a time."""
+    L = len(y)
+    blocks = [(s, min(s + block, L - J)) for s in range(0, L - J, block)]
+    blocks += [(s, min(s + block, L)) for s in range(L - J, L, block)]
+    sums = []
+    for j in range(J + 1):
+        total = 0.0
+        for s, e in blocks:
+            stop = min(e, L - j)  # the products that stay within the series
+            if stop > s:
+                total += float(np.dot(y[s:stop], y[s + j : stop + j]))
+        sums.append(total)
+    return sums
+
+
 def naive_estimate(ratios, rewards, k: int, bandwidth: float, kernel) -> tuple[float, float]:
     """(value, long-run variance) of one estimate over units of one length,
     for cross-checking. Each summand is the reward times the product of the

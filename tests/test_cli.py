@@ -110,14 +110,18 @@ def test_trajectory_csv_bytes_are_pinned(capsys, argv, digest):
 
 def test_lepski_bytes_are_pinned(capsys):
     # SHA-256 of one trajectory's window selection: the reports of nine
-    # windows and the window the selection rule picks from them.
-    code, out, _ = run_cli(
-        capsys, "lepski", "--env", "toy", "--T", "5000", "--k-set=-1,0,1,2,3,4,5,6,7", "--seed", "5"
-    )
-    assert code == 0
-    assert json.loads(out)["selected_k"] == 1
-    digest = "f3a1a24a521e238c2a8d92dda505b28bd6be448e2ed895998eed80201b1c849b"
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # windows and the window the selection rule picks from them. A window of
+    # 10,000 steps, the longest, still takes one dot per lag.
+    for T, digest in [
+        ("5000", "f3a1a24a521e238c2a8d92dda505b28bd6be448e2ed895998eed80201b1c849b"),
+        ("10000", "e415bb925ae7481aa8b9acd1d9496ed0c0d897918fab8bbc3df44449ff68b949"),
+    ]:
+        code, out, _ = run_cli(
+            capsys, "lepski", "--env", "toy", "--T", T, "--k-set=-1,0,1,2,3,4,5,6,7", "--seed", "5"
+        )
+        assert code == 0
+        assert json.loads(out)["selected_k"] == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, T
 
 
 def test_lepski_subcommand(capsys):
@@ -208,15 +212,18 @@ def test_out_that_cannot_be_written_exits_2_before_any_work(tmp_path, capsys, ar
 
 def test_lepski_bytes_do_not_depend_on_blas_threads():
     # OpenBLAS splits a dot product of more than 10,000 elements over its
-    # threads, which can change a lag sum's last bits (T = 10,002 does); a
-    # series of 10,000 steps stays within one thread's share.
-    code = (
-        "from pomdp_ope.cli import main; main(['lepski', '--env', 'toy', '--T', '10000', "
-        "'--k-set=-1,0,1,2,3,4,5,6,7', '--seed', '5'])"
-    )
-    one, two = (run_python(code, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
-    assert json.loads(one)["reports"]
-    assert one == two
+    # threads, which can change a sum's last bits. A series of 10,000 steps
+    # takes one dot per lag, within one thread's share; a longer one sums its
+    # lags in blocks of 4,096 steps (one dot per lag took other bytes at
+    # 20,000 steps under two threads than under one).
+    for T in ("10000", "20000"):
+        code = (
+            f"from pomdp_ope.cli import main; main(['lepski', '--env', 'toy', '--T', '{T}', "
+            "'--k-set=-1,0,1,2,3,4,5,6,7', '--seed', '5'])"
+        )
+        one, two = (run_python(code, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
+        assert json.loads(one)["reports"]
+        assert one == two, T
 
 
 def test_instance_emits_model_round_trip(tmp_path, capsys):

@@ -3,12 +3,15 @@ against the public estimator on each unit alone."""
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import window_weights_reference
+from oracles import blocked_lag_sums_reference, window_weights_reference
 
 from pomdp_ope import ConfigurationError, EstimatorConfig, estimate_with_ci
 from pomdp_ope import estimators as est_mod
@@ -148,7 +151,8 @@ def test_lag_sums_are_added_in_lag_order_on_one_row():
     # Lag 0 and 26 weighted lags of one series: a pairwise sum of them
     # (numpy's reduction over more than 8 contiguous values) would differ in
     # the last bits from the running sum the engine keeps.
-    T, bandwidth = 20_000, 27.0
+    # At 10,000 steps, the most that take one dot per lag.
+    T, bandwidth = 10_000, 27.0
     rng = np.random.default_rng(27)
     Y = rng.normal(size=(1, 1, T)) + 0.2 * rng.standard_cauchy(size=(1, 1, T))
     out, _ = _estimate_windows(Y, np.ones_like(Y), [-1], ALPHA, bandwidth)
@@ -159,6 +163,81 @@ def test_lag_sums_are_added_in_lag_order_on_one_row():
     for j in range(1, 27):
         acc += float(2.0 * psi[j - 1] * np.vecdot(yt[:, :-j], yt[:, j:])[0])
     assert out[0, 0, 1] == acc / T
+
+
+def _series(T: int, seed: int) -> np.ndarray:
+    """A (1, 1, T) series with heavy tails, whose sums in another order
+    differ in their last bits."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(1, 1, T)) + 0.2 * rng.standard_cauchy(size=(1, 1, T))
+
+
+def _lag_weights(T: int, bandwidth: float) -> tuple[np.ndarray, np.ndarray]:
+    """The engine's lags of nonzero weight below T and their weights 2 Psi(j/B)."""
+    psi = est_mod.parzen_kernel(np.arange(1, min(int(bandwidth), T - 1) + 1) / bandwidth)
+    lags = np.flatnonzero(psi) + 1
+    return lags, 2.0 * psi[lags - 1]
+
+
+@pytest.mark.parametrize(
+    "T, bandwidth, J",
+    [
+        (10_001, 10_001 ** (1 / 3), 21),
+        # Three blocks and an odd tail, with 58 lags that cross block edges.
+        (3 * 4096 + 5, 59.0, 58),
+        # Lag 0 alone.
+        (20_000, 0.5, 0),
+        # More lags than one block, so the last J steps take blocks too.
+        (10_500, 5000.5, 5000),
+    ],
+    ids=["10001", "blocks-and-tail", "lag-0", "long-lags"],
+)
+def test_long_series_sum_their_lags_in_blocks(T, bandwidth, J):
+    # Over 10,000 steps each lag's in-range products are summed per block of
+    # 4,096 steps and the block sums added in order, so no dot is long
+    # enough for OpenBLAS to split across threads.
+    Y = _series(T, seed=T)
+    out, _ = _estimate_windows(Y, np.ones_like(Y), [-1], ALPHA, bandwidth)
+    yt = Y[0, 0] - Y[0].mean(axis=1).reshape(1, 1).mean(axis=1)[0]
+    sums = blocked_lag_sums_reference(yt, J, est_mod._LAG_BLOCK)
+    lags, weights = _lag_weights(T, bandwidth)
+    assert lags.max(initial=0) == J
+    acc = sums[0]
+    for j, w in zip(lags, weights):
+        acc += w * sums[j]
+    assert out[0, 0, 1] == acc / T
+
+
+def test_engine_matches_per_unit_path_on_long_series():
+    # Each row of a batch takes its own blocked lag sums.
+    Y = np.concatenate([_series(10_001, seed)[0] for seed in (1, 2, 3)])
+    RHO = np.exp(0.1 * np.random.default_rng(4).normal(size=Y.shape))
+    _assert_matches_per_unit(Y, RHO, [-1, 0, 3], 21.6)
+
+
+@pytest.mark.parametrize("T, J", [(20_000, 27), (3 * 4096 + 5, 58), (10_500, 5000)])
+def test_blocked_lag_sums_agree_with_exact_sums(T, J):
+    y = _series(T, seed=J)[0, 0]
+    got = est_mod._blocked_lag_sums(y, J)
+    for j in [*range(0, J, max(1, J // 60)), J]:
+        products = y[: T - j] * y[j:]
+        # Relative to the sum of the products' magnitudes: a lag sum near
+        # zero has no relative accuracy to keep.
+        assert abs(got[j] - math.fsum(products)) <= 1e-13 * math.fsum(np.abs(products))
+
+
+def test_overflowing_long_series_is_flagged_non_finite():
+    # Windows of two ratios of 1e200 overflow; the blocked lag sums of
+    # 20,000 steps leave the estimate flagged, unwarned and written as null.
+    T = 20_000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = estimate_with_ci(
+            [np.full(T, 1e200)], [np.ones(T)], EstimatorConfig(k=1, bandwidth=30.0)
+        )
+    assert rep.flags == ("non_finite",)
+    doc = rep.to_dict()
+    assert doc["value"] is None and doc["variance"] is None and doc["ci"] == [None, None]
 
 
 @pytest.mark.parametrize(
