@@ -6,7 +6,8 @@ parser built once per command and process; ``pomdp-ope`` alone, ``--help``
 and an unknown command build every subcommand's, so their help and usage
 errors are unchanged. ``_load_environment`` alone decides which kind of
 environment ``--env`` or the ``--model/--behavior/--target`` files name (the
-two sources are exclusive), and builds the run's one environment; each
+two sources are exclusive), and gives the run its one environment, built
+once per ``--env`` id and process but read from files on every run; each
 subcommand then asks it for its burn-in, trajectory CSV, rewards and ratios,
 model or hard-pair parameters (``sweep`` hands it to its ``SweepSpec``, so
 model files sweep too), and refuses, naming it, an option that does not apply
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import serialization
-from .core import mixing_overlap_report, policy_value_exact
+from .core import _workspace, mixing_overlap_report, policy_value_exact
 from .errors import ConfigurationError, MixingFailureError, OverlapViolationError, _integer, _positive
 from .estimators import (
     BandwidthRule,
@@ -53,6 +54,9 @@ EXIT_CONFIG = 2
 EXIT_OVERLAP = 3
 EXIT_MIXING = 4
 
+# The environment of an ``--env`` id, built once per id and process.
+_environment = functools.lru_cache(maxsize=8)(make_environment)
+
 
 def _int_list(text: str) -> list[int]:
     try:
@@ -70,7 +74,7 @@ def _load_environment(args):
     one place the command line decides which kind of environment it runs."""
     if args.env:
         _refuse(args, "--env", "--model", "--behavior", "--target")
-        return make_environment(args.env)
+        return _environment(args.env)
     if args.model:
         model = serialization.load_model(args.model)
         if not (args.behavior and args.target):
@@ -187,6 +191,7 @@ def _cmd_estimate(args) -> int:
     bandwidth = BandwidthRule("power", args.bandwidth_exp).bandwidth(args.T)
     config = EstimatorConfig(k=args.k, alpha=args.alpha, bandwidth=bandwidth)
     report = estimate_with_ci(ratios, rewards, config)
+    _workspace().give(rewards, ratios)
     _emit(serialization.json_text(report.to_dict()), args.out)
     return EXIT_OK
 
@@ -201,6 +206,7 @@ def _cmd_lepski(args) -> int:
         alpha=args.alpha,
         bandwidth_rule=BandwidthRule("power", args.bandwidth_exp),
     )
+    _workspace().give(rewards, ratios)
     _emit(serialization.json_text(result.to_dict()), args.out)
     return EXIT_OK
 

@@ -48,14 +48,13 @@ behavior policy alone fix is built once per process (``_step_tables``):
 the thresholds, buckets and actions at the first call, the (code, state)
 tables and monoid at the first that counts step codes.
 
-Each stage takes its large arrays from a workspace where it starts and
-gives them back where it ends. A ``_Workspace`` lends buffers and takes
-them back for reuse: ``_run_jobs`` gives each of its threads one for the
-call, so the stages of a sweep or study chunk share buffers by lifetime
-and every later chunk on that thread reuses them instead of faulting in
-memory that malloc gave back to the OS. Every other caller gets
-``_FRESH``, which makes a new array per take and keeps nothing, so nothing
-returned to it shares memory with another call's arrays.
+Each stage takes its large arrays from the calling thread's ``_workspace``
+where it starts and gives them back where it ends. A thread keeps its
+workspace for life (``_run_jobs`` lends its helpers spares that core keeps
+between calls), so the next stage, chunk or call on the thread reuses the
+buffers instead of faulting in memory that malloc gave back to the OS. An
+array a caller keeps, such as the rewards and ratios of
+``rewards_and_ratios``, is never lent again and is freed when dropped.
 
 Each batch is chunked once, by its owner: the harness and the glucose
 oracle split their seeds with ``chunk_ranges``, and the simulators take the
@@ -67,10 +66,13 @@ finite-environment sweeps and studies.
 from __future__ import annotations
 
 import bisect
+import hashlib
 import math
 import os
 import threading
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -119,6 +121,13 @@ GROUP_SEEDS = 16
 # numpy 2.4) blocks of 8 or 32 steps ran no faster overall.
 FOLLOW_BLOCK = 16
 
+# Bytes that each workspace keeps free between calls, and the step tables of
+# all pairs but the newest: eight float64 arrays of a ``CACHE_STEPS`` chunk.
+# A sweep or study chunk's buffers (about five such) stay, a long run's do
+# not, as they could pin malloc's heap: one T = 1,000,000 ``lepski`` left 69
+# MiB resident at 8x this bound, 46-47 here, 46 with no workspace (glibc).
+_KEEP_BYTES = 64 * CACHE_STEPS
+
 
 # Threads that share a batch's work by default, capped at the usable cores:
 # the chunks of a sweep or study (``harness``) and the seed draws of one
@@ -150,9 +159,9 @@ def _worker_count(workers: int | None) -> int:
 
 
 def _run_jobs(run, jobs: Sequence, threads: int) -> None:
-    """Call ``run(job, workspace)`` for every job, on the caller's thread and
-    up to ``threads - 1`` helper threads (none for one thread or one job),
-    each passing its own ``_Workspace``, which lives for this call.
+    """Call ``run(job)`` for every job, on the caller's thread and up to
+    ``threads - 1`` helper threads (none for one thread or one job), each
+    helper with its own ``_workspace``, a spare that core keeps between calls.
 
     Thread i starts with job i, the caller with job 0; then each takes the
     next job not yet started. No job starts once an earlier job in job order
@@ -167,9 +176,10 @@ def _run_jobs(run, jobs: Sequence, threads: int) -> None:
     # The earliest failed job in job order and its error; len(jobs) if none.
     failed, error = len(jobs), None
 
-    def work(i: int | None) -> None:
+    def work(i: int | None, workspace: _Workspace | None = None) -> None:
         nonlocal taken, failed, error
-        workspace = _Workspace()
+        if workspace is not None:  # a helper's, lent for this call
+            _thread.workspace = workspace
         while True:
             with lock:
                 if i is None:
@@ -177,7 +187,7 @@ def _run_jobs(run, jobs: Sequence, threads: int) -> None:
                 if i >= failed:
                     return
             try:
-                run(jobs[i], workspace)
+                run(jobs[i])
             except BaseException as exc:
                 with lock:
                     if i < failed:
@@ -185,66 +195,49 @@ def _run_jobs(run, jobs: Sequence, threads: int) -> None:
                 return
             i = None
 
-    helpers = []
+    helpers, lent = [], []
     try:
         for i in range(1, threads):
-            helper = threading.Thread(target=work, args=(i,))
+            try:
+                lent.append(_spares.pop())
+            except IndexError:
+                lent.append(_Workspace())
+            helper = threading.Thread(target=work, args=(i, lent[-1]))
             helper.start()
             helpers.append(helper)
         work(0)
     finally:
         for helper in helpers:
             helper.join()
+        _spares.extend(lent)
     if error is not None:
         raise error
 
 
-class _FreshArrays:
-    """What a caller that passes no workspace gets: every ``take`` is a new
-    array and ``give`` keeps nothing, so no returned array shares memory
-    with any other call's."""
+class _Workspace:
+    """Scratch memory that the stages of one thread's calls share.
 
-    def take(self, shape, dtype=np.float64) -> np.ndarray:
-        """An array of the ``shape`` tuple and ``dtype``, contents undefined."""
-        return np.empty(shape, dtype)
-
-    def give(self, *arrays: np.ndarray) -> None:
-        """Hand arrays back once nothing reads them any more."""
-
-
-_FRESH = _FreshArrays()
-
-
-class _Workspace(_FreshArrays):
-    """Scratch memory that the jobs one thread of a ``_run_jobs`` call runs
-    share: the chunks of a sweep or study, or a glucose chunk's seed draws.
-
-    A stage takes its arrays where it starts and gives them back where it
-    ends, so a later stage or the next chunk reuses the pages instead of
-    malloc giving them back to the OS and faulting them in again. ``take``
-    lends the smallest free buffer that holds the array; if none does, it
-    drops the largest free one and makes a buffer of the size asked, so the
-    workspace keeps about as many buffers as one chunk has arrays live at
-    once. A taken array holds whatever its buffer last held. ``give`` takes
-    back only the buffers this workspace lent, so giving back an array that
-    came from elsewhere, or giving one back twice, does nothing.
+    ``take`` lends the smallest free buffer that holds the array, or, if none
+    does, drops the largest free one and makes a buffer of the size asked,
+    so the workspace keeps about as many buffers as one call has arrays
+    live at once; a taken array holds whatever its buffer last held. A lent
+    buffer is held by weak reference, freed if never given back. ``give``
+    takes back only what this workspace lent, once, and ignores any other
+    array; then it drops the largest free buffers past ``_KEEP_BYTES``.
     """
 
     def __init__(self):
-        self._lent: dict[int, np.ndarray] = {}  # buffers in use, by id
+        self._lent = weakref.WeakValueDictionary()  # buffers in use, by id
         self._free: list[np.ndarray] = []  # the others, smallest first
-        self._sizes: list[int] = []  # their sizes in bytes
 
     def take(self, shape, dtype=np.float64) -> np.ndarray:
         dtype = np.dtype(dtype)
         nbytes = math.prod(shape) * dtype.itemsize
-        i = bisect.bisect_left(self._sizes, nbytes)
+        i = bisect.bisect_left(self._free, nbytes, key=len)
         if i < len(self._free):
-            del self._sizes[i]
             buf = self._free.pop(i)
         else:
-            if self._free:
-                del self._sizes[-1], self._free[-1]
+            del self._free[-1:]
             buf = np.empty(nbytes, np.uint8)
         self._lent[id(buf)] = buf
         return np.ndarray(shape, dtype, buf)
@@ -253,9 +246,20 @@ class _Workspace(_FreshArrays):
         for arr in arrays:
             buf = arr if arr.base is None else arr.base
             if self._lent.pop(id(buf), None) is buf:
-                i = bisect.bisect_left(self._sizes, len(buf))
-                self._sizes.insert(i, len(buf))
-                self._free.insert(i, buf)
+                bisect.insort_left(self._free, buf, key=len)
+        while sum(map(len, self._free)) > _KEEP_BYTES:
+            self._free.pop()
+
+
+_thread = threading.local()  # the calling thread's ``workspace``, once it has one
+_spares: list[_Workspace] = []  # the workspaces of ``_run_jobs`` helpers between calls
+
+
+def _workspace() -> _Workspace:
+    """The calling thread's workspace, made at its first use."""
+    if not hasattr(_thread, "workspace"):
+        _thread.workspace = _Workspace()
+    return _thread.workspace
 
 
 def chunk_ranges(
@@ -298,6 +302,15 @@ def _float_array(name: str, values) -> np.ndarray:
     except (TypeError, ValueError):
         pass
     raise ConfigurationError(f"{name} must be a rectangular array of numbers")
+
+
+def _digest(*arrays: np.ndarray) -> bytes:
+    """A 32-byte BLAKE2b digest of the shapes, dtypes and bytes of ``arrays``."""
+    h = hashlib.blake2b(digest_size=32)
+    for arr in arrays:
+        h.update(f"{arr.shape}{arr.dtype.str}".encode())
+        h.update(np.ascontiguousarray(arr))
+    return h.digest()
 
 
 def _check_finite(name: str, values) -> None:
@@ -404,6 +417,11 @@ class PomdpModel:
         """Covariate index of each joint state, shape (S,)."""
         return np.arange(self.num_states) // self.num_h
 
+    @cached_property
+    def _tables_key(self) -> bytes:
+        """Digest of what the step tables read of the model (``_step_tables``)."""
+        return _digest(self.transition, self.x_of_state)
+
 
 @dataclass(frozen=True, eq=False)
 class Policy:
@@ -426,6 +444,11 @@ class Policy:
     @property
     def num_actions(self) -> int:
         return self.probs.shape[1]
+
+    @cached_property
+    def _tables_key(self) -> bytes:
+        """The probabilities as a digest (``_step_tables``)."""
+        return _digest(self.probs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -609,7 +632,9 @@ def simulate(
     cells, y = _simulate_arrays(model, behavior, T, burn_in, [seed])
     states, w = np.divmod(cells[0], model.num_actions)
     x, h = np.divmod(states, model.num_h)
-    return Trajectory(x=x, h=h, w=w, y=y[0], seed=int(seed), burn_in=burn_in)
+    traj = Trajectory(x=x, h=h, w=w, y=y[0], seed=int(seed), burn_in=burn_in)
+    _workspace().give(cells, y)  # the trajectory holds copies
+    return traj
 
 
 def _thresholds(probs: np.ndarray) -> np.ndarray:
@@ -691,32 +716,35 @@ class _StepTables:
         self.cell_of = np.arange(model.num_states) * model.num_actions + self.act_of
         self.coded = None
 
+    def nbytes(self) -> int:
+        """Bytes of the arrays held, the ``coded`` tables' among them."""
+        nxt_of, cells, monoid = self.coded or (None, None, None)
+        return sum(a.nbytes for a in (*vars(self).values(), nxt_of, cells, *(monoid or ())) if isinstance(a, np.ndarray))
 
-_tables: dict = {}  # the ``_StepTables`` of the last eight pairs asked for
+
+_tables: dict = {}  # the ``_StepTables`` of the pairs asked for last, the newest last
 _tables_lock = threading.Lock()
 
 
 def _step_tables(model: PomdpModel, behavior: Policy, rows: int):
     """The ``_StepTables`` of (model, behavior) and its ``coded`` tables, from
-    a cache keyed by the shapes and bytes of the transition tensor, each
-    state's covariate and the policy, built there if missing; ``coded`` is
-    None, and not built, when the codes outnumber the call's ``rows``
-    next-state rows (a dense model). A thread that asks while another builds
-    waits for that build."""
-    key = tuple((a.shape, a.tobytes()) for a in (model.transition, model.x_of_state, behavior.probs))
+    a cache keyed by both objects' digests (``_tables_key``), built there if
+    missing; ``coded`` is None, and not built, when the codes outnumber the
+    call's ``rows`` next-state rows (a dense model). The cache keeps the last
+    eight pairs asked for, fewer past ``_KEEP_BYTES``. A thread that asks
+    while another builds waits for that build."""
+    key = model._tables_key, behavior._tables_key
     with _tables_lock:
-        if key not in _tables:
-            if len(_tables) == 8:
-                del _tables[next(iter(_tables))]
-            _tables[key] = _StepTables(model, behavior)
-        tables = _tables[key]
+        tables = _tables[key] = _tables.pop(key, None) or _StepTables(model, behavior)
         if tables.codes > rows:
-            return tables, None
-        if tables.coded is None:
+            coded = None
+        elif (coded := tables.coded) is None:
             move_of = _bucket_counts(tables.cum_trans, tables.move_values)
             nxt_of = move_of[tables.act_of, np.arange(model.num_states)].transpose(0, 2, 1).reshape(tables.codes, -1)
-            tables.coded = nxt_of, np.repeat(tables.cell_of, tables.moves, axis=0), _step_monoid(nxt_of)
-        return tables, tables.coded
+            coded = tables.coded = nxt_of, np.repeat(tables.cell_of, tables.moves, axis=0), _step_monoid(nxt_of)
+        while len(_tables) > 8 or len(_tables) > 1 and sum(map(_StepTables.nbytes, _tables.values())) > _KEEP_BYTES:
+            del _tables[next(iter(_tables))]
+        return tables, coded
 
 
 def _draw_blocks(n: int, total: int) -> tuple[list[tuple[int, int]], int]:
@@ -730,42 +758,30 @@ def _draw_blocks(n: int, total: int) -> tuple[list[tuple[int, int]], int]:
 
 
 def _simulate_arrays(
-    model: PomdpModel,
-    behavior: Policy,
-    T: int,
-    burn_in: int,
-    seeds: Sequence[int],
-    workspace: _FreshArrays = _FRESH,
+    model: PomdpModel, behavior: Policy, T: int, burn_in: int, seeds: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (state, action) cells s * num_actions + w (int64) and the rewards
-    (float64) of one trajectory per seed, each as a (len(seeds), T) array.
-
-    Each step's code (see the module docstring) gives the next state every
-    state would reach at that (seed, step), by tables built once per model,
-    behavior policy and process (``_step_tables``). The paths follow the
-    ids of the (code, state) next-state table's monoid; past 255 maps, or
-    for a dense model, ``_follow`` follows a table of (T + burn_in) *
-    num_states cells per seed. The batch's owner sizes it with
-    ``chunk_ranges``, and this simulates all the seeds it is given. Its
-    large arrays come from ``workspace``, all but the two returned go back.
+    (float64) of one trajectory per seed, each as a (len(seeds), T) array,
+    by the step codes of the module docstring. The batch's owner sizes it
+    with ``chunk_ranges``, and this simulates all the seeds it is given. Its
+    large arrays come from the thread's workspace; all but the two returned
+    go back.
     """
     _check_dimensions(model, behavior)
     T = _integer("T", T, 1)
     burn_in = _integer("burn_in", burn_in, 0)
     n = len(seeds)
-    ws = workspace
+    ws = _workspace()
     cells = ws.take((n, T), np.int64)
     ys = ws.take((n, T))
     total = T + burn_in
     num_s = model.num_states
     rngs = list(_make_rngs(seeds))
     groups, span = _draw_blocks(n, total)
-    # The tables are built in (step, seed) layout, so each step's block is
-    # one contiguous row of the table ``_follow`` walks. The uniforms go
-    # through a small scratch, a group of seeds and a span of steps at a
-    # time, straight into those rows, and each stage's inputs go back to the
-    # workspace and lose their names once it is done (without a workspace
-    # that frees them), which keeps peak memory near that of a per-step loop.
+    # Time-major tables, so each step's block is one contiguous row of the
+    # table ``_follow`` walks. Each stage's inputs go back to the workspace
+    # and lose their names once it is done, which keeps peak memory near
+    # that of a per-step loop.
     u_act = ws.take((total, n))
     u_move = ws.take((total - 1, n))
     state = np.empty(n, dtype=np.int64)
@@ -783,11 +799,7 @@ def _simulate_arrays(
     ws.give(scratch)
     del scratch, drawn, uu
 
-    # Each step's two uniforms are classified once, into a step code: the
-    # action bucket counts the policy's distinct thresholds at or below u_act,
-    # the move bucket the distinct thresholds of all transition rows at or
-    # below u_move, and every state's action and move at that step follow
-    # from the code. The last step's move is never used.
+    # Each step's two uniforms make its step code; the last step's move is never used.
     tables, coded = _step_tables(model, behavior, (total - 1) * n)
     # No code tables (a dense model): a step's code is its action bucket alone, and each (state,
     # action) row is searched once (side="right": those <= u_move, a prefix; see ``_thresholds``).
@@ -823,10 +835,10 @@ def _simulate_arrays(
     ws.give(u_move)
     del u_move
     if monoid:
-        path = _follow_maps(padded, total - 1, state, monoid, lanes, ws)
+        path = _follow_maps(padded, total - 1, state, monoid, lanes)
     else:
         nxt += lanes[:, None]
-        path = _follow(nxt.reshape(total - 1, n * num_s), state + lanes, ws)
+        path = _follow(nxt.reshape(total - 1, n * num_s), state + lanes)
         ws.give(nxt)
         del nxt
 
@@ -859,9 +871,7 @@ def _simulate_arrays(
     return cells, ys
 
 
-def _follow(
-    table: np.ndarray, start: np.ndarray, workspace: _FreshArrays = _FRESH
-) -> np.ndarray:
+def _follow(table: np.ndarray, start: np.ndarray) -> np.ndarray:
     """The (m + 1, n) path through an (m, lanes) next-state table: row 0 is
     ``start`` and row t + 1 is ``table[t]`` gathered at row t. The lane scan
     of paths whose step maps no one-byte id holds, and of block starts.
@@ -875,9 +885,10 @@ def _follow(
     lane at every block's start. One gather then fills the rows inside every
     block. Every index is in range by construction (``_thresholds`` keeps
     each count below num_states), and "clip" skips the buffered bounds check
-    of the default mode. The path and every buffer come from ``workspace``;
-    the buffers go back to it.
+    of the default mode. The path and every buffer come from the calling
+    thread's workspace; the buffers go back to it.
     """
+    workspace = _workspace()
     m, lanes = table.shape
     n = len(start)
     B = FOLLOW_BLOCK
@@ -904,7 +915,7 @@ def _follow(
         row[:] = row.take(np.add(prev, lane_offsets, out=at), mode="clip")
     workspace.give(lane_offsets, at)
     del lane_offsets
-    starts = _follow(comp[-1], start, workspace)
+    starts = _follow(comp[-1], start)
     at = np.add(starts[:-1], offsets, out=workspace.take((blocks, n), np.intp))
     workspace.give(starts)
     del starts
@@ -920,13 +931,15 @@ def _follow(
     return path[: m + 1]
 
 
-def _follow_maps(code, m: int, start, monoid, lanes, workspace: _FreshArrays = _FRESH) -> np.ndarray:
+def _follow_maps(code, m: int, start, monoid, lanes) -> np.ndarray:
     """The (m + 1, n) states from ``start`` through the moves in the first m
     rows of the ``FOLLOW_BLOCK``-row blocks of step codes ``code``, by ids in
     ``monoid`` (``_step_monoid``; id 0 the identity): B - 1 gathers compose
     one id per (step, seed) inside every block at once, ``_follow`` follows
     the (seed, state) ``lanes`` through each block's last map, and one
-    gather fills the rows."""
+    gather fills the rows. Its arrays come from the calling thread's
+    workspace."""
+    workspace = _workspace()
     maps, step = monoid
     n, num_s, B = len(start), maps.shape[1], FOLLOW_BLOCK
     blocks = -(-m // B)
@@ -941,7 +954,7 @@ def _follow_maps(code, m: int, start, monoid, lanes, workspace: _FreshArrays = _
         at += moves[:, j]
         step.take(at, out=ids[j], mode="clip")
     table = np.add(maps.take(ids[-1], axis=0), lanes[:, None], dtype=lanes.dtype)
-    starts = _follow(table.reshape(blocks, n * num_s), start + lanes, workspace)
+    starts = _follow(table.reshape(blocks, n * num_s), start + lanes)
     fill = workspace.take((blocks, B, n), np.min_scalar_type(maps.size))
     np.multiply(ids.transpose(1, 0, 2), num_s, out=fill, dtype=fill.dtype)
     fill += (starts[:-1] - lanes)[:, None]

@@ -51,7 +51,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import _FRESH, Policy, Trajectory, _FreshArrays, _check_finite, _raise_at_first
+from .core import Policy, Trajectory, _check_finite, _raise_at_first, _workspace
 from .errors import (
     ConfigurationError,
     OverlapViolationError,
@@ -325,20 +325,18 @@ def _windows(name: str, ks, T: int | None = None, ascending: bool = False) -> li
     return windows
 
 
-def _smallest_positive(RHO: np.ndarray, workspace: _FreshArrays = _FRESH) -> np.ndarray:
+def _smallest_positive(RHO: np.ndarray) -> np.ndarray:
     """Each row's smallest positive entry of (m, T) ratios >= 0, or 0.0 for a
     row of zeros, without branches: positive doubles order as their bit
     patterns, and one less than a zero's wraps to the top of uint64."""
-    bits = workspace.take(RHO.shape, np.uint64)
+    bits = _workspace().take(RHO.shape, np.uint64)
     np.subtract(RHO.view(np.uint64), np.uint64(1), out=bits)
     smallest = (bits.min(axis=1) + np.uint64(1)).view(np.float64)
-    workspace.give(bits)
+    _workspace().give(bits)
     return smallest
 
 
-def _window_terms(
-    Y: np.ndarray, RHO: np.ndarray, ks: Sequence[int], workspace: _FreshArrays = _FRESH
-) -> Iterator[tuple[int, np.ndarray]]:
+def _window_terms(Y: np.ndarray, RHO: np.ndarray, ks: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (k, summands) for each window in the ascending, distinct ``ks``
     (-1 <= k < T) on (m, T) rewards ``Y`` and ratios ``RHO``, one series per
     row. Products grow left to right from the previous window's; a row whose
@@ -348,17 +346,18 @@ def _window_terms(
     inf, unwarned under the caller's ``np.errstate(over="ignore",
     invalid="ignore")``; the summands of rows in log space are replaced.
 
-    The summands of k >= 0 and the products come from ``workspace``; the
-    caller may write into the summands and gives them back once it is done
-    with them (k = -1 yields ``Y`` itself), and the products go back when
-    the last window has been yielded."""
+    The summands of k >= 0 and the products come from the thread's
+    workspace; the caller may write into the summands and gives them back
+    once done with them (k = -1 yields ``Y`` itself), and the products go
+    back when the last window has been yielded."""
+    workspace = _workspace()
     if ks[0] == -1:
         yield -1, Y
     T = RHO.shape[1]
     # A row's largest |log rho| is at its largest or its smallest positive
     # ratio; a row with no positive ratio has only zero windows.
     hi = RHO.max(axis=1)
-    lo = _smallest_positive(RHO, workspace)
+    lo = _smallest_positive(RHO)
     none = ~(hi > 0.0)
     hi[none] = lo[none] = 1.0
     max_log = np.maximum(np.abs(np.log(hi)), np.abs(np.log(lo)))
@@ -454,11 +453,10 @@ def _estimate_windows(
     ks: Sequence[int],
     alpha: float,
     bandwidth: float,
-    workspace: _FreshArrays = _FRESH,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every window in ``ks`` on (G, n, T) rewards ``Y`` and ratios ``RHO``:
     G estimates of n units each, with L summands per unit. The window
-    products and summands come from ``workspace`` and go back to it.
+    products and summands come from the thread's workspace and go back.
 
     An estimate is the mean of its units' means. Its variance averages the
     units' lag sums sum_t e_t^2 + 2 sum_{j>=1} Psi(j/B) sum_t e_t e_{t+j}
@@ -480,7 +478,8 @@ def _estimate_windows(
     weights = 2.0 * psi[lags[1:] - 1, None]
     sums = np.empty((len(lags), G * n))
     value, variance = np.empty((2, len(windows), G))
-    by_window = _window_terms(Y.reshape(G * n, T), RHO.reshape(G * n, T), windows, workspace)
+    workspace = _workspace()
+    by_window = _window_terms(Y.reshape(G * n, T), RHO.reshape(G * n, T), windows)
     # Infinite summands make inf - inf here; every estimate they reach is
     # flagged "non_finite" below instead of warning. Means are sums over
     # counts, as ndarray.mean takes them, without its per-call wrapper.

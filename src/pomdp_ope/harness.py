@@ -16,16 +16,10 @@ simulators take the seeds they are given. Finite environments budget
 but never more than ``core.CHUNK_STEPS`` cells of the simulator's (step,
 state) tables; glucose budgets ``core.CHUNK_STEPS``, the memory bound.
 The harness only lists the jobs: ``core._run_jobs`` runs them on up to
-``workers`` threads and hands each job its thread's ``core._Workspace``,
-which the simulator's tables, the ratio gather and the engine's window
-buffers come from and go back to (glucose chunks allocate their own
-simulation arrays). The estimator's elementwise passes release the GIL,
-but its per-lag ``np.vecdot`` calls hold it on a chunk of 500 rows or
-fewer, as every figure-3 and window-selection chunk is (NumPy lets it go
-only in a loop of more than 500 iterations, and a vecdot loops once per
-row); the simulators hold it for most of their run too. The chunks in
-flight hold at most ``CHUNK_STEPS`` simulated steps between them, so a
-glucose chunk runs alone and splits its seed draws instead. Finite
+``workers`` threads (``core.DEFAULT_WORKERS`` says how far they overlap),
+each job in its thread's ``core._Workspace``. The chunks in flight hold at
+most ``CHUNK_STEPS`` simulated steps between them, so a glucose chunk runs
+alone and splits its seed draws instead. Finite
 environments gather ratios at the (state, action) cells of
 ``core._simulate_arrays`` from one policy-ratio table, so no
 ``Trajectory`` is built on the way. Output is bit-identical for a given
@@ -53,15 +47,14 @@ from .core import (
     CACHE_STEPS,
     CHUNK_STEPS,
     DEFAULT_BURN_IN,
-    _FRESH,
     Policy,
     PomdpModel,
-    _FreshArrays,
     _check_dimensions,
     _check_finite,
     _run_jobs,
     _simulate_arrays,
     _worker_count,
+    _workspace,
     chunk_ranges,
     policy_value_exact,
     simulate,
@@ -108,15 +101,13 @@ class FiniteEnvironment:
         the simulator's (step, state) tables."""
         return min(CACHE_STEPS, CHUNK_STEPS // self.model.num_states)
 
-    def rewards_and_ratios(
-        self, T: int, burn_in: int, seeds: Sequence[int], workspace: _FreshArrays = _FRESH
-    ) -> tuple[np.ndarray, np.ndarray]:
-        cells, y = _simulate_arrays(self.model, self.behavior, T, burn_in, seeds, workspace)
+    def rewards_and_ratios(self, T: int, burn_in: int, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        cells, y = _simulate_arrays(self.model, self.behavior, T, burn_in, seeds)
         rho = _policy_ratios(
             cells, self.model.x_of_state, self.target, self.behavior, self.name,
-            out=workspace.take(cells.shape),
+            out=_workspace().take(cells.shape),
         )
-        workspace.give(cells)
+        _workspace().give(cells)
         return y, rho
 
     def oracle(self) -> tuple[float, dict]:
@@ -134,10 +125,7 @@ class GlucoseEnvironment:
     default_burn_in = glucose.DEFAULT_BURN_IN
     chunk_steps = CHUNK_STEPS
 
-    def rewards_and_ratios(
-        self, T: int, burn_in: int, seeds: Sequence[int], workspace: _FreshArrays = _FRESH
-    ) -> tuple[np.ndarray, np.ndarray]:
-        # The glucose simulator allocates its own arrays.
+    def rewards_and_ratios(self, T: int, burn_in: int, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         return glucose._rewards_and_ratios(T, burn_in, seeds)
 
     def oracle(self) -> tuple[float, dict]:
@@ -317,8 +305,8 @@ def _evaluate_windows(
     jobs on ``workers`` threads, at most as many as ``CHUNK_STEPS`` holds of
     the largest job or of the environment's budget, whichever is larger,
     and the first job to fail in job order raises its error. Each job
-    works in its runner thread's ``core._Workspace``; nothing the call
-    returns lives in one.
+    works in its runner thread's ``core._Workspace`` and gives back what it
+    took; nothing the call returns lives in one.
     """
     workers = _worker_count(workers)
     env = spec.env
@@ -333,13 +321,13 @@ def _evaluate_windows(
         for start, stop in chunk_ranges(R, T + spec.burn_in, chunk_size, env.chunk_steps):
             jobs.append((ti, T, bandwidth, seeds[start:stop], slice(start, stop)))
 
-    def run(job, ws) -> None:
+    def run(job) -> None:
         ti, T, bandwidth, seeds, rows = job
-        Y, RHO = env.rewards_and_ratios(T, spec.burn_in, seeds, ws)
+        Y, RHO = env.rewards_and_ratios(T, spec.burn_in, seeds)
         outs[ti][rows], flags[ti][rows] = _estimate_windows(
-            Y[:, None], RHO[:, None], ks, spec.alpha, bandwidth, ws
+            Y[:, None], RHO[:, None], ks, spec.alpha, bandwidth
         )
-        ws.give(Y, RHO)
+        _workspace().give(Y, RHO)
 
     # Chunks in flight hold at most CHUNK_STEPS simulated steps, as one
     # automatic chunk did when they ran one at a time; a glucose chunk, whose

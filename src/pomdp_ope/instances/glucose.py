@@ -18,26 +18,17 @@ would have taken, which is all the downstream importance-weighting needs.
 Glucose starts at the noise-free resting level 100 with empty lag history,
 and a burn-in period (default 50 hours) is discarded before recording.
 
-A batch of seeds is simulated time-major. The batch's seeds are cut into
-contiguous runs of whole groups, drawn side by side by ``core._run_jobs`` on
-the default thread count; NumPy's random fills release the GIL, so the runs
-overlap. Each run's generators are seeded in one vectorized pass and drawn
-in cache-sized groups of seeds through a scratch from its thread's
-workspace: each seed's stream fills its rows of the group's blocks with
-standard normals and uniforms, the group scales the normals, applies the
-hour's events and writes its columns straight into ``(hours, seeds)``
-arrays, so the hour loop reads and writes contiguous rows and no full-batch
-transpose is made. Every seed's stream is its own, so the values do not
-depend on the thread count. The hour loop runs on the caller's thread alone.
-A seed whose truncated normals hold a negative draw is drawn again by the
-exact sequential path, with the rejections in-stream, so every seed's
-values are those of drawing it alone. The hour loop adds each hour's mean
-update onto that hour's row of the noise array, which so becomes the
-glucose array, and carries the seven lags as views of earlier rows; the
-only array it allocates holds the evaluation rule's decisions. Rewards,
-logging probabilities and ratios are computed from those arrays
-afterwards, and the Monte Carlo oracle sums utilities from counts of
-glucose readings per utility band, one chunk's arrays at a time.
+A batch of seeds is simulated time-major. ``_draw_exogenous`` draws every
+seed's stream, in groups of seeds on up to ``core.DEFAULT_WORKERS``
+threads, straight into ``(hours, seeds)`` arrays, so the hour loop, on the
+caller's thread alone, reads and writes contiguous rows. Every seed's
+values are those of drawing it alone, whatever the thread count. The hour
+loop adds each hour's mean update onto that hour's row of the noise array,
+which so becomes the glucose array, and carries the seven lags as views of
+earlier rows; the only array it allocates holds the evaluation rule's
+decisions. Rewards, logging probabilities and ratios are computed from
+those arrays afterwards, and the Monte Carlo oracle sums utilities from
+counts of glucose readings per utility band, one chunk's arrays at a time.
 The behavior policy's uniform u_insulin is the last draw of a stream and is
 drawn only for behavior runs, so target runs see the same values either way.
 """
@@ -49,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core import _run_jobs, _worker_count, chunk_ranges
+from ..core import _run_jobs, _worker_count, _workspace, chunk_ranges
 from ..errors import ConfigurationError, _integer
 from ..rng import _derive_seeds, _make_rng, _make_rngs
 
@@ -255,8 +246,9 @@ def _draw_exogenous(seeds: Sequence[int], total: int, with_insulin: bool):
     cuts = [min(n, group * (groups * i // threads)) for i in range(threads + 1)]
     runs = [(lo, hi, _make_rngs(seeds[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
 
-    def draw_run(start: int, stop: int, rngs, workspace) -> None:
-        scratch = workspace.take((8 if with_insulin else 7, group, total))
+    def draw_run(run) -> None:
+        start, stop, rngs = run
+        scratch = _workspace().take((8 if with_insulin else 7, group, total))
         for lo in range(start, stop, group):
             hi = min(lo + group, stop)
             blocks = scratch[:, : hi - lo]
@@ -302,8 +294,9 @@ def _draw_exogenous(seeds: Sequence[int], total: int, with_insulin: bool):
             di[:, lo:hi] = diet.T
             for u in u_insulin:
                 np.less(u.T, INSULIN_PROB, out=insulin[:, lo:hi])
+        _workspace().give(scratch)
 
-    _run_jobs(lambda run, workspace: draw_run(*run, workspace), runs, threads)
+    _run_jobs(draw_run, runs, threads)
     return noise, ex, di, insulin
 
 
@@ -371,12 +364,13 @@ def _rewards_and_ratios(
     T: int, burn_in: int, seeds: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Behavior-policy batch: rewards and per-hour importance ratios, each a
-    C-contiguous (len(seeds), T) array, the layout whose memory order the
-    estimator engine's sums follow. Simulates every seed it is given; the
-    harness sizes the batch."""
+    C-contiguous (len(seeds), T) array from the calling thread's workspace,
+    the layout whose memory order the estimator engine's sums follow.
+    Simulates every seed it is given; the harness sizes the batch."""
     gl, _, _, insulin, wants = _simulate_arrays(T, burn_in, "behavior", seeds)
-    ys = np.ascontiguousarray(_utility(gl).T)
-    rhos = np.ascontiguousarray(_ratios(insulin, wants, _behavior_prob(insulin)).T)
+    ys, rhos = (_workspace().take((len(seeds), T)) for _ in range(2))
+    ys[...] = _utility(gl).T
+    rhos[...] = _ratios(insulin, wants, _behavior_prob(insulin)).T
     return ys, rhos
 
 

@@ -56,9 +56,22 @@ def random_model(
 
 
 @pytest.fixture
-def environment_builds(monkeypatch):
+def environments():
+    """The command line's cache of ``--env`` environments, empty as the test
+    starts and after it, so that a spy on what builds an environment sees
+    the run build it and no later test gets what the spy built."""
+    from pomdp_ope import cli
+
+    cli._environment.cache_clear()
+    yield
+    cli._environment.cache_clear()
+
+
+@pytest.fixture
+def environment_builds(monkeypatch, environments):
     """A list that gets the class name of every environment built while the
-    test runs (a hard environment counts once, as the finite one it is)."""
+    test runs (a hard environment counts once, as the finite one it is),
+    the command line's cache of environments empty as it starts."""
     from pomdp_ope.harness import FiniteEnvironment, GlucoseEnvironment
 
     builds: list[str] = []

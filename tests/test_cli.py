@@ -598,7 +598,33 @@ def test_cli_sweep_builds_its_environment_once(tmp_path, capsys, environment_bui
     assert len(environment_builds) == 1
 
 
-def test_instance_builds_the_hard_pair_once(capsys, monkeypatch):
+@pytest.mark.parametrize("env_id", ["toy", "hard:Q=3,t0=1,zeta=0.69,M1=1,M2=2", "glucose"])
+def test_an_env_id_builds_its_environment_once_per_process(capsys, environment_builds, env_id):
+    # Runs of any subcommand on one id share the environment built at the
+    # first; another id builds its own.
+    for argv in (("estimate", "--T", "60", "--k", "0"), ("lepski", "--T", "60"), ("simulate", "--T", "5")):
+        code, _, err = run_cli(capsys, *argv, "--env", env_id)
+        assert code == 0, err
+    assert len(environment_builds) == 1
+    assert run_cli(capsys, "simulate", "--T", "5", "--env", "toy" if env_id != "toy" else "glucose")[0] == 0
+    assert len(environment_builds) == 2
+
+
+def test_model_files_are_read_on_every_run(tmp_path, capsys, environment_builds, monkeypatch):
+    # A file may change between runs, so no environment is kept for files.
+    read = []
+    for name in ("load_model", "load_policy"):
+        load = getattr(cli.serialization, name)
+        monkeypatch.setattr(cli.serialization, name, lambda path, _load=load: read.append(path) or _load(path))
+    files = _toy_files(tmp_path)
+    for _ in range(2):
+        code, _, err = run_cli(capsys, "lepski", "--T", "60", *files)
+        assert code == 0, err
+    assert read == files[1::2] * 2
+    assert len(environment_builds) == 2
+
+
+def test_instance_builds_the_hard_pair_once(capsys, monkeypatch, environments):
     from pomdp_ope import harness
     from pomdp_ope.serialization import model_to_dict
 

@@ -4,6 +4,7 @@ import ast
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -423,14 +424,14 @@ def test_overlap_zeta_dominates_all_ratios(seed):
 
 
 def _recording(ran: list, fail=None):
-    """A job function that appends (job, thread, workspace) to ``ran`` as
-    each job starts, sleeps a millisecond, and then calls ``fail(job)``, if
-    given."""
+    """A job function that appends (job, thread, the thread's workspace) to
+    ``ran`` as each job starts, sleeps a millisecond, and then calls
+    ``fail(job)``, if given."""
     lock = threading.Lock()
 
-    def run(job, workspace):
+    def run(job):
         with lock:
-            ran.append((job, threading.current_thread(), workspace))
+            ran.append((job, threading.current_thread(), core._workspace()))
         time.sleep(0.001)
         if fail is not None:
             fail(job)
@@ -462,13 +463,44 @@ def test_run_jobs_gives_each_thread_one_workspace(threads):
     assert len({id(workspace) for workspace in held.values()}) == threads
 
 
+@pytest.mark.parametrize("threads", [2, 4])
+def test_run_jobs_helpers_of_successive_calls_reuse_the_spare_workspaces(threads, monkeypatch):
+    # Core keeps the helpers' workspaces between calls: a helper of the
+    # second call takes one that a helper of the first gave back, and the
+    # caller keeps its own.
+    monkeypatch.setattr(core, "_spares", [])
+    helpers = []
+    for _ in range(2):
+        ran = []
+        _run_jobs(_recording(ran), range(12), threads)
+        caller = {workspace for _, thread, workspace in ran if thread is threading.current_thread()}
+        assert caller == {core._workspace()}
+        helpers.append({workspace for _, thread, workspace in ran if thread is not threading.current_thread()})
+        assert len(helpers[-1]) == threads - 1
+        assert set(core._spares) == helpers[-1]
+    assert helpers[0] == helpers[1]
+
+
+def test_workspace_frees_an_array_never_given_back():
+    # A workspace holds what it lends by weak reference: a buffer whose
+    # array a caller keeps is never lent again, and is freed once dropped.
+    workspace = core._Workspace()
+    kept = workspace.take((1000,))
+    buf = weakref.ref(kept.base)
+    assert workspace.take((1000,)).base is not kept.base
+    del kept
+    assert buf() is None
+    workspace.give(np.empty(1000))  # not lent by it: nothing kept
+    assert workspace._free == []
+
+
 def test_run_jobs_takes_each_job_once_under_fast_switching():
     # Eight threads switching every microsecond: a lost update of the next
     # job to take would run a job twice or skip one.
     ran = []
     lock = threading.Lock()
 
-    def run(job, workspace):
+    def run(job):
         with lock:
             ran.append(job)
 
@@ -481,6 +513,8 @@ def test_run_jobs_takes_each_job_once_under_fast_switching():
             assert sorted(ran) == list(range(300))
     finally:
         sys.setswitchinterval(interval)
+    # No spare workspace went to two helpers at once, or it would be back twice.
+    assert len(set(map(id, core._spares))) == len(core._spares) >= 7
 
 
 @pytest.mark.parametrize("threads", [2, 4])

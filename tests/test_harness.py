@@ -305,12 +305,12 @@ def _finishing_in_reverse(monkeypatch) -> tuple[list[int], list[int]]:
     started: list[int] = []
     finished: list[int] = []
 
-    def slow(self, T, burn_in, seeds, workspace):
+    def slow(self, T, burn_in, seeds):
         with lock:
             index = len(started)
             started.append(index)
         time.sleep(0.1 * 0.5**index)
-        out = simulate(self, T, burn_in, seeds, workspace)
+        out = simulate(self, T, burn_in, seeds)
         with lock:
             finished.append(index)
         return out
@@ -416,6 +416,90 @@ def test_workspace_arrays_do_not_alias_later_calls():
             np.testing.assert_array_equal(a, copy)
 
 
+def _lepski(tmp_path, *argv: str) -> bytes:
+    """The output bytes of an in-process ``lepski`` run with ``argv``."""
+    from pomdp_ope import cli
+
+    out = tmp_path / "lepski.json"
+    assert cli.main(["lepski", *argv, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def _on_new_thread(fn):
+    """fn() called on a new thread, which starts with an empty workspace."""
+    got = []
+    thread = threading.Thread(target=lambda: got.append(fn()))
+    thread.start()
+    thread.join()
+    (result,) = got
+    return result
+
+
+@pytest.mark.parametrize("env_id", ["toy", "glucose"])
+def test_a_second_lepski_run_takes_its_workspace_from_the_first(env_id, tmp_path, monkeypatch):
+    # A thread keeps its workspace between calls: every array the second of
+    # two runs takes comes from a buffer the first gave back, and it gives
+    # back the same buffers.
+    from pomdp_ope import core
+
+    lent = []
+    take = core._Workspace.take
+
+    def spy(self, shape, dtype=np.float64):
+        arr = take(self, shape, dtype)
+        lent.append(arr.base)
+        return arr
+
+    monkeypatch.setattr(core._Workspace, "take", spy)
+
+    def two_runs():
+        workspace = core._workspace()
+        _lepski(tmp_path, "--env", env_id, "--T", "2000", "--seed", "1")
+        kept = list(workspace._free)
+        lent.clear()
+        _lepski(tmp_path, "--env", env_id, "--T", "2000", "--seed", "2")
+        return kept, list(workspace._free)
+
+    kept, after = _on_new_thread(two_runs)
+    assert lent
+    assert all(any(buf is old for old in kept) for buf in lent)
+    assert sorted(map(id, after)) == sorted(map(id, kept))
+
+
+def test_a_long_run_leaves_its_workspace_within_the_bound(tmp_path):
+    # The arrays of a million-step trajectory are larger than a workspace
+    # keeps between calls; what it keeps stays within the bound.
+    from pomdp_ope import core
+
+    def run():
+        _lepski(tmp_path, "--env", "toy", "--T", "1000000", "--k-set=-1,0,1")
+        return [len(buf) for buf in core._workspace()._free]
+
+    sizes = _on_new_thread(run)
+    assert sum(sizes) <= core._KEEP_BYTES < 8 * 1_000_000
+
+
+def test_workspace_buffers_kept_between_runs_do_not_reach_the_output(tmp_path):
+    # A toy run gives the bytes of a first run on a new thread after a
+    # glucose run and a longer toy run on the same thread have left their
+    # values in its workspace, and after every kept buffer is filled with
+    # 0xFF bytes (NaN as a float, an out-of-range value as an index).
+    from pomdp_ope import core
+
+    argv = ("--env", "toy", "--T", "3000", "--seed", "5")
+    first = _on_new_thread(lambda: _lepski(tmp_path, *argv))
+
+    def after_others():
+        _lepski(tmp_path, "--env", "glucose", "--T", "700")
+        _lepski(tmp_path, "--env", "toy", "--T", "9000", "--seed", "6")
+        again = _lepski(tmp_path, *argv)
+        for buf in core._workspace()._free:
+            buf[...] = 0xFF
+        return again, _lepski(tmp_path, *argv)
+
+    assert _on_new_thread(after_others) == (first, first)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_first_failing_chunk_raises_and_threads_end(workers, monkeypatch):
     # Chunks 2 and 4 (one replication each) fail with different errors;
@@ -427,14 +511,14 @@ def test_first_failing_chunk_raises_and_threads_end(workers, monkeypatch):
     index = {int(s): r for r, s in enumerate(_derive_seeds(spec.master_seed, 0, np.arange(6)))}
     simulate = FiniteEnvironment.rewards_and_ratios
 
-    def failing(self, T, burn_in, seeds, workspace):
+    def failing(self, T, burn_in, seeds):
         chunk = index[int(seeds[0])]
         if chunk == 2:
             time.sleep(0.05)
             raise ValueError("chunk 2 failed")
         if chunk == 4:
             raise KeyError("chunk 4 failed")
-        return simulate(self, T, burn_in, seeds, workspace)
+        return simulate(self, T, burn_in, seeds)
 
     monkeypatch.setattr(FiniteEnvironment, "rewards_and_ratios", failing)
     baseline = threading.active_count()
@@ -453,14 +537,14 @@ def test_glucose_chunks_run_one_at_a_time(monkeypatch):
     most = [0]
     calls = []
 
-    def spy(self, T, burn_in, seeds, workspace):
+    def spy(self, T, burn_in, seeds):
         with lock:
             in_flight[0] += 1
             most[0] = max(most[0], in_flight[0])
             calls.append(len(seeds))
         try:
             time.sleep(0.01)
-            return simulate(self, T, burn_in, seeds, workspace)
+            return simulate(self, T, burn_in, seeds)
         finally:
             with lock:
                 in_flight[0] -= 1
@@ -535,7 +619,7 @@ def test_chunks_in_flight_hold_at_most_chunk_steps(
     in_flight = [0, 0]  # chunks, steps
     most = [0, 0]
 
-    def spy(self, T, burn_in, seeds, workspace):
+    def spy(self, T, burn_in, seeds):
         steps = len(seeds) * (T + burn_in)
         with lock:
             in_flight[0] += 1
@@ -543,7 +627,7 @@ def test_chunks_in_flight_hold_at_most_chunk_steps(
             most[:] = [max(m, f) for m, f in zip(most, in_flight)]
         try:
             time.sleep(0.01)
-            return simulate(self, T, burn_in, seeds, workspace)
+            return simulate(self, T, burn_in, seeds)
         finally:
             with lock:
                 in_flight[0] -= 1
@@ -689,8 +773,8 @@ def test_lepski_study_selects_among_finite_estimates(monkeypatch):
     # scan leaves those out and keeps the sample mean instead of aborting.
     simulate = FiniteEnvironment.rewards_and_ratios
 
-    def overflowing(self, T, burn_in, seeds, workspace):
-        rewards, ratios = simulate(self, T, burn_in, seeds, workspace)
+    def overflowing(self, T, burn_in, seeds):
+        rewards, ratios = simulate(self, T, burn_in, seeds)
         return rewards, ratios * 1e200
 
     monkeypatch.setattr(FiniteEnvironment, "rewards_and_ratios", overflowing)
@@ -713,8 +797,8 @@ def test_study_aggregates_of_overflowing_estimates_do_not_warn(monkeypatch):
     # aggregates without a numpy warning.
     simulate = FiniteEnvironment.rewards_and_ratios
 
-    def overflowing(self, T, burn_in, seeds, workspace):
-        rewards, ratios = simulate(self, T, burn_in, seeds, workspace)
+    def overflowing(self, T, burn_in, seeds):
+        rewards, ratios = simulate(self, T, burn_in, seeds)
         return rewards, ratios * 1e200
 
     monkeypatch.setattr(FiniteEnvironment, "rewards_and_ratios", overflowing)

@@ -375,6 +375,41 @@ def test_the_cache_keeps_the_last_eight_pairs(step_tables):
     assert held[0] not in step_tables.values()
 
 
+def test_the_cache_digests_each_model_and_policy_once(monkeypatch, step_tables):
+    # A cache lookup reads each object's digest, made at its first lookup:
+    # two batches of one pair digest the model and the policy once each.
+    digested = []
+    digest = core._digest
+    monkeypatch.setattr(core, "_digest", lambda *arrays: digested.append(arrays) or digest(*arrays))
+    env = make_environment("toy")
+    for seeds in ([0, 1], [2]):
+        core._simulate_arrays(env.model, env.behavior, 30, 2, seeds)
+    assert len(digested) == 2
+    assert len(step_tables) == 1
+
+
+def test_the_cache_drops_the_oldest_pairs_past_its_byte_bound(monkeypatch, step_tables):
+    # The pair asked for last is the newest. Past the bound the oldest pairs
+    # go first, and the newest is kept whatever its size.
+    rng = np.random.default_rng(6)
+    pairs = [(random_model(rng), interior_policy(rng)) for _ in range(4)]
+    for model, behavior in pairs[:3]:
+        core._simulate_arrays(model, behavior, 20, 2, [0])
+    held = list(step_tables.values())
+    bound = sum(tables.nbytes() for tables in held)
+    monkeypatch.setattr(core, "_KEEP_BYTES", bound)
+    core._simulate_arrays(*pairs[0], 20, 2, [0])
+    assert list(step_tables.values()) == held[1:] + held[:1]
+    core._simulate_arrays(*pairs[3], 20, 2, [0])
+    kept = list(step_tables.values())
+    assert 1 < len(kept) < 4 and kept[:-1] == (held[1:] + held[:1])[4 - len(kept) :]
+    assert sum(tables.nbytes() for tables in kept) <= bound
+    monkeypatch.setattr(core, "_KEEP_BYTES", 0)
+    core._simulate_arrays(*pairs[1], 20, 2, [0])
+    (tables,) = step_tables.values()
+    assert tables not in held
+
+
 def test_code_tables_wait_for_the_first_step_code_batch(monkeypatch, step_tables):
     # Eight steps of four seeds have fewer next-state rows than the pair has
     # step codes, so they count per row and leave the (code, state) tables
@@ -408,8 +443,8 @@ def test_the_first_batches_of_two_threads_build_the_tables_once(monkeypatch, ste
     monkeypatch.setattr(core, "_step_monoid", lambda nxt_of: monoids.append(nxt_of) or step_monoid(nxt_of))
     got = {}
 
-    def run(seeds, workspace):
-        got[seeds] = core._simulate_arrays(env.model, env.behavior, 60, 5, list(seeds), workspace)
+    def run(seeds):
+        got[seeds] = core._simulate_arrays(env.model, env.behavior, 60, 5, list(seeds))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
