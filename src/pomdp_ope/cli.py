@@ -6,12 +6,12 @@ parser built once per command and process; ``pomdp-ope`` alone, ``--help``
 and an unknown command build every subcommand's, so their help and usage
 errors are unchanged. ``_load_environment`` alone decides which kind of
 environment ``--env`` or the ``--model/--behavior/--target`` files name (the
-two sources are exclusive), and gives the run its one environment, built
-once per ``--env`` id and process but read from files on every run; each
-subcommand then asks it for its burn-in, trajectory CSV, rewards and ratios,
-model or hard-pair parameters (``sweep`` hands it to its ``SweepSpec``, so
-model files sweep too), and refuses, naming it, an option that does not apply
-to that kind. Exit codes: 0 success, 2 configuration error (including a model
+two sources are exclusive), and gives the run its one environment: the
+harness's for an ``--env`` id (``make_environment`` builds each id once per
+process), read from files on every run otherwise. Each subcommand then asks
+it for its burn-in, trajectory CSV, rewards and ratios, model or hard-pair
+parameters (``sweep`` hands it to its ``SweepSpec``, so model files sweep
+too), and refuses, naming it, an option that does not apply to that kind. Exit codes: 0 success, 2 configuration error (including a model
 or policy file that cannot be read or is malformed, named, and malformed
 JSON, reported with line and column), 3 overlap violation, 4 mixing failure.
 """
@@ -54,10 +54,6 @@ EXIT_CONFIG = 2
 EXIT_OVERLAP = 3
 EXIT_MIXING = 4
 
-# The environment of an ``--env`` id, built once per id and process.
-_environment = functools.lru_cache(maxsize=8)(make_environment)
-
-
 def _int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
@@ -74,7 +70,7 @@ def _load_environment(args):
     one place the command line decides which kind of environment it runs."""
     if args.env:
         _refuse(args, "--env", "--model", "--behavior", "--target")
-        return _environment(args.env)
+        return make_environment(args.env)
     if args.model:
         model = serialization.load_model(args.model)
         if not (args.behavior and args.target):

@@ -44,9 +44,10 @@ batch's (T + burn_in - 1) n moves (a dense one) keeps the action bucket as
 its code and searches each (state, action) row once. The cells are read
 off the state path time-major, a group of seeds at a time, into seed rows;
 the rewards' means and sds are gathered from them. What the model and
-behavior policy alone fix is built once per process (``_step_tables``):
-the thresholds, buckets and actions at the first call, the (code, state)
-tables and monoid at the first that counts step codes.
+behavior policy alone fix is built once per pair of objects and kept while
+both live (``_step_tables``): the thresholds, buckets and actions at the
+first call, the (code, state) tables and monoid at the first that counts
+step codes.
 
 Each stage takes its large arrays from the calling thread's ``_workspace``
 where it starts and gives them back where it ends. A thread keeps its
@@ -66,13 +67,11 @@ finite-environment sweeps and studies.
 from __future__ import annotations
 
 import bisect
-import hashlib
 import math
 import os
 import threading
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -121,8 +120,8 @@ GROUP_SEEDS = 16
 # numpy 2.4) blocks of 8 or 32 steps ran no faster overall.
 FOLLOW_BLOCK = 16
 
-# Bytes that each workspace keeps free between calls, and the step tables of
-# all pairs but the newest: eight float64 arrays of a ``CACHE_STEPS`` chunk.
+# Bytes that each workspace keeps free between calls: eight float64 arrays of
+# a ``CACHE_STEPS`` chunk.
 # A sweep or study chunk's buffers (about five such) stay, a long run's do
 # not, as they could pin malloc's heap: one T = 1,000,000 ``lepski`` left 69
 # MiB resident at 8x this bound, 46-47 here, 46 with no workspace (glibc).
@@ -304,15 +303,6 @@ def _float_array(name: str, values) -> np.ndarray:
     raise ConfigurationError(f"{name} must be a rectangular array of numbers")
 
 
-def _digest(*arrays: np.ndarray) -> bytes:
-    """A 32-byte BLAKE2b digest of the shapes, dtypes and bytes of ``arrays``."""
-    h = hashlib.blake2b(digest_size=32)
-    for arr in arrays:
-        h.update(f"{arr.shape}{arr.dtype.str}".encode())
-        h.update(np.ascontiguousarray(arr))
-    return h.digest()
-
-
 def _check_finite(name: str, values) -> None:
     """Raise ConfigurationError naming the first non-finite entry of values."""
     arr = np.asarray(values, dtype=float)
@@ -417,11 +407,6 @@ class PomdpModel:
         """Covariate index of each joint state, shape (S,)."""
         return np.arange(self.num_states) // self.num_h
 
-    @cached_property
-    def _tables_key(self) -> bytes:
-        """Digest of what the step tables read of the model (``_step_tables``)."""
-        return _digest(self.transition, self.x_of_state)
-
 
 @dataclass(frozen=True, eq=False)
 class Policy:
@@ -444,11 +429,6 @@ class Policy:
     @property
     def num_actions(self) -> int:
         return self.probs.shape[1]
-
-    @cached_property
-    def _tables_key(self) -> bytes:
-        """The probabilities as a digest (``_step_tables``)."""
-        return _digest(self.probs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -698,52 +678,62 @@ def _step_monoid(nxt_of: np.ndarray):
     return maps, np.array(step, np.uint8).reshape(len(ids), -1)[:, of_code.reshape(-1)]
 
 
+def _values_below_one(cum: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of ``cum`` below 1.0."""
+    # One sort and a diff, no masks: with np.unique (which also imports
+    # numpy.ma on first use) a process that simulated one dense S = 1,000,
+    # A = 4 model and dropped it stayed 37 MiB larger, with this 10 (glibc
+    # keeps freed temporaries in its heap).
+    values = np.sort(cum, axis=None)
+    values = values[: values.searchsorted(1.0)]
+    return values[np.flatnonzero(np.diff(values, prepend=-1.0))]
+
+
 class _StepTables:
     """What ``_simulate_arrays`` reads of one model and behavior policy (see
-    the module docstring); ``coded``, the (code, state) next-state and cell
-    tables and the former's ``_step_monoid``, is set by ``_step_tables``."""
+    the module docstring). It holds no reference to either. ``move_values``
+    and ``coded``, the (code, state) next-state and cell tables and the
+    former's ``_step_monoid``, are set by ``_step_tables`` at the first batch
+    that counts step codes; until then only the move buckets' count is kept,
+    which is all that the per-row path of a dense model reads of them."""
 
     def __init__(self, model: PomdpModel, behavior: Policy):
         cum_pol, self.cum_trans = _thresholds(behavior.probs), _thresholds(model.transition)
-        # Plain np.unique imports numpy.ma on first use (15 ms, numpy 2.4); this does not.
-        self.act_values = np.unique(cum_pol[cum_pol < 1.0], return_counts=True)[0]
-        self.move_values = np.unique(self.cum_trans[self.cum_trans < 1.0], return_counts=True)[0]
-        self.moves = len(self.move_values) + 1
-        self.codes = (len(self.act_values) + 1) * self.moves
-        # act_by_x[x, b] and act_of[b, s]: the action of covariate x, state s in bucket b.
+        self.act_values = _values_below_one(cum_pol)
+        # act_by_x[x, b] and cell_of[b, s]: the action of covariate x and the cell of state s in bucket b.
         self.act_by_x = _bucket_counts(cum_pol, self.act_values).astype(np.min_scalar_type(model.num_actions))
-        self.act_of = self.act_by_x[model.x_of_state].T
-        self.cell_of = np.arange(model.num_states) * model.num_actions + self.act_of
-        self.coded = None
-
-    def nbytes(self) -> int:
-        """Bytes of the arrays held, the ``coded`` tables' among them."""
-        nxt_of, cells, monoid = self.coded or (None, None, None)
-        return sum(a.nbytes for a in (*vars(self).values(), nxt_of, cells, *(monoid or ())) if isinstance(a, np.ndarray))
+        states = np.arange(model.num_states, dtype=np.min_scalar_type(model.num_states * model.num_actions))
+        self.cell_of = states * model.num_actions + self.act_by_x[model.x_of_state].T
+        self.moves = len(_values_below_one(self.cum_trans)) + 1
+        self.codes = (len(self.act_values) + 1) * self.moves
+        self.move_values = self.coded = None
 
 
-_tables: dict = {}  # the ``_StepTables`` of the pairs asked for last, the newest last
+# _tables[model][behavior]: the ``_StepTables`` of each pair simulated whose
+# model and behavior policy both live. Both classes hash by identity, and an
+# entry goes when either object does.
+_tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _tables_lock = threading.Lock()
 
 
 def _step_tables(model: PomdpModel, behavior: Policy, rows: int):
-    """The ``_StepTables`` of (model, behavior) and its ``coded`` tables, from
-    a cache keyed by both objects' digests (``_tables_key``), built there if
-    missing; ``coded`` is None, and not built, when the codes outnumber the
-    call's ``rows`` next-state rows (a dense model). The cache keeps the last
-    eight pairs asked for, fewer past ``_KEEP_BYTES``. A thread that asks
+    """The ``_StepTables`` of (model, behavior) and its ``coded`` tables,
+    built at the pair's first call and kept in ``_tables`` while both
+    objects live; ``coded`` is None, and not built, when the codes outnumber
+    the call's ``rows`` next-state rows (a dense model). A thread that asks
     while another builds waits for that build."""
-    key = model._tables_key, behavior._tables_key
     with _tables_lock:
-        tables = _tables[key] = _tables.pop(key, None) or _StepTables(model, behavior)
+        of_model = _tables.setdefault(model, weakref.WeakKeyDictionary())
+        tables = of_model.get(behavior)
+        if tables is None:
+            tables = of_model[behavior] = _StepTables(model, behavior)
         if tables.codes > rows:
             coded = None
         elif (coded := tables.coded) is None:
+            tables.move_values = _values_below_one(tables.cum_trans)
             move_of = _bucket_counts(tables.cum_trans, tables.move_values)
-            nxt_of = move_of[tables.act_of, np.arange(model.num_states)].transpose(0, 2, 1).reshape(tables.codes, -1)
+            nxt_of = move_of[tables.act_by_x[model.x_of_state].T, np.arange(model.num_states)].transpose(0, 2, 1).reshape(tables.codes, -1)
             coded = tables.coded = nxt_of, np.repeat(tables.cell_of, tables.moves, axis=0), _step_monoid(nxt_of)
-        while len(_tables) > 8 or len(_tables) > 1 and sum(map(_StepTables.nbytes, _tables.values())) > _KEEP_BYTES:
-            del _tables[next(iter(_tables))]
         return tables, coded
 
 

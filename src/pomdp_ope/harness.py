@@ -26,17 +26,18 @@ environments gather ratios at the (state, action) cells of
 spec whatever the chunk size and worker count.
 
 An environment object is the one place that knows its kind and defaults:
-``make_environment`` maps an id to one, and each carries its default
-burn-in (``core.DEFAULT_BURN_IN`` for finite POMDPs,
-``glucose.DEFAULT_BURN_IN`` for the glucose simulator) and its chunk
-budget, simulates rewards and ratios, answers its value oracle and writes
-its own trajectory CSV. A ``SweepSpec`` holds its run's one environment,
-given or built once from its id, and its default burn-in; the command line
-hands the spec the one it loaded, so model files sweep too.
+``make_environment`` maps an id to one, built once per id and process, and
+each carries its default burn-in (``core.DEFAULT_BURN_IN`` for finite
+POMDPs, ``glucose.DEFAULT_BURN_IN`` for the glucose simulator) and its
+chunk budget, simulates rewards and ratios, answers its value oracle and
+writes its own trajectory CSV. A ``SweepSpec`` holds its run's one
+environment, given or that of its id, and its default burn-in; the command
+line hands the spec the one it loaded, so model files sweep too.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Sequence, Union
@@ -181,13 +182,20 @@ def hard_params(text: str) -> HardInstanceParams:
 
 
 def make_environment(env_id: str):
-    """Build a named environment: 'toy', 'glucose', or 'hard:<params>'.
+    """The named environment: 'toy', 'glucose', or 'hard:<params>', built
+    once per id and process (the last eight ids are kept), so every run of
+    an id shares one model object and the simulator's step tables of it.
 
     Hard-instance sweeps simulate and evaluate the first (high-mean)
     instance of the pair.
     """
     if not isinstance(env_id, str):
         raise ConfigurationError(f"environment must be an id or an environment object, got {env_id!r:.80}")
+    return _build_environment(env_id)
+
+
+@functools.lru_cache(maxsize=8)
+def _build_environment(env_id: str):
     if env_id == "toy":
         model, behavior, target = toy_model()
         return FiniteEnvironment("toy", model, behavior, target)
@@ -207,9 +215,10 @@ class SweepSpec:
     """What to run: environment, windows, horizons, replication count, and
     the shared randomness / inference settings.
 
-    ``environment`` is an environment object, or an id built once here: the
-    spec keeps the object as ``env`` (outside repr and comparison) and takes
-    its name as ``environment`` and, for a None ``burn_in``, its default; an
+    ``environment`` is an environment object, or an id, whose one
+    environment (``make_environment``) it takes: the spec keeps the object
+    as ``env`` (outside repr and comparison) and takes its name as
+    ``environment`` and, for a None ``burn_in``, its default; an
     ``env`` that ``environment`` names, as ``dataclasses.replace`` passes
     them, is kept. Counts and windows must be integers (NumPy integers
     included), ``k_values`` windows the shortest horizon takes, and no

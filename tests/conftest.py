@@ -57,21 +57,21 @@ def random_model(
 
 @pytest.fixture
 def environments():
-    """The command line's cache of ``--env`` environments, empty as the test
-    starts and after it, so that a spy on what builds an environment sees
-    the run build it and no later test gets what the spy built."""
-    from pomdp_ope import cli
+    """The harness's cache of environments by id, empty as the test starts
+    and after it, so that a spy on what builds an environment sees the run
+    build it and no later test gets what the spy built."""
+    from pomdp_ope import harness
 
-    cli._environment.cache_clear()
+    harness._build_environment.cache_clear()
     yield
-    cli._environment.cache_clear()
+    harness._build_environment.cache_clear()
 
 
 @pytest.fixture
 def environment_builds(monkeypatch, environments):
     """A list that gets the class name of every environment built while the
     test runs (a hard environment counts once, as the finite one it is),
-    the command line's cache of environments empty as it starts."""
+    the harness's cache of environments empty as it starts."""
     from pomdp_ope.harness import FiniteEnvironment, GlucoseEnvironment
 
     builds: list[str] = []
@@ -85,15 +85,30 @@ def environment_builds(monkeypatch, environments):
     return builds
 
 
+class _HeldTables:
+    """The step tables that ``core`` holds, one per (model, behavior policy)
+    pair whose objects both live."""
+
+    def __init__(self, tables):
+        self._tables = tables
+
+    def values(self) -> list:
+        return [tables for per_model in list(self._tables.values()) for tables in list(per_model.values())]
+
+    def __len__(self) -> int:
+        return len(self.values())
+
+
 @pytest.fixture
-def step_tables(monkeypatch) -> dict:
-    """The simulator's cache of step tables, empty as the test starts, so
-    that a spy on a build sees the first one; the test's cache is dropped
-    after it."""
+def step_tables(monkeypatch) -> _HeldTables:
+    """The simulator's step tables, none as the test starts, so that a spy
+    on a build sees the first one; the test's tables are dropped after it."""
+    import weakref
+
     from pomdp_ope import core
 
-    monkeypatch.setattr(core, "_tables", {})
-    return core._tables
+    monkeypatch.setattr(core, "_tables", weakref.WeakKeyDictionary())
+    return _HeldTables(core._tables)
 
 
 @pytest.fixture

@@ -279,7 +279,7 @@ def test_study_refuses_bad_candidates_before_it_runs(monkeypatch):
 
 
 # Environments: an id or an environment object, and nothing else.
-@pytest.mark.parametrize("value", [5, None, MODEL], ids=["int", "None", "PomdpModel"])
+@pytest.mark.parametrize("value", [5, None, MODEL, ["toy"]], ids=["int", "None", "PomdpModel", "list"])
 @pytest.mark.parametrize(
     "call",
     [harness.make_environment, lambda v: _spec(environment=v)],

@@ -369,9 +369,9 @@ def _stay_and_mix(tmp_path, target: str, behavior: str) -> tuple[str, ...]:
 
 
 def test_lepski_runs_share_one_step_monoid_build(capsys, monkeypatch, step_tables):
-    # Each run loads its own toy environment; the simulator's table cache
-    # builds the step tables and their monoid once, at the first run: one
-    # bucket table of the policy, one of the transition tensor.
+    # Both runs get the toy id's one environment, so the simulator builds
+    # its step tables and their monoid once, at the first run: one bucket
+    # table of the policy, one of the transition tensor.
     from pomdp_ope import core
 
     builds, buckets = [], []

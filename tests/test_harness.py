@@ -873,11 +873,15 @@ def test_spec_burn_in_defaults_to_the_environments(env_id, burn_in):
 
 
 def test_spec_holds_the_environment_it_was_given():
-    env = make_environment("toy")
+    # An environment built apart from the id's: a spec of the id holds the
+    # id's one environment instead.
+    from pomdp_ope.instances import toy_model
+
+    env = FiniteEnvironment("toy", *toy_model())
     given = SweepSpec(environment=env, k_values=(0,), T_values=(20,), replications=1)
     named = SweepSpec(environment="toy", k_values=(0,), T_values=(20,), replications=1)
     assert given.env is env and given.environment == named.environment == "toy"
-    assert named.env is not env and isinstance(named.env, FiniteEnvironment)
+    assert named.env is make_environment("toy") is not env
     # The object takes no part in the spec's comparison, echo or repr.
     assert given == named and hash(given) == hash(named)
     assert given.to_dict() == named.to_dict() and repr(given) == repr(named)
@@ -966,9 +970,10 @@ def test_a_run_builds_its_step_monoid_once(run, workers, monkeypatch, step_table
 
 
 def test_a_spec_pickles_after_its_run(monkeypatch, step_tables):
-    # The step tables and their monoid live in core's cache, not in the
-    # environment, so a spec still pickles after its run, and the copy runs
-    # to the same cells from the same build.
+    # The step tables and their monoid live in core, not in the environment,
+    # so a spec still pickles after its run, and the copy runs to the same
+    # cells. The copy holds new model objects, so it builds its own tables,
+    # which go with it.
     from pomdp_ope import core
 
     builds = []
@@ -977,7 +982,7 @@ def test_a_spec_pickles_after_its_run(monkeypatch, step_tables):
     spec = SweepSpec(environment="toy", k_values=(0, 1), T_values=(40,), replications=5, burn_in=5)
     result = run_sweep(spec)
     assert run_sweep(pickle.loads(pickle.dumps(spec))).cells == result.cells
-    assert len(builds) == len(step_tables) == 1
+    assert len(builds) == 2 and len(step_tables) == 1
 
 
 def test_random_dense_model_sweeps_against_its_exact_value():

@@ -25,7 +25,7 @@ from pomdp_ope import (
     simulate,
 )
 from pomdp_ope.estimators import _policy_ratios
-from pomdp_ope.harness import FiniteEnvironment, make_environment
+from pomdp_ope.harness import FiniteEnvironment, SweepSpec, make_environment, run_sweep
 
 HARD_Q3 = "hard:Q=3,t0=1,zeta=0.69,M1=1,M2=2,Delta=0.5"
 HARD_Q20 = "hard:Q=20,t0=2,zeta=0.69,M1=1,M2=2"
@@ -316,21 +316,39 @@ def test_dense_batch_builds_no_code_tables(monkeypatch, step_tables):
     core._simulate_arrays(model, behavior, 50, 10, [0, 1])
     assert seen["per_row"]
     assert seen["tables"] == [behavior.probs.shape]
-    # Nor is one kept: the cache holds the pair's tables without them.
+    # Nor is one kept: core holds the pair's tables without them, nor the
+    # move thresholds that only they read, and its 400 cells fit in 16 bits.
     (tables,) = step_tables.values()
-    assert tables.coded is None
+    assert tables.coded is None and tables.move_values is None
+    assert tables.cell_of.dtype == np.uint16
 
 
 def test_equal_pairs_built_apart_share_one_cache_entry(step_tables):
-    # Two toy environments hold equal arrays in distinct objects, so every
-    # batch of either reads one set of step tables.
+    # Two calls for the toy id and two specs of it get one environment, so
+    # every batch of any of them reads one set of step tables.
     first, second = make_environment("toy"), make_environment("toy")
-    assert first.model is not second.model and first.behavior is not second.behavior
-    for env in (first, second):
-        core._simulate_arrays(env.model, env.behavior, 50, 5, [0, 1])
+    specs = [SweepSpec(environment="toy", k_values=(0,), T_values=(40,), replications=3, burn_in=5) for _ in range(2)]
+    assert first is second and all(spec.env is first for spec in specs)
+    core._simulate_arrays(first.model, first.behavior, 50, 5, [0, 1])
+    for spec in specs:
+        run_sweep(spec)
     (tables,) = step_tables.values()
     got, coded = core._step_tables(second.model, second.behavior, 98)
     assert got is tables and coded is tables.coded is not None
+
+
+def test_the_tables_go_with_their_model_or_policy(step_tables):
+    # An entry holds no reference to its model or policy: it goes when either
+    # does, and nothing of the pair stays in core.
+    rng = np.random.default_rng(7)
+    model, behavior, other = random_model(rng), interior_policy(rng), interior_policy(rng)
+    core._simulate_arrays(model, behavior, 20, 2, [0, 1])
+    core._simulate_arrays(model, other, 20, 2, [0, 1])
+    assert len(step_tables) == 2
+    del other
+    assert len(step_tables) == 1
+    del model, behavior
+    assert len(step_tables) == 0 and len(core._tables) == 0
 
 
 def _variants():
@@ -356,58 +374,10 @@ def _variants():
 
 
 def test_pairs_that_differ_in_one_entry_or_their_split_get_their_own_tables(step_tables):
-    for model, behavior in _variants():
+    pairs = _variants()  # held, so that their tables stay
+    for model, behavior in pairs:
         _assert_matches_reference(model, behavior, 40, 5, [3, 4])
     assert len(step_tables) == 4
-
-
-def test_the_cache_keeps_the_last_eight_pairs(step_tables):
-    rng = np.random.default_rng(5)
-    pairs = [(random_model(rng), interior_policy(rng)) for _ in range(9)]
-    for model, behavior in pairs[:8]:
-        core._simulate_arrays(model, behavior, 20, 2, [0])
-    held = list(step_tables.values())
-    assert len(held) == 8
-    # The ninth pair takes the place of the first.
-    core._simulate_arrays(*pairs[8], 20, 2, [0])
-    assert len(step_tables) == 8
-    assert list(step_tables.values())[:7] == held[1:]
-    assert held[0] not in step_tables.values()
-
-
-def test_the_cache_digests_each_model_and_policy_once(monkeypatch, step_tables):
-    # A cache lookup reads each object's digest, made at its first lookup:
-    # two batches of one pair digest the model and the policy once each.
-    digested = []
-    digest = core._digest
-    monkeypatch.setattr(core, "_digest", lambda *arrays: digested.append(arrays) or digest(*arrays))
-    env = make_environment("toy")
-    for seeds in ([0, 1], [2]):
-        core._simulate_arrays(env.model, env.behavior, 30, 2, seeds)
-    assert len(digested) == 2
-    assert len(step_tables) == 1
-
-
-def test_the_cache_drops_the_oldest_pairs_past_its_byte_bound(monkeypatch, step_tables):
-    # The pair asked for last is the newest. Past the bound the oldest pairs
-    # go first, and the newest is kept whatever its size.
-    rng = np.random.default_rng(6)
-    pairs = [(random_model(rng), interior_policy(rng)) for _ in range(4)]
-    for model, behavior in pairs[:3]:
-        core._simulate_arrays(model, behavior, 20, 2, [0])
-    held = list(step_tables.values())
-    bound = sum(tables.nbytes() for tables in held)
-    monkeypatch.setattr(core, "_KEEP_BYTES", bound)
-    core._simulate_arrays(*pairs[0], 20, 2, [0])
-    assert list(step_tables.values()) == held[1:] + held[:1]
-    core._simulate_arrays(*pairs[3], 20, 2, [0])
-    kept = list(step_tables.values())
-    assert 1 < len(kept) < 4 and kept[:-1] == (held[1:] + held[:1])[4 - len(kept) :]
-    assert sum(tables.nbytes() for tables in kept) <= bound
-    monkeypatch.setattr(core, "_KEEP_BYTES", 0)
-    core._simulate_arrays(*pairs[1], 20, 2, [0])
-    (tables,) = step_tables.values()
-    assert tables not in held
 
 
 def test_code_tables_wait_for_the_first_step_code_batch(monkeypatch, step_tables):
