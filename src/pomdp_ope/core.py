@@ -121,7 +121,8 @@ GROUP_SEEDS = 16
 FOLLOW_BLOCK = 16
 
 # Bytes that each workspace keeps free between calls: eight float64 arrays of
-# a ``CACHE_STEPS`` chunk.
+# a ``CACHE_STEPS`` chunk. A program calling from one thread so keeps at most
+# ``DEFAULT_WORKERS`` times this: its own workspace's and the spares'.
 # A sweep or study chunk's buffers (about five such) stay, a long run's do
 # not, as they could pin malloc's heap: one T = 1,000,000 ``lepski`` left 69
 # MiB resident at 8x this bound, 46-47 here, 46 with no workspace (glibc).
@@ -160,7 +161,8 @@ def _worker_count(workers: int | None) -> int:
 def _run_jobs(run, jobs: Sequence, threads: int) -> None:
     """Call ``run(job)`` for every job, on the caller's thread and up to
     ``threads - 1`` helper threads (none for one thread or one job), each
-    helper with its own ``_workspace``, a spare that core keeps between calls.
+    helper with its own ``_workspace``: a spare that core keeps between
+    calls, or past ``DEFAULT_WORKERS - 1`` spares one for this call only.
 
     Thread i starts with job i, the caller with job 0; then each takes the
     next job not yet started. No job starts once an earlier job in job order
@@ -209,6 +211,7 @@ def _run_jobs(run, jobs: Sequence, threads: int) -> None:
         for helper in helpers:
             helper.join()
         _spares.extend(lent)
+        del _spares[DEFAULT_WORKERS - 1 :]
     if error is not None:
         raise error
 
@@ -251,7 +254,10 @@ class _Workspace:
 
 
 _thread = threading.local()  # the calling thread's ``workspace``, once it has one
-_spares: list[_Workspace] = []  # the workspaces of ``_run_jobs`` helpers between calls
+# The workspaces of ``_run_jobs`` helpers between calls, as many as a default
+# call starts helpers: kept for every helper, one figure-3 sweep on eight
+# threads would hold 20 MiB of free buffers for the life of the process.
+_spares: list[_Workspace] = []
 
 
 def _workspace() -> _Workspace:

@@ -26,10 +26,10 @@ environments gather ratios at the (state, action) cells of
 spec whatever the chunk size and worker count.
 
 An environment object is the one place that knows its kind and defaults:
-``make_environment`` maps an id to one, built once per id and process, and
-each carries its default burn-in (``core.DEFAULT_BURN_IN`` for finite
-POMDPs, ``glucose.DEFAULT_BURN_IN`` for the glucose simulator) and its
-chunk budget, simulates rewards and ratios, answers its value oracle and
+``make_environment`` maps an id to one, built once per id and process and
+frozen, and each carries its default burn-in (``core.DEFAULT_BURN_IN`` for
+finite POMDPs, ``glucose.DEFAULT_BURN_IN`` for the glucose simulator) and
+its chunk budget, simulates rewards and ratios, answers its value oracle and
 writes its own trajectory CSV. A ``SweepSpec`` holds its run's one
 environment, given or that of its id, and its default burn-in; the command
 line hands the spec the one it loaded, so model files sweep too.
@@ -81,19 +81,21 @@ from .serialization import trajectory_to_csv
 # Environments
 
 
+@dataclass(frozen=True, eq=False)
 class FiniteEnvironment:
     """Finite POMDP with exact value oracle."""
 
+    name: str
+    model: PomdpModel
+    behavior: Policy
+    target: Policy
+
     default_burn_in = DEFAULT_BURN_IN
 
-    def __init__(self, name: str, model: PomdpModel, behavior: Policy, target: Policy):
+    def __post_init__(self):
         # The ratio table has a row per state, read from both policies.
-        _check_dimensions(model, behavior)
-        _check_dimensions(model, target)
-        self.name = name
-        self.model = model
-        self.behavior = behavior
-        self.target = target
+        _check_dimensions(self.model, self.behavior)
+        _check_dimensions(self.model, self.target)
 
     @property
     def chunk_steps(self) -> int:
@@ -119,6 +121,7 @@ class FiniteEnvironment:
         trajectory_to_csv(simulate(self.model, self.behavior, T, burn_in, seed), out)
 
 
+@dataclass(frozen=True, eq=False)
 class GlucoseEnvironment:
     """Blood-glucose simulator with a cached Monte Carlo value oracle."""
 
@@ -138,13 +141,12 @@ class GlucoseEnvironment:
         trajectory_to_csv(glucose_simulate(T, burn_in, "behavior", seed), out)
 
 
+@dataclass(frozen=True, eq=False)
 class HardEnvironment(FiniteEnvironment):
     """A hard pair's high-mean instance, with its parameters and low-mean instance."""
 
-    def __init__(self, name: str, params: HardInstanceParams):
-        hi, self.lo, behavior, target = hard_instance_pair(params)
-        super().__init__(name, hi, behavior, target)
-        self.params = params
+    lo: PomdpModel
+    params: HardInstanceParams
 
 
 def hard_params(text: str) -> HardInstanceParams:
@@ -184,7 +186,7 @@ def hard_params(text: str) -> HardInstanceParams:
 def make_environment(env_id: str):
     """The named environment: 'toy', 'glucose', or 'hard:<params>', built
     once per id and process (the last eight ids are kept), so every run of
-    an id shares one model object and the simulator's step tables of it.
+    an id shares one frozen environment and the step tables of its model.
 
     Hard-instance sweeps simulate and evaluate the first (high-mean)
     instance of the pair.
@@ -202,7 +204,9 @@ def _build_environment(env_id: str):
     if env_id == "glucose":
         return GlucoseEnvironment()
     if env_id.startswith("hard:"):
-        return HardEnvironment(env_id, hard_params(env_id[len("hard:") :]))
+        params = hard_params(env_id[len("hard:") :])
+        hi, lo, behavior, target = hard_instance_pair(params)
+        return HardEnvironment(env_id, hi, behavior, target, lo, params)
     raise ConfigurationError(f"unknown environment {env_id!r}")
 
 

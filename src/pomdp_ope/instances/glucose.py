@@ -28,13 +28,15 @@ which so becomes the glucose array, and carries the seven lags as views of
 earlier rows; the only array it allocates holds the evaluation rule's
 decisions. Rewards, logging probabilities and ratios are computed from
 those arrays afterwards, and the Monte Carlo oracle sums utilities from
-counts of glucose readings per utility band, one chunk's arrays at a time.
+counts of glucose readings per utility band, one chunk's arrays at a time,
+and keeps its last eight values, each call with a provenance of its own.
 The behavior policy's uniform u_insulin is the last draw of a stream and is
 drawn only for behavior runs, so target runs see the same values either way.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -94,8 +96,8 @@ class GlucoseTrajectory:
     behavior_prob holds the logging-policy probability of the insulin
     decision actually realized each hour; target_action holds the decision
     the evaluation rule would have made. Importance ratios follow as
-    1{insulin == target_action} / behavior_prob. The columns are 1-D
-    with one entry per hour.
+    1{insulin == target_action} / behavior_prob. The columns are read-only
+    1-D views with one entry per hour.
     """
 
     gl: np.ndarray
@@ -123,7 +125,9 @@ class GlucoseTrajectory:
     def __post_init__(self):
         T = np.size(self.y)
         for _, name in self.csv_columns:
-            column = np.asarray(getattr(self, name))
+            # A view: the caller's own array keeps its flags.
+            column = np.asarray(getattr(self, name)).view()
+            column.setflags(write=False)
             if column.shape != (T,):
                 raise ConfigurationError(
                     f"glucose trajectory {name} must have shape ({T},), one entry per "
@@ -374,9 +378,6 @@ def _rewards_and_ratios(
     return ys, rhos
 
 
-_oracle_cache: dict[tuple, tuple[float, dict]] = {}
-
-
 def target_value_oracle(
     runs: int = DEFAULT_ORACLE_RUNS,
     hours: int = DEFAULT_ORACLE_HOURS,
@@ -386,33 +387,29 @@ def target_value_oracle(
     """Monte Carlo long-run value of the evaluation policy.
 
     Averages the utility over `runs` independent target-policy trajectories
-    of `hours` hours each (after burn-in). Cached per parameter tuple; the
-    provenance dict records everything needed to reproduce the number.
-    Run r's stream is hash(seed, r), derived for every run in one vectorized
-    pass. Each chunk's utility sum comes from its band counts; utilities are
-    small integers, so the sum is exact and the mean does not depend on
-    where chunks break.
+    of `hours` hours each (after burn-in). The value is cached per parameter
+    tuple (the last eight are kept); the provenance dict, the caller's own,
+    records everything needed to reproduce the number.
     """
     runs = _integer("runs", runs, 1)
     hours = _integer("hours", hours, 1)
     burn_in = _integer("burn_in", burn_in, 0)
-    # The seed's type too: a bool or float equal to a cached seed is still checked.
-    key = (runs, hours, burn_in, type(seed), seed)
-    if key not in _oracle_cache:
-        total = 0.0
-        seeds = _derive_seeds(seed, np.arange(runs))
-        for start, stop in chunk_ranges(runs, hours + burn_in):
-            # No name holds a chunk's glucose, so it is freed before the
-            # next chunk is drawn.
-            total += _utility_sum(_simulate_arrays(hours, burn_in, "target", seeds[start:stop])[0])
-        provenance = {
-            "kind": "monte-carlo",
-            "runs": runs,
-            "hours": hours,
-            "burn_in": burn_in,
-            # A plain int: the seed passed the derivation's integer check,
-            # and a NumPy integer would not serialize.
-            "seed": int(seed),
-        }
-        _oracle_cache[key] = (total / (runs * hours), provenance)
-    return _oracle_cache[key]
+    value = _oracle_value(runs, hours, burn_in, seed)
+    # A plain int: the seed passed the derivation's integer check, and a
+    # NumPy integer would not serialize.
+    return value, dict(kind="monte-carlo", runs=runs, hours=hours, burn_in=burn_in, seed=int(seed))
+
+
+# Typed: a bool or float seed equal to a cached seed is still checked.
+@functools.lru_cache(maxsize=8, typed=True)
+def _oracle_value(runs: int, hours: int, burn_in: int, seed: int) -> float:
+    """The oracle's mean utility. Run r's stream is hash(seed, r). Chunk
+    utility sums come from band counts, exact for integer utilities, so the
+    mean does not depend on where chunks break."""
+    total = 0.0
+    seeds = _derive_seeds(seed, np.arange(runs))
+    for start, stop in chunk_ranges(runs, hours + burn_in):
+        # No name holds a chunk's glucose, so it is freed before the next
+        # chunk is drawn.
+        total += _utility_sum(_simulate_arrays(hours, burn_in, "target", seeds[start:stop])[0])
+    return total / (runs * hours)

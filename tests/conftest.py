@@ -70,19 +70,30 @@ def environments():
 @pytest.fixture
 def environment_builds(monkeypatch, environments):
     """A list that gets the class name of every environment built while the
-    test runs (a hard environment counts once, as the finite one it is),
-    the harness's cache of environments empty as it starts."""
-    from pomdp_ope.harness import FiniteEnvironment, GlucoseEnvironment
+    test runs, the harness's cache of environments empty as it starts."""
+    from pomdp_ope.harness import FiniteEnvironment, GlucoseEnvironment, HardEnvironment
 
     builds: list[str] = []
-    for cls in (FiniteEnvironment, GlucoseEnvironment):
+    for cls in (FiniteEnvironment, GlucoseEnvironment, HardEnvironment):
 
-        def counting(self, *args, _init=cls.__init__):
+        def counting(self, *args, _init=cls.__init__, **kwargs):
             builds.append(type(self).__name__)
-            _init(self, *args)
+            _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counting)
     return builds
+
+
+@pytest.fixture
+def oracle_values():
+    """The glucose oracle's cache of values, empty as the test starts and
+    after it, so that a test computes its own values and no later test gets
+    a value that the test's patches made."""
+    from pomdp_ope.instances import glucose
+
+    glucose._oracle_value.cache_clear()
+    yield glucose._oracle_value
+    glucose._oracle_value.cache_clear()
 
 
 class _HeldTables:

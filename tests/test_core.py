@@ -465,11 +465,13 @@ def test_run_jobs_gives_each_thread_one_workspace(threads):
 
 @pytest.mark.parametrize("threads", [2, 4])
 def test_run_jobs_helpers_of_successive_calls_reuse_the_spare_workspaces(threads, monkeypatch):
-    # Core keeps the helpers' workspaces between calls: a helper of the
-    # second call takes one that a helper of the first gave back, and the
-    # caller keeps its own.
+    # Core keeps the workspaces of as many helpers as a default call starts
+    # between calls: a helper of the second call takes one that a helper of
+    # the first gave back, a further helper gets one for its call only, and
+    # the caller keeps its own.
     monkeypatch.setattr(core, "_spares", [])
-    helpers = []
+    kept = min(threads, core.DEFAULT_WORKERS) - 1
+    helpers, spares = [], []
     for _ in range(2):
         ran = []
         _run_jobs(_recording(ran), range(12), threads)
@@ -477,8 +479,9 @@ def test_run_jobs_helpers_of_successive_calls_reuse_the_spare_workspaces(threads
         assert caller == {core._workspace()}
         helpers.append({workspace for _, thread, workspace in ran if thread is not threading.current_thread()})
         assert len(helpers[-1]) == threads - 1
-        assert set(core._spares) == helpers[-1]
-    assert helpers[0] == helpers[1]
+        assert len(core._spares) == kept and set(core._spares) <= helpers[-1]
+        spares.append(set(core._spares))
+    assert spares[0] == spares[1]
 
 
 def test_workspace_frees_an_array_never_given_back():
@@ -502,7 +505,7 @@ def test_run_jobs_takes_each_job_once_under_fast_switching():
 
     def run(job):
         with lock:
-            ran.append(job)
+            ran.append((job, threading.current_thread(), core._workspace()))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -510,11 +513,14 @@ def test_run_jobs_takes_each_job_once_under_fast_switching():
         for _ in range(20):
             ran.clear()
             _run_jobs(run, range(300), 8)
-            assert sorted(ran) == list(range(300))
+            assert sorted(job for job, _, _ in ran) == list(range(300))
+            # No workspace went to two threads of one call.
+            held = {thread: workspace for _, thread, workspace in ran}
+            assert len(set(map(id, held.values()))) == len(held) == 8
     finally:
         sys.setswitchinterval(interval)
-    # No spare workspace went to two helpers at once, or it would be back twice.
-    assert len(set(map(id, core._spares))) == len(core._spares) >= 7
+    # No spare workspace went back twice, and no more came back than the cap.
+    assert len(set(map(id, core._spares))) == len(core._spares) == core.DEFAULT_WORKERS - 1
 
 
 @pytest.mark.parametrize("threads", [2, 4])

@@ -194,23 +194,21 @@ def test_rewards_and_ratios_match_reference_across_chunks():
         assert_same(rhos, want_rho)
 
 
-def test_oracle_matches_reference_across_chunks(monkeypatch):
-    monkeypatch.setattr(glucose, "_oracle_cache", {})
+def test_oracle_matches_reference_across_chunks(monkeypatch, oracle_values):
     want = reference_oracle(runs=7, hours=30, burn_in=5, seed=41)
     value, _ = target_value_oracle(runs=7, hours=30, burn_in=5, seed=41)
     assert value == want
-    monkeypatch.setattr(glucose, "_oracle_cache", {})
+    oracle_values.cache_clear()
     monkeypatch.setattr(core, "CHUNK_STEPS", 3 * 35)
     value, _ = target_value_oracle(runs=7, hours=30, burn_in=5, seed=41)
     assert value == want
 
 
-def test_oracle_holds_one_chunk_at_a_time(monkeypatch):
+def test_oracle_holds_one_chunk_at_a_time(monkeypatch, oracle_values):
     # Three chunks of 1,000 runs x 250 hours. A chunk's draws hold three
     # float arrays (glucose on the noise rows, activity, diet) and the
     # rule's bool array; a second glucose buffer, or the previous chunk's
     # glucose kept alive while the next one is drawn, adds one array each.
-    monkeypatch.setattr(glucose, "_oracle_cache", {})
     monkeypatch.setattr(core, "CHUNK_STEPS", 1_000 * 250)
     chunk_array = 1_000 * 250 * 8
     tracemalloc.start()
@@ -222,13 +220,12 @@ def test_oracle_holds_one_chunk_at_a_time(monkeypatch):
     assert peak < 4 * chunk_array, f"peak {peak / chunk_array:.2f} chunk arrays"
 
 
-def test_forced_rejection_matches_reference(monkeypatch):
+def test_forced_rejection_matches_reference(monkeypatch, oracle_values):
     # Means near zero make many truncated draws negative, so
     # _truncated_normal redraws, and the redraws sit between the blocks in
     # the stream.
     monkeypatch.setattr(glucose, "MILD_ACTIVITY_MEAN", 1.0)
     monkeypatch.setattr(glucose, "DIET_MEAN", 0.5)
-    monkeypatch.setattr(glucose, "_oracle_cache", {})
     for policy_kind in ("behavior", "target"):
         traj = glucose_simulate(T=60, burn_in=5, policy_kind=policy_kind, seed=13)
         ref = glucose_reference(60, 5, policy_kind, 13)
@@ -303,10 +300,9 @@ def assert_arrays_match_reference(T, burn_in, policy_kind, seeds):
 
 
 @pytest.mark.parametrize("group", [1, 3, 40])
-def test_group_size_does_not_change_outputs(monkeypatch, group):
+def test_group_size_does_not_change_outputs(monkeypatch, oracle_values, group):
     T, burn_in, seeds = 30, 6, list(range(50, 61))
     monkeypatch.setattr(glucose, "_GROUP_SEEDS", group)
-    monkeypatch.setattr(glucose, "_oracle_cache", {})
     for policy_kind in ("behavior", "target"):
         assert_arrays_match_reference(T, burn_in, policy_kind, seeds)
     want_y, want_rho = reference_rewards_and_ratios(T, burn_in, seeds)
@@ -317,12 +313,11 @@ def test_group_size_does_not_change_outputs(monkeypatch, group):
     assert value == reference_oracle(11, T, burn_in, 43)
 
 
-def test_mixed_group_rejection_matches_reference(monkeypatch):
+def test_mixed_group_rejection_matches_reference(monkeypatch, oracle_values):
     # At a mild mean of 3.5 sd above zero, about one seed in seven meets a
     # negative truncated draw in 350 hours: a group holds seeds drawn
     # again by the sequential path next to seeds kept from the group fill.
     monkeypatch.setattr(glucose, "MILD_ACTIVITY_MEAN", 17.5)
-    monkeypatch.setattr(glucose, "_oracle_cache", {})
     redrawn = []
 
     def recording_make_rng(seed):
@@ -371,16 +366,31 @@ def test_trajectory_refuses_a_column_without_one_entry_per_hour(name, column, go
         glucose.GlucoseTrajectory(**fields, policy_kind="behavior", seed=12, burn_in=2)
 
 
+def test_trajectory_columns_are_read_only_views():
+    # A write to a column once changed the ratios the record reports; the
+    # caller's own arrays keep their flags.
+    traj = glucose_simulate(T=4, burn_in=2, policy_kind="behavior", seed=12)
+    ratios = traj.importance_ratios()
+    for name in FIELDS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(traj, name)[:] = 1
+    np.testing.assert_array_equal(traj.importance_ratios(), ratios)
+    fields = {field: getattr(traj, field).copy() for field in FIELDS}
+    built = glucose.GlucoseTrajectory(**fields, policy_kind="behavior", seed=12, burn_in=2)
+    assert all(column.flags.writeable for column in fields.values())
+    assert not any(getattr(built, field).flags.writeable for field in FIELDS)
+
+
 def split_draws(monkeypatch, workers, group=3):
     """Draw in groups of ``group`` seeds on ``workers`` threads."""
     monkeypatch.setattr(glucose, "_GROUP_SEEDS", group)
     monkeypatch.setattr(glucose, "_worker_count", lambda count: workers)
-    monkeypatch.setattr(glucose, "_oracle_cache", {})
+    glucose._oracle_value.cache_clear()
 
 
 @pytest.mark.parametrize("n", [16, 17, 33, 50])
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_split_draws_match_reference(monkeypatch, workers, n):
+def test_split_draws_match_reference(monkeypatch, oracle_values, workers, n):
     # 3-seed groups: 16 and 50 seeds end in a part group, and 17 and 33
     # split into runs of unequal length.
     split_draws(monkeypatch, workers)
@@ -395,7 +405,7 @@ def test_split_draws_match_reference(monkeypatch, workers, n):
     assert value == reference_oracle(n, T, burn_in, 47)
 
 
-def test_split_redraws_in_the_helper_match_reference(monkeypatch):
+def test_split_redraws_in_the_helper_match_reference(monkeypatch, oracle_values):
     # As in test_mixed_group_rejection_matches_reference, about one seed in
     # seven is drawn again by the sequential path; some of those fall in
     # the helper thread's run.
@@ -419,7 +429,7 @@ def test_split_redraws_in_the_helper_match_reference(monkeypatch):
 
 
 @pytest.mark.parametrize("bad_seed", [101, 130])  # in the caller's run, in the helper's
-def test_split_failure_reaches_the_caller_after_the_join(monkeypatch, bad_seed):
+def test_split_failure_reaches_the_caller_after_the_join(monkeypatch, oracle_values, bad_seed):
     # Every seed is drawn again (mean 1), and _draw_row fails on the fresh
     # generator of one of them.
     split_draws(monkeypatch, workers=2)
@@ -460,7 +470,7 @@ def test_split_starts_a_helper_only_on_two_cores_and_two_groups(monkeypatch, cor
     assert started == []
 
 
-def test_split_draws_hold_under_fast_thread_switching(monkeypatch):
+def test_split_draws_hold_under_fast_thread_switching(monkeypatch, oracle_values):
     # More runs than cores, switching threads every few microseconds: each
     # run still writes exactly its own columns.
     seeds = list(range(300, 350))

@@ -479,6 +479,29 @@ def test_a_long_run_leaves_its_workspace_within_the_bound(tmp_path):
     assert sum(sizes) <= core._KEEP_BYTES < 8 * 1_000_000
 
 
+def test_a_wide_sweep_keeps_no_more_spare_workspaces_than_a_default_run(monkeypatch):
+    # A figure-3 sweep on eight threads starts six helpers. Core keeps the
+    # workspaces of as many as a default run starts, and frees the others'
+    # buffers as the sweep returns.
+    from types import SimpleNamespace
+
+    from pomdp_ope import core
+
+    monkeypatch.setattr(core, "_spares", [])
+    started = []
+
+    class SpyThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(core, "threading", SimpleNamespace(Thread=SpyThread, Lock=threading.Lock))
+    spec = SweepSpec(environment="toy", k_values=range(-1, 6), T_values=(200, 600, 1400), replications=250)
+    run_sweep(spec, workers=8)
+    assert len(started) == 6
+    assert len(core._spares) == core.DEFAULT_WORKERS - 1
+
+
 def test_workspace_buffers_kept_between_runs_do_not_reach_the_output(tmp_path):
     # A toy run gives the bytes of a first run on a new thread after a
     # glucose run and a longer toy run on the same thread have left their
@@ -703,6 +726,61 @@ def test_environment_names_overlap_violation(monkeypatch):
     assert err.value.a == 1
 
 
+@pytest.mark.parametrize(
+    "env_id, fields",
+    [
+        ("toy", ("name", "model", "behavior", "target")),
+        ("hard:Q=3,t0=1,zeta=0.69,M1=1,M2=2", ("name", "model", "lo", "params")),
+        ("glucose", ("name",)),
+    ],
+    ids=["toy", "hard", "glucose"],
+)
+def test_the_environment_built_once_per_process_is_frozen(environments, env_id, fields):
+    # Every later run of an id gets the environment its first run built, so
+    # an assignment to it once reached them all: a spec built after
+    # ``make_environment("toy").name = "renamed"`` echoed "renamed".
+    env = make_environment(env_id)
+    for name in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(env, name, "renamed")
+    spec = SweepSpec(environment=env_id, k_values=(0,), T_values=(20,), replications=2)
+    assert spec.env is env
+    assert spec.to_dict()["environment"] == env.name == env_id
+
+
+def test_the_oracle_kept_once_per_process_gives_each_caller_its_own_provenance():
+    # The oracle's value is computed once per parameters and process; an
+    # edit to one call's provenance once reached every later call.
+    from pomdp_ope.instances.glucose import target_value_oracle
+
+    value, provenance = target_value_oracle(runs=5, hours=5, seed=3)
+    want = dict(provenance)
+    provenance["runs"] = 999
+    assert target_value_oracle(runs=5, hours=5, seed=3) == (value, want)
+    spec = SweepSpec(environment="glucose", k_values=(0,), T_values=(20,), replications=2)
+    provenance = run_sweep(spec).oracle_provenance
+    want = dict(provenance)
+    provenance["runs"] = 999
+    assert run_sweep(spec).oracle_provenance == want == target_value_oracle()[1]
+
+
+def test_the_oracle_keeps_its_last_eight_values_once_per_process(monkeypatch, oracle_values):
+    # A ninth set of parameters evicts the one least recently used; the
+    # value computed again is the same.
+    from pomdp_ope.instances import glucose
+
+    computed = []
+    simulate = glucose._simulate_arrays
+    monkeypatch.setattr(glucose, "_simulate_arrays", lambda *args: computed.append(args) or simulate(*args))
+    values = [glucose.target_value_oracle(runs=2, hours=3, burn_in=0, seed=seed)[0] for seed in range(9)]
+    assert len(computed) == 9
+    for seed in range(1, 9):
+        assert glucose.target_value_oracle(runs=2, hours=3, burn_in=0, seed=seed)[0] == values[seed]
+    assert len(computed) == 9
+    assert glucose.target_value_oracle(runs=2, hours=3, burn_in=0, seed=0)[0] == values[0]
+    assert len(computed) == 10
+
+
 @pytest.mark.parametrize("role", ["behavior", "target"])
 def test_finite_environment_refuses_a_policy_of_another_shape(role):
     # Ratios are read from a table with one row per model state, so a
@@ -717,7 +795,7 @@ def test_finite_environment_refuses_a_policy_of_another_shape(role):
         FiniteEnvironment("toy", toy.model, **policies)
 
 
-def test_chunk_boundaries_do_not_change_simulators(monkeypatch, toy):
+def test_chunk_boundaries_do_not_change_simulators(monkeypatch, oracle_values, toy):
     # Chunks of 3 rows with a short last chunk: the batch simulators take the
     # seeds they are given, so their chunks are split by hand into separate
     # calls, and a tiny step budget splits the oracle's own runs. Results
@@ -730,7 +808,7 @@ def test_chunk_boundaries_do_not_change_simulators(monkeypatch, toy):
     seeds = list(range(10))
 
     def run_all(finite_ranges, glucose_ranges):
-        monkeypatch.setattr(glucose, "_oracle_cache", {})
+        oracle_values.cache_clear()
         finite = [
             core._simulate_arrays(model, behavior, 40, 10, seeds[a:b]) for a, b in finite_ranges
         ]
